@@ -20,7 +20,6 @@ from templateclust.stiefel import (
 )
 from templateclust.template import (
     ClusteringResult,
-    KMeansConfig,
     TemplateModel,
     euclidean_gradient,
     kmeans,
@@ -68,7 +67,6 @@ __all__ = [
     "steepest_descent",
     "TemplateModel",
     "ClusteringResult",
-    "KMeansConfig",
     "objective",
     "euclidean_gradient",
     "kmeans",

@@ -9,7 +9,7 @@ import numpy as np
 from templateclust.errors import InputError
 from templateclust.graphs import Graph, degree_matrix, laplacian
 from templateclust.stiefel import StiefelPoint
-from templateclust.template import kmeans as _kmeans
+from templateclust.template import kmeans
 
 
 @dataclass(frozen=True)
@@ -23,16 +23,12 @@ class Partition:
         raw = np.asarray(self.labels, dtype=int)
         if raw.ndim != 1 or raw.size == 0:
             raise InputError("labels must be a nonempty 1-d integer array")
-        canonical = np.empty_like(raw)
-        mapping: dict[int, int] = {}
-        for i, lab in enumerate(raw):
-            lab = int(lab)
-            if lab not in mapping:
-                mapping[lab] = len(mapping)
-            canonical[i] = mapping[lab]
+        _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+        # rank each distinct label by the position of its first appearance
+        canonical = np.argsort(np.argsort(first))[inverse]
         canonical.setflags(write=False)
         object.__setattr__(self, "labels", canonical)
-        object.__setattr__(self, "k_found", len(mapping))
+        object.__setattr__(self, "k_found", first.size)
 
 
 def spectral_embedding(g: Graph, k: int) -> StiefelPoint:
@@ -52,20 +48,12 @@ def spectral_embedding(g: Graph, k: int) -> StiefelPoint:
     return StiefelPoint(embedding)
 
 
-def spectral_cluster(
-    g: Graph,
-    k: int,
-    rng: np.random.Generator | None = None,
-    restarts: int = 10,
-    max_iters: int = 300,
-) -> Partition:
+def spectral_cluster(g: Graph, k: int, rng: np.random.Generator | None = None) -> Partition:
     """Unnormalized spectral clustering: k-means on rows of the k bottom
     eigenvectors of L = D - A."""
     if rng is None:
         rng = np.random.default_rng()
-    labels, _ = _kmeans(
-        spectral_embedding(g, k).matrix, k, rng, restarts=restarts, max_iters=max_iters
-    )
+    labels, _ = kmeans(spectral_embedding(g, k).matrix, k, rng)
     return Partition(labels)
 
 

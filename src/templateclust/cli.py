@@ -7,14 +7,12 @@ import sys
 
 import numpy as np
 
-from templateclust.baselines import cnm_cluster, louvain_cluster, spectral_cluster
 from templateclust.dataio import load_edge_list, load_labels, model_from_ground_truth
 from templateclust.errors import InputError
-from templateclust.harness import METHODS, ExperimentConfig, run_and_write
+from templateclust.harness import METHODS, ExperimentConfig, run_and_write, run_method
 from templateclust.metrics import adjusted_rand_index
-from templateclust.synth import expected_model, sample_graph
-from templateclust.template import template_cluster
-from templateclust.harness import _make_spec
+from templateclust.synth import FAMILIES, expected_model, make_family, sample_graph
+from templateclust.template import TemplateModel
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -37,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="run a synthetic-family experiment grid")
-    synth.add_argument("--family", required=True, choices=["g3", "g6", "c2", "bp"])
+    synth.add_argument("--family", required=True, choices=FAMILIES)
     synth.add_argument("--sizes", type=_int_list, required=True, help="comma-separated community sizes")
     synth.add_argument("--probs", type=_float_list, default=(float("nan"),),
                        help="comma-separated coupling probabilities (c2 central / bp inter)")
@@ -62,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     single = sub.add_parser("cluster", help="cluster one graph and print labels + metrics")
     single.add_argument("--edges", help="edge-list file (with --labels for the template)")
     single.add_argument("--labels", help="ground-truth label file")
-    single.add_argument("--family", choices=["g3", "g6", "c2", "bp"])
+    single.add_argument("--family", choices=FAMILIES)
     single.add_argument("--size", type=int, help="community size for --family")
     single.add_argument("--prob", type=float, default=float("nan"))
     single.add_argument("--intra-mode", choices=["bipartite", "hub"], default="bipartite")
@@ -107,17 +105,16 @@ def _cmd_real(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
     gt = None
     model = None
     if args.family:
         if args.size is None:
             raise InputError("--family needs --size")
-        spec = _make_spec_cli(args)
+        spec = make_family(args.family, args.size, args.prob, args.intra_mode)
         graph, gt = sample_graph(spec, np.random.default_rng(args.seed))
         model = expected_model(spec)
     elif args.edges:
-        graph, id_map = load_edge_list(args.edges, directed_input=True)
+        graph, id_map = load_edge_list(args.edges)
         if args.labels:
             gt = load_labels(args.labels, graph.n, id_map)
             model = model_from_ground_truth(graph, gt)
@@ -125,38 +122,16 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         raise InputError("provide either --family/--size or --edges")
 
     if args.template:
-        from templateclust.template import TemplateModel
-
-        weights = np.loadtxt(args.template, ndmin=2)
-        model = TemplateModel(weights)
+        model = TemplateModel(np.loadtxt(args.template, ndmin=2))
 
     k = args.k or (model.k if model is not None else None) or (gt.k if gt else None)
-
-    if args.method == "tb":
-        if model is None:
-            raise InputError("method tb needs --template, --labels, or --family")
-        labels = template_cluster(graph, model, rng=rng).partition
-    elif args.method == "spectral":
-        if k is None:
-            raise InputError("method spectral needs --k, --template, or --labels")
-        labels = spectral_cluster(graph, k, rng).labels
-    elif args.method == "cnm":
-        labels = cnm_cluster(graph).labels
-    else:
-        labels = louvain_cluster(graph, rng).labels
+    labels, _, _ = run_method(args.method, graph, k, model, np.random.default_rng(args.seed))
 
     print("labels:", " ".join(str(int(x)) for x in labels))
     if gt is not None:
         print(f"ari: {adjusted_rand_index(labels, gt.labels):.6f}")
-    print(f"k_found: {int(np.unique(labels).size)}")
+    print(f"k_found: {int(labels.max()) + 1}")
     return 0
-
-
-def _make_spec_cli(args: argparse.Namespace):
-    cfg = ExperimentConfig(
-        kind="synth", dataset=args.family, sizes=(args.size,), intra_mode=args.intra_mode
-    )
-    return _make_spec(cfg, args.size, args.prob)
 
 
 def main(argv: list[str] | None = None) -> int:

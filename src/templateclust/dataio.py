@@ -24,7 +24,7 @@ def _parse_lines(path: str | Path) -> list[tuple[int, list[str]]]:
     return out
 
 
-def load_edge_list(path: str | Path, directed_input: bool = False) -> tuple[Graph, dict[int, int]]:
+def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
     """Read a whitespace-separated edge list into an unweighted simple graph.
 
     Lines are "u v" or "u v w"; '#' starts a comment. Vertex ids are
@@ -74,8 +74,11 @@ def load_labels(path: str | Path, n: int, id_map: dict[int, int] | None = None) 
             u, c = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: malformed label line") from exc
-        v = id_map[u] if id_map is not None else u
-        raw[v] = c
+        if id_map is not None:
+            if u not in id_map:
+                raise InputError(f"{path}:{lineno}: vertex {u} does not appear in the edge list")
+            u = id_map[u]
+        raw[u] = c
     missing = sorted(set(range(n)) - set(raw))
     if missing:
         raise InputError(f"{path}: missing labels for vertices {missing[:20]}")

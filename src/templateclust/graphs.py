@@ -26,6 +26,8 @@ class Graph:
             raise InputError(f"adjacency must be square, got shape {adj.shape}")
         if adj.shape[0] < 1:
             raise InputError("graph needs at least one vertex")
+        if not np.isfinite(adj).all():
+            raise InputError("adjacency contains non-finite values (NaN or inf)")
         if not np.array_equal(adj, adj.T):
             raise InputError("adjacency must be exactly symmetric")
         adj = adj.copy()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,18 +32,9 @@ from templateclust.metrics import (
     closest_orthonormal,
     projector_distance,
 )
-from templateclust.stiefel import DescentConfig
-from templateclust.synth import (
-    CommunitySpec,
-    add_model_noise,
-    expected_model,
-    make_bp,
-    make_c2,
-    make_g3,
-    make_g6,
-    sample_graph,
-)
-from templateclust.template import KMeansConfig, TemplateModel, template_cluster
+from templateclust.stiefel import StiefelPoint
+from templateclust.synth import add_model_noise, expected_model, make_family, sample_graph
+from templateclust.template import TemplateModel, template_cluster
 
 METHODS = ("tb", "spectral", "cnm", "louvain")
 
@@ -89,8 +80,6 @@ class ExperimentConfig:
     fixed_graph: bool = False
     edges_path: str | None = None
     labels_path: str | None = None
-    descent: DescentConfig = DescentConfig()
-    kmeans: KMeansConfig = KMeansConfig()
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
@@ -130,47 +119,32 @@ def _fmt(x: object) -> str:
     return str(x)
 
 
-def _make_spec(cfg: ExperimentConfig, size: int, prob: float) -> CommunitySpec:
-    if cfg.dataset == "g3":
-        return make_g3(size)
-    if cfg.dataset == "g6":
-        return make_g6(size)
-    if cfg.dataset == "c2":
-        return make_c2(size, 0.42 if prob != prob else prob)
-    if cfg.dataset == "bp":
-        if prob != prob:
-            raise InputError("bp experiments need an inter-connection probability")
-        return make_bp(size, prob, cfg.intra_mode)
-    raise InputError(f"unknown synthetic family {cfg.dataset!r}")
-
-
-def _run_method(
+def run_method(
     method: str,
     graph: Graph,
-    gt: GroundTruth,
-    model: TemplateModel,
+    k: int | None,
+    model: TemplateModel | None,
     rng: np.random.Generator,
-    cfg: ExperimentConfig,
-) -> tuple[np.ndarray, float | None, int | None, int]:
-    """Returns (labels, projector distance, iteration count, k found)."""
-    p_star = None
-    if method in ("tb", "spectral"):
-        p_star = closest_orthonormal(gt.indicator())
+) -> tuple[np.ndarray, StiefelPoint | None, int | None]:
+    """Cluster `graph` with one of METHODS.
+
+    Returns the labels, canonical by first appearance; the embedding of tb
+    and spectral, else None; and tb's descent iteration count, else None.
+    tb needs `model`, spectral needs `k`.
+    """
     if method == "tb":
-        result = template_cluster(graph, model, cfg.descent, cfg.kmeans, rng)
-        pd = projector_distance(result.embedding, p_star)
-        labels = Partition(result.partition).labels
-        return labels, pd, result.trace.iterates_count, int(labels.max()) + 1
+        if model is None:
+            raise InputError("method tb needs --template, --labels, or --family")
+        result = template_cluster(graph, model, rng=rng)
+        return Partition(result.partition).labels, result.embedding, result.trace.iterates_count
     if method == "spectral":
-        part = spectral_cluster(graph, gt.k, rng, cfg.kmeans.restarts, cfg.kmeans.max_iters)
-        pd = projector_distance(spectral_embedding(graph, gt.k), p_star)
-        return part.labels, pd, None, part.k_found
+        if k is None:
+            raise InputError("method spectral needs --k, --template, or --labels")
+        return spectral_cluster(graph, k, rng).labels, spectral_embedding(graph, k), None
     if method == "cnm":
-        part = cnm_cluster(graph)
-        return part.labels, None, None, part.k_found
+        return cnm_cluster(graph).labels, None, None
     if method == "louvain":
-        part = louvain_cluster(graph, rng)
-        return part.labels, None, None, part.k_found
+        return louvain_cluster(graph, rng).labels, None, None
     raise InputError(f"unknown method {method!r}")
 
 
@@ -183,7 +157,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
         if not points:
             raise InputError("synthetic experiments need at least one size")
         for point_idx, (size, prob) in enumerate(points):
-            spec = _make_spec(cfg, size, prob)
+            spec = make_family(cfg.dataset, size, prob, cfg.intra_mode)
             model = expected_model(spec)
             for rep in range(cfg.repetitions):
                 seed = cfg.base_seed + rep
@@ -195,7 +169,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
                     _point_records(cfg, cfg.dataset, size, prob, rep, seed, point_idx, graph, gt, model)
                 )
     else:
-        graph, id_map = load_edge_list(cfg.edges_path, directed_input=True)
+        graph, id_map = load_edge_list(cfg.edges_path)
         gt = load_labels(cfg.labels_path, graph.n, id_map)
         base_model = model_from_ground_truth(graph, gt)
         for point_idx, sigma in enumerate(cfg.sigmas):
@@ -230,11 +204,13 @@ def _point_records(
         rng = np.random.default_rng((cfg.base_seed, point_idx, rep, m_idx))
         start = time.perf_counter()
         try:
-            labels, pd, iters, k_found = _run_method(method, graph, gt, model, rng, cfg)
-            rec.ari = adjusted_rand_index(labels, gt.labels)
-            rec.projector_distance = pd
-            rec.iterations = iters
-            rec.k_found = k_found
+            labels, embedding, iters = run_method(method, graph, gt.k, model, rng)
+            ari = adjusted_rand_index(labels, gt.labels)
+            pd = None
+            if embedding is not None:
+                pd = projector_distance(embedding, closest_orthonormal(gt.indicator()))
+            rec.ari, rec.projector_distance, rec.iterations = ari, pd, iters
+            rec.k_found = int(labels.max()) + 1
         except Exception:
             rec.status = "failed"
         rec.runtime_ms = (time.perf_counter() - start) * 1000.0

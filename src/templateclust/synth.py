@@ -121,6 +121,25 @@ def make_bp(size: int, inter: float, intra_mode: str = "bipartite") -> Community
     return CommunitySpec((size, size), rates)
 
 
+FAMILIES = ("g3", "g6", "c2", "bp")
+
+
+def make_family(name: str, size: int, prob: float, intra_mode: str) -> CommunitySpec:
+    """The named family at one size. `prob` is the c2 central coupling
+    (0.42 when NaN) or the bp inter rate (required); g3 and g6 ignore it."""
+    if name == "g3":
+        return make_g3(size)
+    if name == "g6":
+        return make_g6(size)
+    if name == "c2":
+        return make_c2(size, 0.42 if prob != prob else prob)
+    if name == "bp":
+        if prob != prob:
+            raise InputError("bp experiments need an inter-connection probability")
+        return make_bp(size, prob, intra_mode)
+    raise InputError(f"unknown synthetic family {name!r}")
+
+
 def add_model_noise(
     model: TemplateModel, sigma: float, rng: np.random.Generator
 ) -> TemplateModel:

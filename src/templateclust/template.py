@@ -39,6 +39,8 @@ class TemplateModel:
             raise InputError(f"template weights must be square, got {w.shape}")
         if w.shape[0] < 1:
             raise InputError("template needs at least one community")
+        if not np.isfinite(w).all():
+            raise InputError("template weights contain non-finite values (NaN or inf)")
         if not np.allclose(w, w.T, atol=0, rtol=0):
             raise InputError("template weights must be symmetric")
         w = w.copy()
@@ -48,16 +50,6 @@ class TemplateModel:
     @property
     def k(self) -> int:
         return self.weights.shape[0]
-
-
-@dataclass(frozen=True)
-class KMeansConfig:
-    restarts: int = 10
-    max_iters: int = 300
-
-    def __post_init__(self) -> None:
-        if self.restarts < 1 or self.max_iters < 1:
-            raise InputError("restarts and max_iters must be >= 1")
 
 
 @dataclass
@@ -166,7 +158,6 @@ def template_cluster(
     g_o: Graph,
     model: TemplateModel,
     cfg: DescentConfig = DescentConfig(),
-    kmeans_cfg: KMeansConfig = KMeansConfig(),
     rng: np.random.Generator | None = None,
 ) -> ClusteringResult:
     """Optimize the embedding from a random start, then k-means its rows."""
@@ -182,9 +173,7 @@ def template_cluster(
         p0,
         cfg,
     )
-    labels, inertia = kmeans(
-        p_opt.matrix, model.k, rng, restarts=kmeans_cfg.restarts, max_iters=kmeans_cfg.max_iters
-    )
+    labels, inertia = kmeans(p_opt.matrix, model.k, rng)
     return ClusteringResult(
         partition=labels, embedding=p_opt, trace=trace, kmeans_inertia=inertia
     )

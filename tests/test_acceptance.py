@@ -236,7 +236,7 @@ def _school1_paths():
 def test_criterion_9_school1():
     edges, labels = _school1_paths()
     start = time.time()
-    g, id_map = load_edge_list(edges, directed_input=True)
+    g, id_map = load_edge_list(edges)
     gt = load_labels(labels, g.n, id_map)
     model = model_from_ground_truth(g, gt)
     p_star = closest_orthonormal(gt.indicator())
@@ -258,7 +258,7 @@ def test_criterion_9_school1():
 @check("10 school1-noise-robustness")
 def test_criterion_10_school1_noise():
     edges, labels = _school1_paths()
-    g, id_map = load_edge_list(edges, directed_input=True)
+    g, id_map = load_edge_list(edges)
     gt = load_labels(labels, g.n, id_map)
     model = model_from_ground_truth(g, gt)
     nonzero = model.weights[model.weights != 0]

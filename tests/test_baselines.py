@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from templateclust import (
     Graph,
@@ -190,3 +192,22 @@ def test_partition_canonicalization():
     part = Partition(np.array([5, 5, 2, 7, 2]))
     assert np.array_equal(part.labels, [0, 0, 1, 2, 1])
     assert part.k_found == 3
+
+
+def canonical_by_loop(raw):
+    """Reference relabelling: each new label gets the next id in order of
+    first appearance."""
+    mapping = {}
+    out = []
+    for lab in raw:
+        mapping.setdefault(lab, len(mapping))
+        out.append(mapping[lab])
+    return out, len(mapping)
+
+
+@given(st.lists(st.integers(-5, 40), min_size=1, max_size=60))
+def test_partition_matches_loop_oracle(raw):
+    labels, k_found = canonical_by_loop(raw)
+    part = Partition(np.array(raw))
+    assert part.labels.tolist() == labels
+    assert part.k_found == k_found

@@ -18,7 +18,7 @@ class TestLoadEdgeList:
     def test_directed_pair_collapses(self, tmp_path):
         f = tmp_path / "e.txt"
         f.write_text("0 1\n1 0\n")
-        g, id_map = load_edge_list(f, directed_input=True)
+        g, id_map = load_edge_list(f)
         assert np.array_equal(g.adjacency, [[0, 1], [1, 0]])
         assert id_map == {0: 0, 1: 1}
 
@@ -77,6 +77,12 @@ class TestLoadLabels:
         f.write_text("0 0\n2 1\n")
         with pytest.raises(InputError, match="missing"):
             load_labels(f, 3)
+
+    def test_vertex_absent_from_edge_list(self, tmp_path):
+        f = tmp_path / "l.txt"
+        f.write_text("10 0\n# comment\n99 1\n30 1\n")
+        with pytest.raises(InputError, match=r"l\.txt:3: vertex 99 "):
+            load_labels(f, 2, id_map={10: 0, 30: 1})
 
     def test_id_map_translation(self, tmp_path):
         f = tmp_path / "l.txt"

@@ -40,6 +40,13 @@ def test_asymmetric_adjacency_rejected():
         Graph(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_adjacency_rejected(bad):
+    # placed symmetrically, so only the finiteness check can reject it
+    with pytest.raises(InputError, match="non-finite"):
+        Graph(np.array([[0.0, bad], [bad, 0.0]]))
+
+
 def test_degree_matrix_examples():
     assert np.array_equal(degree_matrix(build_graph([], 3)), [0, 0, 0])
     assert np.array_equal(degree_matrix(build_graph([(0, 1, 1.0)], 2)), [1, 1])

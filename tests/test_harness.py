@@ -9,7 +9,9 @@ from templateclust.harness import (
     aggregate,
     run_and_write,
     run_experiment,
+    run_method,
 )
+from templateclust.synth import make_g3, sample_graph
 
 
 def small_cfg(**kw):
@@ -74,6 +76,13 @@ class TestRunExperiment:
     def test_real_requires_paths(self):
         with pytest.raises(InputError):
             ExperimentConfig(kind="real", dataset="x")
+
+
+class TestRunMethod:
+    def test_unknown_method(self):
+        graph, _ = sample_graph(make_g3(4), np.random.default_rng(0))
+        with pytest.raises(InputError, match="unknown method 'mystery'"):
+            run_method("mystery", graph, 3, None, np.random.default_rng(0))
 
 
 class TestRealExperiment:
@@ -199,6 +208,40 @@ class TestCli:
     def test_input_error_exit_code(self, capsys):
         rc = main(["cluster", "--method", "tb"])
         assert rc == 1
+
+    def test_cluster_tb_labels_canonical(self, capsys):
+        # at this seed k-means numbers the clusters 2, 0, 1 in vertex order
+        rc = main(["cluster", "--family", "g3", "--size", "6", "--method", "tb", "--seed", "2"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        labels = [int(x) for x in lines[0].split()[1:]]
+        k_found = int(lines[-1].split()[1])
+        assert labels[0] == 0
+        assert sorted(set(labels)) == list(range(k_found))
+        firsts = [labels.index(c) for c in range(k_found)]
+        assert firsts == sorted(firsts)
+
+    @pytest.mark.parametrize("command", ["cluster", "real"])
+    def test_label_for_unknown_vertex_exit_code(self, tmp_path, capsys, command):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"{i} {i // 3}\n" for i in range(6)) + "99 1\n")
+        argv = {
+            "cluster": ["cluster", "--method", "cnm"],
+            "real": ["real", "--methods", "cnm", "--out", str(tmp_path / "out")],
+        }[command]
+        assert main(argv + ["--edges", str(edges), "--labels", str(labels)]) == 1
+        assert "labels.txt:7: vertex 99" in capsys.readouterr().err
+
+    def test_cluster_non_finite_template_exit_code(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n")
+        template = tmp_path / "template.txt"
+        template.write_text("6 nan\nnan 6\n")
+        rc = main(["cluster", "--edges", str(edges), "--template", str(template)])
+        assert rc == 1
+        assert "non-finite" in capsys.readouterr().err
 
     def test_cluster_with_template_file(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"

@@ -14,7 +14,7 @@ from templateclust import (
     make_g6,
     sample_graph,
 )
-from templateclust.synth import G6_TEMPLATE_EDGES
+from templateclust.synth import FAMILIES, G6_TEMPLATE_EDGES, make_family
 
 
 class TestSampleGraph:
@@ -142,6 +142,36 @@ class TestFamilies:
     def test_bad_intra_mode(self):
         with pytest.raises(InputError):
             make_bp(4, 0.5, "star")
+
+
+class TestMakeFamily:
+    @pytest.mark.parametrize(
+        "name, prob, intra_mode, direct",
+        [
+            ("g3", float("nan"), "bipartite", make_g3(7)),
+            ("g6", 0.3, "hub", make_g6(7)),
+            ("c2", 0.3, "bipartite", make_c2(7, 0.3)),
+            ("c2", float("nan"), "bipartite", make_c2(7, 0.42)),
+            ("bp", 0.6, "bipartite", make_bp(7, 0.6, "bipartite")),
+            ("bp", 0.6, "hub", make_bp(7, 0.6, "hub")),
+        ],
+    )
+    def test_matches_make_functions(self, name, prob, intra_mode, direct):
+        spec = make_family(name, 7, prob, intra_mode)
+        assert spec.sizes == direct.sizes
+        assert np.array_equal(spec.rates, direct.rates)
+
+    def test_every_family_builds(self):
+        for name in FAMILIES:
+            assert make_family(name, 3, 0.5, "bipartite").sizes[0] == 3
+
+    def test_bp_needs_probability(self):
+        with pytest.raises(InputError, match="inter-connection probability"):
+            make_family("bp", 5, float("nan"), "hub")
+
+    def test_unknown_family(self):
+        with pytest.raises(InputError, match="unknown synthetic family"):
+            make_family("g4", 5, 0.5, "bipartite")
 
 
 class TestModelNoise:

@@ -43,6 +43,12 @@ def finite_diff_gradient(a_o, model, p, h=1e-6):
     return grad
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_template_rejected(bad):
+    with pytest.raises(InputError, match="non-finite"):
+        TemplateModel(np.array([[1.0, bad], [bad, 1.0]]))
+
+
 class TestObjective:
     def test_zero_everything(self):
         p = StiefelPoint(np.eye(4)[:, :2])
