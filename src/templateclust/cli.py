@@ -122,7 +122,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         raise InputError("provide either --family/--size or --edges")
 
     if args.template:
-        model = TemplateModel(np.loadtxt(args.template, ndmin=2))
+        try:
+            weights = np.loadtxt(args.template, ndmin=2)
+        except ValueError as exc:
+            raise InputError(f"{args.template}: malformed template file: {exc}") from exc
+        model = TemplateModel(weights)
 
     k = args.k or (model.k if model is not None else None) or (gt.k if gt else None)
     labels, _, _ = run_method(args.method, graph, k, model, np.random.default_rng(args.seed))

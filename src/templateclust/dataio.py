@@ -78,6 +78,8 @@ def load_labels(path: str | Path, n: int, id_map: dict[int, int] | None = None) 
             if u not in id_map:
                 raise InputError(f"{path}:{lineno}: vertex {u} does not appear in the edge list")
             u = id_map[u]
+        elif not 0 <= u < n:
+            raise InputError(f"{path}:{lineno}: vertex {u} is outside 0..{n - 1}")
         raw[u] = c
     missing = sorted(set(range(n)) - set(raw))
     if missing:

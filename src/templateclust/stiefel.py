@@ -31,6 +31,8 @@ class StiefelPoint:
         n, k = m.shape
         if n < k:
             raise InputError(f"need n >= k, got {n} x {k}")
+        if not np.all(np.isfinite(m)):
+            raise NumericalError("matrix has non-finite entries")
         err = np.linalg.norm(m.T @ m - np.eye(k))
         if err > ORTHO_TOL:
             raise NumericalError(f"columns not orthonormal: ||P^T P - I|| = {err:.3e}")
@@ -58,6 +60,11 @@ class DescentConfig:
             raise InputError("tolerances and initial step must be positive")
         if not (0 < self.armijo_shrink < 1) or not (0 < self.armijo_slope < 1):
             raise InputError("armijo shrink and slope must lie in (0, 1)")
+        if self.armijo_max_backtracks < 1:
+            raise InputError("armijo_max_backtracks must be at least 1")
+
+
+StopReason = Literal["gradient", "relative-cost", "line-search", "max-iters"]
 
 
 @dataclass
@@ -67,8 +74,11 @@ class DescentTrace:
     iterates_count: int
     cost_history: list[float]
     final_grad_norm: float
-    converged_by: Literal["gradient", "relative-cost", "max-iters"]
-    line_search_failed: bool = False
+    converged_by: StopReason
+
+    @property
+    def line_search_failed(self) -> bool:
+        return self.converged_by == "line-search"
 
 
 def random_stiefel(n: int, k: int, rng: np.random.Generator) -> StiefelPoint:
@@ -116,44 +126,70 @@ def steepest_descent(
 ) -> tuple[StiefelPoint, DescentTrace]:
     """Monotone steepest descent with Armijo backtracking and QR retraction.
 
-    Stops when the projected gradient norm falls under grad_tol, when the
-    cost decrease stalls relative to rel_cost_tol, or after max_iters.
+    Trial steps are armijo_initial_step * armijo_shrink**j for
+    j < armijo_max_backtracks. Each search starts one step above the last
+    accepted one (at most armijo_initial_step), shrinks while Armijo fails
+    and grows while it holds. That accepts the step a search from
+    armijo_initial_step would whenever the passing steps are contiguous,
+    at about two cost evaluations per iteration instead of a dozen.
+
+    Stops when the projected gradient norm falls under grad_tol
+    ("gradient"), when the cost decrease stalls relative to rel_cost_tol
+    ("relative-cost"), when no grid step satisfies Armijo ("line-search"),
+    or after max_iters ("max-iters"). Raises NumericalError when a cost or
+    gradient is not finite.
     """
+    steps = [cfg.armijo_initial_step]
+    for _ in range(cfg.armijo_max_backtracks - 1):
+        steps.append(steps[-1] * cfg.armijo_shrink)
+
     p = p0
     f = float(cost(p))
+    if not np.isfinite(f):
+        raise NumericalError("cost is not finite at the starting point")
     history = [f]
     grad_norm = np.inf
-    converged_by: Literal["gradient", "relative-cost", "max-iters"] = "max-iters"
-    ls_failed = False
+    converged_by: StopReason = "max-iters"
+    j = 0  # grid index of the last accepted step
     iters = 0
 
+    def trial(idx: int) -> tuple[StiefelPoint, float, bool]:
+        step = steps[idx]
+        candidate = retract_qr(p, -step * grad)
+        f_new = float(cost(candidate))
+        if not np.isfinite(f_new):
+            raise NumericalError(f"cost is not finite at iteration {iters} (step {step:g})")
+        return candidate, f_new, f_new <= f - cfg.armijo_slope * step * sq
+
     for iters in range(1, cfg.max_iters + 1):
-        grad = project_tangent(p, euclid_grad(p))
+        egrad = euclid_grad(p)
+        if not np.isfinite(egrad).all():
+            raise NumericalError(f"gradient is not finite at iteration {iters}")
+        grad = project_tangent(p, egrad)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= cfg.grad_tol:
             converged_by = "gradient"
             iters -= 1
             break
 
-        step = cfg.armijo_initial_step
-        accepted = False
         sq = grad_norm * grad_norm
-        for _ in range(cfg.armijo_max_backtracks):
-            candidate = retract_qr(p, -step * grad)
-            f_new = float(cost(candidate))
-            if f_new <= f - cfg.armijo_slope * step * sq:
-                accepted = True
+        j = max(j - 1, 0)
+        accepted = trial(j)
+        if accepted[2]:
+            while j > 0 and (larger := trial(j - 1))[2]:
+                j -= 1
+                accepted = larger
+        else:
+            while not accepted[2] and j + 1 < len(steps):
+                j += 1
+                accepted = trial(j)
+            if not accepted[2]:
+                converged_by = "line-search"
+                iters -= 1
                 break
-            step *= cfg.armijo_shrink
-        if not accepted:
-            converged_by = "relative-cost"
-            ls_failed = True
-            iters -= 1
-            break
 
-        p = candidate
         prev = f
-        f = f_new
+        p, f, _ = accepted
         history.append(f)
         if abs(prev - f) <= cfg.rel_cost_tol * max(1.0, abs(prev)):
             converged_by = "relative-cost"
@@ -166,6 +202,5 @@ def steepest_descent(
         cost_history=history,
         final_grad_norm=grad_norm,
         converged_by=converged_by,
-        line_search_failed=ls_failed,
     )
     return p, trace

@@ -84,6 +84,16 @@ class TestLoadLabels:
         with pytest.raises(InputError, match=r"l\.txt:3: vertex 99 "):
             load_labels(f, 2, id_map={10: 0, 30: 1})
 
+    @pytest.mark.parametrize(
+        "text, line, vertex",
+        [("0 0\n1 1\n7 1\n", 3, 7), ("0 0\n1 2\n7 1\n", 3, 7), ("0 0\n-1 1\n1 1\n", 2, -1)],
+    )
+    def test_vertex_out_of_range(self, tmp_path, text, line, vertex):
+        f = tmp_path / "l.txt"
+        f.write_text(text)
+        with pytest.raises(InputError, match=rf"l\.txt:{line}: vertex {vertex} "):
+            load_labels(f, 2)
+
     def test_id_map_translation(self, tmp_path):
         f = tmp_path / "l.txt"
         f.write_text("10 0\n30 1\n")

@@ -243,6 +243,15 @@ class TestCli:
         assert rc == 1
         assert "non-finite" in capsys.readouterr().err
 
+    def test_cluster_malformed_template_exit_code(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n")
+        template = tmp_path / "template.txt"
+        template.write_text("6 x\nx 6\n")
+        rc = main(["cluster", "--edges", str(edges), "--template", str(template)])
+        assert rc == 1
+        assert "template.txt: malformed template file" in capsys.readouterr().err
+
     def test_cluster_with_template_file(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n")

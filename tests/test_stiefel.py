@@ -1,15 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from templateclust import (
     DescentConfig,
     InputError,
+    NumericalError,
     StiefelPoint,
+    TemplateModel,
+    euclidean_gradient,
+    expected_model,
+    make_c2,
+    make_g3,
+    make_g6,
+    objective,
     project_tangent,
     random_stiefel,
     retract_qr,
+    sample_graph,
     steepest_descent,
 )
+
+from conftest import random_simple_graph
 
 
 def test_random_stiefel_1d(rng):
@@ -26,6 +39,12 @@ def test_random_stiefel_deterministic():
     a = random_stiefel(6, 3, np.random.default_rng(42))
     b = random_stiefel(6, 3, np.random.default_rng(42))
     assert np.array_equal(a.matrix, b.matrix)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stiefel_point_rejects_non_finite(bad):
+    with pytest.raises(NumericalError, match="non-finite"):
+        StiefelPoint(np.full((3, 2), bad))
 
 
 def test_random_stiefel_bad_shape(rng):
@@ -138,3 +157,142 @@ def test_config_validation():
         DescentConfig(armijo_shrink=1.5)
     with pytest.raises(InputError):
         DescentConfig(grad_tol=0.0)
+    with pytest.raises(InputError):
+        DescentConfig(armijo_max_backtracks=0)
+
+
+def cold_start_descent(cost, euclid_grad, p0, cfg=DescentConfig()):
+    """Reference descent whose every line search starts at
+    armijo_initial_step and shrinks until Armijo holds, so it accepts the
+    largest passing grid step. Returns (point, cost history, stop reason)."""
+    p = p0
+    f = float(cost(p))
+    history = [f]
+    for _ in range(cfg.max_iters):
+        grad = project_tangent(p, euclid_grad(p))
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= cfg.grad_tol:
+            return p, history, "gradient"
+        step = cfg.armijo_initial_step
+        sq = grad_norm * grad_norm
+        for _ in range(cfg.armijo_max_backtracks):
+            candidate = retract_qr(p, -step * grad)
+            f_new = float(cost(candidate))
+            if f_new <= f - cfg.armijo_slope * step * sq:
+                break
+            step *= cfg.armijo_shrink
+        else:
+            return p, history, "line-search"
+        p, prev, f = candidate, f, f_new
+        history.append(f)
+        if abs(prev - f) <= cfg.rel_cost_tol * max(1.0, abs(prev)):
+            return p, history, "relative-cost"
+    return p, history, "max-iters"
+
+
+def counted(fn):
+    calls = [0]
+
+    def wrapped(p):
+        calls[0] += 1
+        return fn(p)
+
+    return wrapped, calls
+
+
+def template_problem(spec, seed):
+    rng = np.random.default_rng(seed)
+    graph, _ = sample_graph(spec, rng)
+    model = expected_model(spec)
+    a = graph.adjacency
+    p0 = random_stiefel(graph.n, model.k, rng)
+    return (lambda p: objective(a, model, p)), (lambda p: euclidean_gradient(a, model, p)), p0
+
+
+@pytest.mark.parametrize(
+    "spec", [make_g6(40), make_c2(10, 0.60), make_g3(80)], ids=["g6-40", "c2-10", "g3-80"]
+)
+def test_warm_start_matches_cold_start(spec):
+    # at seed 0 a warm start that never grows the step leaves the
+    # cold-start path on c2, so this also checks the growing phase
+    cost, grad, p0 = template_problem(spec, seed=0)
+    cold_cost, cold_calls = counted(cost)
+    p_cold, history_cold, stop_cold = cold_start_descent(cold_cost, grad, p0)
+    warm_cost, warm_calls = counted(cost)
+    p, trace = steepest_descent(warm_cost, grad, p0)
+
+    assert trace.cost_history == history_cold
+    assert np.array_equal(p.matrix, p_cold.matrix)
+    assert trace.converged_by == stop_cold
+    iterations = len(history_cold) - 1
+    assert warm_calls[0] < 4 * iterations
+    assert cold_calls[0] > 8 * iterations
+
+
+@pytest.mark.parametrize(
+    "good_calls, message",
+    [(3, "cost is not finite at iteration [1-3] "), (0, "cost is not finite at the starting point")],
+)
+def test_nan_cost_raises_naming_iteration(rng, good_calls, message):
+    m = rng.standard_normal((6, 2))
+    calls = [0]
+
+    def cost(p):
+        calls[0] += 1
+        return float("nan") if calls[0] > good_calls else float(np.sum((p.matrix - m) ** 2))
+
+    with pytest.raises(NumericalError, match=message):
+        steepest_descent(cost, lambda p: 2.0 * (p.matrix - m), random_stiefel(6, 2, rng))
+
+
+def test_non_finite_gradient_raises_naming_iteration(rng):
+    m = rng.standard_normal((6, 2))
+    calls = [0]
+
+    def grad(p):
+        calls[0] += 1
+        return np.full((6, 2), np.inf) if calls[0] == 2 else 2.0 * (p.matrix - m)
+
+    with pytest.raises(NumericalError, match="gradient is not finite at iteration 2"):
+        steepest_descent(
+            lambda p: float(np.sum((p.matrix - m) ** 2)), grad, random_stiefel(6, 2, rng)
+        )
+
+
+def test_line_search_exhausted_stop_reason(rng):
+    m = rng.standard_normal((6, 2))
+    p0 = random_stiefel(6, 2, rng)
+    # an ascent direction: every grid step raises the cost
+    p, trace = steepest_descent(
+        lambda p: float(np.sum((p.matrix - m) ** 2)),
+        lambda p: -2.0 * (p.matrix - m),
+        p0,
+        DescentConfig(armijo_max_backtracks=10),
+    )
+    assert trace.converged_by == "line-search"
+    assert trace.line_search_failed
+    assert trace.iterates_count == 0
+    assert len(trace.cost_history) == 1
+    assert np.array_equal(p.matrix, p0.matrix)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(3, 12),
+    k=st.integers(1, 3),
+    density=st.floats(0.1, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_descent_monotone_and_orthonormal_on_random_templates(n, k, density, seed):
+    rng = np.random.default_rng(seed)
+    a = random_simple_graph(n, rng, density).adjacency
+    w = rng.uniform(0.0, 5.0, (k, k))
+    model = TemplateModel(w + w.T)
+    p, trace = steepest_descent(
+        lambda p: objective(a, model, p),
+        lambda p: euclidean_gradient(a, model, p),
+        random_stiefel(n, k, rng),
+    )
+    hist = trace.cost_history
+    assert all(b <= a for a, b in zip(hist, hist[1:]))
+    assert np.linalg.norm(p.matrix.T @ p.matrix - np.eye(k)) <= 1e-10
