@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -34,27 +35,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # synth and real name each dest after the ExperimentConfig field it sets
     synth = sub.add_parser("synth", help="run a synthetic-family experiment grid")
-    synth.add_argument("--family", required=True, choices=FAMILIES)
+    synth.add_argument("--family", dest="dataset", required=True, choices=FAMILIES)
     synth.add_argument("--sizes", type=_int_list, required=True, help="comma-separated community sizes")
     synth.add_argument("--probs", type=_float_list, default=(float("nan"),),
                        help="comma-separated coupling probabilities (c2 central / bp inter)")
     synth.add_argument("--intra-mode", choices=["bipartite", "hub"], default="bipartite")
     synth.add_argument("--methods", type=_methods, default=METHODS)
-    synth.add_argument("--reps", type=int, default=100)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--reps", dest="repetitions", type=int, default=100)
+    synth.add_argument("--seed", dest="base_seed", type=int, default=0)
     synth.add_argument("--fixed-graph", action="store_true",
                        help="resample only the initialization, not the graph, across repetitions")
     synth.add_argument("--out", required=True, help="output directory for CSV files")
 
     real = sub.add_parser("real", help="run a real-dataset experiment with model noise levels")
-    real.add_argument("--edges", required=True)
-    real.add_argument("--labels", required=True)
-    real.add_argument("--name", default="real")
-    real.add_argument("--sigma-list", type=_float_list, default=(0.0,))
+    real.add_argument("--edges", dest="edges_path", required=True)
+    real.add_argument("--labels", dest="labels_path", required=True)
+    real.add_argument("--name", dest="dataset", default="real")
+    real.add_argument("--sigma-list", dest="sigmas", type=_float_list, default=(0.0,))
     real.add_argument("--methods", type=_methods, default=METHODS)
-    real.add_argument("--reps", type=int, default=40)
-    real.add_argument("--seed", type=int, default=0)
+    real.add_argument("--reps", dest="repetitions", type=int, default=40)
+    real.add_argument("--seed", dest="base_seed", type=int, default=0)
     real.add_argument("--out", required=True)
 
     single = sub.add_parser("cluster", help="cluster one graph and print labels + metrics")
@@ -71,34 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(
-        kind="synth",
-        dataset=args.family,
-        methods=args.methods,
-        sizes=args.sizes,
-        probs=args.probs,
-        intra_mode=args.intra_mode,
-        repetitions=args.reps,
-        base_seed=args.seed,
-        fixed_graph=args.fixed_graph,
-    )
-    records = run_and_write(cfg, args.out)
-    print(f"wrote {len(records)} records to {args.out}")
-    return 0
-
-
-def _cmd_real(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(
-        kind="real",
-        dataset=args.name,
-        methods=args.methods,
-        sigmas=args.sigma_list,
-        repetitions=args.reps,
-        base_seed=args.seed,
-        edges_path=args.edges,
-        labels_path=args.labels,
-    )
+def _cmd_grid(args: argparse.Namespace) -> int:
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    cfg = ExperimentConfig(kind=args.command, **{k: v for k, v in vars(args).items() if k in fields})
     records = run_and_write(cfg, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
@@ -128,6 +105,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             raise InputError(f"{args.template}: malformed template file: {exc}") from exc
         model = TemplateModel(weights)
 
+    if args.k is not None and args.k < 1:
+        raise InputError(f"--k must be >= 1, got {args.k}")
     k = args.k or (model.k if model is not None else None) or (gt.k if gt else None)
     labels, _, _ = run_method(args.method, graph, k, model, np.random.default_rng(args.seed))
 
@@ -141,7 +120,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {"synth": _cmd_synth, "real": _cmd_real, "cluster": _cmd_cluster}
+    handlers = {"synth": _cmd_grid, "real": _cmd_grid, "cluster": _cmd_cluster}
     try:
         return handlers[args.command](args)
     except InputError as exc:

@@ -63,10 +63,13 @@ def load_labels(path: str | Path, n: int, id_map: dict[int, int] | None = None) 
     """Read "vertex community" lines covering all n vertices.
 
     Community ids are remapped to 0..k-1 in sorted order; vertex ids are
-    translated through id_map when given.
+    translated through id_map when given. A vertex may be repeated only with
+    the same community.
     """
     rows = _parse_lines(path)
-    raw: dict[int, int] = {}
+    if not rows:
+        raise InputError(f"{path}: no labels found")
+    raw: dict[int, tuple[int, int]] = {}  # vertex -> (community, line of its first label)
     for lineno, parts in rows:
         if len(parts) != 2:
             raise InputError(f"{path}:{lineno}: expected 'vertex community'")
@@ -80,13 +83,17 @@ def load_labels(path: str | Path, n: int, id_map: dict[int, int] | None = None) 
             u = id_map[u]
         elif not 0 <= u < n:
             raise InputError(f"{path}:{lineno}: vertex {u} is outside 0..{n - 1}")
-        raw[u] = c
+        first, first_line = raw.setdefault(u, (c, lineno))
+        if first != c:
+            raise InputError(
+                f"vertex {parts[0]} is labelled {first} at {path}:{first_line} and {c} at {path}:{lineno}"
+            )
     missing = sorted(set(range(n)) - set(raw))
     if missing:
         raise InputError(f"{path}: missing labels for vertices {missing[:20]}")
-    comms = sorted(set(raw.values()))
+    comms = sorted({c for c, _ in raw.values()})
     comm_map = {c: i for i, c in enumerate(comms)}
-    labels = np.array([comm_map[raw[v]] for v in range(n)], dtype=int)
+    labels = np.array([comm_map[raw[v][0]] for v in range(n)], dtype=int)
     return GroundTruth(labels)
 
 

@@ -13,8 +13,8 @@ from templateclust.errors import InputError
 class Graph:
     """Undirected weighted graph stored as a dense symmetric adjacency matrix.
 
-    Diagonal entries hold self-loop weights (used by template models only;
-    observation graphs are zero-diagonal and {0,1}-valued).
+    Diagonal entries hold self-loop weights. Only `build_graph` makes them;
+    loaded and sampled observation graphs are zero-diagonal and {0,1}-valued.
     """
 
     adjacency: np.ndarray

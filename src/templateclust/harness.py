@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +66,8 @@ SUMMARY_COLUMNS = (
     "pd_std",
 )
 
+TIMING_COLUMNS = ("dataset", "method", "size", "param", "repetition", "runtime_ms")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -89,6 +92,9 @@ class ExperimentConfig:
             raise InputError(f"unknown methods: {sorted(unknown)}")
         if self.kind not in ("synth", "real"):
             raise InputError(f"kind must be 'synth' or 'real', got {self.kind!r}")
+        for axis in ("methods", "sizes", "probs") if self.kind == "synth" else ("methods", "sigmas"):
+            if not getattr(self, axis):
+                raise InputError(f"{axis} must name at least one value")
         if self.kind == "real" and (self.edges_path is None or self.labels_path is None):
             raise InputError("real experiments need edge and label file paths")
 
@@ -148,74 +154,58 @@ def run_method(
     raise InputError(f"unknown method {method!r}")
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
-    """Execute the full grid; per-repetition method failures become failed
-    rows rather than aborting the run."""
-    records: list[ExperimentRecord] = []
+def _instances(
+    cfg: ExperimentConfig,
+) -> Iterator[tuple[int | None, float, int, int, Graph, GroundTruth, TemplateModel]]:
+    """Yield (size, param, point_idx, rep, graph, truth, template) for every
+    repetition of the grid: synth samples each graph from its family and uses
+    the expected-value template; real loads the files once and adds template
+    noise per repetition."""
     if cfg.kind == "synth":
         points = [(size, prob) for size in cfg.sizes for prob in cfg.probs]
-        if not points:
-            raise InputError("synthetic experiments need at least one size")
         for point_idx, (size, prob) in enumerate(points):
             spec = make_family(cfg.dataset, size, prob, cfg.intra_mode)
             model = expected_model(spec)
             for rep in range(cfg.repetitions):
-                seed = cfg.base_seed + rep
                 graph_rng = np.random.default_rng(
                     (cfg.base_seed, point_idx) if cfg.fixed_graph else (cfg.base_seed, point_idx, rep)
                 )
                 graph, gt = sample_graph(spec, graph_rng)
-                records.extend(
-                    _point_records(cfg, cfg.dataset, size, prob, rep, seed, point_idx, graph, gt, model)
-                )
+                yield size, prob, point_idx, rep, graph, gt, model
     else:
         graph, id_map = load_edge_list(cfg.edges_path)
         gt = load_labels(cfg.labels_path, graph.n, id_map)
         base_model = model_from_ground_truth(graph, gt)
         for point_idx, sigma in enumerate(cfg.sigmas):
             for rep in range(cfg.repetitions):
-                seed = cfg.base_seed + rep
                 noise_rng = np.random.default_rng((cfg.base_seed, point_idx, rep, 997))
                 model = add_model_noise(base_model, sigma, noise_rng)
-                records.extend(
-                    _point_records(cfg, cfg.dataset, None, sigma, rep, seed, point_idx, graph, gt, model)
-                )
+                yield None, sigma, point_idx, rep, graph, gt, model
+
+
+def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
+    """Execute the full grid; per-repetition method failures become failed
+    rows rather than aborting the run."""
+    records: list[ExperimentRecord] = []
+    for size, param, point_idx, rep, graph, gt, model in _instances(cfg):
+        for m_idx, method in enumerate(cfg.methods):
+            rec = ExperimentRecord(cfg.dataset, method, size, param, rep, cfg.base_seed + rep)
+            rng = np.random.default_rng((cfg.base_seed, point_idx, rep, m_idx))
+            start = time.perf_counter()
+            try:
+                labels, embedding, iters = run_method(method, graph, gt.k, model, rng)
+                ari = adjusted_rand_index(labels, gt.labels)
+                pd = None
+                if embedding is not None:
+                    pd = projector_distance(embedding, closest_orthonormal(gt.indicator()))
+                rec.ari, rec.projector_distance, rec.iterations = ari, pd, iters
+                rec.k_found = int(labels.max()) + 1
+            except Exception:
+                rec.status = "failed"
+            rec.runtime_ms = (time.perf_counter() - start) * 1000.0
+            records.append(rec)
     records.sort(key=lambda r: (r.method, r.size or 0, r.param, r.repetition))
     return records
-
-
-def _point_records(
-    cfg: ExperimentConfig,
-    dataset: str,
-    size: int | None,
-    param: float,
-    rep: int,
-    seed: int,
-    point_idx: int,
-    graph: Graph,
-    gt: GroundTruth,
-    model: TemplateModel,
-) -> list[ExperimentRecord]:
-    out = []
-    for m_idx, method in enumerate(cfg.methods):
-        rec = ExperimentRecord(
-            dataset=dataset, method=method, size=size, param=param, repetition=rep, seed=seed
-        )
-        rng = np.random.default_rng((cfg.base_seed, point_idx, rep, m_idx))
-        start = time.perf_counter()
-        try:
-            labels, embedding, iters = run_method(method, graph, gt.k, model, rng)
-            ari = adjusted_rand_index(labels, gt.labels)
-            pd = None
-            if embedding is not None:
-                pd = projector_distance(embedding, closest_orthonormal(gt.indicator()))
-            rec.ari, rec.projector_distance, rec.iterations = ari, pd, iters
-            rec.k_found = int(labels.max()) + 1
-        except Exception:
-            rec.status = "failed"
-        rec.runtime_ms = (time.perf_counter() - start) * 1000.0
-        out.append(rec)
-    return out
 
 
 def aggregate(records: list[ExperimentRecord]) -> list[dict[str, object]]:
@@ -258,46 +248,25 @@ def aggregate(records: list[ExperimentRecord]) -> list[dict[str, object]]:
     return rows
 
 
+def _write_csv(path: str | Path, columns: tuple[str, ...], rows: Iterable[dict]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+
+
 def write_records_csv(records: list[ExperimentRecord], path: str | Path) -> None:
     """Raw per-repetition rows. Runtime is deliberately excluded so reruns
     with the same seed are byte-identical; timings go to a separate file."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.dataset,
-                    r.method,
-                    _fmt(r.size),
-                    _fmt(r.param),
-                    r.repetition,
-                    r.seed,
-                    r.status,
-                    _fmt(r.ari),
-                    _fmt(r.projector_distance),
-                    _fmt(r.iterations),
-                    _fmt(r.k_found),
-                ]
-            )
+    _write_csv(path, RECORD_COLUMNS, map(vars, records))
 
 
 def write_summary_csv(rows: list[dict[str, object]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in SUMMARY_COLUMNS])
+    _write_csv(path, SUMMARY_COLUMNS, rows)
 
 
 def write_timings_csv(records: list[ExperimentRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dataset", "method", "size", "param", "repetition", "runtime_ms"])
-        for r in records:
-            writer.writerow(
-                [r.dataset, r.method, _fmt(r.size), _fmt(r.param), r.repetition, repr(r.runtime_ms)]
-            )
+    _write_csv(path, TIMING_COLUMNS, map(vars, records))
 
 
 def run_and_write(cfg: ExperimentConfig, out_dir: str | Path) -> list[ExperimentRecord]:

@@ -45,6 +45,8 @@ class CommunitySpec:
         k = len(self.sizes)
         if rates.shape != (k, k):
             raise InputError(f"rates must be {k} x {k}, got {rates.shape}")
+        if not np.isfinite(rates).all():
+            raise InputError("rates contain non-finite values (NaN or inf)")
         if not np.array_equal(rates, rates.T):
             raise InputError("rates must be symmetric")
         if rates.min() < 0 or rates.max() > 1:

@@ -100,6 +100,23 @@ class TestLoadLabels:
         gt = load_labels(f, 2, id_map={10: 0, 30: 1})
         assert np.array_equal(gt.labels, [0, 1])
 
+    def test_vertex_labelled_twice(self, tmp_path):
+        f = tmp_path / "l.txt"
+        f.write_text("0 0\n1 0\n2 1\n1 1\n")
+        with pytest.raises(InputError, match=r"vertex 1 is labelled 0 at \S*l\.txt:2 and 1 at \S*l\.txt:4"):
+            load_labels(f, 3)
+
+    def test_exact_repeat_accepted(self, tmp_path):
+        f = tmp_path / "l.txt"
+        f.write_text("0 0\n1 1\n0 0\n")
+        assert np.array_equal(load_labels(f, 2).labels, [0, 1])
+
+    def test_empty_once_comments_stripped(self, tmp_path):
+        f = tmp_path / "l.txt"
+        f.write_text("# vertex community\n\n# none\n")
+        with pytest.raises(InputError, match=r"l\.txt: no labels found"):
+            load_labels(f, 2)
+
 
 class TestModelFromGroundTruth:
     def test_two_triangles(self):

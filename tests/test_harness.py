@@ -234,6 +234,43 @@ class TestCli:
         assert main(argv + ["--edges", str(edges), "--labels", str(labels)]) == 1
         assert "labels.txt:7: vertex 99" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 0\n1 0\n2 1\n1 1\n", "vertex 1 is labelled 0 at"),
+            ("# vertex community\n", "no labels found"),
+        ],
+    )
+    def test_bad_label_file_exit_code(self, tmp_path, capsys, text, message):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n2 0\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text(text)
+        argv = ["real", "--edges", str(edges), "--labels", str(labels), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--methods", "cnm"]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["synth", "--family", "c2", "--sizes", "5", "--probs", ","], "probs"),
+            (["synth", "--family", "g3", "--sizes", ","], "sizes"),
+            (["synth", "--family", "g3", "--sizes", "5", "--methods", ","], "methods"),
+            (["real", "--edges", "e.txt", "--labels", "l.txt", "--sigma-list", ","], "sigmas"),
+            (["real", "--edges", "e.txt", "--labels", "l.txt", "--methods", ","], "methods"),
+        ],
+    )
+    def test_empty_grid_axis_exit_code(self, tmp_path, capsys, argv, field):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert f"error: {field} must name at least one value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_cluster_k_below_one_exit_code(self, capsys, k):
+        rc = main(["cluster", "--family", "g3", "--size", "4", "--method", "spectral", "--k", k])
+        assert rc == 1
+        assert f"--k must be >= 1, got {k}" in capsys.readouterr().err
+
     def test_cluster_non_finite_template_exit_code(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n")

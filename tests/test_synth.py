@@ -68,6 +68,13 @@ class TestSampleGraph:
             assert abs(observed - pairs * p) <= 3 * sd + 1e-9
 
 
+class TestCommunitySpec:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rate_named(self, bad):
+        with pytest.raises(InputError, match="non-finite"):
+            CommunitySpec((3, 3), np.array([[0.5, bad], [bad, 0.5]]))
+
+
 class TestExpectedModel:
     def test_zero_rates(self):
         spec = CommunitySpec((4, 4), np.zeros((2, 2)))
