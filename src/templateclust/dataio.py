@@ -88,7 +88,8 @@ def load_labels(path: str | Path, n: int, id_map: dict[int, int] | None = None) 
             raise InputError(
                 f"vertex {parts[0]} is labelled {first} at {path}:{first_line} and {c} at {path}:{lineno}"
             )
-    missing = sorted(set(range(n)) - set(raw))
+    file_ids = {new: orig for orig, new in id_map.items()} if id_map is not None else {}
+    missing = [file_ids.get(v, v) for v in sorted(set(range(n)) - set(raw))]
     if missing:
         raise InputError(f"{path}: missing labels for vertices {missing[:20]}")
     comms = sorted({c for c, _ in raw.values()})

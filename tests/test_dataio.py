@@ -94,6 +94,15 @@ class TestLoadLabels:
         with pytest.raises(InputError, match=rf"l\.txt:{line}: vertex {vertex} "):
             load_labels(f, 2)
 
+    def test_missing_vertex_named_as_in_file(self, tmp_path):
+        edges = tmp_path / "e.txt"
+        edges.write_text("10 20\n20 30\n30 10\n")
+        labels = tmp_path / "l.txt"
+        labels.write_text("10 0\n30 1\n")
+        graph, id_map = load_edge_list(edges)
+        with pytest.raises(InputError, match=r"missing labels for vertices \[20\]"):
+            load_labels(labels, graph.n, id_map)
+
     def test_id_map_translation(self, tmp_path):
         f = tmp_path / "l.txt"
         f.write_text("10 0\n30 1\n")

@@ -234,6 +234,14 @@ class TestCli:
         assert main(argv + ["--edges", str(edges), "--labels", str(labels)]) == 1
         assert "labels.txt:7: vertex 99" in capsys.readouterr().err
 
+    def test_cluster_missing_label_named_as_in_file(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("10 20\n20 30\n30 10\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("10 0\n30 1\n")
+        assert main(["cluster", "--edges", str(edges), "--labels", str(labels)]) == 1
+        assert "missing labels for vertices [20]" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -161,24 +161,35 @@ def test_config_validation():
         DescentConfig(armijo_max_backtracks=0)
 
 
-def cold_start_descent(cost, euclid_grad, p0, cfg=DescentConfig()):
+def cold_start_descent(cost, euclid_grad, p0, cfg=DescentConfig(), conjugate=True):
     """Reference descent whose every line search starts at
     armijo_initial_step and shrinks until Armijo holds, so it accepts the
-    largest passing grid step. Returns (point, cost history, stop reason)."""
+    largest passing grid step. With conjugate=True it searches along the
+    Polak-Ribiere+ direction and restarts from -gradient where
+    steepest_descent does; with conjugate=False it is plain steepest
+    descent. Returns (point, cost history, stop reason)."""
     p = p0
     f = float(cost(p))
     history = [f]
+    grad_prev = direction = None
     for _ in range(cfg.max_iters):
         grad = project_tangent(p, euclid_grad(p))
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= cfg.grad_tol:
             return p, history, "gradient"
-        step = cfg.armijo_initial_step
         sq = grad_norm * grad_norm
+        d, slope = -grad, sq
+        if conjugate and grad_prev is not None:
+            beta = max(0.0, float(np.vdot(grad, grad - project_tangent(p, grad_prev)))) / sq_prev
+            cg = beta * project_tangent(p, direction) - grad
+            if beta > 0.0 and float(np.vdot(grad, cg)) < 0.0:
+                d, slope = cg, -float(np.vdot(grad, cg))
+        grad_prev, sq_prev, direction = grad, sq, d
+        step = cfg.armijo_initial_step
         for _ in range(cfg.armijo_max_backtracks):
-            candidate = retract_qr(p, -step * grad)
+            candidate = retract_qr(p, step * direction)
             f_new = float(cost(candidate))
-            if f_new <= f - cfg.armijo_slope * step * sq:
+            if f_new <= f - cfg.armijo_slope * step * slope:
                 break
             step *= cfg.armijo_shrink
         else:
@@ -209,9 +220,10 @@ def template_problem(spec, seed):
     return (lambda p: objective(a, model, p)), (lambda p: euclidean_gradient(a, model, p)), p0
 
 
-@pytest.mark.parametrize(
-    "spec", [make_g6(40), make_c2(10, 0.60), make_g3(80)], ids=["g6-40", "c2-10", "g3-80"]
-)
+TEMPLATE_SPECS = {"g6-40": make_g6(40), "c2-10": make_c2(10, 0.60), "g3-80": make_g3(80)}
+
+
+@pytest.mark.parametrize("spec", TEMPLATE_SPECS.values(), ids=TEMPLATE_SPECS.keys())
 def test_warm_start_matches_cold_start(spec):
     # at seed 0 a warm start that never grows the step leaves the
     # cold-start path on c2, so this also checks the growing phase
@@ -227,6 +239,45 @@ def test_warm_start_matches_cold_start(spec):
     iterations = len(history_cold) - 1
     assert warm_calls[0] < 4 * iterations
     assert cold_calls[0] > 8 * iterations
+
+
+@pytest.mark.parametrize("spec", TEMPLATE_SPECS.values(), ids=TEMPLATE_SPECS.keys())
+def test_conjugate_gradient_against_steepest_descent(spec):
+    iterations_sd = iterations_cg = 0
+    for seed in range(4):
+        cost, grad, p0 = template_problem(spec, seed)
+        _, history_sd, _ = cold_start_descent(cost, grad, p0, conjugate=False)
+        _, trace = steepest_descent(cost, grad, p0)
+        hist = trace.cost_history
+        assert abs(hist[-1] - history_sd[-1]) <= 1e-3 * abs(history_sd[-1])
+        assert all(b <= a for a, b in zip(hist, hist[1:]))
+        assert 0 <= trace.restarts < trace.iterates_count
+        iterations_sd += len(history_sd) - 1
+        iterations_cg += trace.iterates_count
+    assert 3 * iterations_cg <= iterations_sd
+
+
+@pytest.mark.parametrize("scale", [-1.0, 0.1], ids=["not-descent", "beta-clipped"])
+def test_restart_counted(scale):
+    # on the circle (n=2, k=1) the gradient J p is tangent. Reversing it
+    # makes the PR+ candidate an ascent direction; shrinking it tenfold
+    # makes beta negative, clipped to 0. Either way iteration 2 restarts.
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    scales = iter([1.0, scale])
+    calls = [0]
+
+    def cost(p):  # falls on every call, so Armijo takes the first step
+        calls[0] += 1
+        return -float(calls[0])
+
+    cfg = DescentConfig(max_iters=2, armijo_initial_step=0.01)
+    p0 = StiefelPoint(np.array([[1.0], [0.0]]))
+    p, trace = steepest_descent(cost, lambda p: next(scales) * rot @ p.matrix, p0, cfg)
+    assert trace.iterates_count == 2
+    assert trace.restarts == 1
+    p1 = retract_qr(p0, 0.01 * -project_tangent(p0, rot @ p0.matrix))
+    g1 = project_tangent(p1, scale * rot @ p1.matrix)
+    assert np.array_equal(p.matrix, retract_qr(p1, 0.01 * -g1).matrix)
 
 
 @pytest.mark.parametrize(
