@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from templateclust import (
+    CommunitySpec,
     DescentConfig,
     InputError,
     NumericalError,
@@ -278,6 +279,23 @@ def test_restart_counted(scale):
     p1 = retract_qr(p0, 0.01 * -project_tangent(p0, rot @ p0.matrix))
     g1 = project_tangent(p1, scale * rot @ p1.matrix)
     assert np.array_equal(p.matrix, retract_qr(p1, 0.01 * -g1).matrix)
+
+
+def test_default_slope_avoids_restart_storm():
+    # six planted communities of ten, seed 2: with Armijo slope 1e-4 the
+    # accepted steps overshoot the line minimum and the descent restarts
+    # from -gradient at nearly every iteration; the default slope keeps
+    # the steps short of it and the conjugate directions descending
+    rates = np.full((6, 6), 0.01)
+    np.fill_diagonal(rates, 0.4)
+    spec = CommunitySpec((10,) * 6, rates)
+    cost, grad, p0 = template_problem(spec, seed=2)
+    _, storm = steepest_descent(cost, grad, p0, DescentConfig(armijo_slope=1e-4))
+    _, trace = steepest_descent(cost, grad, p0)
+    assert storm.restarts > 0.9 * storm.iterates_count
+    assert trace.restarts < 0.25 * trace.iterates_count
+    assert trace.iterates_count < storm.iterates_count / 4
+    assert trace.cost_history[-1] <= storm.cost_history[-1]
 
 
 @pytest.mark.parametrize(
