@@ -8,7 +8,7 @@ dataset loaders and a CSV experiment harness.
 """
 
 from templateclust.errors import InputError, NumericalError
-from templateclust.graphs import Graph, build_graph, degree_matrix, laplacian
+from templateclust.graphs import Graph, block_sums, build_graph, degree_matrix, laplacian
 from templateclust.stiefel import (
     DescentConfig,
     DescentTrace,
@@ -56,6 +56,7 @@ __all__ = [
     "NumericalError",
     "Graph",
     "build_graph",
+    "block_sums",
     "degree_matrix",
     "laplacian",
     "StiefelPoint",

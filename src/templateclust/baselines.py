@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from templateclust.errors import InputError
-from templateclust.graphs import Graph, degree_matrix, laplacian
+from templateclust.graphs import Graph, block_sums, degree_matrix, laplacian
 from templateclust.stiefel import StiefelPoint
 from templateclust.template import kmeans
 
@@ -67,16 +67,8 @@ def _check_edges(g: Graph) -> float:
 def modularity(g: Graph, part: Partition) -> float:
     """Modularity of a partition: intra-community edge mass minus the
     degree-based random expectation, normalized to [-1, 1]."""
-    two_m = _check_edges(g)
-    d = degree_matrix(g)
-    labels = part.labels
-    q = 0.0
-    for c in range(part.k_found):
-        mask = labels == c
-        intra = g.adjacency[np.ix_(mask, mask)].sum()
-        deg_sum = d[mask].sum()
-        q += intra / two_m - (deg_sum / two_m) ** 2
-    return float(q)
+    _check_edges(g)
+    return _modularity_from_adj(block_sums(g.adjacency, part.labels))
 
 
 def cnm_cluster(g: Graph) -> Partition:
@@ -84,55 +76,43 @@ def cnm_cluster(g: Graph) -> Partition:
 
     Starts from singletons and repeatedly merges the community pair with
     the largest positive modularity gain; ties go to the lexicographically
-    smallest pair of community ids.
+    smallest pair of community ids. Communities live in a dense n x n
+    cross-weight matrix, and a merge recomputes only the merged community's
+    row and column of gains (Clauset, Newman & Moore 2004).
     """
     two_m = _check_edges(g)
     n = g.n
-    degrees = degree_matrix(g)
-    # community state: cross-weights and degree sums, keyed by community id
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    deg = {i: float(degrees[i]) for i in range(n)}
-    cross: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = g.adjacency[i, j]
-            if w > 0:
-                cross[(i, j)] = float(w)
+    deg = degree_matrix(g)
+    # cross-weights between communities, joined only by positive edge
+    # weights; the diagonal is never read
+    cross = np.where(g.adjacency > 0, g.adjacency, 0.0)
 
-    def gain(pair: tuple[int, int]) -> float:
-        a, b = pair
-        return 2.0 * cross[pair] / two_m - 2.0 * deg[a] * deg[b] / (two_m * two_m)
+    def gain(w: np.ndarray, d_a: np.ndarray, d_b: np.ndarray) -> np.ndarray:
+        dq = 2.0 * w / two_m - 2.0 * d_a * d_b / (two_m * two_m)
+        return np.where(w > 0, dq, -np.inf)
 
-    while cross:
-        best_pair = None
-        best_gain = 1e-15  # merge only strictly positive gains
-        for pair in sorted(cross):
-            dq = gain(pair)
-            if dq > best_gain:
-                best_pair, best_gain = pair, dq
-        if best_pair is None:
+    # gains[a, b] for joined pairs a < b, -inf elsewhere, so the row-major
+    # first maximum is the lexicographically smallest best pair
+    gains = np.full((n, n), -np.inf)
+    upper = np.triu_indices(n, k=1)
+    gains[upper] = gain(cross[upper], deg[upper[0]], deg[upper[1]])
+    root = np.arange(n)
+    while True:
+        a, b = divmod(int(np.argmax(gains)), n)
+        if not gains[a, b] > 1e-15:  # merge only strictly positive gains
             break
-        a, b = best_pair
         # merge b into a
-        members[a].extend(members.pop(b))
-        deg[a] += deg.pop(b)
-        merged: dict[int, float] = {}
-        for (u, v), w in list(cross.items()):
-            if b in (u, v):
-                del cross[(u, v)]
-                other = v if u == b else u
-                if other != a:
-                    merged[other] = merged.get(other, 0.0) + w
-        for other, w in merged.items():
-            key = (min(a, other), max(a, other))
-            cross[key] = cross.get(key, 0.0) + w
-        cross.pop((a, a), None)
-
-    labels = np.empty(n, dtype=int)
-    for cid, (root, verts) in enumerate(sorted(members.items())):
-        for v in verts:
-            labels[v] = cid
-    return Partition(labels)
+        root[root == b] = a
+        deg[a] += deg[b]
+        cross[a] += cross[b]
+        cross[b] = 0.0
+        cross[:, b] = 0.0
+        cross[:, a] = cross[a]
+        gains[b] = -np.inf
+        gains[:, b] = -np.inf
+        gains[a, a + 1 :] = gain(cross[a, a + 1 :], deg[a], deg[a + 1 :])
+        gains[:a, a] = gain(cross[:a, a], deg[:a], deg[a])
+    return Partition(root)
 
 
 def _local_moving(
@@ -182,13 +162,6 @@ def _local_moving(
     return labels, improved
 
 
-def _aggregate_graph(adj: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    comms, idx = np.unique(labels, return_inverse=True)
-    z = np.zeros((adj.shape[0], comms.size))
-    z[np.arange(adj.shape[0]), idx] = 1.0
-    return z.T @ adj @ z
-
-
 def louvain_cluster(g: Graph, rng: np.random.Generator | None = None) -> Partition:
     """Two-phase Louvain: local moving with shuffled visit order, then
     community aggregation, repeated until modularity stops improving."""
@@ -203,7 +176,7 @@ def louvain_cluster(g: Graph, rng: np.random.Generator | None = None) -> Partiti
         labels, _ = _local_moving(adj, labels, rng)
         _, idx = np.unique(labels, return_inverse=True)
         assignment = idx[assignment]
-        adj = _aggregate_graph(adj, labels)
+        adj = block_sums(adj, labels)
         q = _modularity_from_adj(adj)
         if q <= prev_q + 1e-9:
             break

@@ -82,6 +82,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     gt = None
     model = None
     if args.family:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from templateclust.errors import InputError
-from templateclust.graphs import Graph
+from templateclust.graphs import Graph, block_sums
 from templateclust.metrics import GroundTruth
 from templateclust.template import TemplateModel
 
@@ -101,10 +101,7 @@ def load_labels(path: str | Path, n: int, id_map: dict[int, int] | None = None) 
 def model_from_ground_truth(g: Graph, gt: GroundTruth) -> TemplateModel:
     """Template equal to the contraction of the adjacency through the
     ground-truth indicator: B^T A B (block sums of edge weight)."""
-    if gt.labels.size != g.n:
-        raise InputError(f"labels cover {gt.labels.size} vertices but graph has {g.n}")
-    b = gt.indicator()
-    return TemplateModel(b.T @ g.adjacency @ b)
+    return TemplateModel(block_sums(g.adjacency, gt.labels))
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:

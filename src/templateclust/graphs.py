@@ -66,3 +66,18 @@ def degree_matrix(g: Graph) -> np.ndarray:
 def laplacian(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian L = D - A."""
     return np.diag(degree_matrix(g)) - g.adjacency
+
+
+def block_sums(adj: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Contraction Z^T A Z through the membership matrix Z of `labels`.
+
+    Entry (c, d) sums A over rows in group c and columns in group d, so an
+    edge inside a group counts twice and a self-loop once. Groups are
+    ordered by label value.
+    """
+    if len(labels) != adj.shape[0]:
+        raise InputError(f"labels cover {len(labels)} vertices but graph has {adj.shape[0]}")
+    comms, idx = np.unique(labels, return_inverse=True)
+    z = np.zeros((adj.shape[0], comms.size))
+    z[np.arange(adj.shape[0]), idx] = 1.0
+    return z.T @ adj @ z

@@ -87,6 +87,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise InputError("repetitions must be >= 1")
+        if self.base_seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.base_seed}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise InputError(f"unknown methods: {sorted(unknown)}")

@@ -23,8 +23,7 @@ class GroundTruth:
         if labels.ndim != 1 or labels.size == 0:
             raise InputError("labels must be a nonempty 1-d integer array")
         k = int(labels.max()) + 1
-        sizes = np.bincount(labels, minlength=k)
-        if labels.min() < 0 or np.any(sizes == 0):
+        if labels.min() < 0 or np.any((sizes := np.bincount(labels, minlength=k)) == 0):
             raise InputError("labels must cover 0..k-1 with every community nonempty")
         labels = labels.copy()
         labels.setflags(write=False)

@@ -150,8 +150,8 @@ def add_model_noise(
     Upper-triangle entries (diagonal included) get i.i.d. N(0, sigma^2)
     draws mirrored below the diagonal; weights are not clamped at zero.
     """
-    if sigma < 0:
-        raise InputError("sigma must be >= 0")
+    if not sigma >= 0:
+        raise InputError(f"sigma must be >= 0, got {sigma}")
     k = model.k
     noise = np.zeros((k, k))
     iu = np.triu_indices(k)

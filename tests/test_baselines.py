@@ -12,8 +12,11 @@ from templateclust import (
     adjusted_rand_index,
     build_graph,
     cnm_cluster,
+    degree_matrix,
     louvain_cluster,
+    make_g6,
     modularity,
+    sample_graph,
     spectral_cluster,
 )
 from templateclust.baselines import spectral_embedding
@@ -112,6 +115,74 @@ class TestModularity:
         with pytest.raises(InputError):
             modularity(build_graph([], 3), Partition(np.zeros(3, dtype=int)))
 
+    def test_mismatched_labels_rejected(self):
+        g = two_triangles()
+        with pytest.raises(InputError, match="labels cover 5 vertices but graph has 6"):
+            modularity(g, Partition(np.zeros(g.n - 1, dtype=int)))
+
+    def test_matches_networkx(self, rng):
+        nx = pytest.importorskip("networkx")
+        for _ in range(30):
+            n = int(rng.integers(2, 16))
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0.2, 0.8), k=1) * rng.random((n, n))
+            if not upper.any():
+                continue
+            g = Graph(upper + upper.T)
+            labels = rng.integers(0, int(rng.integers(1, 5)), size=n)
+            communities = [set(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)]
+            expected = nx.community.modularity(nx.from_numpy_array(g.adjacency), communities)
+            assert modularity(g, Partition(labels)) == pytest.approx(expected, abs=1e-12)
+
+
+def cnm_by_pair_dict(g):
+    """Reference CNM: cross-weights in a dict keyed by community pair, every
+    pair re-scored in sorted order at each merge, and the dict rebuilt by
+    scanning every pair. Ties go to the first best pair in that order."""
+    two_m = float(g.adjacency.sum())
+    n = g.n
+    degrees = degree_matrix(g)
+    members = {i: [i] for i in range(n)}
+    deg = {i: float(degrees[i]) for i in range(n)}
+    cross = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = g.adjacency[i, j]
+            if w > 0:
+                cross[(i, j)] = float(w)
+
+    def gain(pair):
+        a, b = pair
+        return 2.0 * cross[pair] / two_m - 2.0 * deg[a] * deg[b] / (two_m * two_m)
+
+    while cross:
+        best_pair = None
+        best_gain = 1e-15
+        for pair in sorted(cross):
+            dq = gain(pair)
+            if dq > best_gain:
+                best_pair, best_gain = pair, dq
+        if best_pair is None:
+            break
+        a, b = best_pair
+        members[a].extend(members.pop(b))
+        deg[a] += deg.pop(b)
+        merged = {}
+        for (u, v), w in list(cross.items()):
+            if b in (u, v):
+                del cross[(u, v)]
+                other = v if u == b else u
+                if other != a:
+                    merged[other] = merged.get(other, 0.0) + w
+        for other, w in merged.items():
+            key = (min(a, other), max(a, other))
+            cross[key] = cross.get(key, 0.0) + w
+        cross.pop((a, a), None)
+
+    labels = np.empty(n, dtype=int)
+    for cid, (_, verts) in enumerate(sorted(members.items())):
+        labels[verts] = cid
+    return Partition(labels)
+
 
 class TestCNM:
     def test_two_triangles_optimal(self):
@@ -136,8 +207,36 @@ class TestCNM:
             part = cnm_cluster(g)
             assert modularity(g, part) >= modularity(g, Partition(np.arange(g.n))) - 1e-12
 
+    @pytest.mark.parametrize("weights", ["unit", "integer", "float"])
+    def test_matches_pair_dict_reference(self, weights):
+        rng = np.random.default_rng(["unit", "integer", "float"].index(weights))
+        checked = 0
+        while checked < 34:
+            n = int(rng.integers(2, 30))
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.7), k=1).astype(float)
+            if weights == "integer":
+                upper *= rng.integers(1, 5, size=(n, n))
+            elif weights == "float":
+                upper *= rng.random((n, n))
+            if not upper.any():
+                continue
+            g = Graph(upper + upper.T)
+            assert np.array_equal(cnm_cluster(g).labels, cnm_by_pair_dict(g).labels)
+            checked += 1
+
+    def test_matches_pair_dict_reference_planted_g6(self):
+        g, _ = sample_graph(make_g6(40), np.random.default_rng(7))
+        assert np.array_equal(cnm_cluster(g).labels, cnm_by_pair_dict(g).labels)
+
+    def test_matches_pair_dict_reference_isolated_vertex_and_self_loop(self):
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 2, 2.0), (3, 4, 1.0), (4, 5, 1.0)]
+        g = build_graph(edges, 7)  # vertex 6 is isolated
+        labels = cnm_cluster(g).labels
+        assert np.array_equal(labels, cnm_by_pair_dict(g).labels)
+        assert labels[6] not in labels[:6]
+
     def test_underperforms_on_g6(self):
-        from templateclust import expected_model, make_g6, sample_graph, template_cluster
+        from templateclust import expected_model, template_cluster
 
         spec = make_g6(10)
         model = expected_model(spec)

@@ -143,6 +143,10 @@ class TestModelFromGroundTruth:
         model = model_from_ground_truth(g, GroundTruth(np.array([0, 0, 1, 1])))
         assert np.array_equal(model.weights, np.zeros((2, 2)))
 
+    def test_label_count_mismatch(self):
+        with pytest.raises(InputError, match="labels cover 2 vertices but graph has 6"):
+            model_from_ground_truth(two_triangles(), GroundTruth(np.array([0, 1])))
+
     def test_indicator_contraction_identity(self, rng):
         g = random_simple_graph(9, rng)
         labels = rng.integers(0, 3, size=9)

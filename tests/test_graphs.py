@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from templateclust import Graph, InputError, build_graph, degree_matrix, laplacian
+from templateclust import Graph, InputError, block_sums, build_graph, degree_matrix, laplacian
 
 from conftest import random_simple_graph
 
@@ -78,3 +78,15 @@ def test_laplacian_psd_and_null_vector(rng):
 def test_degree_equals_row_sums(rng):
     g = random_simple_graph(12, rng)
     assert np.max(np.abs(degree_matrix(g) - g.adjacency.sum(axis=1))) <= 1e-12
+
+
+def test_block_sums_groups_ordered_by_label_value():
+    g = build_graph([(0, 1, 1.0), (1, 2, 2.0), (2, 2, 3.0)], 3)
+    # group 0 is label 2 = {2}, group 1 is label 5 = {0, 1}; the intra-group
+    # edge (0, 1) counts twice, the self-loop once
+    assert np.array_equal(block_sums(g.adjacency, np.array([5, 5, 2])), [[3, 2], [2, 2]])
+
+
+def test_block_sums_label_count_mismatch():
+    with pytest.raises(InputError, match="labels cover 2 vertices but graph has 3"):
+        block_sums(np.zeros((3, 3)), np.array([0, 1]))

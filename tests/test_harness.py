@@ -173,6 +173,44 @@ class TestCsvOutput:
         assert data.decode().splitlines()[0].startswith("dataset,method,size,param")
 
 
+# records.csv of the pure-Python baselines on two fixed grids; spectral and
+# tb are left out because their rows depend on the BLAS build
+BASELINE_RECORDS = {
+    "g6": (
+        ["--family", "g6", "--sizes", "10"],
+        """\
+dataset,method,size,param,repetition,seed,status,ari,projector_distance,iterations,k_found
+g6,cnm,10,,0,17,ok,0.6647727272727273,,,4
+g6,cnm,10,,1,18,ok,0.7907324851127525,,,5
+g6,cnm,10,,2,19,ok,0.6647727272727273,,,4
+g6,louvain,10,,0,17,ok,1.0,,,6
+g6,louvain,10,,1,18,ok,0.8102893890675241,,,5
+g6,louvain,10,,2,19,ok,1.0,,,6
+""",
+    ),
+    "c2": (
+        ["--family", "c2", "--sizes", "5", "--probs", "0.42"],
+        """\
+dataset,method,size,param,repetition,seed,status,ari,projector_distance,iterations,k_found
+c2,cnm,5,0.42,0,17,ok,0.6779661016949152,,,3
+c2,cnm,5,0.42,1,18,ok,0.6149545772187281,,,3
+c2,cnm,5,0.42,2,19,ok,0.6779661016949152,,,3
+c2,louvain,5,0.42,0,17,ok,0.6779661016949152,,,3
+c2,louvain,5,0.42,1,18,ok,0.6149545772187281,,,3
+c2,louvain,5,0.42,2,19,ok,0.6077621800165153,,,4
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BASELINE_RECORDS))
+def test_baseline_records_unchanged(tmp_path, family):
+    grid, expected = BASELINE_RECORDS[family]
+    argv = ["synth", *grid, "--methods", "cnm,louvain", "--reps", "3", "--seed", "17"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert (tmp_path / "records.csv").read_text(encoding="utf-8") == expected
+
+
 class TestCli:
     def test_synth_command(self, tmp_path, capsys):
         rc = main(
@@ -272,6 +310,27 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert f"error: {field} must name at least one value" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["synth", "--family", "g3", "--sizes", "4", "--seed", "-1"], "error: seed must be >= 0, got -1"),
+            (["cluster", "--family", "g3", "--size", "4", "--seed", "-1"], "error: --seed must be >= 0, got -1"),
+            (["real", "--sigma-list", "nan", "--methods", "cnm"], "error: sigma must be >= 0, got nan"),
+        ],
+        ids=["synth-seed", "cluster-seed", "real-sigma"],
+    )
+    def test_bad_seed_or_sigma_exit_code(self, tmp_path, capsys, argv, message):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n2 0\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0 0\n1 0\n2 1\n")
+        if argv[0] == "real":
+            argv = argv + ["--edges", str(edges), "--labels", str(labels)]
+        if argv[0] != "cluster":
+            argv = argv + ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_cluster_k_below_one_exit_code(self, capsys, k):

@@ -171,3 +171,7 @@ class TestGroundTruth:
     def test_empty_community_rejected(self):
         with pytest.raises(InputError):
             GroundTruth(np.array([0, 2, 2]))
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(InputError, match="labels must cover 0..k-1"):
+            GroundTruth(np.array([-1, 0, 1]))
