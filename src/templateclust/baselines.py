@@ -58,6 +58,13 @@ def spectral_cluster(g: Graph, k: int, rng: np.random.Generator | None = None) -
 
 
 def _check_edges(g: Graph) -> float:
+    # modularity's degree-product null model is undefined for negative degrees
+    if g.adjacency.min() < 0:
+        i, j = np.argwhere(g.adjacency < 0)[0]
+        raise InputError(
+            f"modularity needs non-negative edge weights, got {g.adjacency[i, j]} "
+            f"between vertices {i} and {j}"
+        )
     two_m = float(g.adjacency.sum())
     if two_m <= 0:
         raise InputError("modularity undefined for graphs with no edges")

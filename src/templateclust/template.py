@@ -103,28 +103,43 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 def _lloyd(
     points: np.ndarray, centroids: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, float]:
-    n, _ = points.shape
+    """Lloyd iterations from the given centroids, all clusters at once.
+
+    Squared distances are ||x||^2 - 2 x.c + ||c||^2, so one n x k matrix
+    product replaces the n x k x d difference tensor, and the centroids are
+    the one-hot membership matrix times the points, over the cluster counts.
+    """
+    n = points.shape[0]
     k = centroids.shape[0]
+    rows = np.arange(n)
+    point_sq = np.einsum("ij,ij->i", points, points)[:, None]
+
+    def sq_dists(c: np.ndarray) -> np.ndarray:
+        return point_sq - 2.0 * (points @ c.T) + np.einsum("ij,ij->i", c, c)
+
     labels = np.zeros(n, dtype=int)
     for _ in range(max_iters):
+        dists = sq_dists(centroids)
         # ties broken toward the lowest centroid index by argmin
-        dists = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(dists, axis=1)
-        for c in range(k):
-            mask = new_labels == c
-            if mask.any():
-                centroids[c] = points[mask].mean(axis=0)
-            else:
-                # empty cluster: promote the point farthest from its centroid
-                worst = int(np.argmax(dists[np.arange(n), new_labels]))
-                centroids[c] = points[worst]
+        counts = np.bincount(new_labels, minlength=k)
+        if not counts.all():
+            # an empty cluster takes the point farthest from its centroid
+            # among clusters of two or more, so no cluster is emptied
+            far = dists[rows, new_labels]
+            for c in np.flatnonzero(counts == 0):
+                worst = int(np.argmax(np.where(counts[new_labels] > 1, far, -np.inf)))
+                counts[new_labels[worst]] -= 1
                 new_labels[worst] = c
+                counts[c] = 1
+        membership = np.zeros((n, k))
+        membership[rows, new_labels] = 1.0
+        centroids = (membership.T @ points) / counts[:, None]
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break
         labels = new_labels
-    dists = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    inertia = float(dists[np.arange(n), labels].sum())
+    inertia = float(sq_dists(centroids)[rows, labels].sum())
     return labels, inertia
 
 

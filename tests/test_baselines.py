@@ -115,6 +115,20 @@ class TestModularity:
         with pytest.raises(InputError):
             modularity(build_graph([], 3), Partition(np.zeros(3, dtype=int)))
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda g: modularity(g, Partition(np.zeros(g.n, dtype=int))),
+            cnm_cluster,
+            lambda g: louvain_cluster(g, np.random.default_rng(0)),
+        ],
+        ids=["modularity", "cnm", "louvain"],
+    )
+    def test_negative_edge_weight_rejected(self, run):
+        g = build_graph([(0, 1, -1.0), (1, 2, 2.0)], 3)
+        with pytest.raises(InputError, match="got -1.0 between vertices 0 and 1"):
+            run(g)
+
     def test_mismatched_labels_rejected(self):
         g = two_triangles()
         with pytest.raises(InputError, match="labels cover 5 vertices but graph has 6"):

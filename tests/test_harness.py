@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from templateclust import TemplateModel, build_graph
 from templateclust.cli import main
 from templateclust.errors import InputError
 from templateclust.harness import (
+    METHODS,
     ExperimentConfig,
     ExperimentRecord,
     aggregate,
@@ -83,6 +85,16 @@ class TestRunMethod:
         graph, _ = sample_graph(make_g3(4), np.random.default_rng(0))
         with pytest.raises(InputError, match="unknown method 'mystery'"):
             run_method("mystery", graph, 3, None, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_isolated_vertex_gets_a_label(self, method):
+        # two triangles and vertex 6 without edges
+        edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0)]
+        model = TemplateModel(np.diag([6.0, 6.0]))
+        labels, _, _ = run_method(method, build_graph(edges, 7), 2, model, np.random.default_rng(0))
+        assert labels.shape == (7,)
+        assert labels.min() == 0 and labels.max() < 7
+        assert labels[0] == labels[1] == labels[2] and labels[3] == labels[4] == labels[5]
 
 
 class TestRealExperiment:
@@ -337,6 +349,23 @@ class TestCli:
         rc = main(["cluster", "--family", "g3", "--size", "4", "--method", "spectral", "--k", k])
         assert rc == 1
         assert f"--k must be >= 1, got {k}" in capsys.readouterr().err
+
+    def test_cluster_spectral_k_above_n_exit_code(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n2 0\n")
+        rc = main(["cluster", "--edges", str(edges), "--method", "spectral", "--k", "4"])
+        assert rc == 1
+        assert "need n >= k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_cluster_tb_template_not_below_n_exit_code(self, tmp_path, capsys, k):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n2 0\n")
+        template = tmp_path / "template.txt"
+        template.write_text("".join(" ".join("1" if i == j else "0" for j in range(k)) + "\n" for i in range(k)))
+        rc = main(["cluster", "--edges", str(edges), "--method", "tb", "--template", str(template)])
+        assert rc == 1
+        assert f"graph has n=3 vertices but template needs n > k={k}" in capsys.readouterr().err
 
     def test_cluster_non_finite_template_exit_code(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"

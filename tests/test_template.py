@@ -1,4 +1,8 @@
+import importlib.util
 import itertools
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +14,19 @@ from templateclust import (
     TemplateModel,
     adjusted_rand_index,
     euclidean_gradient,
+    expected_model,
     kmeans,
+    load_edge_list,
+    load_labels,
+    make_g6,
+    model_from_ground_truth,
     objective,
     random_stiefel,
+    sample_graph,
     template_cluster,
 )
+from templateclust.baselines import spectral_embedding
+from templateclust.template import _kmeans_pp_init, _lloyd
 
 from conftest import random_simple_graph, two_triangles
 
@@ -151,6 +163,111 @@ class TestKMeans:
     def test_too_few_points(self, rng):
         with pytest.raises(InputError):
             kmeans(np.zeros((2, 2)), 3, rng)
+
+
+def lloyd_by_cluster_loop(points, centroids, max_iters):
+    """Reference Lloyd: an n x k x d difference tensor per assignment and one
+    boolean-mask mean per cluster, as `_lloyd` was written before its
+    distances and centroids became matrix products."""
+    n, _ = points.shape
+    k = centroids.shape[0]
+    labels = np.zeros(n, dtype=int)
+    for _ in range(max_iters):
+        dists = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(dists, axis=1)
+        for c in range(k):
+            mask = new_labels == c
+            if mask.any():
+                centroids[c] = points[mask].mean(axis=0)
+            else:
+                worst = int(np.argmax(dists[np.arange(n), new_labels]))
+                centroids[c] = points[worst]
+                new_labels[worst] = c
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    dists = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    return labels, float(dists[np.arange(n), labels].sum())
+
+
+def kmeans_by_cluster_loop(points, k, rng, restarts=10, max_iters=300):
+    best_labels, best_inertia = None, np.inf
+    for _ in range(restarts):
+        labels, inertia = lloyd_by_cluster_loop(points, _kmeans_pp_init(points, k, rng), max_iters)
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    return best_labels, best_inertia
+
+
+@pytest.fixture
+def email_graph(tmp_path, monkeypatch):
+    """Planted graph 0 of the benchmark's file workload, loaded as `real` loads it."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    workloads.write_email_graph(0, 0, tmp_path)
+    g, ids = load_edge_list(tmp_path / "edges-0.txt")
+    return g, load_labels(tmp_path / "labels-0.txt", g.n, ids)
+
+
+class TestLloydMatchesClusterLoop:
+    def assert_matches_reference(self, points, k, seed):
+        labels, inertia = kmeans(points, k, np.random.default_rng(seed))
+        ref_labels, ref_inertia = kmeans_by_cluster_loop(points, k, np.random.default_rng(seed))
+        assert np.array_equal(labels, ref_labels)
+        assert inertia == pytest.approx(ref_inertia, rel=1e-9)
+
+    @pytest.mark.parametrize("n, k, d", [(30, 3, 2), (120, 5, 3), (300, 12, 12), (400, 8, 40)])
+    def test_separated_blobs(self, n, k, d):
+        rng = np.random.default_rng(n + k + d)
+        centres = 10.0 * rng.standard_normal((k, d))
+        points = centres[np.arange(n) % k] + rng.standard_normal((n, d))
+        self.assert_matches_reference(points, k, seed=d)
+
+    def test_ties_go_to_the_lowest_index(self):
+        # 1 is exactly as far from centroid 0 as from centroid 2
+        points = np.array([[0.0], [1.0], [2.0]])
+        labels, _ = _lloyd(points, np.array([[0.0], [2.0]]), max_iters=1)
+        ref_labels, _ = lloyd_by_cluster_loop(points, np.array([[0.0], [2.0]]), max_iters=1)
+        assert np.array_equal(labels, [0, 0, 1])
+        assert np.array_equal(labels, ref_labels)
+
+    def test_g6_embeddings(self):
+        spec = make_g6(40)
+        g, _ = sample_graph(spec, np.random.default_rng(3))
+        tb = template_cluster(g, expected_model(spec), rng=np.random.default_rng(4))
+        self.assert_matches_reference(tb.embedding.matrix, 6, seed=5)
+        self.assert_matches_reference(spectral_embedding(g, 6).matrix, 6, seed=6)
+
+    def test_email_file_embeddings(self, email_graph):
+        g, gt = email_graph
+        tb = template_cluster(g, model_from_ground_truth(g, gt), rng=np.random.default_rng(1))
+        self.assert_matches_reference(tb.embedding.matrix, gt.k, seed=2)
+        self.assert_matches_reference(spectral_embedding(g, gt.k).matrix, gt.k, seed=3)
+
+
+class TestEmptyClusters:
+    def test_fewer_distinct_points_than_k(self):
+        points = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 4, axis=0)
+        for seed in range(5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                labels, inertia = kmeans(points, 5, np.random.default_rng(seed))
+            assert labels.min() >= 0 and labels.max() <= 4
+            assert np.bincount(labels, minlength=5).all()
+            assert np.isfinite(inertia)
+
+    def test_refill_never_empties_a_singleton(self):
+        # one iteration: the point at 50 is the farthest from its centroid but
+        # alone in its cluster, so the empty third cluster takes the next
+        # farthest, 0
+        points = np.array([[0.0], [1.0], [2.0], [50.0]])
+        labels, inertia = _lloyd(points, np.array([[1.0], [60.0], [1000.0]]), max_iters=1)
+        assert np.array_equal(labels, [2, 0, 0, 1])
+        assert inertia == pytest.approx(0.5)
 
 
 class TestTemplateCluster:
