@@ -122,51 +122,56 @@ def cnm_cluster(g: Graph) -> Partition:
     return Partition(root)
 
 
-def _local_moving(
-    adj: np.ndarray, labels: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, bool]:
+def _local_moving(adj: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> None:
     """One Louvain phase: move nodes to neighboring communities while any
-    move improves modularity."""
+    move improves modularity. Updates `labels` in place.
+
+    The phase's off-diagonal nonzeros are listed once, row by row in
+    ascending column order (CSR offsets `indptr`), so a visit reads only its
+    true neighbours; the scan runs over plain Python lists.
+    """
     n = adj.shape[0]
-    two_m = adj.sum()
-    deg = adj.sum(axis=1)
-    comm_deg = np.bincount(labels, weights=deg, minlength=n)
-    improved = False
+    two_m = float(adj.sum())
+    deg_arr = adj.sum(axis=1)
+    comm_deg = np.bincount(labels, weights=deg_arr, minlength=n).tolist()
+    deg = deg_arr.tolist()
+    rows, cols = np.nonzero(adj)
+    off_diag = rows != cols  # self-loops never pull a vertex anywhere
+    rows, cols = rows[off_diag], cols[off_diag]
+    weights = adj[rows, cols].tolist()
+    indptr = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
+    lab = labels.tolist()
+    two_m_sq = two_m * two_m
     moved = True
     while moved:
         moved = False
-        order = rng.permutation(n)
-        for i in order:
-            ci = labels[i]
-            neigh = np.nonzero(adj[i])[0]
-            # weight from i to each candidate community (self-loop excluded)
+        for i in rng.permutation(n).tolist():
+            ci = lab[i]
+            lo, hi = indptr[i], indptr[i + 1]
+            # weight from i to each candidate community
             w_to: dict[int, float] = {}
-            for j in neigh:
-                if j == i:
-                    continue
-                w_to.setdefault(labels[j], 0.0)
-                w_to[labels[j]] += adj[i, j]
-            # detach i, then score re-insertion into each candidate community;
-            # terms constant across candidates (deg_i^2, self-loops) drop out
+            for j, w in zip(cols[lo:hi], weights[lo:hi]):
+                c = lab[j]
+                w_to[c] = w_to.get(c, 0.0) + w
+            # detach i, then score re-insertion into each candidate community
+            # by 2w/2m - 2 deg_i comm_deg/(2m)^2; terms constant across
+            # candidates (deg_i^2, self-loops) drop out
             comm_deg[ci] -= deg[i]
-
-            def insert_gain(c: int, w: float) -> float:
-                return 2.0 * w / two_m - 2.0 * deg[i] * comm_deg[c] / (two_m * two_m)
-
+            two_deg_i = 2.0 * deg[i]
             best_c = ci
-            best_gain = insert_gain(ci, w_to.get(ci, 0.0))
+            best_gain = 2.0 * w_to.get(ci, 0.0) / two_m - two_deg_i * comm_deg[ci] / two_m_sq
             for c, w in w_to.items():
                 if c == ci:
                     continue
-                g_c = insert_gain(c, w)
+                g_c = 2.0 * w / two_m - two_deg_i * comm_deg[c] / two_m_sq
                 if g_c > best_gain + 1e-12:
                     best_c, best_gain = c, g_c
             comm_deg[best_c] += deg[i]
             if best_c != ci:
-                labels[i] = best_c
+                lab[i] = best_c
                 moved = True
-                improved = True
-    return labels, improved
+    labels[:] = lab
 
 
 def louvain_cluster(g: Graph, rng: np.random.Generator | None = None) -> Partition:
@@ -180,7 +185,7 @@ def louvain_cluster(g: Graph, rng: np.random.Generator | None = None) -> Partiti
     prev_q = -np.inf
     while True:
         labels = np.arange(adj.shape[0])
-        labels, _ = _local_moving(adj, labels, rng)
+        _local_moving(adj, labels, rng)
         _, idx = np.unique(labels, return_inverse=True)
         assignment = idx[assignment]
         adj = block_sums(adj, labels)

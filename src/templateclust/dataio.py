@@ -31,7 +31,8 @@ def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
     remapped to 0..n-1 in sorted order of the original ids; the mapping is
     returned for traceability. Directed input is symmetrized: an edge in
     either direction yields one undirected unit edge. Self-loops are
-    dropped and duplicates collapse to weight 1.
+    dropped and duplicates collapse to weight 1. A weight must be positive
+    and finite; any such weight also yields a unit edge.
     """
     rows = _parse_lines(path)
     if not rows:
@@ -43,10 +44,11 @@ def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
             raise InputError(f"{path}:{lineno}: expected 'u v' or 'u v w', got {' '.join(parts)!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
-            if len(parts) == 3:
-                float(parts[2])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: malformed edge line") from exc
+        if not 0 < w < np.inf:  # also false for NaN
+            raise InputError(f"{path}:{lineno}: edge weight must be positive and finite, got {parts[2]}")
         ids.update((u, v))
         if u != v:
             pairs.add((min(u, v), max(u, v)))

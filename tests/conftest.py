@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,3 +22,13 @@ def random_simple_graph(n: int, rng: np.random.Generator, p: float = 0.5) -> Gra
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+def load_bench_workloads(monkeypatch: pytest.MonkeyPatch):
+    """Import the benchmark's `bench/workloads.py`, which is not a package."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads

@@ -10,10 +10,14 @@ from templateclust import (
     InputError,
     Partition,
     adjusted_rand_index,
+    block_sums,
     build_graph,
     cnm_cluster,
     degree_matrix,
+    load_edge_list,
     louvain_cluster,
+    make_c2,
+    make_g3,
     make_g6,
     modularity,
     sample_graph,
@@ -21,7 +25,7 @@ from templateclust import (
 )
 from templateclust.baselines import spectral_embedding
 
-from conftest import random_simple_graph, two_triangles
+from conftest import load_bench_workloads, random_simple_graph, two_triangles
 
 
 def best_partition_exhaustive(g):
@@ -286,6 +290,143 @@ class TestLouvain:
                 continue
             part = louvain_cluster(g, rng)
             assert modularity(g, part) >= modularity(g, Partition(np.arange(g.n))) - 1e-12
+
+
+def louvain_dense_reference(g, rng):
+    """Reference Louvain: each visit scans the vertex's dense adjacency row
+    with np.nonzero and accumulates numpy scalars neighbour by neighbour."""
+
+    def local_moving(adj, labels):
+        n = adj.shape[0]
+        two_m = adj.sum()
+        deg = adj.sum(axis=1)
+        comm_deg = np.bincount(labels, weights=deg, minlength=n)
+        moved = True
+        while moved:
+            moved = False
+            order = rng.permutation(n)
+            for i in order:
+                ci = labels[i]
+                neigh = np.nonzero(adj[i])[0]
+                w_to = {}
+                for j in neigh:
+                    if j == i:
+                        continue
+                    w_to.setdefault(labels[j], 0.0)
+                    w_to[labels[j]] += adj[i, j]
+                comm_deg[ci] -= deg[i]
+
+                def insert_gain(c, w):
+                    return 2.0 * w / two_m - 2.0 * deg[i] * comm_deg[c] / (two_m * two_m)
+
+                best_c = ci
+                best_gain = insert_gain(ci, w_to.get(ci, 0.0))
+                for c, w in w_to.items():
+                    if c == ci:
+                        continue
+                    g_c = insert_gain(c, w)
+                    if g_c > best_gain + 1e-12:
+                        best_c, best_gain = c, g_c
+                comm_deg[best_c] += deg[i]
+                if best_c != ci:
+                    labels[i] = best_c
+                    moved = True
+        return labels
+
+    adj = g.adjacency.copy()
+    assignment = np.arange(g.n)
+    prev_q = -np.inf
+    while True:
+        labels = local_moving(adj, np.arange(adj.shape[0]))
+        _, idx = np.unique(labels, return_inverse=True)
+        assignment = idx[assignment]
+        adj = block_sums(adj, labels)
+        two_m = adj.sum()
+        q = np.trace(adj) / two_m - np.sum((adj.sum(axis=1) / two_m) ** 2)
+        if q <= prev_q + 1e-9:
+            break
+        prev_q = q
+    return Partition(assignment)
+
+
+def assert_louvain_matches_reference(g, seed):
+    labels = louvain_cluster(g, np.random.default_rng(seed)).labels
+    assert np.array_equal(labels, louvain_dense_reference(g, np.random.default_rng(seed)).labels)
+
+
+def email_graph(monkeypatch, tmp_path, index):
+    """Planted graph `index` of the benchmark's file workload, as `real` loads it."""
+    load_bench_workloads(monkeypatch).write_email_graph(0, index, tmp_path)
+    return load_edge_list(tmp_path / f"edges-{index}.txt")[0]
+
+
+class TestLouvainMatchesDenseReference:
+    @pytest.mark.parametrize("weights", ["unit", "integer", "float"])
+    def test_random_graphs_with_self_loops(self, weights):
+        rng = np.random.default_rng(10 + ["unit", "integer", "float"].index(weights))
+        for n in range(2, 40):
+            p = rng.uniform(0.05, 0.7)
+            edges = []
+            for i in range(n):
+                for j in range(i, n):
+                    # a self-loop on about one vertex in four
+                    if rng.random() < (0.25 if i == j else p):
+                        if weights == "unit":
+                            w = 1.0
+                        elif weights == "integer":
+                            w = float(rng.integers(1, 5))
+                        else:
+                            w = rng.random()
+                        edges.append((i, j, w))
+            g = build_graph(edges, n)
+            if g.adjacency.sum() == 0:
+                continue
+            assert_louvain_matches_reference(g, n)
+
+    def test_isolated_vertex(self):
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 2, 2.0), (3, 4, 1.0), (4, 5, 1.0)]
+        g = build_graph(edges, 7)  # vertex 6 is isolated
+        for seed in range(5):
+            assert_louvain_matches_reference(g, seed)
+
+    def test_planted_g6(self):
+        g, _ = sample_graph(make_g6(40), np.random.default_rng(7))
+        for seed in range(3):
+            assert_louvain_matches_reference(g, seed)
+
+    def test_email_file_graph(self, monkeypatch, tmp_path):
+        assert_louvain_matches_reference(email_graph(monkeypatch, tmp_path, 0), 0)
+
+
+def median_louvain_modularity(g, nx):
+    """Median modularity over rng seeds 0-4 of ours and of networkx's Louvain."""
+    ours = [modularity(g, louvain_cluster(g, np.random.default_rng(s))) for s in range(5)]
+    graph = nx.from_numpy_array(g.adjacency)
+    theirs = []
+    for s in range(5):
+        labels = np.empty(g.n, dtype=int)
+        for c, members in enumerate(nx.community.louvain_communities(graph, seed=s)):
+            labels[list(members)] = c
+        theirs.append(modularity(g, Partition(labels)))
+    return np.median(ours), np.median(theirs)
+
+
+class TestLouvainMatchesNetworkx:
+    @pytest.mark.parametrize(
+        "spec", [make_g6(40), make_c2(10, 0.60), make_g3(30)], ids=["g6-40", "c2-10-0.60", "g3-30"]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planted_graphs(self, spec, seed):
+        nx = pytest.importorskip("networkx")
+        g, _ = sample_graph(spec, np.random.default_rng(seed))
+        ours, theirs = median_louvain_modularity(g, nx)
+        assert ours == pytest.approx(theirs, abs=0.005)
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_email_file_graphs(self, monkeypatch, tmp_path, index):
+        nx = pytest.importorskip("networkx")
+        ours, theirs = median_louvain_modularity(email_graph(monkeypatch, tmp_path, index), nx)
+        assert ours == pytest.approx(theirs, abs=0.005)
 
 
 def test_all_methods_recover_two_cliques(rng):

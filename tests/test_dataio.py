@@ -57,6 +57,19 @@ class TestLoadEdgeList:
         with pytest.raises(InputError):
             load_edge_list(f)
 
+    @pytest.mark.parametrize("weight", ["-1", "0", "nan", "inf", "-inf", "1e999"])
+    def test_bad_weight_rejected(self, tmp_path, weight):
+        f = tmp_path / "e.txt"
+        f.write_text(f"0 1 2.5\n# comment\n1 2 {weight}\n")
+        with pytest.raises(InputError, match=f"e.txt:3: edge weight must be positive and finite, got {weight}$"):
+            load_edge_list(f)
+
+    def test_positive_weights_collapse_to_unit_edges(self, tmp_path):
+        f = tmp_path / "e.txt"
+        f.write_text("0 1 2.5\n1 2 1e-3\n2 0 1\n1 0 7\n")
+        g, _ = load_edge_list(f)
+        assert np.array_equal(g.adjacency, np.ones((3, 3)) - np.eye(3))
+
 
 class TestLoadLabels:
     def test_basic(self, tmp_path):

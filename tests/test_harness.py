@@ -350,6 +350,24 @@ class TestCli:
         assert rc == 1
         assert f"--k must be >= 1, got {k}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["-1", "0", "nan", "inf"])
+    def test_cluster_bad_edge_weight_exit_code(self, tmp_path, capsys, weight):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(f"0 1\n1 2 {weight}\n2 0\n")
+        rc = main(["cluster", "--edges", str(edges), "--method", "cnm"])
+        assert rc == 1
+        assert f"edges.txt:2: edge weight must be positive and finite, got {weight}" in capsys.readouterr().err
+
+    def test_cluster_tb_k_differs_from_template_exit_code(self, capsys):
+        rc = main(["cluster", "--family", "g3", "--size", "10", "--k", "2", "--method", "tb"])
+        assert rc == 1
+        assert "--k 2 differs from the template's k=3" in capsys.readouterr().err
+
+    def test_cluster_tb_k_equal_to_template(self, capsys):
+        rc = main(["cluster", "--family", "g3", "--size", "10", "--k", "3", "--method", "tb", "--seed", "2"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "k_found: 3"
+
     def test_cluster_spectral_k_above_n_exit_code(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n1 2\n2 0\n")

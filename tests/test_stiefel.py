@@ -365,3 +365,45 @@ def test_descent_monotone_and_orthonormal_on_random_templates(n, k, density, see
     hist = trace.cost_history
     assert all(b <= a for a, b in zip(hist, hist[1:]))
     assert np.linalg.norm(p.matrix.T @ p.matrix - np.eye(k)) <= 1e-10
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(2, 14),
+    k=st.integers(1, 4),
+    density=st.floats(0.1, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_objective_and_gradient_permutation_equivariant(n, k, density, seed):
+    # relabelling the vertices by a permutation Π: A -> ΠAΠᵀ and P -> ΠP
+    # leaves the cost unchanged and permutes the gradient's rows
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    upper = np.triu(rng.random((n, n)) < density, k=1) * rng.uniform(0.5, 2.0, (n, n))
+    a = upper + upper.T
+    w = rng.uniform(0.0, 5.0, (k, k))
+    model = TemplateModel(w + w.T)
+    p = random_stiefel(n, k, rng)
+    perm = rng.permutation(n)
+    a_perm = a[np.ix_(perm, perm)]
+    p_perm = StiefelPoint(p.matrix[perm])
+    assert objective(a_perm, model, p_perm) == pytest.approx(objective(a, model, p), rel=1e-10)
+    grad = euclidean_gradient(a, model, p)
+    grad_perm = euclidean_gradient(a_perm, model, p_perm)
+    assert np.linalg.norm(grad_perm - grad[perm]) <= 1e-10 * np.linalg.norm(grad)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    k=st.integers(1, 4),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_retract_orthonormal_for_large_tangent_steps(n, k, scale, seed):
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    p = random_stiefel(n, k, rng)
+    v = project_tangent(p, rng.standard_normal((n, k)))
+    q = retract_qr(p, scale * v)
+    assert np.linalg.norm(q.matrix.T @ q.matrix - np.eye(k)) <= 1e-10
