@@ -48,11 +48,9 @@ def spectral_embedding(g: Graph, k: int) -> StiefelPoint:
     return StiefelPoint(embedding)
 
 
-def spectral_cluster(g: Graph, k: int, rng: np.random.Generator | None = None) -> Partition:
+def spectral_cluster(g: Graph, k: int, rng: np.random.Generator) -> Partition:
     """Unnormalized spectral clustering: k-means on rows of the k bottom
     eigenvectors of L = D - A."""
-    if rng is None:
-        rng = np.random.default_rng()
     labels, _ = kmeans(spectral_embedding(g, k).matrix, k, rng)
     return Partition(labels)
 
@@ -174,11 +172,9 @@ def _local_moving(adj: np.ndarray, labels: np.ndarray, rng: np.random.Generator)
     labels[:] = lab
 
 
-def louvain_cluster(g: Graph, rng: np.random.Generator | None = None) -> Partition:
+def louvain_cluster(g: Graph, rng: np.random.Generator) -> Partition:
     """Two-phase Louvain: local moving with shuffled visit order, then
     community aggregation, repeated until modularity stops improving."""
-    if rng is None:
-        rng = np.random.default_rng()
     _check_edges(g)
     adj = g.adjacency.copy()
     assignment = np.arange(g.n)  # maps original vertex -> current community index

@@ -109,6 +109,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     if args.k is not None and args.k < 1:
         raise InputError(f"--k must be >= 1, got {args.k}")
+    if args.method in ("cnm", "louvain") and args.k is not None:
+        raise InputError(f"--k does not apply to {args.method}: it chooses the number of communities itself")
     if args.method == "tb" and model is not None and args.k not in (None, model.k):
         raise InputError(f"--k {args.k} differs from the template's k={model.k}; tb takes k from the template")
     k = args.k or (model.k if model is not None else None) or (gt.k if gt else None)

@@ -105,13 +105,3 @@ def model_from_ground_truth(g: Graph, gt: GroundTruth) -> TemplateModel:
     ground-truth indicator: B^T A B (block sums of edge weight)."""
     return TemplateModel(block_sums(g.adjacency, gt.labels))
 
-
-def write_edge_list(g: Graph, path: str | Path) -> None:
-    """Write the canonical normalized edge list: sorted 'u v w' lines, LF."""
-    lines = []
-    for i in range(g.n):
-        for j in range(i, g.n):
-            w = g.adjacency[i, j]
-            if w != 0:
-                lines.append(f"{i} {j} {w:g}\n")
-    Path(path).write_text("".join(lines), encoding="utf-8", newline="\n")

@@ -57,8 +57,11 @@ class DescentConfig:
     armijo_max_backtracks: int = 50
 
     def __post_init__(self) -> None:
-        if self.grad_tol <= 0 or self.rel_cost_tol <= 0 or self.armijo_initial_step <= 0:
-            raise InputError("tolerances and initial step must be positive")
+        if self.max_iters < 1:
+            raise InputError(f"max_iters must be at least 1, got {self.max_iters}")
+        for name in ("grad_tol", "rel_cost_tol", "armijo_initial_step"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
         if not (0 < self.armijo_shrink < 1) or not (0 < self.armijo_slope < 1):
             raise InputError("armijo shrink and slope must lie in (0, 1)")
         if self.armijo_max_backtracks < 1:
@@ -72,11 +75,15 @@ StopReason = Literal["gradient", "relative-cost", "line-search", "max-iters"]
 class DescentTrace:
     """Record of a single descent run."""
 
-    iterates_count: int
     cost_history: list[float]
     final_grad_norm: float
     converged_by: StopReason
     restarts: int  # iterations after the first that searched along -gradient
+
+    @property
+    def iterates_count(self) -> int:
+        """Accepted steps: one per cost after the starting point's."""
+        return len(self.cost_history) - 1
 
     @property
     def line_search_failed(self) -> bool:
@@ -170,7 +177,7 @@ def steepest_descent(
     grad_norm = np.inf
     converged_by: StopReason = "max-iters"
     j = 0  # grid index of the last accepted step
-    iters = restarts = 0
+    restarts = 0
     grad_prev = direction = None
 
     def trial(idx: int) -> tuple[StiefelPoint, float, bool]:
@@ -189,7 +196,6 @@ def steepest_descent(
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= cfg.grad_tol:
             converged_by = "gradient"
-            iters -= 1
             break
 
         sq = grad_norm * grad_norm
@@ -214,7 +220,6 @@ def steepest_descent(
                 accepted = trial(j)
             if not accepted[2]:
                 converged_by = "line-search"
-                iters -= 1
                 break
 
         restarts += restart and iters > 1
@@ -224,11 +229,8 @@ def steepest_descent(
         if abs(prev - f) <= cfg.rel_cost_tol * max(1.0, abs(prev)):
             converged_by = "relative-cost"
             break
-    else:
-        converged_by = "max-iters"
 
     trace = DescentTrace(
-        iterates_count=iters,
         cost_history=history,
         final_grad_norm=grad_norm,
         converged_by=converged_by,

@@ -14,13 +14,7 @@ import numpy as np
 
 from templateclust.errors import InputError
 from templateclust.graphs import Graph
-from templateclust.stiefel import (
-    DescentConfig,
-    DescentTrace,
-    StiefelPoint,
-    random_stiefel,
-    steepest_descent,
-)
+from templateclust.stiefel import DescentTrace, StiefelPoint, random_stiefel, steepest_descent
 
 
 @dataclass(frozen=True)
@@ -57,7 +51,6 @@ class ClusteringResult:
     partition: np.ndarray
     embedding: StiefelPoint
     trace: DescentTrace
-    kmeans_inertia: float
 
 
 def _check_dims(a_o: np.ndarray, a_m: TemplateModel, p: StiefelPoint) -> None:
@@ -143,14 +136,8 @@ def _lloyd(
     return labels, inertia
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    restarts: int = 10,
-    max_iters: int = 300,
-) -> tuple[np.ndarray, float]:
-    """Lloyd's algorithm with k-means++ seeding; best of `restarts` by inertia."""
+def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """Lloyd's algorithm with k-means++ seeding; best of 10 restarts by inertia."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise InputError("points must be a 2-d array of row vectors")
@@ -159,9 +146,9 @@ def kmeans(
         raise InputError(f"need n >= k >= 1, got n={n}, k={k}")
     best_labels: np.ndarray | None = None
     best_inertia = np.inf
-    for _ in range(restarts):
+    for _ in range(10):
         centroids = _kmeans_pp_init(points, k, rng)
-        labels, inertia = _lloyd(points, centroids, max_iters)
+        labels, inertia = _lloyd(points, centroids, max_iters=300)
         if inertia < best_inertia:
             best_inertia = inertia
             best_labels = labels
@@ -169,15 +156,8 @@ def kmeans(
     return best_labels, best_inertia
 
 
-def template_cluster(
-    g_o: Graph,
-    model: TemplateModel,
-    cfg: DescentConfig = DescentConfig(),
-    rng: np.random.Generator | None = None,
-) -> ClusteringResult:
+def template_cluster(g_o: Graph, model: TemplateModel, rng: np.random.Generator) -> ClusteringResult:
     """Optimize the embedding from a random start, then k-means its rows."""
-    if rng is None:
-        rng = np.random.default_rng()
     if g_o.n <= model.k:
         raise InputError(f"graph has n={g_o.n} vertices but template needs n > k={model.k}")
     a_o = g_o.adjacency
@@ -186,9 +166,6 @@ def template_cluster(
         lambda p: objective(a_o, model, p),
         lambda p: euclidean_gradient(a_o, model, p),
         p0,
-        cfg,
     )
-    labels, inertia = kmeans(p_opt.matrix, model.k, rng)
-    return ClusteringResult(
-        partition=labels, embedding=p_opt, trace=trace, kmeans_inertia=inertia
-    )
+    labels, _ = kmeans(p_opt.matrix, model.k, rng)
+    return ClusteringResult(partition=labels, embedding=p_opt, trace=trace)

@@ -429,6 +429,36 @@ class TestLouvainMatchesNetworkx:
         assert ours == pytest.approx(theirs, abs=0.005)
 
 
+def networkx_cnm(g, nx):
+    """networkx's greedy modularity communities as a Partition."""
+    labels = np.empty(g.n, dtype=int)
+    communities = nx.community.greedy_modularity_communities(nx.from_numpy_array(g.adjacency), weight="weight")
+    for c, members in enumerate(communities):
+        labels[list(members)] = c
+    return Partition(labels)
+
+
+class TestCNMMatchesNetworkx:
+    """Same partition as networkx's CNM on these graphs. On larger graphs the
+    two can differ by tie-breaking between equal gains, which follows vertex
+    order: see ROADMAP item 5."""
+
+    @pytest.mark.parametrize(
+        "spec", [make_g6(40), make_c2(10, 0.60), make_g3(30)], ids=["g6-40", "c2-10-0.60", "g3-30"]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planted_graphs(self, spec, seed):
+        nx = pytest.importorskip("networkx")
+        g, _ = sample_graph(spec, np.random.default_rng(seed))
+        assert np.array_equal(cnm_cluster(g).labels, networkx_cnm(g, nx).labels)
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_email_file_graphs(self, monkeypatch, tmp_path, index):
+        nx = pytest.importorskip("networkx")
+        g = email_graph(monkeypatch, tmp_path, index)
+        assert np.array_equal(cnm_cluster(g).labels, networkx_cnm(g, nx).labels)
+
+
 def test_all_methods_recover_two_cliques(rng):
     # two disconnected K4 cliques
     adj = np.zeros((8, 8))

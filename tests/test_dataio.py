@@ -9,7 +9,6 @@ from templateclust import (
     load_labels,
     model_from_ground_truth,
 )
-from templateclust.dataio import write_edge_list
 
 from conftest import random_simple_graph, two_triangles
 
@@ -170,12 +169,3 @@ class TestModelFromGroundTruth:
         model = model_from_ground_truth(g, gt)
         assert np.array_equal(model.weights, b.T @ g.adjacency @ b)
 
-
-def test_write_edge_list_roundtrip(tmp_path):
-    g = two_triangles()
-    path = tmp_path / "canonical.txt"
-    write_edge_list(g, path)
-    g2, _ = load_edge_list(path)
-    assert np.array_equal(g2.adjacency, g.adjacency)
-    write_edge_list(g2, tmp_path / "again.txt")
-    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()

@@ -368,6 +368,24 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[-1] == "k_found: 3"
 
+    @pytest.mark.parametrize("method", ["cnm", "louvain"])
+    @pytest.mark.parametrize("k", ["2", "3"])
+    def test_cluster_modularity_method_rejects_k(self, capsys, method, k):
+        rc = main(["cluster", "--family", "g3", "--size", "10", "--k", k, "--method", method])
+        assert rc == 1
+        assert f"--k does not apply to {method}: it chooses the number of communities itself" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_cluster_tb_cost_overflow_exit_code(self, tmp_path, capsys):
+        # finite weights the template accepts, but the misfit overflows to inf
+        template = tmp_path / "template.txt"
+        template.write_text("1e200 0 0\n0 1e200 0\n0 0 1e200\n")
+        rc = main(["cluster", "--family", "g3", "--size", "6", "--template", str(template), "--method", "tb"])
+        assert rc == 2
+        assert "failure: cost is not finite at the starting point" in capsys.readouterr().err
+
     def test_cluster_spectral_k_above_n_exit_code(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n1 2\n2 0\n")

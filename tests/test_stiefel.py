@@ -162,6 +162,24 @@ def test_config_validation():
         DescentConfig(armijo_max_backtracks=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_iters", 0),
+        ("max_iters", -3),
+        ("grad_tol", -1e-6),
+        ("grad_tol", float("nan")),
+        ("rel_cost_tol", 0.0),
+        ("rel_cost_tol", float("nan")),
+        ("armijo_initial_step", -1.0),
+        ("armijo_initial_step", float("nan")),
+    ],
+)
+def test_config_rejects_non_positive_or_nan(field, value):
+    with pytest.raises(InputError, match=field):
+        DescentConfig(**{field: value})
+
+
 def cold_start_descent(cost, euclid_grad, p0, cfg=DescentConfig(), conjugate=True):
     """Reference descent whose every line search starts at
     armijo_initial_step and shrinks until Armijo holds, so it accepts the

@@ -151,7 +151,7 @@ class TestKMeans:
                 inertia += np.sum((group - group.mean(axis=0)) ** 2)
             best = min(best, inertia)
         assert best == pytest.approx(1.0)
-        _, inertia = kmeans(pts, 2, rng, restarts=10)
+        _, inertia = kmeans(pts, 2, rng)
         assert inertia == pytest.approx(best)
 
     def test_deterministic_given_seed(self):
