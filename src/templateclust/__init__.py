@@ -21,6 +21,7 @@ from templateclust.stiefel import (
 from templateclust.template import (
     ClusteringResult,
     TemplateModel,
+    eigenvector_start,
     euclidean_gradient,
     kmeans,
     objective,
@@ -70,6 +71,7 @@ __all__ = [
     "ClusteringResult",
     "objective",
     "euclidean_gradient",
+    "eigenvector_start",
     "kmeans",
     "template_cluster",
     "Partition",

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -385,6 +390,24 @@ class TestCli:
         rc = main(["cluster", "--family", "g3", "--size", "6", "--template", str(template), "--method", "tb"])
         assert rc == 2
         assert "failure: cost is not finite at the starting point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("warning_flags", [[], ["-W", "error"]], ids=["default", "warnings-as-errors"])
+    def test_cluster_tb_cost_overflow_prints_only_failure(self, tmp_path, warning_flags):
+        # numpy's overflow warning would go to stderr before the failure line,
+        # or, with warnings as errors, replace it with "overflow encountered"
+        template = tmp_path / "template.txt"
+        template.write_text("1e200 0 0\n0 1e200 0\n0 0 1e200\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        args = ["cluster", "--family", "g3", "--size", "6", "--template", str(template), "--method", "tb"]
+        proc = subprocess.run(
+            [sys.executable, *warning_flags, "-m", "templateclust.cli", *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr == "failure: cost is not finite at the starting point\n"
 
     def test_cluster_spectral_k_above_n_exit_code(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from templateclust import (
     DescentConfig,
@@ -13,22 +15,26 @@ from templateclust import (
     StiefelPoint,
     TemplateModel,
     adjusted_rand_index,
+    eigenvector_start,
     euclidean_gradient,
     expected_model,
     kmeans,
     load_edge_list,
     load_labels,
+    make_c2,
     make_g6,
     model_from_ground_truth,
     objective,
+    projector_distance,
     random_stiefel,
     sample_graph,
+    steepest_descent,
     template_cluster,
 )
 from templateclust.baselines import spectral_embedding
-from templateclust.template import _kmeans_pp_init, _lloyd
+from templateclust.template import CERTIFICATE_TOL, _kmeans_pp_init, _lloyd
 
-from conftest import random_simple_graph, two_triangles
+from conftest import load_bench_workloads, random_simple_graph, two_triangles
 
 
 def normalized_indicator(labels, k):
@@ -326,3 +332,110 @@ class TestTemplateCluster:
         g = two_triangles()
         with pytest.raises(InputError):
             template_cluster(g, TemplateModel(np.zeros((6, 6))), rng=rng)
+
+
+def interlacing_bound(a_o, weights):
+    """Oracle for LB = sum_i dist(lambda_i, [mu_i, mu_{n-k+i}])^2, one
+    interval at a time."""
+    mu = np.linalg.eigvalsh(a_o)
+    lam = np.linalg.eigvalsh(weights)
+    n, k = len(mu), len(lam)
+    total = 0.0
+    for i in range(k):
+        low, high = mu[i], mu[n - k + i]
+        nearest = min(max(lam[i], low), high)
+        total += (lam[i] - nearest) ** 2
+    return total
+
+
+def oracle_certified(a_o, model):
+    """Whether the eigenvector frame, built column by column, attains LB.
+
+    Template eigenvector j (ascending) is matched to the j-th smallest
+    eigenvector of A_O when its eigenvalue is negative and to the
+    (k - j)-th largest otherwise."""
+    lam, u = np.linalg.eigh(model.weights)
+    _, v = np.linalg.eigh(a_o)
+    n, k = a_o.shape[0], len(lam)
+    columns = [v[:, j] if lam[j] < 0 else v[:, n - k + j] for j in range(k)]
+    frame = StiefelPoint(np.column_stack(columns) @ u.T)
+    bound = interlacing_bound(a_o, model.weights)
+    return objective(a_o, model, frame) <= bound + CERTIFICATE_TOL * certificate_scale(model), bound
+
+
+def certificate_scale(model):
+    return max(1.0, float(np.sum(model.weights**2)))
+
+
+def random_start_descent(a_o, model, rng):
+    return steepest_descent(
+        lambda p: objective(a_o, model, p),
+        lambda p: euclidean_gradient(a_o, model, p),
+        random_stiefel(a_o.shape[0], model.k, rng),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 10),
+    k=st.integers(2, 3),
+    density=st.floats(0.1, 0.9),
+    scale=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lower_bound_holds_and_certified_runs_attain_it(n, k, density, scale, seed):
+    rng = np.random.default_rng(seed)
+    a = random_simple_graph(n, rng, density)
+    w = rng.standard_normal((k, k)) * scale
+    model = TemplateModel(w + w.T)
+    certified, bound = oracle_certified(a.adjacency, model)
+    slack = 1e-9 * certificate_scale(model)
+
+    _, trace = random_start_descent(a.adjacency, model, rng)
+    assert trace.cost_history[-1] >= bound - slack
+
+    result = template_cluster(a, model, rng)
+    final = result.trace.cost_history[-1]
+    assert final >= bound - slack
+    assert result.lower_bound == pytest.approx(bound, rel=1e-9, abs=slack)
+    if certified:
+        assert result.trace.iterates_count == 0
+        assert result.trace.converged_by == "gradient"
+        assert abs(final - bound) <= slack
+
+
+class TestEigenvectorStart:
+    @staticmethod
+    def instances(name, seed, tmp_path, monkeypatch):
+        if name == "email":
+            load_bench_workloads(monkeypatch).write_email_graph(seed, 0, tmp_path)
+            g, ids = load_edge_list(tmp_path / "edges-0.txt")
+            return g, model_from_ground_truth(g, load_labels(tmp_path / "labels-0.txt", g.n, ids))
+        spec = {"g6-40": make_g6(40), "c2-10-0.60": make_c2(10, 0.60), "c2-10-0.42": make_c2(10, 0.42)}[name]
+        g, _ = sample_graph(spec, np.random.default_rng(seed))
+        return g, expected_model(spec)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["g6-40", "c2-10-0.60", "email"])
+    def test_certified_start_matches_random_start_descent(self, name, seed, tmp_path, monkeypatch):
+        g, model = self.instances(name, seed, tmp_path, monkeypatch)
+        p_star, bound = eigenvector_start(g.adjacency, model)
+        assert bound == pytest.approx(interlacing_bound(g.adjacency, model.weights), rel=1e-12)
+        assert objective(g.adjacency, model, p_star) <= bound + CERTIFICATE_TOL * certificate_scale(model)
+        result = template_cluster(g, model, np.random.default_rng(seed))
+        assert result.trace.iterates_count == 0
+        assert result.trace.converged_by == "gradient"
+        assert np.array_equal(result.embedding.matrix, p_star.matrix)
+        p_descent, _ = random_start_descent(g.adjacency, model, np.random.default_rng(100 + seed))
+        assert projector_distance(p_star, p_descent) <= 1e-5
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_saddle_falls_back_to_random_start(self, seed, tmp_path, monkeypatch):
+        g, model = self.instances("c2-10-0.42", seed, tmp_path, monkeypatch)
+        p_star, bound = eigenvector_start(g.adjacency, model)
+        assert objective(g.adjacency, model, p_star) > bound
+        result = template_cluster(g, model, np.random.default_rng(seed))
+        assert result.trace.iterates_count > 0
+        # the fallback draws its start first, exactly as a plain random start
+        _, trace = random_start_descent(g.adjacency, model, np.random.default_rng(seed))
+        assert result.trace.cost_history == trace.cost_history
