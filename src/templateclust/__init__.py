@@ -10,7 +10,6 @@ dataset loaders and a CSV experiment harness.
 from templateclust.errors import InputError, NumericalError
 from templateclust.graphs import Graph, block_sums, build_graph, degree_matrix, laplacian
 from templateclust.stiefel import (
-    DescentConfig,
     DescentTrace,
     StiefelPoint,
     project_tangent,
@@ -61,7 +60,6 @@ __all__ = [
     "degree_matrix",
     "laplacian",
     "StiefelPoint",
-    "DescentConfig",
     "DescentTrace",
     "random_stiefel",
     "project_tangent",

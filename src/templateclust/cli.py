@@ -84,6 +84,12 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
+    if args.family and args.edges:
+        raise InputError("give either --family or --edges, not both")
+    if args.labels and not args.edges:
+        raise InputError("--labels needs --edges")
+    if not args.family and (args.size is not None or args.prob == args.prob or args.intra_mode != "bipartite"):
+        raise InputError("--size, --prob and --intra-mode need --family")
     gt = None
     model = None
     if args.family:

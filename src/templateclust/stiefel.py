@@ -18,6 +18,13 @@ from templateclust.errors import InputError, NumericalError
 
 ORTHO_TOL = 1e-10
 
+# steepest_descent's settings
+MAX_ITERS = 1000
+GRAD_TOL = 1e-6
+REL_COST_TOL = 1e-9
+ARMIJO_SLOPE = 0.5  # see steepest_descent: keeps steps short of the line minimum
+STEPS = tuple(2.0**-j for j in range(50))  # the Armijo trial steps, largest first
+
 
 @dataclass(frozen=True)
 class StiefelPoint:
@@ -44,28 +51,6 @@ class StiefelPoint:
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
-
-
-@dataclass(frozen=True)
-class DescentConfig:
-    max_iters: int = 1000
-    grad_tol: float = 1e-6
-    rel_cost_tol: float = 1e-9
-    armijo_initial_step: float = 1.0
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 0.5  # see steepest_descent: keeps steps short of the line minimum
-    armijo_max_backtracks: int = 50
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise InputError(f"max_iters must be at least 1, got {self.max_iters}")
-        for name in ("grad_tol", "rel_cost_tol", "armijo_initial_step"):
-            if not getattr(self, name) > 0:  # also rejects NaN
-                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
-        if not (0 < self.armijo_shrink < 1) or not (0 < self.armijo_slope < 1):
-            raise InputError("armijo shrink and slope must lie in (0, 1)")
-        if self.armijo_max_backtracks < 1:
-            raise InputError("armijo_max_backtracks must be at least 1")
 
 
 StopReason = Literal["gradient", "relative-cost", "line-search", "max-iters"]
@@ -131,7 +116,6 @@ def steepest_descent(
     cost: Callable[[StiefelPoint], float],
     euclid_grad: Callable[[StiefelPoint], np.ndarray],
     p0: StiefelPoint,
-    cfg: DescentConfig = DescentConfig(),
 ) -> tuple[StiefelPoint, DescentTrace]:
     """Monotone Riemannian Polak-Ribiere+ conjugate gradient with Armijo
     backtracking and QR retraction.
@@ -144,11 +128,10 @@ def steepest_descent(
     stays steepest_descent because callers and the benchmark look the
     function up by it.
 
-    Trial steps are armijo_initial_step * armijo_shrink**j for
-    j < armijo_max_backtracks, accepted when the cost falls by at least
-    armijo_slope * step * <-g, d>. Each search starts one step above the
-    last accepted one (at most armijo_initial_step), shrinks while Armijo
-    fails and grows while it holds, at about two and a half cost
+    The trial steps are STEPS, 2^-j for j < 50, and a step is accepted when
+    the cost falls by at least ARMIJO_SLOPE * step * <-g, d>. Each search
+    starts one step above the last accepted one (at most 1), shrinks while
+    Armijo fails and grows while it holds, at about two and a half cost
     evaluations per iteration instead of a dozen.
 
     On a convex quadratic line the Armijo test with slope 1/2 holds exactly
@@ -157,18 +140,14 @@ def steepest_descent(
     about 2 t*: the new gradient then points back along the previous
     direction, the conjugate direction stops descending, and on some
     graphs nearly every iteration restarts, which can run a descent into
-    max_iters while others stop early on a short step.
+    the iteration cap while others stop early on a short step.
 
-    Stops when the projected gradient norm falls under grad_tol
-    ("gradient"), when the cost decrease stalls relative to rel_cost_tol
-    ("relative-cost"), when no grid step satisfies Armijo ("line-search"),
-    or after max_iters ("max-iters"). Raises NumericalError when a cost or
-    gradient is not finite.
+    Stops when the projected gradient norm is at most GRAD_TOL
+    ("gradient"), when the cost falls by at most REL_COST_TOL times
+    max(1, |cost|) ("relative-cost"), when no trial step satisfies Armijo
+    ("line-search"), or after MAX_ITERS iterations ("max-iters"). Raises
+    NumericalError when a cost or gradient is not finite.
     """
-    steps = [cfg.armijo_initial_step]
-    for _ in range(cfg.armijo_max_backtracks - 1):
-        steps.append(steps[-1] * cfg.armijo_shrink)
-
     p = p0
     f = float(cost(p))
     if not np.isfinite(f):
@@ -181,20 +160,20 @@ def steepest_descent(
     grad_prev = direction = None
 
     def trial(idx: int) -> tuple[StiefelPoint, float, bool]:
-        step = steps[idx]
+        step = STEPS[idx]
         candidate = retract_qr(p, step * direction)
         f_new = float(cost(candidate))
         if not np.isfinite(f_new):
             raise NumericalError(f"cost is not finite at iteration {iters} (step {step:g})")
-        return candidate, f_new, f_new <= f - cfg.armijo_slope * step * slope
+        return candidate, f_new, f_new <= f - ARMIJO_SLOPE * step * slope
 
-    for iters in range(1, cfg.max_iters + 1):
+    for iters in range(1, MAX_ITERS + 1):
         egrad = euclid_grad(p)
         if not np.isfinite(egrad).all():
             raise NumericalError(f"gradient is not finite at iteration {iters}")
         grad = project_tangent(p, egrad)
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= cfg.grad_tol:
+        if grad_norm <= GRAD_TOL:
             converged_by = "gradient"
             break
 
@@ -215,7 +194,7 @@ def steepest_descent(
                 j -= 1
                 accepted = larger
         else:
-            while not accepted[2] and j + 1 < len(steps):
+            while not accepted[2] and j + 1 < len(STEPS):
                 j += 1
                 accepted = trial(j)
             if not accepted[2]:
@@ -226,7 +205,7 @@ def steepest_descent(
         prev = f
         p, f, _ = accepted
         history.append(f)
-        if abs(prev - f) <= cfg.rel_cost_tol * max(1.0, abs(prev)):
+        if abs(prev - f) <= REL_COST_TOL * max(1.0, abs(prev)):
             converged_by = "relative-cost"
             break
 

@@ -128,7 +128,13 @@ FAMILIES = ("g3", "g6", "c2", "bp")
 
 def make_family(name: str, size: int, prob: float, intra_mode: str) -> CommunitySpec:
     """The named family at one size. `prob` is the c2 central coupling
-    (0.42 when NaN) or the bp inter rate (required); g3 and g6 ignore it."""
+    (0.42 when NaN) or the bp inter rate (required); g3 and g6 take none,
+    so it must be NaN for them. `intra_mode` other than 'bipartite' applies
+    to bp only. A flag the family does not use raises InputError."""
+    if name in ("g3", "g6") and prob == prob:
+        raise InputError(f"family {name} takes no coupling probability, got {prob}")
+    if name in ("g3", "g6", "c2") and intra_mode != "bipartite":
+        raise InputError(f"intra_mode {intra_mode!r} applies only to family bp, not {name}")
     if name == "g3":
         return make_g3(size)
     if name == "g6":

@@ -355,6 +355,27 @@ class TestCli:
         assert rc == 1
         assert f"--k must be >= 1, got {k}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--family", "g3", "--size", "5", "--edges", "/nonexistent.txt"], "give either --family or --edges"),
+            (["--family", "g3", "--size", "5", "--labels", "/nonexistent.txt"], "--labels needs --edges"),
+            (["--edges", "/nonexistent.txt", "--size", "5"], "--size, --prob and --intra-mode need --family"),
+            (["--edges", "/nonexistent.txt", "--prob", "0.3"], "--size, --prob and --intra-mode need --family"),
+            (["--edges", "/nonexistent.txt", "--intra-mode", "hub"], "--size, --prob and --intra-mode need --family"),
+            (["--family", "g6", "--size", "5", "--prob", "0.9"], "family g6 takes no coupling probability"),
+            (["--family", "g6", "--size", "5", "--intra-mode", "hub"], "applies only to family bp, not g6"),
+        ],
+    )
+    def test_cluster_flag_it_would_drop_exit_code(self, capsys, argv, message):
+        assert main(["cluster", "--method", "cnm"] + argv) == 1
+        assert message in capsys.readouterr().err
+
+    def test_synth_probability_the_family_ignores_exit_code(self, tmp_path, capsys):
+        argv = ["synth", "--family", "g3", "--sizes", "5", "--probs", "0.1,0.9", "--methods", "cnm"]
+        assert main(argv + ["--reps", "1", "--out", str(tmp_path / "out")]) == 1
+        assert "family g3 takes no coupling probability" in capsys.readouterr().err
+
     @pytest.mark.parametrize("weight", ["-1", "0", "nan", "inf"])
     def test_cluster_bad_edge_weight_exit_code(self, tmp_path, capsys, weight):
         edges = tmp_path / "edges.txt"

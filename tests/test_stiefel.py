@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from templateclust import (
     CommunitySpec,
-    DescentConfig,
     InputError,
     NumericalError,
     StiefelPoint,
@@ -22,6 +21,7 @@ from templateclust import (
     sample_graph,
     steepest_descent,
 )
+from templateclust.stiefel import ARMIJO_SLOPE, GRAD_TOL, MAX_ITERS, REL_COST_TOL, STEPS
 
 from conftest import random_simple_graph
 
@@ -132,10 +132,7 @@ def test_descent_known_minimizer(rng):
     def grad(p):
         return 2.0 * (p.matrix - target.matrix)
 
-    # initial step 0.25 avoids the reflection cycle a unit step causes on
-    # this quadratic (where -grad overshoots the minimizer)
-    cfg = DescentConfig(armijo_initial_step=0.25, grad_tol=1e-9, rel_cost_tol=1e-16)
-    p, trace = steepest_descent(cost, grad, p0, cfg)
+    p, trace = steepest_descent(cost, grad, p0)
     assert cost(p) <= 1e-6
     assert all(b <= a + 1e-12 for a, b in zip(trace.cost_history, trace.cost_history[1:]))
 
@@ -153,36 +150,9 @@ def test_descent_history_non_increasing(rng):
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
 
-def test_config_validation():
-    with pytest.raises(InputError):
-        DescentConfig(armijo_shrink=1.5)
-    with pytest.raises(InputError):
-        DescentConfig(grad_tol=0.0)
-    with pytest.raises(InputError):
-        DescentConfig(armijo_max_backtracks=0)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("max_iters", 0),
-        ("max_iters", -3),
-        ("grad_tol", -1e-6),
-        ("grad_tol", float("nan")),
-        ("rel_cost_tol", 0.0),
-        ("rel_cost_tol", float("nan")),
-        ("armijo_initial_step", -1.0),
-        ("armijo_initial_step", float("nan")),
-    ],
-)
-def test_config_rejects_non_positive_or_nan(field, value):
-    with pytest.raises(InputError, match=field):
-        DescentConfig(**{field: value})
-
-
-def cold_start_descent(cost, euclid_grad, p0, cfg=DescentConfig(), conjugate=True):
-    """Reference descent whose every line search starts at
-    armijo_initial_step and shrinks until Armijo holds, so it accepts the
+def cold_start_descent(cost, euclid_grad, p0, conjugate=True):
+    """Reference descent whose every line search starts at the largest
+    trial step and shrinks until Armijo holds, so it accepts the
     largest passing grid step. With conjugate=True it searches along the
     Polak-Ribiere+ direction and restarts from -gradient where
     steepest_descent does; with conjugate=False it is plain steepest
@@ -191,10 +161,10 @@ def cold_start_descent(cost, euclid_grad, p0, cfg=DescentConfig(), conjugate=Tru
     f = float(cost(p))
     history = [f]
     grad_prev = direction = None
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         grad = project_tangent(p, euclid_grad(p))
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= cfg.grad_tol:
+        if grad_norm <= GRAD_TOL:
             return p, history, "gradient"
         sq = grad_norm * grad_norm
         d, slope = -grad, sq
@@ -204,18 +174,16 @@ def cold_start_descent(cost, euclid_grad, p0, cfg=DescentConfig(), conjugate=Tru
             if beta > 0.0 and float(np.vdot(grad, cg)) < 0.0:
                 d, slope = cg, -float(np.vdot(grad, cg))
         grad_prev, sq_prev, direction = grad, sq, d
-        step = cfg.armijo_initial_step
-        for _ in range(cfg.armijo_max_backtracks):
+        for step in STEPS:
             candidate = retract_qr(p, step * direction)
             f_new = float(cost(candidate))
-            if f_new <= f - cfg.armijo_slope * step * slope:
+            if f_new <= f - ARMIJO_SLOPE * step * slope:
                 break
-            step *= cfg.armijo_shrink
         else:
             return p, history, "line-search"
         p, prev, f = candidate, f, f_new
         history.append(f)
-        if abs(prev - f) <= cfg.rel_cost_tol * max(1.0, abs(prev)):
+        if abs(prev - f) <= REL_COST_TOL * max(1.0, abs(prev)):
             return p, history, "relative-cost"
     return p, history, "max-iters"
 
@@ -281,25 +249,43 @@ def test_restart_counted(scale):
     # on the circle (n=2, k=1) the gradient J p is tangent. Reversing it
     # makes the PR+ candidate an ascent direction; shrinking it tenfold
     # makes beta negative, clipped to 0. Either way iteration 2 restarts.
+    # The third gradient is zero, which stops the descent there.
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    scales = iter([1.0, scale])
+    scales = iter([1.0, scale, 0.0])
     calls = [0]
 
     def cost(p):  # falls on every call, so Armijo takes the first step
         calls[0] += 1
         return -float(calls[0])
 
-    cfg = DescentConfig(max_iters=2, armijo_initial_step=0.01)
     p0 = StiefelPoint(np.array([[1.0], [0.0]]))
-    p, trace = steepest_descent(cost, lambda p: next(scales) * rot @ p.matrix, p0, cfg)
+    p, trace = steepest_descent(cost, lambda p: next(scales) * rot @ p.matrix, p0)
+    assert trace.converged_by == "gradient"
     assert trace.iterates_count == 2
     assert trace.restarts == 1
-    p1 = retract_qr(p0, 0.01 * -project_tangent(p0, rot @ p0.matrix))
+    p1 = retract_qr(p0, -project_tangent(p0, rot @ p0.matrix))
     g1 = project_tangent(p1, scale * rot @ p1.matrix)
-    assert np.array_equal(p.matrix, retract_qr(p1, 0.01 * -g1).matrix)
+    assert np.array_equal(p.matrix, retract_qr(p1, -g1).matrix)
 
 
-def test_default_slope_avoids_restart_storm():
+def test_iteration_cap_stop_reason():
+    # on the circle a cost that falls on every call never stalls and its
+    # gradient J p never vanishes, so only the iteration cap stops it
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    calls = [0]
+
+    def cost(p):
+        calls[0] += 1
+        return -float(calls[0])
+
+    p0 = StiefelPoint(np.array([[1.0], [0.0]]))
+    p, trace = steepest_descent(cost, lambda p: rot @ p.matrix, p0)
+    assert trace.converged_by == "max-iters"
+    assert trace.iterates_count == MAX_ITERS
+    assert np.linalg.norm(p.matrix) == pytest.approx(1.0)
+
+
+def test_default_slope_avoids_restart_storm(monkeypatch):
     # six planted communities of ten, seed 2: with Armijo slope 1e-4 the
     # accepted steps overshoot the line minimum and the descent restarts
     # from -gradient at nearly every iteration; the default slope keeps
@@ -308,8 +294,9 @@ def test_default_slope_avoids_restart_storm():
     np.fill_diagonal(rates, 0.4)
     spec = CommunitySpec((10,) * 6, rates)
     cost, grad, p0 = template_problem(spec, seed=2)
-    _, storm = steepest_descent(cost, grad, p0, DescentConfig(armijo_slope=1e-4))
     _, trace = steepest_descent(cost, grad, p0)
+    monkeypatch.setattr("templateclust.stiefel.ARMIJO_SLOPE", 1e-4)
+    _, storm = steepest_descent(cost, grad, p0)
     assert storm.restarts > 0.9 * storm.iterates_count
     assert trace.restarts < 0.25 * trace.iterates_count
     assert trace.iterates_count < storm.iterates_count / 4
@@ -354,7 +341,6 @@ def test_line_search_exhausted_stop_reason(rng):
         lambda p: float(np.sum((p.matrix - m) ** 2)),
         lambda p: -2.0 * (p.matrix - m),
         p0,
-        DescentConfig(armijo_max_backtracks=10),
     )
     assert trace.converged_by == "line-search"
     assert trace.line_search_failed

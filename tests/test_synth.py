@@ -156,7 +156,7 @@ class TestMakeFamily:
         "name, prob, intra_mode, direct",
         [
             ("g3", float("nan"), "bipartite", make_g3(7)),
-            ("g6", 0.3, "hub", make_g6(7)),
+            ("g6", float("nan"), "bipartite", make_g6(7)),
             ("c2", 0.3, "bipartite", make_c2(7, 0.3)),
             ("c2", float("nan"), "bipartite", make_c2(7, 0.42)),
             ("bp", 0.6, "bipartite", make_bp(7, 0.6, "bipartite")),
@@ -170,7 +170,19 @@ class TestMakeFamily:
 
     def test_every_family_builds(self):
         for name in FAMILIES:
-            assert make_family(name, 3, 0.5, "bipartite").sizes[0] == 3
+            prob = float("nan") if name in ("g3", "g6") else 0.5
+            assert make_family(name, 3, prob, "bipartite").sizes[0] == 3
+
+    @pytest.mark.parametrize("name", ["g3", "g6"])
+    def test_probability_rejected_where_unused(self, name):
+        with pytest.raises(InputError, match=f"family {name} takes no coupling probability"):
+            make_family(name, 5, 0.1, "bipartite")
+
+    @pytest.mark.parametrize("name", ["g3", "g6", "c2"])
+    def test_hub_mode_rejected_outside_bp(self, name):
+        prob = 0.3 if name == "c2" else float("nan")
+        with pytest.raises(InputError, match=f"intra_mode 'hub' applies only to family bp, not {name}"):
+            make_family(name, 5, prob, "hub")
 
     def test_bp_needs_probability(self):
         with pytest.raises(InputError, match="inter-connection probability"):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from templateclust import (
-    DescentConfig,
     InputError,
     StiefelPoint,
     TemplateModel,
