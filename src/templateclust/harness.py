@@ -34,7 +34,7 @@ from templateclust.metrics import (
     projector_distance,
 )
 from templateclust.stiefel import StiefelPoint
-from templateclust.synth import add_model_noise, expected_model, make_family, sample_graph
+from templateclust.synth import C2_COUPLING, add_model_noise, expected_model, make_family, sample_graph
 from templateclust.template import TemplateModel, template_cluster
 
 METHODS = ("tb", "spectral", "cnm", "louvain")
@@ -164,7 +164,8 @@ def _instances(
     the expected-value template; real loads the files once and adds template
     noise per repetition."""
     if cfg.kind == "synth":
-        points = [(size, prob) for size in cfg.sizes for prob in cfg.probs]
+        probs = [C2_COUPLING if cfg.dataset == "c2" and p != p else p for p in cfg.probs]
+        points = [(size, prob) for size in cfg.sizes for prob in probs]
         for point_idx, (size, prob) in enumerate(points):
             spec = make_family(cfg.dataset, size, prob, cfg.intra_mode)
             model = expected_model(spec)

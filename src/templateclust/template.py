@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from templateclust.errors import InputError
+from templateclust.errors import InputError, NumericalError
 from templateclust.graphs import Graph
 from templateclust.stiefel import DescentTrace, StiefelPoint, random_stiefel, steepest_descent
 
@@ -93,83 +93,83 @@ def euclidean_gradient(a_o: np.ndarray, a_m: TemplateModel, p: StiefelPoint) -> 
     return 4.0 * (ap @ (p.matrix.T @ ap) - ap @ a_m.weights)
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seed centroids by k-means++: spread proportional to squared distance."""
-    n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
-    for c in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centroids[c] = points[rng.integers(n)]
-        else:
-            centroids[c] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((points - centroids[c]) ** 2, axis=1))
-    return centroids
+def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, restarts: int) -> np.ndarray:
+    """k-means++ centroids for every restart at once, shape (restarts, k, d).
 
-
-def _lloyd(
-    points: np.ndarray, centroids: np.ndarray, max_iters: int
-) -> tuple[np.ndarray, float]:
-    """Lloyd iterations from the given centroids, all clusters at once.
-
-    Squared distances are ||x||^2 - 2 x.c + ||c||^2, so one n x k matrix
-    product replaces the n x k x d difference tensor, and the centroids are
-    the one-hot membership matrix times the points, over the cluster counts.
+    Each restart draws rng.integers(n), then rng.random(k - 1): the stream of
+    a per-restart rng.choice(n, p=d2 / total), whose pick is the count of
+    cdf <= u. A restart whose squared distances sum to 0 (fewer distinct rows
+    than k) picks row floor(u * n) instead.
     """
     n = points.shape[0]
-    k = centroids.shape[0]
-    rows = np.arange(n)
+    first, u = map(np.array, zip(*[(rng.integers(n), rng.random(k - 1)) for _ in range(restarts)]))
+    idx = np.column_stack([first, (u * n).astype(int)])
+    d2 = np.sum((points - points[first, None]) ** 2, axis=2)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where the distances sum to 0
+        for c in range(1, k):
+            total = d2.sum(axis=1, keepdims=True)
+            cdf = np.cumsum(d2 / total, axis=1)
+            picked = (cdf / cdf[:, -1:] <= u[:, c - 1 : c]).sum(axis=1)
+            idx[:, c] = np.where(total[:, 0] > 0, picked, idx[:, c])
+            d2 = np.minimum(d2, np.sum((points - points[idx[:, c], None]) ** 2, axis=2))
+    return points[idx]
+
+
+def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iterations from each restart's centroids (R, k, d), all at once;
+    returns labels (R, n) and inertias (R,). Distances ||x||^2 - 2 x.c + ||c||^2
+    and centroids (one-hot membership times points, over counts) are batched
+    matrix products. A restart retires once its labels stop changing, a fixed
+    point, so every restart ends as it would alone."""
+    restarts, k, _ = centroids.shape
+    rows = np.arange(points.shape[0])
     point_sq = np.einsum("ij,ij->i", points, points)[:, None]
 
     def sq_dists(c: np.ndarray) -> np.ndarray:
-        return point_sq - 2.0 * (points @ c.T) + np.einsum("ij,ij->i", c, c)
+        return point_sq - 2.0 * (points @ c.transpose(0, 2, 1)) + np.einsum("rij,rij->ri", c, c)[:, None]
 
-    labels = np.zeros(n, dtype=int)
+    labels = np.zeros((restarts, rows.size), dtype=int)
+    centroids = centroids.copy()
+    active = np.arange(restarts)
     for _ in range(max_iters):
-        dists = sq_dists(centroids)
+        dists = sq_dists(centroids[active])
         # ties broken toward the lowest centroid index by argmin
-        new_labels = np.argmin(dists, axis=1)
-        counts = np.bincount(new_labels, minlength=k)
-        if not counts.all():
-            # an empty cluster takes the point farthest from its centroid
-            # among clusters of two or more, so no cluster is emptied
-            far = dists[rows, new_labels]
-            for c in np.flatnonzero(counts == 0):
-                worst = int(np.argmax(np.where(counts[new_labels] > 1, far, -np.inf)))
-                counts[new_labels[worst]] -= 1
-                new_labels[worst] = c
-                counts[c] = 1
-        membership = np.zeros((n, k))
-        membership[rows, new_labels] = 1.0
-        centroids = (membership.T @ points) / counts[:, None]
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
+        new_labels = np.argmin(dists, axis=2)
+        counts = np.bincount((new_labels + k * active[:, None]).ravel(), minlength=restarts * k)
+        counts = counts.reshape(restarts, k)[active]
+        # an empty cluster takes the point farthest from its centroid among
+        # clusters of two or more, so no cluster is emptied
+        for r, c in zip(*np.nonzero(counts == 0)):
+            far = np.where(counts[r, new_labels[r]] > 1, dists[r, rows, new_labels[r]], -np.inf)
+            worst = int(np.argmax(far))
+            counts[r, new_labels[r, worst]] -= 1
+            new_labels[r, worst] = c
+            counts[r, c] = 1
+        centroids[active] = (np.eye(k)[new_labels].transpose(0, 2, 1) @ points) / counts[:, :, None]
+        moved = (new_labels != labels[active]).any(axis=1)
+        labels[active] = new_labels
+        active = active[moved]
+        if not active.size:
             break
-        labels = new_labels
-    inertia = float(sq_dists(centroids)[rows, labels].sum())
-    return labels, inertia
+    return labels, sq_dists(centroids)[np.arange(restarts)[:, None], rows, labels].sum(axis=1)
 
 
 def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Lloyd's algorithm with k-means++ seeding; best of 10 restarts by inertia."""
+    """Lloyd's algorithm with k-means++ seeding; best of 10 restarts by inertia,
+    seeded and iterated as one batch in which each restart gets its own
+    sequential result; the first of equal inertias wins."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise InputError("points must be a 2-d array of row vectors")
-    n = points.shape[0]
-    if n < k or k < 1:
-        raise InputError(f"need n >= k >= 1, got n={n}, k={k}")
-    best_labels: np.ndarray | None = None
-    best_inertia = np.inf
-    for _ in range(10):
-        centroids = _kmeans_pp_init(points, k, rng)
-        labels, inertia = _lloyd(points, centroids, max_iters=300)
-        if inertia < best_inertia:
-            best_inertia = inertia
-            best_labels = labels
-    assert best_labels is not None
-    return best_labels, best_inertia
+    if not np.isfinite(points).all():
+        raise InputError("points contain non-finite values (NaN or inf)")
+    if not 1 <= k <= len(points):
+        raise InputError(f"need n >= k >= 1, got n={len(points)}, k={k}")
+    labels, inertia = _lloyd(points, _kmeans_pp_init(points, k, rng, restarts=10), max_iters=300)
+    if not np.isfinite(inertia).all():
+        raise NumericalError("k-means squared distances overflow: the points are too far apart")
+    best = int(np.argmin(inertia))
+    return labels[best], float(inertia[best])
 
 
 def eigenvector_start(a_o: np.ndarray, model: TemplateModel) -> tuple[StiefelPoint, float]:

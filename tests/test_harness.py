@@ -228,6 +228,16 @@ def test_baseline_records_unchanged(tmp_path, family):
     assert (tmp_path / "records.csv").read_text(encoding="utf-8") == expected
 
 
+def test_c2_without_probs_writes_its_coupling(tmp_path):
+    base = ["synth", "--family", "c2", "--sizes", "5", "--reps", "1", "--methods", "cnm"]
+    assert main(base + ["--out", str(tmp_path / "default")]) == 0
+    assert main(base + ["--probs", "0.42", "--out", str(tmp_path / "given")]) == 0
+    records = (tmp_path / "default" / "records.csv").read_text(encoding="utf-8")
+    assert records.splitlines()[1].startswith("c2,cnm,5,0.42,0,0,ok,")
+    for name in ("records.csv", "summary.csv"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "given" / name).read_bytes()
+
+
 class TestCli:
     def test_synth_command(self, tmp_path, capsys):
         rc = main(

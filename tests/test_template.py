@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from templateclust import (
     InputError,
+    NumericalError,
     StiefelPoint,
     TemplateModel,
     adjusted_rand_index,
@@ -169,6 +170,18 @@ class TestKMeans:
         with pytest.raises(InputError):
             kmeans(np.zeros((2, 2)), 3, rng)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points(self, rng, bad):
+        pts = rng.standard_normal((6, 2))
+        pts[3, 1] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            kmeans(pts, 2, rng)
+
+    def test_overflowing_distances(self, rng):
+        pts = np.array([[0.0], [1e200], [2e200], [3e200]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="overflow"):
+            kmeans(pts, 2, rng)
+
 
 def lloyd_by_cluster_loop(points, centroids, max_iters):
     """Reference Lloyd: an n x k x d difference tensor per assignment and one
@@ -196,10 +209,56 @@ def lloyd_by_cluster_loop(points, centroids, max_iters):
     return labels, float(dists[np.arange(n), labels].sum())
 
 
-def kmeans_by_cluster_loop(points, k, rng, restarts=10, max_iters=300):
+def kmeans_pp_by_choice(points, k, rng):
+    """Reference k-means++ seeding for one restart: each later centroid is
+    drawn by rng.choice with probability proportional to squared distance."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    for c in range(1, k):
+        centroids[c] = points[rng.choice(n, p=d2 / d2.sum())]
+        d2 = np.minimum(d2, np.sum((points - centroids[c]) ** 2, axis=1))
+    return centroids
+
+
+def lloyd_one_restart(points, centroids, max_iters):
+    """Reference Lloyd for one restart in the package's arithmetic (matrix
+    product distances, one-hot centroid sums, the same empty-cluster refill),
+    as `_lloyd` ran each restart before the restarts became one batch."""
+    n, k = points.shape[0], centroids.shape[0]
+    rows = np.arange(n)
+    point_sq = np.einsum("ij,ij->i", points, points)[:, None]
+
+    def sq_dists(c):
+        return point_sq - 2.0 * (points @ c.T) + np.einsum("ij,ij->i", c, c)
+
+    labels = np.zeros(n, dtype=int)
+    for _ in range(max_iters):
+        dists = sq_dists(centroids)
+        new_labels = np.argmin(dists, axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        far = dists[rows, new_labels]
+        for c in np.flatnonzero(counts == 0):
+            worst = int(np.argmax(np.where(counts[new_labels] > 1, far, -np.inf)))
+            counts[new_labels[worst]] -= 1
+            new_labels[worst] = c
+            counts[c] = 1
+        membership = np.zeros((n, k))
+        membership[rows, new_labels] = 1.0
+        centroids = (membership.T @ points) / counts[:, None]
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return new_labels, float(sq_dists(centroids)[rows, new_labels].sum())
+
+
+def kmeans_by_cluster_loop(points, k, rng, restarts=10, max_iters=300, lloyd=lloyd_by_cluster_loop):
+    """Reference k-means: restarts one after another, each seeded by
+    `kmeans_pp_by_choice` and run by `lloyd`, the first of equal inertias kept."""
     best_labels, best_inertia = None, np.inf
     for _ in range(restarts):
-        labels, inertia = lloyd_by_cluster_loop(points, _kmeans_pp_init(points, k, rng), max_iters)
+        labels, inertia = lloyd(points, kmeans_pp_by_choice(points, k, rng), max_iters)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels, best_inertia
@@ -235,7 +294,7 @@ class TestLloydMatchesClusterLoop:
     def test_ties_go_to_the_lowest_index(self):
         # 1 is exactly as far from centroid 0 as from centroid 2
         points = np.array([[0.0], [1.0], [2.0]])
-        labels, _ = _lloyd(points, np.array([[0.0], [2.0]]), max_iters=1)
+        (labels,), _ = _lloyd(points, np.array([[[0.0], [2.0]]]), max_iters=1)
         ref_labels, _ = lloyd_by_cluster_loop(points, np.array([[0.0], [2.0]]), max_iters=1)
         assert np.array_equal(labels, [0, 0, 1])
         assert np.array_equal(labels, ref_labels)
@@ -270,9 +329,56 @@ class TestEmptyClusters:
         # alone in its cluster, so the empty third cluster takes the next
         # farthest, 0
         points = np.array([[0.0], [1.0], [2.0], [50.0]])
-        labels, inertia = _lloyd(points, np.array([[1.0], [60.0], [1000.0]]), max_iters=1)
+        (labels,), (inertia,) = _lloyd(points, np.array([[[1.0], [60.0], [1000.0]]]), max_iters=1)
         assert np.array_equal(labels, [2, 0, 0, 1])
         assert inertia == pytest.approx(0.5)
+
+    def test_zero_distance_seed_takes_row_floor_u_n(self):
+        # two distinct rows and k=3: once both are seeds the squared distances
+        # sum to 0, and the third seed is row floor(u * n) of its own uniform
+        points = np.array([[0.0], [0.0], [0.0], [5.0]])
+        seeds = _kmeans_pp_init(points, 3, np.random.default_rng(7), restarts=10)
+        twin = np.random.default_rng(7)
+        for r in range(10):
+            first, u = twin.integers(4), twin.random(2)
+            assert seeds[r, 0, 0] == points[first, 0]
+            assert seeds[r, 1, 0] == 5.0 - points[first, 0]
+            assert seeds[r, 2, 0] == points[int(u[1] * 4), 0]
+        rng = np.random.default_rng(7)
+        labels, inertia = kmeans(points, 3, rng)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        again, _ = kmeans(points, 3, np.random.default_rng(7))
+        assert np.array_equal(labels, again)
+        assert np.bincount(labels, minlength=3).all()
+        assert inertia == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    d=st.integers(1, 4),
+    k=st.integers(1, 6),
+    grid=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kmeans_matches_sequential_reference(n, d, k, grid, seed):
+    draw = np.random.default_rng(seed)
+    # integer grid points bring exact ties and duplicate rows
+    points = draw.integers(0, 3, (n, d)).astype(float) if grid else draw.standard_normal((n, d))
+    assume(len(np.unique(points, axis=0)) >= k)
+    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    labels, inertia = kmeans(points, k, rng)
+    ref_labels, ref_inertia = kmeans_by_cluster_loop(points, k, ref_rng, lloyd=lloyd_one_restart)
+    assert np.array_equal(labels, ref_labels)
+    assert inertia == pytest.approx(ref_inertia, rel=1e-9, abs=1e-12)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if not grid:
+        # at an exact tie the difference tensor's rounding can pick the other
+        # centroid, or another restart that found the same clusters under
+        # other numbers; off ties it must find the same partition
+        loop_labels, loop_inertia = kmeans_by_cluster_loop(points, k, np.random.default_rng(seed + 1))
+        assert len(set(zip(labels, loop_labels))) == len(set(labels)) == len(set(loop_labels))
+        assert inertia == pytest.approx(loop_inertia, rel=1e-9)
 
 
 class TestTemplateCluster:
