@@ -39,7 +39,7 @@ def spectral_embedding(g: Graph, k: int) -> StiefelPoint:
     """
     if g.n < k or k < 1:
         raise InputError(f"need n >= k >= 1, got n={g.n}, k={k}")
-    _, evecs = np.linalg.eigh(laplacian(g))
+    _, evecs = g.eigh("laplacian", lambda: laplacian(g))
     embedding = evecs[:, :k].copy()
     for c in range(k):
         col = embedding[:, c]

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from templateclust.errors import InputError
+from templateclust.errors import InputError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -19,6 +20,7 @@ class Graph:
 
     adjacency: np.ndarray
     n: int = field(init=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         adj = np.asarray(self.adjacency, dtype=float)
@@ -38,6 +40,20 @@ class Graph:
     def total_edge_weight(self) -> float:
         """Sum of weights over unordered vertex pairs, excluding self-loops."""
         return float(np.triu(self.adjacency, k=1).sum())
+
+    def eigh(self, key: str, matrix: Callable[[], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only `np.linalg.eigh` of the matrix `key` names ("adjacency",
+        "laplacian"), built by `matrix()` and factored on the first request
+        only; the graph is immutable, so the factors never go stale."""
+        if key not in self._factors:
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = matrix()
+            if not np.isfinite(m).all():
+                raise NumericalError(f"the graph's {key} overflows: entries are not finite")
+            self._factors[key] = np.linalg.eigh(m)
+            for a in self._factors[key]:
+                a.setflags(write=False)
+        return self._factors[key]
 
 
 def build_graph(edges: list[tuple[int, int, float]], n: int) -> Graph:

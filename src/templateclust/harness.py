@@ -160,20 +160,19 @@ def _instances(
     cfg: ExperimentConfig,
 ) -> Iterator[tuple[int | None, float, int, int, Graph, GroundTruth, TemplateModel]]:
     """Yield (size, param, point_idx, rep, graph, truth, template) for every
-    repetition of the grid: synth samples each graph from its family and uses
-    the expected-value template; real loads the files once and adds template
-    noise per repetition."""
+    repetition of the grid: synth samples each graph from its family (once per
+    point under `fixed_graph`) and uses the expected-value template; real
+    loads the files once and adds template noise per repetition."""
     if cfg.kind == "synth":
         probs = [C2_COUPLING if cfg.dataset == "c2" and p != p else p for p in cfg.probs]
         points = [(size, prob) for size in cfg.sizes for prob in probs]
         for point_idx, (size, prob) in enumerate(points):
             spec = make_family(cfg.dataset, size, prob, cfg.intra_mode)
             model = expected_model(spec)
+            # a fixed graph is sampled once, so its repetitions share its factors
+            fixed = sample_graph(spec, np.random.default_rng((cfg.base_seed, point_idx))) if cfg.fixed_graph else None
             for rep in range(cfg.repetitions):
-                graph_rng = np.random.default_rng(
-                    (cfg.base_seed, point_idx) if cfg.fixed_graph else (cfg.base_seed, point_idx, rep)
-                )
-                graph, gt = sample_graph(spec, graph_rng)
+                graph, gt = fixed or sample_graph(spec, np.random.default_rng((cfg.base_seed, point_idx, rep)))
                 yield size, prob, point_idx, rep, graph, gt, model
     else:
         graph, id_map = load_edge_list(cfg.edges_path)

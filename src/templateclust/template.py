@@ -165,18 +165,24 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.nda
         raise InputError("points contain non-finite values (NaN or inf)")
     if not 1 <= k <= len(points):
         raise InputError(f"need n >= k >= 1, got n={len(points)}, k={k}")
+    # centroids are means of rows, so every squared distance and every term of
+    # ||x||^2 - 2 x.c + ||c||^2 is at most 4 ||X||_F^2, and 4 n ||X||_F^2
+    # bounds each sum that seeding and Lloyd take
+    with np.errstate(over="ignore"):
+        bound = 4.0 * len(points) * float(np.vdot(points, points))
+    if not np.isfinite(bound):
+        raise NumericalError("k-means squared distances overflow: the points lie too far from the origin")
     labels, inertia = _lloyd(points, _kmeans_pp_init(points, k, rng, restarts=10), max_iters=300)
-    if not np.isfinite(inertia).all():
-        raise NumericalError("k-means squared distances overflow: the points are too far apart")
     best = int(np.argmin(inertia))
     return labels[best], float(inertia[best])
 
 
-def eigenvector_start(a_o: np.ndarray, model: TemplateModel) -> tuple[StiefelPoint, float]:
+def eigenvector_start(g_o: Graph, model: TemplateModel) -> tuple[StiefelPoint, float]:
     """The eigenvector frame P* = V_S U^T and the interlacing lower bound LB
-    on the misfit, as defined in the module docstring."""
+    on the misfit, as defined in the module docstring; A_O's factors come
+    from the graph's memo."""
     lam, u = np.linalg.eigh(model.weights)
-    mu, v = np.linalg.eigh(a_o)
+    mu, v = g_o.eigh("adjacency", lambda: g_o.adjacency)
     n, k = mu.size, lam.size
     negative = int(np.count_nonzero(lam < 0))
     v_s = np.hstack([v[:, :negative], v[:, n - k + negative :]])
@@ -200,7 +206,7 @@ def template_cluster(g_o: Graph, model: TemplateModel, rng: np.random.Generator)
     if g_o.n <= model.k:
         raise InputError(f"graph has n={g_o.n} vertices but template needs n > k={model.k}")
     a_o = g_o.adjacency
-    p_star, lower_bound = eigenvector_start(a_o, model)
+    p_star, lower_bound = eigenvector_start(g_o, model)
     with np.errstate(over="ignore"):
         slack = CERTIFICATE_TOL * max(1.0, float(np.sum(model.weights**2)))
     certified = objective(a_o, model, p_star) <= lower_bound + slack

@@ -1,0 +1,179 @@
+"""Each graph matrix is factored once, on the graph that owns it.
+
+`Graph.eigh` memoizes the eigendecompositions of the adjacency and the
+Laplacian, so a spectral repetition, every repetition and noise level of a
+`real` grid, and every repetition of a `--fixed-graph` point reuse one
+factorization. An AST guard keeps new eigensolver calls out of the rest of
+the package.
+"""
+
+import ast
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from templateclust import Graph, NumericalError, laplacian, make_g3, sample_graph, spectral_cluster
+from templateclust import baselines
+from templateclust.cli import main
+from templateclust.harness import run_method
+
+from conftest import random_simple_graph
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "templateclust"
+
+SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
+
+# the graph memo, and the k x k template factorization
+ALLOWED = {
+    ("graphs.py", "Graph.eigh", "np.linalg.eigh(m)"),
+    ("template.py", "eigenvector_start", "np.linalg.eigh(model.weights)"),
+}
+
+
+def eigensolver_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing class/function path, call) for each dense eigensolver call:
+    `<...>.linalg.<solver>(...)` or a bare `<solver>(...)`."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                parts = ast.unparse(child.func).split(".")
+                if parts[-1] in SOLVERS and (len(parts) == 1 or parts[-2] == "linalg"):
+                    found.append((scope, ast.unparse(child)))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_detector():
+    source = (
+        "class G:\n"
+        "    def f(self):\n"
+        "        return np.linalg.eigh(self.a)\n"
+        "def g(x):\n"
+        "    y = scipy.linalg.eigvalsh(x) + eig(x)\n"
+        "    return x.eigh('adjacency', lambda: x)\n"
+    )
+    assert eigensolver_calls(source) == [
+        ("G.f", "np.linalg.eigh(self.a)"),
+        ("g", "scipy.linalg.eigvalsh(x)"),
+        ("g", "eig(x)"),
+    ]
+
+
+def test_package_factors_graphs_only_through_the_memo():
+    calls = {
+        (path.name, scope, call)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, call in eigensolver_calls(path.read_text(encoding="utf-8"))
+    }
+    assert calls - ALLOWED == set()
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Orders of the matrices passed to np.linalg.eigh, in call order."""
+    orders = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        orders.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return orders
+
+
+@pytest.fixture
+def laplacians(monkeypatch):
+    """Graphs whose Laplacian the spectral baseline built, in call order."""
+    built = []
+
+    def counting(g):
+        built.append(g)
+        return laplacian(g)
+
+    monkeypatch.setattr(baselines, "laplacian", counting)
+    return built
+
+
+class TestMemo:
+    @pytest.mark.parametrize("key", ["adjacency", "laplacian"])
+    def test_read_only_and_bit_identical_to_a_fresh_eigh(self, rng, key):
+        g = random_simple_graph(12, rng)
+        matrix = g.adjacency if key == "adjacency" else laplacian(g)
+        evals, evecs = g.eigh(key, lambda: matrix)
+        fresh_evals, fresh_evecs = np.linalg.eigh(matrix)
+        assert np.array_equal(evals, fresh_evals) and np.array_equal(evecs, fresh_evecs)
+        assert not evals.flags.writeable and not evecs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            evecs[0, 0] = 1.0
+
+    def test_factors_on_the_first_request_only(self, rng, factored):
+        g = random_simple_graph(9, rng)
+        builds = []
+
+        def build():
+            builds.append(1)
+            return g.adjacency
+
+        first = g.eigh("adjacency", build)
+        again = g.eigh("adjacency", build)
+        assert builds == [1] and factored == [9]
+        assert all(a is b for a, b in zip(first, again))
+        g.eigh("laplacian", lambda: laplacian(g))
+        assert factored == [9, 9]
+
+    def test_graphs_do_not_share_factors(self, rng):
+        a, b = random_simple_graph(8, rng), random_simple_graph(8, rng)
+        mu_a, _ = a.eigh("adjacency", lambda: a.adjacency)
+        mu_b, _ = b.eigh("adjacency", lambda: b.adjacency)
+        assert not np.array_equal(mu_a, mu_b)
+
+    def test_overflowing_laplacian_raises_without_warning(self, rng):
+        # degrees of 5e308 overflow to inf; eigh would return NaN eigenvalues
+        # and identity columns, and k-means a partition of them
+        adj = np.full((6, 6), 1e308) - np.diag(np.full(6, 1e308))
+        g = Graph(adj)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="laplacian overflows"):
+                spectral_cluster(g, 2, rng)
+        with pytest.raises(NumericalError, match="laplacian overflows"):
+            g.eigh("laplacian", lambda: laplacian(g))  # a failure is not memoized as success
+
+
+class TestFactorizationCounts:
+    def test_spectral_repetition_factors_the_laplacian_once(self, factored, laplacians):
+        g, gt = sample_graph(make_g3(4), np.random.default_rng(0))
+        run_method("spectral", g, gt.k, None, np.random.default_rng(1))
+        assert factored == [g.n] and len(laplacians) == 1 and laplacians[0] is g
+
+    def test_cluster_spectral_factors_the_laplacian_once(self, factored, laplacians, capsys):
+        assert main(["cluster", "--family", "g3", "--size", "4", "--method", "spectral"]) == 0
+        assert factored == [12] and len(laplacians) == 1
+
+    def test_real_grid_factors_each_graph_matrix_once(self, tmp_path, factored, laplacians):
+        edges, labels = tmp_path / "edges.txt", tmp_path / "labels.txt"
+        blocks = [range(0, 5), range(5, 10)]
+        edges.write_text("".join(f"{i} {j}\n" for b in blocks for i in b for j in b if i < j) + "0 5\n")
+        labels.write_text("".join(f"{i} {i // 5}\n" for i in range(10)))
+        argv = ["real", "--edges", str(edges), "--labels", str(labels), "--sigma-list", "0,0.5"]
+        assert main(argv + ["--methods", "tb,spectral", "--reps", "3", "--out", str(tmp_path / "out")]) == 0
+        # A_O and L once each; the 2 x 2 template once per tb repetition
+        assert sorted(factored) == [2] * 6 + [10, 10]
+        assert len(laplacians) == 1
+
+    @pytest.mark.parametrize("fixed, graphs", [(True, 1), (False, 3)])
+    def test_fixed_graph_repetitions_share_one_graph(self, tmp_path, factored, laplacians, fixed, graphs):
+        argv = ["synth", "--family", "g3", "--sizes", "4", "--methods", "tb,spectral", "--reps", "3"]
+        assert main(argv + ["--fixed-graph"] * fixed + ["--out", str(tmp_path)]) == 0
+        assert sorted(factored) == [3] * 3 + [12] * (2 * graphs)
+        assert len({id(g) for g in laplacians}) == len(laplacians) == graphs

@@ -177,10 +177,22 @@ class TestKMeans:
         with pytest.raises(InputError, match="non-finite"):
             kmeans(pts, 2, rng)
 
+    @staticmethod
+    def assert_overflow_before_seeding(pts, k, rng):
+        # raised before seeding draws anything, and without a numpy warning
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflow"):
+                kmeans(np.array(pts), k, rng)
+        assert rng.bit_generator.state == state
+
     def test_overflowing_distances(self, rng):
-        pts = np.array([[0.0], [1e200], [2e200], [3e200]])
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="overflow"):
-            kmeans(pts, 2, rng)
+        self.assert_overflow_before_seeding([[0.0], [1e200], [2e200], [3e200]], 2, rng)
+
+    def test_overflowing_norms_of_equal_points(self, rng):
+        # no two points are apart, but ||x||^2 - 2 x.c + ||c||^2 overflows
+        self.assert_overflow_before_seeding([[1e200], [1e200], [1e200]], 1, rng)
 
 
 def lloyd_by_cluster_loop(points, centroids, max_iters):
@@ -524,7 +536,7 @@ class TestEigenvectorStart:
     @pytest.mark.parametrize("name", ["g6-40", "c2-10-0.60", "email"])
     def test_certified_start_matches_random_start_descent(self, name, seed, tmp_path, monkeypatch):
         g, model = self.instances(name, seed, tmp_path, monkeypatch)
-        p_star, bound = eigenvector_start(g.adjacency, model)
+        p_star, bound = eigenvector_start(g, model)
         assert bound == pytest.approx(interlacing_bound(g.adjacency, model.weights), rel=1e-12)
         assert objective(g.adjacency, model, p_star) <= bound + CERTIFICATE_TOL * certificate_scale(model)
         result = template_cluster(g, model, np.random.default_rng(seed))
@@ -537,7 +549,7 @@ class TestEigenvectorStart:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_saddle_falls_back_to_random_start(self, seed, tmp_path, monkeypatch):
         g, model = self.instances("c2-10-0.42", seed, tmp_path, monkeypatch)
-        p_star, bound = eigenvector_start(g.adjacency, model)
+        p_star, bound = eigenvector_start(g, model)
         assert objective(g.adjacency, model, p_star) > bound
         result = template_cluster(g, model, np.random.default_rng(seed))
         assert result.trace.iterates_count > 0
