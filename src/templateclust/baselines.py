@@ -6,13 +6,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from templateclust.errors import InputError
+from templateclust.errors import InputError, NumericalError
 from templateclust.graphs import Graph, block_sums, degree_matrix, laplacian
 from templateclust.stiefel import StiefelPoint
 from templateclust.template import kmeans
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Cluster labels canonicalized to 0..k_found-1 by first appearance."""
 
@@ -77,47 +77,73 @@ def modularity(g: Graph, part: Partition) -> float:
 
 
 def cnm_cluster(g: Graph) -> Partition:
-    """Greedy agglomerative modularity maximization.
+    """Greedy agglomerative modularity maximization (Clauset, Newman & Moore 2004).
 
     Starts from singletons and repeatedly merges the community pair with
     the largest positive modularity gain; ties go to the lexicographically
-    smallest pair of community ids. Communities live in a dense n x n
-    cross-weight matrix, and a merge recomputes only the merged community's
-    row and column of gains (Clauset, Newman & Moore 2004).
+    smallest pair of community ids, and the merged community keeps the
+    smaller id. Two dense n x n matrices hold the communities'
+    cross-weights and their symmetric gains; a merge recomputes the merged
+    community's row of gains and copies it to its column. An upper bound on
+    each row's largest gain, raised when a gain grows and tightened when the
+    row is read, finds the best pair in a few rows instead of a scan of the
+    whole matrix, and gives the same merges in the same order.
+
+    Raises NumericalError when (2m)^2 overflows or underflows, so that the
+    gains' degree term cannot be computed.
     """
     two_m = _check_edges(g)
+    two_m_sq = two_m * two_m
+    if not 0.0 < two_m_sq < np.inf:
+        raise NumericalError(f"modularity gains need (2m)^2 finite and nonzero, got 2m = {two_m:.3e}")
     n = g.n
     deg = degree_matrix(g)
-    # cross-weights between communities, joined only by positive edge
-    # weights; the diagonal is never read
-    cross = np.where(g.adjacency > 0, g.adjacency, 0.0)
-
-    def gain(w: np.ndarray, d_a: np.ndarray, d_b: np.ndarray) -> np.ndarray:
-        dq = 2.0 * w / two_m - 2.0 * d_a * d_b / (two_m * two_m)
-        return np.where(w > 0, dq, -np.inf)
-
-    # gains[a, b] for joined pairs a < b, -inf elsewhere, so the row-major
-    # first maximum is the lexicographically smallest best pair
-    gains = np.full((n, n), -np.inf)
-    upper = np.triu_indices(n, k=1)
-    gains[upper] = gain(cross[upper], deg[upper[0]], deg[upper[1]])
-    root = np.arange(n)
+    cross = g.adjacency.copy()  # cross-weights between communities; the diagonal is never read
+    # gains[a, b] = 2 w_ab/2m - 2 d_a d_b/(2m)^2. A pair with no edge has a
+    # gain <= 0, and only gains above 1e-15 are merged, so any positive
+    # maximum is a joined pair. By symmetry the row-major first maximum
+    # (a, b) has a < b and is the lexicographically smallest best pair.
+    gains = 2.0 * cross / two_m - (2.0 * deg)[:, None] * deg / two_m_sq
+    np.fill_diagonal(gains, -np.inf)
+    best = gains.max(axis=1)
+    dead = np.zeros(n, dtype=bool)
+    degree_term = np.empty(n)
+    merges = []
     while True:
-        a, b = divmod(int(np.argmax(gains)), n)
-        if not gains[a, b] > 1e-15:  # merge only strictly positive gains
+        a = int(np.argmax(best))
+        b = int(np.argmax(gains[a]))
+        top = gains[a, b]
+        if top < best[a]:  # a stale bound: tighten it and look again
+            best[a] = top
+            continue
+        # top is the largest gain; a is the first row reaching it
+        if not top > 1e-15:  # merge only strictly positive gains
             break
         # merge b into a
-        root[root == b] = a
+        merges.append((a, b))
+        dead[b] = True
         deg[a] += deg[b]
         cross[a] += cross[b]
-        cross[b] = 0.0
-        cross[:, b] = 0.0
         cross[:, a] = cross[a]
+        row = gains[a]
+        np.multiply(cross[a], 2.0, out=row)
+        row /= two_m
+        np.multiply(deg, 2.0 * deg[a], out=degree_term)
+        degree_term /= two_m_sq
+        row -= degree_term
+        row[dead] = -np.inf
+        row[a] = -np.inf
+        gains[:, a] = row
         gains[b] = -np.inf
         gains[:, b] = -np.inf
-        gains[a, a + 1 :] = gain(cross[a, a + 1 :], deg[a], deg[a + 1 :])
-        gains[:a, a] = gain(cross[:a, a], deg[:a], deg[a])
-    return Partition(root)
+        np.maximum(best, row, out=best)
+        best[a] = row.max()
+        best[b] = -np.inf
+    # in reverse, each absorbed id takes its absorber's final community
+    root = list(range(n))
+    for a, b in reversed(merges):
+        root[b] = root[a]
+    return Partition(np.array(root))
 
 
 def _local_moving(adj: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> None:

@@ -10,7 +10,7 @@ import numpy as np
 from templateclust.errors import InputError, NumericalError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected weighted graph stored as a dense symmetric adjacency matrix.
 
@@ -20,7 +20,7 @@ class Graph:
 
     adjacency: np.ndarray
     n: int = field(init=False)
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         adj = np.asarray(self.adjacency, dtype=float)

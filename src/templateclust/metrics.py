@@ -10,7 +10,7 @@ from templateclust.errors import InputError
 from templateclust.stiefel import StiefelPoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Reference community labels for a graph, values in {0..k-1}."""
 

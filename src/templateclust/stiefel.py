@@ -26,7 +26,7 @@ ARMIJO_SLOPE = 0.5  # see steepest_descent: keeps steps short of the line minimu
 STEPS = tuple(2.0**-j for j in range(50))  # the Armijo trial steps, largest first
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StiefelPoint:
     """An n x k matrix with orthonormal columns."""
 

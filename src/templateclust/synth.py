@@ -30,7 +30,7 @@ G6_TEMPLATE_EDGES: tuple[tuple[int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommunitySpec:
     """Planted-community description: per-community sizes and a symmetric
     matrix of pairwise connection probabilities."""

@@ -31,7 +31,7 @@ from templateclust.stiefel import DescentTrace, StiefelPoint, random_stiefel, st
 CERTIFICATE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemplateModel:
     """k x k symmetric weight matrix describing expected community structure.
 
@@ -60,7 +60,7 @@ class TemplateModel:
         return self.weights.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class ClusteringResult:
     partition: np.ndarray
     embedding: StiefelPoint

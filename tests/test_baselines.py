@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from templateclust import (
+    CommunitySpec,
     Graph,
     InputError,
+    NumericalError,
     Partition,
     adjusted_rand_index,
     block_sums,
@@ -202,6 +204,61 @@ def cnm_by_pair_dict(g):
     return Partition(labels)
 
 
+def cnm_dense_reference(g):
+    """Reference CNM: gains of joined pairs a < b in a dense matrix, -inf
+    elsewhere, and each merge takes the matrix's row-major first maximum,
+    which is the lexicographically smallest best pair."""
+    two_m = float(g.adjacency.sum())
+    n = g.n
+    deg = degree_matrix(g)
+    cross = np.where(g.adjacency > 0, g.adjacency, 0.0)
+
+    def gain(w, d_a, d_b):
+        dq = 2.0 * w / two_m - 2.0 * d_a * d_b / (two_m * two_m)
+        return np.where(w > 0, dq, -np.inf)
+
+    gains = np.full((n, n), -np.inf)
+    upper = np.triu_indices(n, k=1)
+    gains[upper] = gain(cross[upper], deg[upper[0]], deg[upper[1]])
+    root = np.arange(n)
+    while True:
+        a, b = divmod(int(np.argmax(gains)), n)
+        if not gains[a, b] > 1e-15:
+            break
+        root[root == b] = a
+        deg[a] += deg[b]
+        cross[a] += cross[b]
+        cross[b] = 0.0
+        cross[:, b] = 0.0
+        cross[:, a] = cross[a]
+        gains[b] = -np.inf
+        gains[:, b] = -np.inf
+        gains[a, a + 1 :] = gain(cross[a, a + 1 :], deg[a], deg[a + 1 :])
+        gains[:a, a] = gain(cross[:a, a], deg[:a], deg[a])
+    return Partition(root)
+
+
+def assert_cnm_matches_references(g):
+    labels = cnm_cluster(g).labels
+    assert np.array_equal(labels, cnm_dense_reference(g).labels)
+    assert np.array_equal(labels, cnm_by_pair_dict(g).labels)
+    return labels
+
+
+@st.composite
+def integer_weight_graphs(draw):
+    """Symmetric graphs with weights in 0..3, self-loops and isolated
+    vertices, on which equal modularity gains are common."""
+    n = draw(st.integers(2, 25))
+    density = draw(st.floats(0.05, 0.9))
+    isolated = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density) * rng.integers(1, 4, size=(n, n))
+    upper[:, rng.integers(n, size=isolated)] = 0
+    upper[rng.integers(n, size=isolated)] = 0
+    return Graph(upper + np.triu(upper, k=1).T)
+
+
 class TestCNM:
     def test_two_triangles_optimal(self):
         g = two_triangles()
@@ -239,19 +296,52 @@ class TestCNM:
             if not upper.any():
                 continue
             g = Graph(upper + upper.T)
-            assert np.array_equal(cnm_cluster(g).labels, cnm_by_pair_dict(g).labels)
+            assert_cnm_matches_references(g)
             checked += 1
 
     def test_matches_pair_dict_reference_planted_g6(self):
         g, _ = sample_graph(make_g6(40), np.random.default_rng(7))
-        assert np.array_equal(cnm_cluster(g).labels, cnm_by_pair_dict(g).labels)
+        assert_cnm_matches_references(g)
+
+    def test_matches_references_planted_email_style(self):
+        rates = np.full((12, 12), 0.005)
+        np.fill_diagonal(rates, 0.3)
+        g, _ = sample_graph(CommunitySpec((16,) * 12, rates), np.random.default_rng(3))
+        assert_cnm_matches_references(g)
 
     def test_matches_pair_dict_reference_isolated_vertex_and_self_loop(self):
         edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 2, 2.0), (3, 4, 1.0), (4, 5, 1.0)]
         g = build_graph(edges, 7)  # vertex 6 is isolated
-        labels = cnm_cluster(g).labels
-        assert np.array_equal(labels, cnm_by_pair_dict(g).labels)
+        labels = assert_cnm_matches_references(g)
         assert labels[6] not in labels[:6]
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_weight_graphs())
+    def test_matches_dense_reference_with_ties(self, g):
+        assume(g.adjacency.sum() > 0)
+        assert np.array_equal(cnm_cluster(g).labels, cnm_dense_reference(g).labels)
+
+    def test_tied_pairs_go_to_the_lexicographically_smallest(self):
+        # path 0-1-2-3-4: once {0, 1} and {3, 4} have formed, vertex 2 gains
+        # exactly 1/16 by joining either; the pair (0, 2) comes before (2, 3),
+        # and taking (2, 3) instead would give [0, 0, 1, 1, 1]
+        g = build_graph([(i, i + 1, 1.0) for i in range(4)], 5)
+        assert cnm_cluster(g).labels.tolist() == [0, 0, 0, 1, 1]
+
+    def test_tie_after_a_merge_raised_another_rows_gain(self):
+        # merging 5 into 2 raises (0, 2) above row 0's earlier best gain;
+        # after 4 joins 3, the pairs (0, 2), (0, 3), (1, 2) and (1, 3) tie at
+        # 32/(2m)^2, and (0, 2) is merged only if row 0's bound was raised
+        edges = [(0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0), (0, 5, 1.0), (1, 2, 2.0)]
+        edges += [(1, 3, 2.0), (2, 3, 1.0), (2, 5, 2.0), (3, 4, 2.0)]
+        g = build_graph(edges, 6)
+        assert cnm_cluster(g).labels.tolist() == [0, 1, 0, 1, 1, 0]
+
+    @pytest.mark.parametrize("weight", [1e155, 1e-165])
+    def test_gain_scale_out_of_range_rejected(self, weight):
+        g = build_graph([(0, 1, weight), (1, 2, weight), (3, 4, weight)], 5)
+        with pytest.raises(NumericalError, match=r"\(2m\)\^2 finite and nonzero"):
+            cnm_cluster(g)
 
     def test_underperforms_on_g6(self):
         from templateclust import expected_model, template_cluster
