@@ -69,6 +69,15 @@ def _check_edges(g: Graph) -> float:
     return two_m
 
 
+def _gain_scale(g: Graph) -> float:
+    """2m of a graph whose modularity gains' degree term, 2 d_a d_b/(2m)^2,
+    can be computed: NumericalError when (2m)^2 overflows or underflows."""
+    two_m = _check_edges(g)
+    if not 0.0 < two_m * two_m < np.inf:
+        raise NumericalError(f"modularity gains need (2m)^2 finite and nonzero, got 2m = {two_m:.3e}")
+    return two_m
+
+
 def modularity(g: Graph, part: Partition) -> float:
     """Modularity of a partition: intra-community edge mass minus the
     degree-based random expectation, normalized to [-1, 1]."""
@@ -92,10 +101,8 @@ def cnm_cluster(g: Graph) -> Partition:
     Raises NumericalError when (2m)^2 overflows or underflows, so that the
     gains' degree term cannot be computed.
     """
-    two_m = _check_edges(g)
+    two_m = _gain_scale(g)
     two_m_sq = two_m * two_m
-    if not 0.0 < two_m_sq < np.inf:
-        raise NumericalError(f"modularity gains need (2m)^2 finite and nonzero, got 2m = {two_m:.3e}")
     n = g.n
     deg = degree_matrix(g)
     cross = g.adjacency.copy()  # cross-weights between communities; the diagonal is never read
@@ -200,8 +207,12 @@ def _local_moving(adj: np.ndarray, labels: np.ndarray, rng: np.random.Generator)
 
 def louvain_cluster(g: Graph, rng: np.random.Generator) -> Partition:
     """Two-phase Louvain: local moving with shuffled visit order, then
-    community aggregation, repeated until modularity stops improving."""
-    _check_edges(g)
+    community aggregation, repeated until modularity stops improving.
+
+    Raises NumericalError when (2m)^2 overflows or underflows, as
+    `cnm_cluster` does.
+    """
+    _gain_scale(g)
     adj = g.adjacency.copy()
     assignment = np.arange(g.n)  # maps original vertex -> current community index
     prev_q = -np.inf

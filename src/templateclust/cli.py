@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 
@@ -108,9 +109,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     if args.template:
         try:
-            weights = np.loadtxt(args.template, ndmin=2)
+            with warnings.catch_warnings():  # an empty file is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                weights = np.loadtxt(args.template, ndmin=2, encoding="utf-8-sig")
         except ValueError as exc:
             raise InputError(f"{args.template}: malformed template file: {exc}") from exc
+        if weights.size == 0:
+            raise InputError(f"{args.template}: no template weights found")
         model = TemplateModel(weights)
 
     if args.k is not None and args.k < 1:

@@ -3,7 +3,11 @@ construction from annotated ground truth."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+from itertools import compress, repeat
+from operator import contains
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -12,73 +16,140 @@ from templateclust.graphs import Graph, block_sums
 from templateclust.metrics import GroundTruth
 from templateclust.template import TemplateModel
 
+_INT64 = np.iinfo(np.int64)
+# record dtypes of a file's data lines, by their token count
+_EDGE_KINDS = {
+    2: np.dtype([("u", np.int64), ("v", np.int64)]),
+    3: np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)]),
+}
+_LABEL_KINDS = {2: np.dtype([("vertex", np.int64), ("community", np.int64)])}
 
-def _parse_lines(path: str | Path) -> list[tuple[int, list[str]]]:
-    text = Path(path).read_text(encoding="utf-8")
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((lineno, line.split()))
-    return out
+
+def _read_records(
+    path: str | Path, kinds: dict[int, np.dtype], what: str
+) -> tuple[list[str], dict[int, np.ndarray] | None]:
+    """The file's lines, and its data lines parsed in bulk: for each token
+    count in `kinds`, its lines as one array of records of that dtype.
+
+    The records are None when a data line has another token count or a
+    token that is not a number. The file is UTF-8, optionally with a
+    byte-order mark. A line holds no data when it is blank or its first
+    non-blank character is '#'; a '#' anywhere else makes the line
+    malformed. Lines are split by `str.splitlines` and tokens as by
+    `str.split`. Raises InputError when no line holds data.
+    """
+    lines = Path(path).read_bytes().decode("utf-8-sig").splitlines()
+    first = next((len(p) for p in map(str.split, lines) if p and not p[0].startswith("#")), 0)
+    if not first:
+        raise InputError(f"{path}: no {what} found")
+    # no number holds a '#', so a line with one is a comment or malformed
+    hashed = np.flatnonzero(np.fromiter(map(contains, lines, repeat("#")), bool, len(lines))).tolist()
+    if not all(lines[i].lstrip().startswith("#") for i in hashed):
+        return lines, None
+    # most files have lines of one token count: try them all as the first line's
+    if first in kinds and (rows := _parse(lines, kinds[first])) is not None:
+        return lines, {first: rows}
+    widths = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    widths[hashed] = 0
+    if not np.isin(widths, [0, *kinds]).all():
+        return lines, None
+    records = {
+        width: _parse(compress(lines, (widths == width).tolist()), kind)
+        for width, kind in kinds.items()
+        if (widths == width).any()
+    }
+    return lines, None if any(rows is None for rows in records.values()) else records
+
+
+def _parse(lines: Iterable[str], dtype: np.dtype) -> np.ndarray | None:
+    """The lines as records of `dtype`, parsed in one bulk call, or None when
+    a token is not a number or an integer does not fit in int64.
+
+    Numbers are read in the ASCII forms of `int()` and `float()` without
+    '_' separators. Blank and comment lines are skipped.
+    """
+    try:
+        return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+    except ValueError:
+        return None
+
+
+def _number(token: str, kind: type) -> int | float:
+    """`kind(token)` for the forms `_parse` reads; ValueError for others."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a plain ASCII number: {token!r}")
+    return kind(token)
+
+
+def _numbered_rows(lines: list[str]) -> Iterator[tuple[int, list[str]]]:
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if parts and not parts[0].startswith("#"):
+            yield lineno, parts
+
+
+def _check_int64(path: str | Path, lineno: int, tokens: list[str], values: tuple[int, ...]) -> None:
+    for token, value in zip(tokens, values):
+        if not _INT64.min <= value <= _INT64.max:
+            raise InputError(f"{path}:{lineno}: id {token} does not fit in a 64-bit integer")
+
+
+def _raise_edge_error(path: str | Path, lines: list[str]) -> NoReturn:
+    """Raise the error of the first data line that breaks a rule of
+    `load_edge_list`."""
+    for lineno, parts in _numbered_rows(lines):
+        if len(parts) not in (2, 3):
+            raise InputError(f"{path}:{lineno}: expected 'u v' or 'u v w', got {' '.join(parts)!r}")
+        try:
+            u, v = _number(parts[0], int), _number(parts[1], int)
+            w = _number(parts[2], float) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: malformed edge line") from exc
+        _check_int64(path, lineno, parts, (u, v))
+        if not 0 < w < np.inf:  # also false for NaN
+            raise InputError(f"{path}:{lineno}: edge weight must be positive and finite, got {parts[2]}")
+    raise AssertionError(f"{path}: the bulk parse rejected a file whose every line is valid")
 
 
 def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
     """Read a whitespace-separated edge list into an unweighted simple graph.
 
-    Lines are "u v" or "u v w"; '#' starts a comment. Vertex ids are
-    remapped to 0..n-1 in sorted order of the original ids; the mapping is
-    returned for traceability. Directed input is symmetrized: an edge in
-    either direction yields one undirected unit edge. Self-loops are
-    dropped and duplicates collapse to weight 1. A weight must be positive
-    and finite; any such weight also yields a unit edge.
+    Lines are "u v" or "u v w"; a line whose first non-blank character is
+    '#' is a comment, and blank lines are skipped. Vertex ids are integers
+    that fit in int64; they are remapped to 0..n-1 in sorted order of the
+    original ids, and the mapping is returned for traceability. Directed
+    input is symmetrized: an edge in either direction yields one undirected
+    unit edge. Self-loops are dropped and duplicates collapse to weight 1.
+    A weight must be positive and finite; any such weight also yields a
+    unit edge. The data lines are converted in bulk; an error names the
+    first offending line.
     """
-    rows = _parse_lines(path)
-    if not rows:
-        raise InputError(f"{path}: no edges found")
-    pairs: set[tuple[int, int]] = set()
-    ids: set[int] = set()
-    for lineno, parts in rows:
-        if len(parts) not in (2, 3):
-            raise InputError(f"{path}:{lineno}: expected 'u v' or 'u v w', got {' '.join(parts)!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: malformed edge line") from exc
-        if not 0 < w < np.inf:  # also false for NaN
-            raise InputError(f"{path}:{lineno}: edge weight must be positive and finite, got {parts[2]}")
-        ids.update((u, v))
-        if u != v:
-            pairs.add((min(u, v), max(u, v)))
-    id_map = {orig: new for new, orig in enumerate(sorted(ids))}
-    n = len(id_map)
-    adj = np.zeros((n, n))
-    for u, v in pairs:
-        adj[id_map[u], id_map[v]] = 1.0
-        adj[id_map[v], id_map[u]] = 1.0
-    return Graph(adj), id_map
+    lines, records = _read_records(path, _EDGE_KINDS, "edges")
+    weighted = None if records is None else records.get(3, np.empty(0, _EDGE_KINDS[3]))
+    if weighted is None or not ((0 < weighted["w"]) & (weighted["w"] < np.inf)).all():
+        _raise_edge_error(path, lines)
+    ends = np.concatenate([rows[end] for end in ("u", "v") for rows in records.values()])
+    ids, ends = np.unique(ends, return_inverse=True)
+    u, v = np.split(ends, 2)
+    u, v = u[u != v], v[u != v]
+    adj = np.zeros((ids.size, ids.size))
+    adj[u, v] = 1.0
+    adj[v, u] = 1.0
+    return Graph(adj), dict(zip(ids.tolist(), range(ids.size)))
 
 
-def load_labels(path: str | Path, n: int, id_map: dict[int, int] | None = None) -> GroundTruth:
-    """Read "vertex community" lines covering all n vertices.
-
-    Community ids are remapped to 0..k-1 in sorted order; vertex ids are
-    translated through id_map when given. A vertex may be repeated only with
-    the same community.
-    """
-    rows = _parse_lines(path)
-    if not rows:
-        raise InputError(f"{path}: no labels found")
+def _raise_label_error(path: str | Path, lines: list[str], n: int, id_map: dict[int, int] | None) -> NoReturn:
+    """Raise the error of the first data line that breaks a rule of
+    `load_labels`."""
     raw: dict[int, tuple[int, int]] = {}  # vertex -> (community, line of its first label)
-    for lineno, parts in rows:
+    for lineno, parts in _numbered_rows(lines):
         if len(parts) != 2:
             raise InputError(f"{path}:{lineno}: expected 'vertex community'")
         try:
-            u, c = int(parts[0]), int(parts[1])
+            u, c = _number(parts[0], int), _number(parts[1], int)
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: malformed label line") from exc
+        _check_int64(path, lineno, parts, (u, c))
         if id_map is not None:
             if u not in id_map:
                 raise InputError(f"{path}:{lineno}: vertex {u} does not appear in the edge list")
@@ -90,13 +161,45 @@ def load_labels(path: str | Path, n: int, id_map: dict[int, int] | None = None) 
             raise InputError(
                 f"vertex {parts[0]} is labelled {first} at {path}:{first_line} and {c} at {path}:{lineno}"
             )
-    file_ids = {new: orig for orig, new in id_map.items()} if id_map is not None else {}
-    missing = [file_ids.get(v, v) for v in sorted(set(range(n)) - set(raw))]
+    raise AssertionError(f"{path}: the bulk checks rejected a file whose every line is valid")
+
+
+def _translate(vertex: np.ndarray, n: int, id_map: dict[int, int] | None) -> np.ndarray | None:
+    """Vertex ids of a label file as graph vertices, or None when one of
+    them is not in id_map (or, without id_map, outside 0..n-1)."""
+    if id_map is None:
+        return vertex if ((0 <= vertex) & (vertex < n)).all() else None
+    try:
+        return np.fromiter(map(id_map.__getitem__, vertex.tolist()), np.int64, vertex.size)
+    except KeyError:
+        return None
+
+
+def load_labels(path: str | Path, n: int, id_map: dict[int, int] | None = None) -> GroundTruth:
+    """Read "vertex community" lines covering all n vertices.
+
+    Comments and blank lines follow `load_edge_list`'s rules. Community ids
+    are remapped to 0..k-1 in sorted order; vertex ids are translated
+    through id_map when given. A vertex may be repeated only with the same
+    community.
+    """
+    lines, records = _read_records(path, _LABEL_KINDS, "labels")
+    vertex = None if records is None else _translate(records[2]["vertex"], n, id_map)
+    if vertex is None:
+        _raise_label_error(path, lines, n, id_map)
+    comm = records[2]["community"]
+    labelled, first, which = np.unique(vertex, return_index=True, return_inverse=True)
+    if (comm != comm[first][which]).any():  # a vertex labelled twice, differently
+        _raise_label_error(path, lines, n, id_map)
+    # a vertex id_map sends outside 0..n-1 takes no label, but its community still counts
+    _, community = np.unique(comm[first], return_inverse=True)
+    inside = (0 <= labelled) & (labelled < n)
+    labels = np.full(max(n, 0), -1)
+    labels[labelled[inside]] = community[inside]
+    missing = np.flatnonzero(labels < 0).tolist()
     if missing:
-        raise InputError(f"{path}: missing labels for vertices {missing[:20]}")
-    comms = sorted({c for c, _ in raw.values()})
-    comm_map = {c: i for i, c in enumerate(comms)}
-    labels = np.array([comm_map[raw[v][0]] for v in range(n)], dtype=int)
+        file_ids = {new: orig for orig, new in id_map.items()} if id_map is not None else {}
+        raise InputError(f"{path}: missing labels for vertices {[file_ids.get(v, v) for v in missing[:20]]}")
     return GroundTruth(labels)
 
 
@@ -104,4 +207,3 @@ def model_from_ground_truth(g: Graph, gt: GroundTruth) -> TemplateModel:
     """Template equal to the contraction of the adjacency through the
     ground-truth indicator: B^T A B (block sums of edge weight)."""
     return TemplateModel(block_sums(g.adjacency, gt.labels))
-

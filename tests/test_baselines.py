@@ -381,6 +381,14 @@ class TestLouvain:
             part = louvain_cluster(g, rng)
             assert modularity(g, part) >= modularity(g, Partition(np.arange(g.n))) - 1e-12
 
+    @pytest.mark.parametrize("weight", [1e155, 1e-165])
+    def test_gain_scale_out_of_range_rejected(self, rng, weight):
+        # two triangles joined by an edge: unit weights give [0 0 0 1 1 1]
+        g = build_graph([(0, 1, weight), (0, 2, weight), (1, 2, weight), (2, 3, weight),
+                         (3, 4, weight), (3, 5, weight), (4, 5, weight)], 6)
+        with pytest.raises(NumericalError, match=r"\(2m\)\^2 finite and nonzero"):
+            louvain_cluster(g, rng)
+
 
 def louvain_dense_reference(g, rng):
     """Reference Louvain: each visit scans the vertex's dense adjacency row

@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from templateclust import (
     GroundTruth,
@@ -11,6 +15,80 @@ from templateclust import (
 )
 
 from conftest import random_simple_graph, two_triangles
+
+
+def _parse_lines(path: str | Path) -> list[tuple[int, list[str]]]:
+    text = Path(path).read_text(encoding="utf-8")
+    out = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        out.append((lineno, line.split()))
+    return out
+
+
+def load_edge_list_reference(path: str | Path) -> tuple[np.ndarray, dict[int, int]]:
+    """Reference loader: each line split and converted on its own, the
+    undirected pairs gathered in a set, the adjacency set pair by pair."""
+    rows = _parse_lines(path)
+    if not rows:
+        raise InputError(f"{path}: no edges found")
+    pairs: set[tuple[int, int]] = set()
+    ids: set[int] = set()
+    for lineno, parts in rows:
+        if len(parts) not in (2, 3):
+            raise InputError(f"{path}:{lineno}: expected 'u v' or 'u v w', got {' '.join(parts)!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: malformed edge line") from exc
+        if not 0 < w < np.inf:  # also false for NaN
+            raise InputError(f"{path}:{lineno}: edge weight must be positive and finite, got {parts[2]}")
+        ids.update((u, v))
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    id_map = {orig: new for new, orig in enumerate(sorted(ids))}
+    n = len(id_map)
+    adj = np.zeros((n, n))
+    for u, v in pairs:
+        adj[id_map[u], id_map[v]] = 1.0
+        adj[id_map[v], id_map[u]] = 1.0
+    return adj, id_map
+
+
+def load_labels_reference(path: str | Path, n: int, id_map: dict[int, int] | None = None) -> np.ndarray:
+    """Reference label reader: one line at a time, first labels in a dict."""
+    rows = _parse_lines(path)
+    if not rows:
+        raise InputError(f"{path}: no labels found")
+    raw: dict[int, tuple[int, int]] = {}  # vertex -> (community, line of its first label)
+    for lineno, parts in rows:
+        if len(parts) != 2:
+            raise InputError(f"{path}:{lineno}: expected 'vertex community'")
+        try:
+            u, c = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: malformed label line") from exc
+        if id_map is not None:
+            if u not in id_map:
+                raise InputError(f"{path}:{lineno}: vertex {u} does not appear in the edge list")
+            u = id_map[u]
+        elif not 0 <= u < n:
+            raise InputError(f"{path}:{lineno}: vertex {u} is outside 0..{n - 1}")
+        first, first_line = raw.setdefault(u, (c, lineno))
+        if first != c:
+            raise InputError(
+                f"vertex {parts[0]} is labelled {first} at {path}:{first_line} and {c} at {path}:{lineno}"
+            )
+    file_ids = {new: orig for orig, new in id_map.items()} if id_map is not None else {}
+    missing = [file_ids.get(v, v) for v in sorted(set(range(n)) - set(raw))]
+    if missing:
+        raise InputError(f"{path}: missing labels for vertices {missing[:20]}")
+    comms = sorted({c for c, _ in raw.values()})
+    comm_map = {c: i for i, c in enumerate(comms)}
+    return np.array([comm_map[raw[v][0]] for v in range(n)], dtype=int)
 
 
 class TestLoadEdgeList:
@@ -68,6 +146,58 @@ class TestLoadEdgeList:
         f.write_text("0 1 2.5\n1 2 1e-3\n2 0 1\n1 0 7\n")
         g, _ = load_edge_list(f)
         assert np.array_equal(g.adjacency, np.ones((3, 3)) - np.eye(3))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0 1 # note", "expected 'u v' or 'u v w', got '0 1 # note'"),
+            ("0 1 #", "malformed edge line"),
+            ("0 1#", "malformed edge line"),
+            ("0 #1", "malformed edge line"),
+        ],
+    )
+    def test_hash_after_data_is_not_a_comment(self, tmp_path, line, message):
+        f = tmp_path / "e.txt"
+        f.write_text(f"# header\n  # indented comment\n{line}\n")
+        with pytest.raises(InputError, match=rf"e\.txt:3: {message}$"):
+            load_edge_list(f)
+
+    def test_crlf_and_mixed_widths(self, tmp_path):
+        f = tmp_path / "e.txt"
+        f.write_bytes(b"# c\r\n0 1\r\n\r\n1\t2  2.5\r\n \t\r\n 2 0 \r\n2 2 1")
+        g, id_map = load_edge_list(f)
+        assert np.array_equal(g.adjacency, np.ones((3, 3)) - np.eye(3))
+        assert id_map == {0: 0, 1: 1, 2: 2}
+
+    def test_byte_order_mark(self, tmp_path):
+        f = tmp_path / "bom.txt"
+        f.write_bytes("0 1\n1 2\n".encode("utf-8-sig"))
+        g, id_map = load_edge_list(f)
+        assert g.total_edge_weight() == 2
+        assert id_map == {0: 0, 1: 1, 2: 2}
+
+    @pytest.mark.parametrize("token", [str(2**63), str(-(2**63) - 1), "1" * 30])
+    def test_id_outside_int64(self, tmp_path, token):
+        f = tmp_path / "e.txt"
+        f.write_text(f"0 1\n1 {token} 2.5\n")
+        with pytest.raises(InputError, match=rf"e\.txt:2: id {token} does not fit in a 64-bit integer$"):
+            load_edge_list(f)
+
+    def test_int64_extremes_accepted(self, tmp_path):
+        f = tmp_path / "e.txt"
+        f.write_text(f"{2**63 - 1} {-(2**63)}\n0 {2**63 - 1}\n")
+        g, id_map = load_edge_list(f)
+        assert id_map == {-(2**63): 0, 0: 1, 2**63 - 1: 2}
+        assert all(type(k) is int for k in id_map)
+        assert g.total_edge_weight() == 2
+
+    @pytest.mark.parametrize("line", ["1_0 1", "\u0663 1", "\uff13 1", "0 1 1_0.5"])
+    def test_only_plain_ascii_numbers(self, tmp_path, line):
+        # int() and float() would read these; the loader reads plain ASCII numbers
+        f = tmp_path / "e.txt"
+        f.write_text(f"0 1\n{line}\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"e\.txt:2: malformed edge line$"):
+            load_edge_list(f)
 
 
 class TestLoadLabels:
@@ -138,6 +268,45 @@ class TestLoadLabels:
         with pytest.raises(InputError, match=r"l\.txt: no labels found"):
             load_labels(f, 2)
 
+    def test_byte_order_mark(self, tmp_path):
+        f = tmp_path / "bom.txt"
+        f.write_bytes("10 7\n30 3\n".encode("utf-8-sig"))
+        gt = load_labels(f, 2, id_map={10: 0, 30: 1})
+        assert np.array_equal(gt.labels, [1, 0])
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_vertices(self, tmp_path, n):
+        f = tmp_path / "l.txt"
+        f.write_text("4 0\n")
+        with pytest.raises(InputError, match="labels must be a nonempty"):
+            load_labels(f, n, id_map={4: 0})
+
+    def test_hash_after_data_is_not_a_comment(self, tmp_path):
+        f = tmp_path / "l.txt"
+        f.write_text("# vertex community\n0 0 # note\n1 1\n")
+        with pytest.raises(InputError, match=r"l\.txt:2: expected 'vertex community'$"):
+            load_labels(f, 2)
+
+    @pytest.mark.parametrize("text", [f"0 0\n1 {2**63}\n", f"0 0\n{2**64} 1\n"])
+    def test_id_outside_int64(self, tmp_path, text):
+        f = tmp_path / "l.txt"
+        f.write_text(text)
+        with pytest.raises(InputError, match=r"l\.txt:2: id \d+ does not fit in a 64-bit integer$"):
+            load_labels(f, 2, id_map={0: 0, 1: 1})
+
+    @pytest.mark.parametrize("community, ranks", [(9, [0, 1]), (1, [0, 2])])
+    def test_id_map_value_outside_n_keeps_its_community(self, tmp_path, community, ranks):
+        # vertex 5 maps past n and takes no label, but its community still ranks
+        f = tmp_path / "l.txt"
+        f.write_text(f"4 0\n5 {community}\n6 2\n")
+        id_map = {4: 0, 5: 7, 6: 1}
+        assert load_labels_reference(f, 2, id_map).tolist() == ranks
+        if ranks == [0, 1]:
+            assert load_labels(f, 2, id_map).labels.tolist() == ranks
+        else:  # community 1 has no vertex in 0..n-1
+            with pytest.raises(InputError, match="labels must cover 0..k-1"):
+                load_labels(f, 2, id_map)
+
 
 class TestModelFromGroundTruth:
     def test_two_triangles(self):
@@ -169,3 +338,124 @@ class TestModelFromGroundTruth:
         model = model_from_ground_truth(g, gt)
         assert np.array_equal(model.weights, b.T @ g.adjacency @ b)
 
+
+
+# Generated files for the reference comparisons. Ids are negative, gapped
+# and near the int64 limits; lines are joined by LF or CRLF.
+BLANKS = st.sampled_from(["", " ", "\t", "  \t"])
+SEPARATORS = st.sampled_from([" ", "\t", "   ", " \t "])
+IDS = st.one_of(st.integers(-30, 30), st.sampled_from([-(2**63), -(10**12), 2**40, 2**63 - 1]))
+WEIGHTS = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300).map(repr),
+    st.integers(1, 10**6).map(str),
+    st.sampled_from(["+2.5", ".5", "5.", "1e-3", "7E2", "0.001"]),
+)
+COMMENTS = st.tuples(BLANKS, st.text(alphabet=" \t#ab01", max_size=8)).map(lambda t: f"{t[0]}#{t[1]}")
+
+
+@st.composite
+def data_line(draw, tokens):
+    return draw(BLANKS) + draw(SEPARATORS).join(tokens) + draw(BLANKS)
+
+
+@st.composite
+def edge_lines(draw):
+    """Data lines of an edge list, 2- and 3-field mixed; small id pools give
+    both directions, duplicates and self-loops."""
+    ids = draw(st.lists(IDS, min_size=1, max_size=8, unique=True))
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), min_size=1, max_size=25))
+    lines = []
+    for u, v in edges:
+        weight = draw(st.none() | WEIGHTS)
+        lines.append(draw(data_line([str(u), str(v)] + ([weight] if weight else []))))
+    return lines
+
+
+@st.composite
+def label_lines(draw, file_ids):
+    """A label for every id, as lines in any order, some repeated exactly."""
+    community = {v: draw(st.sampled_from([-3, 0, 2, 7, 40])) for v in file_ids}
+    labelled = draw(st.permutations(file_ids + draw(st.lists(st.sampled_from(file_ids), max_size=4))))
+    return [draw(data_line([str(v), str(community[v])])) for v in labelled], community
+
+
+@st.composite
+def file_text(draw, lines):
+    """`lines` with comment and blank lines mixed in, joined by LF or CRLF."""
+    out = []
+    for line in lines:
+        out += draw(st.lists(COMMENTS | BLANKS, max_size=2))
+        out.append(line)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(out) + draw(st.sampled_from(["", ending]))
+
+
+BAD_EDGE_LINES = st.sampled_from(
+    ["x 1", "1 y", "1.5 2", "0x1 2", "1 2 abc", "5", "1 2 3 4", "1 2 0", "1 2 -1", "1 2 -0.0", "1 2 nan",
+     "1 2 inf", "1 2 1e999", "0 1 # note", "0 1 #", "0 1#", "0 #1", "1 2 3#"]
+)
+BAD_LABEL_LINES = st.sampled_from(["x 1", "1 y", "1.5 2", "5", "1 2 3", "0 1 # note", "0 #1", "0 1#"])
+
+
+def write(path: Path, text: str) -> Path:
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def raised(load, *args) -> str:
+    with pytest.raises(InputError) as info:
+        load(*args)
+    return str(info.value)
+
+
+class TestMatchesReference:
+    """The bulk loaders against the per-line reference loaders above."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_edge_list(self, tmp_path_factory, data):
+        path = write(tmp_path_factory.getbasetemp() / "edges.txt", data.draw(file_text(data.draw(edge_lines()))))
+        graph, id_map = load_edge_list(path)
+        adj, ref_map = load_edge_list_reference(path)
+        assert np.array_equal(graph.adjacency, adj)
+        assert list(id_map.items()) == list(ref_map.items())
+        assert all(type(k) is int for k in id_map)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_labels(self, tmp_path_factory, data):
+        base = tmp_path_factory.getbasetemp()
+        graph, id_map = load_edge_list(write(base / "edges.txt", "\n".join(data.draw(edge_lines()))))
+        lines, _ = data.draw(label_lines(list(id_map)))
+        path = write(base / "labels.txt", data.draw(file_text(lines)))
+        expected = load_labels_reference(path, graph.n, id_map)
+        assert np.array_equal(load_labels(path, graph.n, id_map).labels, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_malformed_edge_list(self, tmp_path_factory, data):
+        lines = data.draw(edge_lines())
+        for bad in data.draw(st.lists(BAD_EDGE_LINES, min_size=1, max_size=2)):
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(data_line([bad])))
+        path = write(tmp_path_factory.getbasetemp() / "edges.txt", data.draw(file_text(lines)))
+        assert raised(load_edge_list, path) == raised(load_edge_list_reference, path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_malformed_labels(self, tmp_path_factory, data):
+        base = tmp_path_factory.getbasetemp()
+        graph, id_map = load_edge_list(write(base / "edges.txt", "\n".join(data.draw(edge_lines()))))
+        lines, community = data.draw(label_lines(list(id_map)))
+        fault = data.draw(st.sampled_from(["line", "conflict", "unknown", "missing"]))
+        if fault == "line":
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(BAD_LABEL_LINES))
+        elif fault == "conflict":
+            v = data.draw(st.sampled_from(list(community)))
+            lines.insert(data.draw(st.integers(0, len(lines))), f"{v} {community[v] + 1}")
+        elif fault == "unknown":
+            lines.insert(data.draw(st.integers(0, len(lines))), "31 0")  # ids are at most 30 or far larger
+        else:
+            v = data.draw(st.sampled_from(list(community)))
+            lines = [line for line in lines if line.split()[0] != str(v)]
+        path = write(base / "labels.txt", data.draw(file_text(lines)))
+        assert raised(load_labels, path, graph.n, id_map) == raised(load_labels_reference, path, graph.n, id_map)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +475,27 @@ class TestCli:
         rc = main(["cluster", "--edges", str(edges), "--template", str(template)])
         assert rc == 1
         assert "template.txt: malformed template file" in capsys.readouterr().err
+
+    def test_cluster_template_file_with_byte_order_mark(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_bytes("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n".encode("utf-8-sig"))
+        template = tmp_path / "template.txt"
+        template.write_bytes("6 0\n0 6\n".encode("utf-8-sig"))
+        rc = main(["cluster", "--edges", str(edges), "--template", str(template), "--method", "tb", "--seed", "3"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == "labels: 0 0 0 1 1 1"
+
+    @pytest.mark.parametrize("text", ["", "# k x k weights\n\n"])
+    def test_cluster_empty_template_exit_code(self, tmp_path, capsys, text):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n")
+        template = tmp_path / "template.txt"
+        template.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-input warning would become a failure
+            rc = main(["cluster", "--edges", str(edges), "--template", str(template)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {template}: no template weights found\n"
 
     def test_cluster_with_template_file(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
