@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from templateclust.errors import InputError, NumericalError
-from templateclust.graphs import Graph, block_sums, degree_matrix, laplacian
+from templateclust.graphs import Graph, block_sums, degree_matrix, integer_vector, laplacian
 from templateclust.stiefel import StiefelPoint
 from templateclust.template import kmeans
 
@@ -20,9 +20,7 @@ class Partition:
     k_found: int = field(init=False)
 
     def __post_init__(self) -> None:
-        raw = np.asarray(self.labels, dtype=int)
-        if raw.ndim != 1 or raw.size == 0:
-            raise InputError("labels must be a nonempty 1-d integer array")
+        raw = integer_vector(self.labels, "labels")
         _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
         # rank each distinct label by the position of its first appearance
         canonical = np.argsort(np.argsort(first))[inverse]

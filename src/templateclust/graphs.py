@@ -10,6 +10,36 @@ import numpy as np
 from templateclust.errors import InputError, NumericalError
 
 
+def symmetric_matrix(m: object, what: str) -> np.ndarray:
+    """A read-only float copy of `m`, which must be a nonempty square matrix
+    of finite real numbers that is exactly symmetric; InputError names `what`
+    otherwise."""
+    m = np.asarray(m)
+    if m.dtype.kind not in "biuf" or m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise InputError(f"{what} must be a nonempty square matrix of numbers, got {m.dtype} of shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InputError(f"non-finite values (NaN or inf) in {what}")
+    if not np.array_equal(m, m.T):
+        raise InputError(f"{what} must be exactly symmetric")
+    m = m.astype(float)
+    m.setflags(write=False)
+    return m
+
+
+def integer_vector(x: object, what: str) -> np.ndarray:
+    """A read-only int copy of `x`, which must be a nonempty 1-d array of
+    integers: int or bool values, or floats that are whole numbers within
+    int64. Fractions, NaN, strings and objects raise InputError naming `what`."""
+    x = np.asarray(x)
+    kind = x.dtype.kind
+    whole = kind in "bi" or kind in "uf" and bool(np.all((np.round(x) == x) & (abs(x) < 2.0**63)))
+    if x.ndim != 1 or x.size == 0 or not whole:
+        raise InputError(f"{what} must be a nonempty 1-d integer array")
+    x = x.astype(int)
+    x.setflags(write=False)
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected weighted graph stored as a dense symmetric adjacency matrix.
@@ -23,19 +53,8 @@ class Graph:
     _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        adj = np.asarray(self.adjacency, dtype=float)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise InputError(f"adjacency must be square, got shape {adj.shape}")
-        if adj.shape[0] < 1:
-            raise InputError("graph needs at least one vertex")
-        if not np.isfinite(adj).all():
-            raise InputError("adjacency contains non-finite values (NaN or inf)")
-        if not np.array_equal(adj, adj.T):
-            raise InputError("adjacency must be exactly symmetric")
-        adj = adj.copy()
-        adj.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "n", adj.shape[0])
+        object.__setattr__(self, "adjacency", symmetric_matrix(self.adjacency, "adjacency"))
+        object.__setattr__(self, "n", self.adjacency.shape[0])
 
     def total_edge_weight(self) -> float:
         """Sum of weights over unordered vertex pairs, excluding self-loops."""

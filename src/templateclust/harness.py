@@ -75,7 +75,7 @@ class ExperimentConfig:
     dataset: str  # family name (g3|g6|c2|bp) or dataset label
     methods: tuple[str, ...] = METHODS
     sizes: tuple[int, ...] = ()
-    probs: tuple[float, ...] = (float("nan"),)
+    probs: tuple[float, ...] = (float("nan"),)  # NaN: none given, which c2 reads as C2_COUPLING
     sigmas: tuple[float, ...] = (0.0,)
     intra_mode: str = "bipartite"
     repetitions: int = 100
@@ -99,6 +99,14 @@ class ExperimentConfig:
                 raise InputError(f"{axis} must name at least one value")
         if self.kind == "real" and (self.edges_path is None or self.labels_path is None):
             raise InputError("real experiments need edge and label file paths")
+        if self.kind == "synth" and self.dataset == "c2":
+            object.__setattr__(self, "probs", tuple(C2_COUPLING if p != p else p for p in self.probs))
+        for axis in ("sizes", "probs", "sigmas", "methods"):
+            seen = set()
+            for value in getattr(self, axis):
+                if (key := None if value != value else value) in seen:  # NaN repeats NaN
+                    raise InputError(f"{axis} repeats the value {value!r}")
+                seen.add(key)
 
 
 @dataclass
@@ -164,8 +172,7 @@ def _instances(
     point under `fixed_graph`) and uses the expected-value template; real
     loads the files once and adds template noise per repetition."""
     if cfg.kind == "synth":
-        probs = [C2_COUPLING if cfg.dataset == "c2" and p != p else p for p in cfg.probs]
-        points = [(size, prob) for size in cfg.sizes for prob in probs]
+        points = [(size, prob) for size in cfg.sizes for prob in cfg.probs]
         for point_idx, (size, prob) in enumerate(points):
             spec = make_family(cfg.dataset, size, prob, cfg.intra_mode)
             model = expected_model(spec)

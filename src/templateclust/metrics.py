@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from templateclust.errors import InputError
+from templateclust.graphs import integer_vector
 from templateclust.stiefel import StiefelPoint
 
 
@@ -19,14 +20,10 @@ class GroundTruth:
     sizes: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=int)
-        if labels.ndim != 1 or labels.size == 0:
-            raise InputError("labels must be a nonempty 1-d integer array")
+        labels = integer_vector(self.labels, "labels")
         k = int(labels.max()) + 1
         if labels.min() < 0 or np.any((sizes := np.bincount(labels, minlength=k)) == 0):
             raise InputError("labels must cover 0..k-1 with every community nonempty")
-        labels = labels.copy()
-        labels.setflags(write=False)
         sizes.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "k", k)
@@ -46,9 +43,9 @@ def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     partitions are degenerate (all singletons or a single cluster each) the
     chance correction is undefined; returns 1 if they agree, else 0.
     """
-    a = np.asarray(a, dtype=int)
-    b = np.asarray(b, dtype=int)
-    if a.shape != b.shape or a.ndim != 1:
+    a = integer_vector(a, "labels")
+    b = integer_vector(b, "labels")
+    if a.shape != b.shape:
         raise InputError(f"label arrays must share a 1-d shape, got {a.shape} vs {b.shape}")
     n = a.size
     if n < 2:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from templateclust.errors import InputError
-from templateclust.graphs import Graph
+from templateclust.graphs import Graph, integer_vector, symmetric_matrix
 from templateclust.metrics import GroundTruth
 from templateclust.template import TemplateModel
 
@@ -39,22 +39,16 @@ class CommunitySpec:
     rates: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.sizes) < 1 or any(s < 1 for s in self.sizes):
+        sizes = integer_vector(self.sizes, "community sizes")
+        if sizes.min() < 1:
             raise InputError("every community needs size >= 1")
-        rates = np.asarray(self.rates, dtype=float)
-        k = len(self.sizes)
-        if rates.shape != (k, k):
-            raise InputError(f"rates must be {k} x {k}, got {rates.shape}")
-        if not np.isfinite(rates).all():
-            raise InputError("rates contain non-finite values (NaN or inf)")
-        if not np.array_equal(rates, rates.T):
-            raise InputError("rates must be symmetric")
+        rates = symmetric_matrix(self.rates, "rates")
+        if rates.shape != (sizes.size, sizes.size):
+            raise InputError(f"rates must be {sizes.size} x {sizes.size}, got {rates.shape}")
         if rates.min() < 0 or rates.max() > 1:
             raise InputError("rates must lie in [0, 1]")
-        rates = rates.copy()
-        rates.setflags(write=False)
         object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(sizes.tolist()))
 
     @property
     def k(self) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from templateclust.errors import InputError, NumericalError
-from templateclust.graphs import Graph
+from templateclust.graphs import Graph, symmetric_matrix
 from templateclust.stiefel import DescentTrace, StiefelPoint, random_stiefel, steepest_descent
 
 # P* certifies itself when its cost is within this much of LB, relative to
@@ -42,18 +42,7 @@ class TemplateModel:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise InputError(f"template weights must be square, got {w.shape}")
-        if w.shape[0] < 1:
-            raise InputError("template needs at least one community")
-        if not np.isfinite(w).all():
-            raise InputError("template weights contain non-finite values (NaN or inf)")
-        if not np.allclose(w, w.T, atol=0, rtol=0):
-            raise InputError("template weights must be symmetric")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", symmetric_matrix(self.weights, "template weights"))
 
     @property
     def k(self) -> int:
@@ -217,4 +206,5 @@ def template_cluster(g_o: Graph, model: TemplateModel, rng: np.random.Generator)
         p0,
     )
     labels, _ = kmeans(p_opt.matrix, model.k, rng)
+    labels.setflags(write=False)
     return ClusteringResult(partition=labels, embedding=p_opt, trace=trace, lower_bound=lower_bound)

@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from templateclust import Graph, InputError, block_sums, build_graph, degree_matrix, laplacian
+from templateclust import (
+    CommunitySpec,
+    Graph,
+    GroundTruth,
+    InputError,
+    Partition,
+    TemplateModel,
+    adjusted_rand_index,
+    block_sums,
+    build_graph,
+    degree_matrix,
+    laplacian,
+    make_c2,
+)
 
 from conftest import random_simple_graph
 
@@ -45,6 +58,90 @@ def test_non_finite_adjacency_rejected(bad):
     # placed symmetrically, so only the finiteness check can reject it
     with pytest.raises(InputError, match="non-finite"):
         Graph(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+# every value that holds a symmetric weight matrix, by the name its errors use
+SYMMETRIC_MATRICES = {
+    "adjacency": Graph,
+    "template weights": TemplateModel,
+    "rates": lambda m: CommunitySpec((1, 1), m),
+}
+
+ONE_ULP = np.nextafter(0.25, 1.0)
+
+
+@pytest.mark.parametrize("what", SYMMETRIC_MATRICES)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.full((2, 3), 0.5), "must be a nonempty square matrix"),
+        (np.full(2, 0.5), "must be a nonempty square matrix"),
+        (np.zeros((0, 0)), "must be a nonempty square matrix"),
+        (np.array([[0.5, 1j], [1j, 0.5]]), "must be a nonempty square matrix of numbers"),
+        (np.array([["0.5", "0"], ["0", "0.5"]]), "must be a nonempty square matrix of numbers"),
+        (np.array([[0.5, np.nan], [np.nan, 0.5]]), "non-finite values"),
+        (np.array([[0.5, np.inf], [np.inf, 0.5]]), "non-finite values"),
+        (np.array([[0.5, 0.25], [ONE_ULP, 0.5]]), "must be exactly symmetric"),
+    ],
+    ids=["2x3", "1-d", "empty", "complex", "strings", "nan", "inf", "one-ulp"],
+)
+def test_symmetric_matrix_rule_names_the_value(what, bad, message):
+    with pytest.raises(InputError, match=message) as info:
+        SYMMETRIC_MATRICES[what](bad)
+    assert what in str(info.value)
+
+
+# every value that holds an integer vector, by the name its errors use
+INTEGER_VECTORS = {
+    "Partition": (Partition, "labels"),
+    "GroundTruth": (GroundTruth, "labels"),
+    "ARI first": (lambda x: adjusted_rand_index(x, [0, 1, 1]), "labels"),
+    "ARI second": (lambda x: adjusted_rand_index([0, 1, 1], x), "labels"),
+    "CommunitySpec sizes": (lambda x: CommunitySpec(x, np.eye(len(x))), "community sizes"),
+}
+
+
+@pytest.mark.parametrize("value", INTEGER_VECTORS)
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [1.5, 1.0, 2.0],
+        [np.nan, 1.0, 2.0],
+        [np.inf, 1.0, 2.0],
+        [1e30, 1.0, 2.0],
+        np.array(["1", "1", "2"]),
+        [None, 1, 2],
+        [[1, 1, 2]],
+        [],
+    ],
+    ids=["fraction", "nan", "inf", "beyond-int64", "strings", "objects", "2-d", "empty"],
+)
+def test_integer_vector_rule_names_the_value(value, bad):
+    make, what = INTEGER_VECTORS[value]
+    with pytest.raises(InputError, match=f"^{what} must be a nonempty 1-d integer array$"):
+        make(bad)
+
+
+def test_whole_number_floats_read_as_ints():
+    floats, ints = [2.0, 0.0, 0.0, 1.0], [2, 0, 0, 1]
+    assert np.array_equal(Partition(floats).labels, Partition(ints).labels)
+    a, b = GroundTruth(floats), GroundTruth(ints)
+    assert (a.k, a.labels.tolist(), a.sizes.tolist()) == (b.k, b.labels.tolist(), b.sizes.tolist())
+    assert a.labels.dtype == b.labels.dtype
+    assert adjusted_rand_index(floats, [1, 0, 0, 2]) == adjusted_rand_index(ints, [1, 0, 0, 2]) == 1.0
+    assert CommunitySpec((2.0, 3.0), np.eye(2)).sizes == (2, 3)
+    assert Partition(np.array([True, False, True])).labels.tolist() == [0, 1, 0]
+
+
+def test_fractional_labels_raise_instead_of_truncating():
+    # truncation would read the four singletons as [0, 0, 1, 1] and score 0.0
+    with pytest.raises(InputError, match="labels must be a nonempty 1-d integer array"):
+        adjusted_rand_index([0.2, 0.7, 1.5, 1.9], [0, 1, 2, 3])
+
+
+def test_fractional_community_size_raises():
+    with pytest.raises(InputError, match="community sizes must be a nonempty 1-d integer array"):
+        make_c2(2.5, 0.3)
 
 
 def test_degree_matrix_examples():

@@ -19,7 +19,7 @@ from templateclust.harness import (
     run_experiment,
     run_method,
 )
-from templateclust.synth import make_g3, sample_graph
+from templateclust.synth import C2_COUPLING, make_g3, sample_graph
 
 
 def small_cfg(**kw):
@@ -84,6 +84,32 @@ class TestRunExperiment:
     def test_real_requires_paths(self):
         with pytest.raises(InputError):
             ExperimentConfig(kind="real", dataset="x")
+
+    def test_c2_without_probs_resolves_its_coupling(self):
+        nan = float("nan")
+        assert small_cfg(dataset="c2").probs == (C2_COUPLING,)
+        assert small_cfg(dataset="c2", probs=(0.3, nan)).probs == (0.3, C2_COUPLING)
+        assert np.isnan(small_cfg(dataset="g3").probs).all()
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(sizes=(4, 5, 4)), "sizes repeats the value 4"),
+            (dict(probs=(float("nan"), float("nan"))), "probs repeats the value nan"),
+            (dict(dataset="c2", probs=(0.3, 0.3)), "probs repeats the value 0.3"),
+            (dict(dataset="c2", probs=(0.42, float("nan"))), "probs repeats the value 0.42"),
+            (dict(methods=("louvain", "cnm", "louvain")), "methods repeats the value 'louvain'"),
+            (
+                dict(kind="real", sigmas=(0.0, 5.0, 0.0), edges_path="e.txt", labels_path="l.txt"),
+                "sigmas repeats the value 0.0",
+            ),
+        ],
+        ids=["sizes", "probs-nan", "probs", "c2-default-given", "methods", "sigmas"],
+    )
+    def test_repeated_grid_value_rejected(self, kw, message):
+        # a repeated point would write rows with the same key but different results
+        with pytest.raises(InputError, match=f"^{message}$"):
+            small_cfg(**kw)
 
 
 class TestRunMethod:
@@ -337,6 +363,22 @@ class TestCli:
     def test_empty_grid_axis_exit_code(self, tmp_path, capsys, argv, field):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert f"error: {field} must name at least one value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["synth", "--family", "g3", "--sizes", "4,4"], "sizes repeats the value 4"),
+            (["synth", "--family", "c2", "--sizes", "4", "--probs", "0.42,nan"], "probs repeats the value 0.42"),
+            (["synth", "--family", "g3", "--sizes", "4", "--probs", "nan,nan"], "probs repeats the value nan"),
+            (["synth", "--family", "g3", "--sizes", "4", "--methods", "louvain,louvain"], "methods repeats"),
+            (["real", "--edges", "e.txt", "--labels", "l.txt", "--sigma-list", "0,0"], "sigmas repeats"),
+        ],
+        ids=["sizes", "c2-probs", "probs-nan", "methods", "sigmas"],
+    )
+    def test_repeated_grid_value_exit_code(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--reps", "2", "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
