@@ -49,7 +49,7 @@ from templateclust.synth import (
     make_g6,
     sample_graph,
 )
-from templateclust.dataio import load_edge_list, load_labels, model_from_ground_truth
+from templateclust.dataio import load_edge_list, load_labels, load_template, model_from_ground_truth
 
 __all__ = [
     "InputError",
@@ -91,6 +91,7 @@ __all__ = [
     "add_model_noise",
     "load_edge_list",
     "load_labels",
+    "load_template",
     "model_from_ground_truth",
 ]
 

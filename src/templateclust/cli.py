@@ -5,16 +5,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import warnings
+from typing import NoReturn
 
 import numpy as np
 
-from templateclust.dataio import load_edge_list, load_labels, model_from_ground_truth
+from templateclust.dataio import load_edge_list, load_labels, load_template, model_from_ground_truth
 from templateclust.errors import InputError
 from templateclust.harness import METHODS, ExperimentConfig, run_and_write, run_method
 from templateclust.metrics import adjusted_rand_index
 from templateclust.synth import FAMILIES, expected_model, make_family, sample_graph
-from templateclust.template import TemplateModel
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -29,8 +28,16 @@ def _methods(text: str) -> tuple[str, ...]:
     return tuple(x for x in text.split(",") if x)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors, its subcommands' included, raise
+    InputError, so `main` reports them with exit code 1."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="templateclust",
         description="Template-guided graph clustering experiments",
     )
@@ -108,15 +115,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         raise InputError("provide either --family/--size or --edges")
 
     if args.template:
-        try:
-            with warnings.catch_warnings():  # an empty file is reported below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                weights = np.loadtxt(args.template, ndmin=2, encoding="utf-8-sig")
-        except ValueError as exc:
-            raise InputError(f"{args.template}: malformed template file: {exc}") from exc
-        if weights.size == 0:
-            raise InputError(f"{args.template}: no template weights found")
-        model = TemplateModel(weights)
+        model = load_template(args.template)
 
     if args.k is not None and args.k < 1:
         raise InputError(f"--k must be >= 1, got {args.k}")
@@ -135,10 +134,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {"synth": _cmd_grid, "real": _cmd_grid, "cluster": _cmd_cluster}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
-"""Loading real datasets: edge lists, community label files, and template
-construction from annotated ground truth."""
+"""Loading real datasets: edge lists, community label files and template
+weight files, and template construction from annotated ground truth. Every
+input file the package reads is parsed here."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from itertools import compress, repeat
+from collections.abc import Callable, Iterator
+from itertools import repeat
 from operator import contains
 from pathlib import Path
 from typing import NoReturn
@@ -26,42 +27,31 @@ _LABEL_KINDS = {2: np.dtype([("vertex", np.int64), ("community", np.int64)])}
 
 
 def _read_records(
-    path: str | Path, kinds: dict[int, np.dtype], what: str
-) -> tuple[list[str], dict[int, np.ndarray] | None]:
-    """The file's lines, and its data lines parsed in bulk: for each token
-    count in `kinds`, its lines as one array of records of that dtype.
+    path: str | Path, kind: Callable[[int], np.dtype | None], what: str
+) -> tuple[list[str], np.ndarray | None]:
+    """The file's lines, and its data lines parsed in one bulk call as
+    records of dtype `kind(t)`, where t is the first data line's token count.
 
-    The records are None when a data line has another token count or a
-    token that is not a number. The file is UTF-8, optionally with a
-    byte-order mark. A line holds no data when it is blank or its first
-    non-blank character is '#'; a '#' anywhere else makes the line
-    malformed. Lines are split by `str.splitlines` and tokens as by
+    The records are None when `kind(t)` is None, or a data line has another
+    token count or a token that is not a number. The file is UTF-8,
+    optionally with a byte-order mark. A line holds no data when it is blank
+    or its first non-blank character is '#'; a '#' anywhere else makes the
+    line malformed. Lines are split by `str.splitlines` and tokens as by
     `str.split`. Raises InputError when no line holds data.
     """
     lines = Path(path).read_bytes().decode("utf-8-sig").splitlines()
     first = next((len(p) for p in map(str.split, lines) if p and not p[0].startswith("#")), 0)
     if not first:
         raise InputError(f"{path}: no {what} found")
+    dtype = kind(first)
     # no number holds a '#', so a line with one is a comment or malformed
     hashed = np.flatnonzero(np.fromiter(map(contains, lines, repeat("#")), bool, len(lines))).tolist()
-    if not all(lines[i].lstrip().startswith("#") for i in hashed):
+    if dtype is None or not all(lines[i].lstrip().startswith("#") for i in hashed):
         return lines, None
-    # most files have lines of one token count: try them all as the first line's
-    if first in kinds and (rows := _parse(lines, kinds[first])) is not None:
-        return lines, {first: rows}
-    widths = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-    widths[hashed] = 0
-    if not np.isin(widths, [0, *kinds]).all():
-        return lines, None
-    records = {
-        width: _parse(compress(lines, (widths == width).tolist()), kind)
-        for width, kind in kinds.items()
-        if (widths == width).any()
-    }
-    return lines, None if any(rows is None for rows in records.values()) else records
+    return lines, _parse(lines, dtype)
 
 
-def _parse(lines: Iterable[str], dtype: np.dtype) -> np.ndarray | None:
+def _parse(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
     """The lines as records of `dtype`, parsed in one bulk call, or None when
     a token is not a number or an integer does not fit in int64.
 
@@ -94,9 +84,11 @@ def _check_int64(path: str | Path, lineno: int, tokens: list[str], values: tuple
             raise InputError(f"{path}:{lineno}: id {token} does not fit in a 64-bit integer")
 
 
-def _raise_edge_error(path: str | Path, lines: list[str]) -> NoReturn:
-    """Raise the error of the first data line that breaks a rule of
+def _edge_rows(path: str | Path, lines: list[str]) -> np.ndarray:
+    """The (u, v) records of the file's data lines, read one line at a
+    time; raises the error of the first data line that breaks a rule of
     `load_edge_list`."""
+    rows = []
     for lineno, parts in _numbered_rows(lines):
         if len(parts) not in (2, 3):
             raise InputError(f"{path}:{lineno}: expected 'u v' or 'u v w', got {' '.join(parts)!r}")
@@ -108,7 +100,8 @@ def _raise_edge_error(path: str | Path, lines: list[str]) -> NoReturn:
         _check_int64(path, lineno, parts, (u, v))
         if not 0 < w < np.inf:  # also false for NaN
             raise InputError(f"{path}:{lineno}: edge weight must be positive and finite, got {parts[2]}")
-    raise AssertionError(f"{path}: the bulk parse rejected a file whose every line is valid")
+        rows.append((u, v))
+    return np.array(rows, _EDGE_KINDS[2])
 
 
 def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
@@ -121,15 +114,14 @@ def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
     input is symmetrized: an edge in either direction yields one undirected
     unit edge. Self-loops are dropped and duplicates collapse to weight 1.
     A weight must be positive and finite; any such weight also yields a
-    unit edge. The data lines are converted in bulk; an error names the
-    first offending line.
+    unit edge. A file whose data lines all have one width is converted in
+    one bulk call; other files are read line by line, and an error names
+    the first offending line.
     """
-    lines, records = _read_records(path, _EDGE_KINDS, "edges")
-    weighted = None if records is None else records.get(3, np.empty(0, _EDGE_KINDS[3]))
-    if weighted is None or not ((0 < weighted["w"]) & (weighted["w"] < np.inf)).all():
-        _raise_edge_error(path, lines)
-    ends = np.concatenate([rows[end] for end in ("u", "v") for rows in records.values()])
-    ids, ends = np.unique(ends, return_inverse=True)
+    lines, rows = _read_records(path, _EDGE_KINDS.get, "edges")
+    if rows is None or "w" in rows.dtype.names and not ((0 < rows["w"]) & (rows["w"] < np.inf)).all():
+        rows = _edge_rows(path, lines)
+    ids, ends = np.unique(np.concatenate([rows["u"], rows["v"]]), return_inverse=True)
     u, v = np.split(ends, 2)
     u, v = u[u != v], v[u != v]
     adj = np.zeros((ids.size, ids.size))
@@ -183,11 +175,11 @@ def load_labels(path: str | Path, n: int, id_map: dict[int, int] | None = None) 
     through id_map when given. A vertex may be repeated only with the same
     community.
     """
-    lines, records = _read_records(path, _LABEL_KINDS, "labels")
-    vertex = None if records is None else _translate(records[2]["vertex"], n, id_map)
+    lines, records = _read_records(path, _LABEL_KINDS.get, "labels")
+    vertex = None if records is None else _translate(records["vertex"], n, id_map)
     if vertex is None:
         _raise_label_error(path, lines, n, id_map)
-    comm = records[2]["community"]
+    comm = records["community"]
     labelled, first, which = np.unique(vertex, return_index=True, return_inverse=True)
     if (comm != comm[first][which]).any():  # a vertex labelled twice, differently
         _raise_label_error(path, lines, n, id_map)
@@ -201,6 +193,17 @@ def load_labels(path: str | Path, n: int, id_map: dict[int, int] | None = None) 
         file_ids = {new: orig for orig, new in id_map.items()} if id_map is not None else {}
         raise InputError(f"{path}: missing labels for vertices {[file_ids.get(v, v) for v in missing[:20]]}")
     return GroundTruth(labels)
+
+
+def load_template(path: str | Path) -> TemplateModel:
+    """Read a k x k template weight matrix, one row of k numbers per data
+    line, converted in one bulk call. Encoding, comments, blank lines and
+    number forms follow `load_edge_list`'s rules; rows of unequal width are
+    malformed."""
+    _, records = _read_records(path, lambda k: np.dtype([("w", np.float64, (k,))]), "template weights")
+    if records is None:
+        raise InputError(f"{path}: malformed template file")
+    return TemplateModel(records["w"])
 
 
 def model_from_ground_truth(g: Graph, gt: GroundTruth) -> TemplateModel:

@@ -14,7 +14,10 @@ def symmetric_matrix(m: object, what: str) -> np.ndarray:
     """A read-only float copy of `m`, which must be a nonempty square matrix
     of finite real numbers that is exactly symmetric; InputError names `what`
     otherwise."""
-    m = np.asarray(m)
+    try:
+        m = np.asarray(m)
+    except ValueError:  # a ragged nested sequence has no shape
+        raise InputError(f"{what} must be a nonempty square matrix of numbers, got a ragged sequence") from None
     if m.dtype.kind not in "biuf" or m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise InputError(f"{what} must be a nonempty square matrix of numbers, got {m.dtype} of shape {m.shape}")
     if not np.isfinite(m).all():
@@ -26,15 +29,25 @@ def symmetric_matrix(m: object, what: str) -> np.ndarray:
     return m
 
 
+def _integers(x: np.ndarray) -> bool:
+    """Whether every value of `x` is an int or bool, or a float that is a
+    whole number within int64."""
+    kind = x.dtype.kind
+    return kind in "bi" or kind in "uf" and bool(np.all((np.round(x) == x) & (abs(x) < 2.0**63)))
+
+
 def integer_vector(x: object, what: str) -> np.ndarray:
     """A read-only int copy of `x`, which must be a nonempty 1-d array of
     integers: int or bool values, or floats that are whole numbers within
-    int64. Fractions, NaN, strings and objects raise InputError naming `what`."""
-    x = np.asarray(x)
-    kind = x.dtype.kind
-    whole = kind in "bi" or kind in "uf" and bool(np.all((np.round(x) == x) & (abs(x) < 2.0**63)))
-    if x.ndim != 1 or x.size == 0 or not whole:
-        raise InputError(f"{what} must be a nonempty 1-d integer array")
+    int64. Fractions, NaN, strings, objects and ragged sequences raise
+    InputError naming `what`."""
+    rule = f"{what} must be a nonempty 1-d integer array"
+    try:
+        x = np.asarray(x)
+    except ValueError:  # a ragged nested sequence has no shape
+        raise InputError(rule) from None
+    if x.ndim != 1 or x.size == 0 or not _integers(x):
+        raise InputError(rule)
     x = x.astype(int)
     x.setflags(write=False)
     return x
@@ -79,12 +92,17 @@ def build_graph(edges: list[tuple[int, int, float]], n: int) -> Graph:
     """Assemble a graph from (i, j, w) triples; duplicate pairs accumulate.
 
     (i, j) and (j, i) denote the same undirected edge. A triple (i, i, w)
-    adds a self-loop of weight w.
+    adds a self-loop of weight w. Vertex ids and n must be integers, by
+    `integer_vector`'s rule.
     """
-    if n < 1:
-        raise InputError(f"vertex count must be >= 1, got {n}")
+    if np.ndim(n) or not _integers(np.asarray(n)) or n < 1:
+        raise InputError(f"vertex count must be an integer >= 1, got {n!r}")
+    n = int(n)
     adj = np.zeros((n, n))
     for i, j, w in edges:
+        if np.ndim(i) or np.ndim(j) or not _integers(np.asarray([i, j])):
+            raise InputError(f"edge ({i!r}, {j!r}) has a vertex id that is not an integer")
+        i, j = int(i), int(j)
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"edge ({i}, {j}) out of range for n={n}")
         adj[i, j] += w

@@ -11,10 +11,12 @@ from templateclust import (
     build_graph,
     load_edge_list,
     load_labels,
+    load_template,
     model_from_ground_truth,
 )
+from templateclust import dataio
 
-from conftest import random_simple_graph, two_triangles
+from conftest import load_bench_workloads, random_simple_graph, two_triangles
 
 
 def _parse_lines(path: str | Path) -> list[tuple[int, list[str]]]:
@@ -198,6 +200,69 @@ class TestLoadEdgeList:
         f.write_text(f"0 1\n{line}\n", encoding="utf-8")
         with pytest.raises(InputError, match=r"e\.txt:2: malformed edge line$"):
             load_edge_list(f)
+
+
+class TestReadPaths:
+    """A file whose data lines share one width is converted in one bulk call;
+    other files are read line by line."""
+
+    @staticmethod
+    def line_reader_called(*args):
+        raise AssertionError("read line by line")
+
+    def test_email_format_never_reaches_the_line_reader(self, tmp_path, monkeypatch):
+        workloads = load_bench_workloads(monkeypatch)
+        workloads.write_email_graph(7, 0, tmp_path)
+        assert (tmp_path / "edges-0.txt").read_text().startswith("#")
+        monkeypatch.setattr(dataio, "_edge_rows", self.line_reader_called)
+        monkeypatch.setattr(dataio, "_raise_label_error", self.line_reader_called)
+        graph, id_map = load_edge_list(tmp_path / "edges-0.txt")
+        truth = load_labels(tmp_path / "labels-0.txt", graph.n, id_map)
+        assert truth.k == workloads.EMAIL_COMMUNITIES
+
+    def test_mixed_widths_match_the_single_width_twin(self, tmp_path, monkeypatch):
+        load_bench_workloads(monkeypatch).write_email_graph(0, 0, tmp_path)
+        single = tmp_path / "edges-0.txt"
+        lines = single.read_text().splitlines()
+        mixed = write(tmp_path / "mixed.txt", "\n".join(x + " 1" if i % 2 else x for i, x in enumerate(lines)))
+        graph, id_map = load_edge_list(single)
+        read, edge_rows = [], dataio._edge_rows
+        monkeypatch.setattr(dataio, "_edge_rows", lambda *args: read.append(args) or edge_rows(*args))
+        twin, twin_map = load_edge_list(mixed)
+        assert len(read) == 1
+        assert np.array_equal(graph.adjacency, twin.adjacency)
+        assert list(id_map.items()) == list(twin_map.items())
+
+    def test_four_fields_on_the_first_data_line(self, tmp_path):
+        f = write(tmp_path / "e.txt", "# header\n\n1 2 3 4\n0 1\n")
+        with pytest.raises(InputError, match=r"e\.txt:3: expected 'u v' or 'u v w', got '1 2 3 4'$"):
+            load_edge_list(f)
+
+
+class TestLoadTemplate:
+    def test_byte_order_mark_comments_and_blank_lines(self, tmp_path):
+        f = tmp_path / "t.txt"
+        f.write_bytes("# 2 x 2\r\n\r\n6 0.5\r\n  # intra\r\n.5\t6e0\r\n \r\n".encode("utf-8-sig"))
+        assert np.array_equal(load_template(f).weights, [[6, 0.5], [0.5, 6]])
+
+    def test_one_by_one(self, tmp_path):
+        assert np.array_equal(load_template(write(tmp_path / "t.txt", "5\n")).weights, [[5]])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["6 0 # intra\n0 6\n", "6 0\n0 6#\n", "6 0\n0\n", "6 0\n0 6 1\n", "6 x\nx 6\n", "6 1_0\n1_0 6\n"],
+        ids=["hash-first-line", "hash-later-line", "short-row", "long-row", "word", "separator"],
+    )
+    def test_malformed(self, tmp_path, text):
+        f = write(tmp_path / "t.txt", text)
+        with pytest.raises(InputError, match=r"t\.txt: malformed template file$"):
+            load_template(f)
+
+    @pytest.mark.parametrize("text", ["", "# k x k weights\n\n  \n"])
+    def test_empty(self, tmp_path, text):
+        f = write(tmp_path / "t.txt", text)
+        with pytest.raises(InputError, match=r"t\.txt: no template weights found$"):
+            load_template(f)
 
 
 class TestLoadLabels:

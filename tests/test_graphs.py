@@ -48,6 +48,26 @@ def test_out_of_range_vertex():
         build_graph([], 0)
 
 
+@pytest.mark.parametrize(
+    "edges, n, message",
+    [
+        ([(0.5, 1, 1.0)], 2, r"edge \(0\.5, 1\) has a vertex id that is not an integer"),
+        ([(0, "1", 1.0)], 2, r"edge \(0, '1'\) has a vertex id that is not an integer"),
+        ([], 2.5, "vertex count must be an integer >= 1, got 2.5"),
+        ([], "2", "vertex count must be an integer >= 1, got '2'"),
+    ],
+    ids=["fractional-id", "string-id", "fractional-count", "string-count"],
+)
+def test_non_integer_vertex_ids_and_count_rejected(edges, n, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        build_graph(edges, n)
+
+
+def test_whole_number_vertex_ids_and_count_accepted():
+    g = build_graph([(0.0, np.int64(1), 1.0), (True, 2, 1.0)], 3.0)
+    assert np.array_equal(g.adjacency, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+
 def test_asymmetric_adjacency_rejected():
     with pytest.raises(InputError):
         Graph(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -82,8 +102,9 @@ ONE_ULP = np.nextafter(0.25, 1.0)
         (np.array([[0.5, np.nan], [np.nan, 0.5]]), "non-finite values"),
         (np.array([[0.5, np.inf], [np.inf, 0.5]]), "non-finite values"),
         (np.array([[0.5, 0.25], [ONE_ULP, 0.5]]), "must be exactly symmetric"),
+        ([[0.5, 0.25], [0.25]], "must be a nonempty square matrix of numbers"),
     ],
-    ids=["2x3", "1-d", "empty", "complex", "strings", "nan", "inf", "one-ulp"],
+    ids=["2x3", "1-d", "empty", "complex", "strings", "nan", "inf", "one-ulp", "ragged"],
 )
 def test_symmetric_matrix_rule_names_the_value(what, bad, message):
     with pytest.raises(InputError, match=message) as info:
@@ -113,8 +134,9 @@ INTEGER_VECTORS = {
         [None, 1, 2],
         [[1, 1, 2]],
         [],
+        [[0, 1], [1]],
     ],
-    ids=["fraction", "nan", "inf", "beyond-int64", "strings", "objects", "2-d", "empty"],
+    ids=["fraction", "nan", "inf", "beyond-int64", "strings", "objects", "2-d", "empty", "ragged"],
 )
 def test_integer_vector_rule_names_the_value(value, bad):
     make, what = INTEGER_VECTORS[value]

@@ -424,6 +424,29 @@ class TestCli:
         assert main(["cluster", "--method", "cnm"] + argv) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["synth", "--family", "g3", "--sizes", "a"], "argument --sizes: invalid _int_list value: 'a'"),
+            (["synth", "--family", "zz", "--sizes", "4"], "argument --family: invalid choice: 'zz'"),
+            (["cluster", "--family", "g3", "--size", "x"], "argument --size: invalid int value: 'x'"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ],
+        ids=["synth-sizes", "synth-family", "cluster-size", "command"],
+    )
+    def test_usage_error_exit_code(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out", str(tmp_path / "out")] if argv[0] == "synth" else argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["synth", "--help"], ["cluster", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: templateclust")
+
     def test_synth_probability_the_family_ignores_exit_code(self, tmp_path, capsys):
         argv = ["synth", "--family", "g3", "--sizes", "5", "--probs", "0.1,0.9", "--methods", "cnm"]
         assert main(argv + ["--reps", "1", "--out", str(tmp_path / "out")]) == 1
@@ -517,6 +540,15 @@ class TestCli:
         rc = main(["cluster", "--edges", str(edges), "--template", str(template)])
         assert rc == 1
         assert "template.txt: malformed template file" in capsys.readouterr().err
+
+    def test_cluster_template_hash_after_data_exit_code(self, tmp_path, capsys):
+        # a '#' after a row's numbers is malformed, as in edge and label files
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n")
+        template = tmp_path / "template.txt"
+        template.write_text("6 0 # intra\n0 6\n")
+        assert main(["cluster", "--edges", str(edges), "--template", str(template)]) == 1
+        assert capsys.readouterr().err == f"error: {template}: malformed template file\n"
 
     def test_cluster_template_file_with_byte_order_mark(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
