@@ -16,12 +16,20 @@ from templateclust.metrics import adjusted_rand_index
 from templateclust.synth import FAMILIES, expected_model, make_family, sample_graph
 
 
+def _comma_list(text: str, convert: type, what: str) -> tuple:
+    try:
+        return tuple(convert(x) for x in text.split(",") if x)
+    except ValueError:
+        # argparse would otherwise name this module's converter function
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from None
+
+
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x)
+    return _comma_list(text, int, "integers")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x)
+    return _comma_list(text, float, "numbers")
 
 
 def _methods(text: str) -> tuple[str, ...]:

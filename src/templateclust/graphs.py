@@ -93,7 +93,8 @@ def build_graph(edges: list[tuple[int, int, float]], n: int) -> Graph:
 
     (i, j) and (j, i) denote the same undirected edge. A triple (i, i, w)
     adds a self-loop of weight w. Vertex ids and n must be integers, by
-    `integer_vector`'s rule.
+    `integer_vector`'s rule, and each weight a real number: an int, bool or
+    float, never a string, None or a complex number.
     """
     if np.ndim(n) or not _integers(np.asarray(n)) or n < 1:
         raise InputError(f"vertex count must be an integer >= 1, got {n!r}")
@@ -105,6 +106,8 @@ def build_graph(edges: list[tuple[int, int, float]], n: int) -> Graph:
         i, j = int(i), int(j)
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"edge ({i}, {j}) out of range for n={n}")
+        if np.ndim(w) or np.asarray(w).dtype.kind not in "biuf":
+            raise InputError(f"edge ({i}, {j}) has weight {w!r}, which is not a real number")
         adj[i, j] += w
         if i != j:
             adj[j, i] += w

@@ -82,65 +82,137 @@ def euclidean_gradient(a_o: np.ndarray, a_m: TemplateModel, p: StiefelPoint) -> 
     return 4.0 * (ap @ (p.matrix.T @ ap) - ap @ a_m.weights)
 
 
+# np.sum adds a contiguous run of at most 128 values as eight running sums,
+# one per position mod 8, combined as ((s0 + s1) + (s2 + s3)) + ((s4 + s5) +
+# (s6 + s7)), then adds the rest one by one; a longer run is split in two at a
+# multiple of 8. With each whole block of eight stored in this order, that
+# tree is three halvings.
+_HALVING_ORDER = [0, 4, 2, 6, 1, 5, 3, 7]
+
+
+def _sum_order(d: int) -> np.ndarray:
+    order = np.arange(d)
+    whole = d - d % 8
+    order[:whole] = order[:whole].reshape(-1, 8)[:, _HALVING_ORDER].ravel()
+    return order
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis of terms stored in `_sum_order`, with the bits
+    np.sum gives over the last axis of the same terms in natural order.
+    Overwrites terms."""
+    m = len(terms)
+    if m < 8:
+        return terms.sum(axis=0)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    whole = m - m % 8
+    sums = terms[:8] if whole == 8 else terms[:whole].reshape(-1, 8, *terms.shape[1:]).sum(axis=0)
+    np.add(sums[:4], sums[4:], out=sums[:4])
+    np.add(sums[:2], sums[2:4], out=sums[:2])
+    np.add(sums[0], sums[1], out=terms[whole - 1])
+    return terms[whole - 1 :].sum(axis=0)
+
+
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, restarts: int) -> np.ndarray:
     """k-means++ centroids for every restart at once, shape (restarts, k, d).
 
     Each restart draws rng.integers(n), then rng.random(k - 1): the stream of
     a per-restart rng.choice(n, p=d2 / total), whose pick is the count of
     cdf <= u. A restart whose squared distances sum to 0 (fewer distinct rows
-    than k) picks row floor(u * n) instead.
+    than k) picks row floor(u * n) instead. Squared distances to a new seed
+    are differences squared as (d, restarts, n) and summed over d by
+    `_pairwise_sum`, the bits of the row sums of (restarts, n, d) squares.
     """
     n = points.shape[0]
     first, u = map(np.array, zip(*[(rng.integers(n), rng.random(k - 1)) for _ in range(restarts)]))
     idx = np.column_stack([first, (u * n).astype(int)])
-    d2 = np.sum((points - points[first, None]) ** 2, axis=2)
+    coords = points.T[_sum_order(points.shape[1])]
+    tiled = np.repeat(coords[:, None, :], restarts, axis=1)
+
+    def sq_dists(rows: np.ndarray) -> np.ndarray:
+        diff = tiled - coords[:, rows, None]
+        diff *= diff
+        return _pairwise_sum(diff)
+
+    d2 = sq_dists(first)
     with np.errstate(invalid="ignore"):  # 0 / 0 where the distances sum to 0
         for c in range(1, k):
             total = d2.sum(axis=1, keepdims=True)
             cdf = np.cumsum(d2 / total, axis=1)
             picked = (cdf / cdf[:, -1:] <= u[:, c - 1 : c]).sum(axis=1)
-            idx[:, c] = np.where(total[:, 0] > 0, picked, idx[:, c])
-            d2 = np.minimum(d2, np.sum((points - points[idx[:, c], None]) ** 2, axis=2))
+            np.copyto(idx[:, c], picked, where=total[:, 0] > 0)
+            if c < k - 1:
+                np.minimum(d2, sq_dists(idx[:, c]), out=d2)
     return points[idx]
 
 
 def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd iterations from each restart's centroids (R, k, d), all at once;
-    returns labels (R, n) and inertias (R,). Distances ||x||^2 - 2 x.c + ||c||^2
-    and centroids (one-hot membership times points, over counts) are batched
-    matrix products. A restart retires once its labels stop changing, a fixed
-    point, so every restart ends as it would alone."""
+    """At most max_iters >= 1 Lloyd iterations from each restart's centroids
+    (R, k, d), all at once; returns labels (R, n) and inertias (R,).
+
+    Each iteration puts the live restarts' squared distances ||x||^2 - 2 x.c
+    + ||c||^2 into one (R, k, n) array and labels every row with the
+    lowest-numbered centroid at the least distance. Centroids are the
+    transposed one-hot membership times the points, over the counts. A
+    restart retires, and leaves the arrays, when its labels repeat: its
+    centroids have not moved, so its inertia is the sum of that iteration's
+    least distances. One still moving after max_iters gets the inertia of its
+    last centroids. No restart's arithmetic depends on its slot or on the
+    others, so each ends with the bits it would reach alone."""
     restarts, k, _ = centroids.shape
-    rows = np.arange(points.shape[0])
-    point_sq = np.einsum("ij,ij->i", points, points)[:, None]
+    n = points.shape[0]
+    point_sq = np.einsum("ij,ij->i", points, points)
+    offsets = k * np.arange(restarts)[:, None]  # each slot's first bincount bin
+    rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]  # k - j, largest for the lowest j
+    one_hot = np.eye(k)
 
     def sq_dists(c: np.ndarray) -> np.ndarray:
-        return point_sq - 2.0 * (points @ c.transpose(0, 2, 1)) + np.einsum("rij,rij->ri", c, c)[:, None]
+        # one (n, d) x (d, k) product per restart: BLAS rounds the transposed
+        # (k, d) x (d, n) product differently at some sizes. Doubling is exact,
+        # so (-2 x.c + ||x||^2) + ||c||^2 has the bits of ||x||^2 - 2 x.c + ||c||^2
+        dots = points @ c.transpose(0, 2, 1)
+        dots *= -2.0
+        dists = np.add(dots.transpose(0, 2, 1), point_sq, order="C")
+        dists += np.einsum("rij,rij->ri", c, c)[:, :, None]
+        return dists
 
-    labels = np.zeros((restarts, rows.size), dtype=int)
-    centroids = centroids.copy()
-    active = np.arange(restarts)
+    final_labels = np.empty((restarts, n), dtype=int)
+    inertia = np.empty(restarts)
+    live = np.arange(restarts)  # the restart in each slot of the arrays below
+    # no centroid is numbered k, so the first labels never repeat: with k = 1
+    # they are all 0 while the centroids are still the seeds
+    labels = np.full((restarts, n), k)
     for _ in range(max_iters):
-        dists = sq_dists(centroids[active])
-        # ties broken toward the lowest centroid index by argmin
-        new_labels = np.argmin(dists, axis=2)
-        counts = np.bincount((new_labels + k * active[:, None]).ravel(), minlength=restarts * k)
-        counts = counts.reshape(restarts, k)[active]
+        dists = sq_dists(centroids)
+        nearest = dists.min(axis=1, keepdims=True)
+        new_labels = k - ((dists == nearest) * rank).max(axis=1)  # the first j at the least distance
+        counts = np.bincount((new_labels + offsets).ravel(), minlength=offsets.size * k).reshape(-1, k)
         # an empty cluster takes the point farthest from its centroid among
         # clusters of two or more, so no cluster is emptied
-        for r, c in zip(*np.nonzero(counts == 0)):
-            far = np.where(counts[r, new_labels[r]] > 1, dists[r, rows, new_labels[r]], -np.inf)
-            worst = int(np.argmax(far))
-            counts[r, new_labels[r, worst]] -= 1
-            new_labels[r, worst] = c
-            counts[r, c] = 1
-        centroids[active] = (np.eye(k)[new_labels].transpose(0, 2, 1) @ points) / counts[:, :, None]
-        moved = (new_labels != labels[active]).any(axis=1)
-        labels[active] = new_labels
-        active = active[moved]
-        if not active.size:
-            break
-    return labels, sq_dists(centroids)[np.arange(restarts)[:, None], rows, labels].sum(axis=1)
+        if not counts.all():
+            for r, c in zip(*np.nonzero(counts == 0)):
+                far = np.where(counts[r, new_labels[r]] > 1, nearest[r, 0], -np.inf)
+                worst = int(np.argmax(far))
+                counts[r, new_labels[r, worst]] -= 1
+                new_labels[r, worst] = c
+                nearest[r, 0, worst] = dists[r, c, worst]
+                counts[r, c] = 1
+        moved = (new_labels != labels).any(axis=1)
+        if not moved.all():
+            # the entries of restarts still moving are overwritten later
+            final_labels[live] = new_labels
+            inertia[live] = nearest[:, 0].sum(axis=1)
+            live, new_labels, counts = live[moved], new_labels[moved], counts[moved]
+            if not live.size:
+                return final_labels, inertia
+            offsets = offsets[: live.size]
+        centroids = (one_hot.take(new_labels, axis=0).transpose(0, 2, 1) @ points) / counts[:, :, None]
+        labels = new_labels
+    final_labels[live] = labels
+    inertia[live] = np.take_along_axis(sq_dists(centroids), labels[:, None], axis=1)[:, 0].sum(axis=1)
+    return final_labels, inertia
 
 
 def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:

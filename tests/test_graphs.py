@@ -63,6 +63,17 @@ def test_non_integer_vertex_ids_and_count_rejected(edges, n, message):
         build_graph(edges, n)
 
 
+@pytest.mark.parametrize(
+    "weight, shown",
+    [("x", "'x'"), (None, "None"), (1 + 1j, r"\(1\+1j\)")],
+    ids=["string", "none", "complex"],
+)
+def test_non_real_weight_rejected(weight, shown):
+    # a complex weight must not keep only its real part
+    with pytest.raises(InputError, match=rf"^edge \(0, 1\) has weight {shown}, which is not a real number$"):
+        build_graph([(0, 1, weight)], 2)
+
+
 def test_whole_number_vertex_ids_and_count_accepted():
     g = build_graph([(0.0, np.int64(1), 1.0), (True, 2, 1.0)], 3.0)
     assert np.array_equal(g.adjacency, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])

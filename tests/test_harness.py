@@ -427,12 +427,15 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["synth", "--family", "g3", "--sizes", "a"], "argument --sizes: invalid _int_list value: 'a'"),
+            (["synth", "--family", "g3", "--sizes", "a"], "argument --sizes: expected comma-separated integers, got 'a'"),
+            (["synth", "--family", "c2", "--sizes", "4", "--probs", "x"],
+             "argument --probs: expected comma-separated numbers, got 'x'"),
+            (["real", "--sigma-list", "0,q"], "argument --sigma-list: expected comma-separated numbers, got '0,q'"),
             (["synth", "--family", "zz", "--sizes", "4"], "argument --family: invalid choice: 'zz'"),
             (["cluster", "--family", "g3", "--size", "x"], "argument --size: invalid int value: 'x'"),
             (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
         ],
-        ids=["synth-sizes", "synth-family", "cluster-size", "command"],
+        ids=["synth-sizes", "synth-probs", "real-sigma-list", "synth-family", "cluster-size", "command"],
     )
     def test_usage_error_exit_code(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path / "out")] if argv[0] == "synth" else argv) == 1

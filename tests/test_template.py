@@ -32,7 +32,7 @@ from templateclust import (
     template_cluster,
 )
 from templateclust.baselines import spectral_embedding
-from templateclust.template import CERTIFICATE_TOL, _kmeans_pp_init, _lloyd
+from templateclust.template import CERTIFICATE_TOL, _kmeans_pp_init, _lloyd, _pairwise_sum, _sum_order
 
 from conftest import load_bench_workloads, random_simple_graph, two_triangles
 
@@ -391,6 +391,56 @@ def test_kmeans_matches_sequential_reference(n, d, k, grid, seed):
         loop_labels, loop_inertia = kmeans_by_cluster_loop(points, k, np.random.default_rng(seed + 1))
         assert len(set(zip(labels, loop_labels))) == len(set(labels)) == len(set(loop_labels))
         assert inertia == pytest.approx(loop_inertia, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 250),
+    d=st.integers(1, 12),
+    k=st.integers(1, 12),
+    grid=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kmeans_matches_sequential_reference_at_benchmark_shapes(n, d, k, grid, seed):
+    # out to email-file's d = k = 12: from d = 8 on, np.sum adds a row's
+    # squares as a pairwise tree, which the batched seeding must reproduce
+    draw = np.random.default_rng(seed)
+    points = draw.integers(0, 3, (n, d)).astype(float) if grid else draw.standard_normal((n, d))
+    assume(len(np.unique(points, axis=0)) >= k)
+    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    labels, inertia = kmeans(points, k, rng)
+    ref_labels, ref_inertia = kmeans_by_cluster_loop(points, k, ref_rng, lloyd=lloyd_one_restart)
+    assert np.array_equal(labels, ref_labels)
+    assert inertia == pytest.approx(ref_inertia, rel=1e-9)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [1, 7, 8, 12, 17, 40, 128, 129, 300])
+def test_seeding_sums_have_the_bits_of_np_sum(d):
+    # k-means++ picks compare cumulative distances, so the seeding's sums over
+    # a leading axis must round as np.sum rounds a contiguous row
+    squares = np.random.default_rng(d).standard_normal((4, 9, d)) ** 2 * np.logspace(-3, 3, d)
+    terms = np.ascontiguousarray(squares.transpose(2, 0, 1)[_sum_order(d)])
+    assert _pairwise_sum(terms).tobytes() == squares.sum(axis=2).tobytes()
+
+
+def test_lloyd_restart_bits_independent_of_slot_and_numbering():
+    """A restart's arithmetic is its own: neither its slot in the batch nor
+    the numbers of its clusters may change a bit of its result. Otherwise two
+    restarts that find the same clusters can differ in the last bit of their
+    inertia, and the later one can win the best-of-restarts."""
+    points = np.random.default_rng(0).standard_normal((27, 1))
+    seeds = _kmeans_pp_init(points, 3, np.random.default_rng(1), restarts=10)
+    labels, inertia = _lloyd(points, seeds, max_iters=300)
+    rev_labels, rev_inertia = _lloyd(points, seeds[::-1], max_iters=300)
+    for r in range(10):
+        (alone,), (alone_inertia,) = _lloyd(points, seeds[r : r + 1], max_iters=300)
+        assert np.array_equal(labels[r], alone) and np.array_equal(rev_labels[9 - r], alone)
+        assert inertia[r].tobytes() == alone_inertia.tobytes() == rev_inertia[9 - r].tobytes()
+    # restarts 0 and 3 end in one partition, numbered differently
+    assert not np.array_equal(labels[0], labels[3])
+    assert len(set(zip(labels[0], labels[3]))) == len(set(labels[0])) == 3
+    assert inertia[0].tobytes() == inertia[3].tobytes()
 
 
 class TestTemplateCluster:
