@@ -17,12 +17,12 @@ from templateclust.stiefel import (
     retract_qr,
     steepest_descent,
 )
+from templateclust.rounding import kmeans
 from templateclust.template import (
     ClusteringResult,
     TemplateModel,
     eigenvector_start,
     euclidean_gradient,
-    kmeans,
     objective,
     template_cluster,
 )

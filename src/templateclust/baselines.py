@@ -8,8 +8,8 @@ import numpy as np
 
 from templateclust.errors import InputError, NumericalError
 from templateclust.graphs import Graph, block_sums, degree_matrix, integer_vector, laplacian
+from templateclust.rounding import kmeans
 from templateclust.stiefel import StiefelPoint
-from templateclust.template import kmeans
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,20 +30,11 @@ class Partition:
 
 
 def spectral_embedding(g: Graph, k: int) -> StiefelPoint:
-    """Eigenvectors of the k smallest Laplacian eigenvalues, as columns.
-
-    Each eigenvector's sign is fixed so its largest-magnitude entry is
-    positive, making the embedding deterministic up to eigenvalue ties.
-    """
+    """Eigenvectors of the k smallest Laplacian eigenvalues, as columns."""
     if g.n < k or k < 1:
         raise InputError(f"need n >= k >= 1, got n={g.n}, k={k}")
     _, evecs = g.eigh("laplacian", lambda: laplacian(g))
-    embedding = evecs[:, :k].copy()
-    for c in range(k):
-        col = embedding[:, c]
-        if col[np.argmax(np.abs(col))] < 0:
-            embedding[:, c] = -col
-    return StiefelPoint(embedding)
+    return StiefelPoint(evecs[:, :k])
 
 
 def spectral_cluster(g: Graph, k: int, rng: np.random.Generator) -> Partition:

@@ -106,6 +106,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         raise InputError("--labels needs --edges")
     if not args.family and (args.size is not None or args.prob == args.prob or args.intra_mode != "bipartite"):
         raise InputError("--size, --prob and --intra-mode need --family")
+    if args.method in ("cnm", "louvain"):
+        for flag, value in (("--k", args.k), ("--template", args.template)):
+            if value is not None:
+                raise InputError(f"{flag} does not apply to {args.method}: it chooses the number of communities itself")
+    if args.k is not None and args.k < 1:
+        raise InputError(f"--k must be >= 1, got {args.k}")
     gt = None
     model = None
     if args.family:
@@ -125,12 +131,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.template:
         model = load_template(args.template)
 
-    if args.k is not None and args.k < 1:
-        raise InputError(f"--k must be >= 1, got {args.k}")
-    if args.method in ("cnm", "louvain") and args.k is not None:
-        raise InputError(f"--k does not apply to {args.method}: it chooses the number of communities itself")
-    if args.method == "tb" and model is not None and args.k not in (None, model.k):
-        raise InputError(f"--k {args.k} differs from the template's k={model.k}; tb takes k from the template")
+    # tb always takes k from its template; spectral only from an explicit --template
+    if (args.method == "tb" or args.template) and model is not None and args.k not in (None, model.k):
+        raise InputError(f"--k {args.k} differs from the template's k={model.k}; {args.method} takes k from the template")
     k = args.k or (model.k if model is not None else None) or (gt.k if gt else None)
     labels, _, _ = run_method(args.method, graph, k, model, np.random.default_rng(args.seed))
 

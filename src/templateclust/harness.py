@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,20 +38,6 @@ from templateclust.synth import C2_COUPLING, add_model_noise, expected_model, ma
 from templateclust.template import TemplateModel, template_cluster
 
 METHODS = ("tb", "spectral", "cnm", "louvain")
-
-RECORD_COLUMNS = (
-    "dataset",
-    "method",
-    "size",
-    "param",
-    "repetition",
-    "seed",
-    "status",
-    "ari",
-    "projector_distance",
-    "iterations",
-    "k_found",
-)
 
 SUMMARY_COLUMNS = (
     "dataset",
@@ -123,6 +109,9 @@ class ExperimentRecord:
     iterations: int | None = None
     k_found: int | None = None
     runtime_ms: float = 0.0
+
+
+RECORD_COLUMNS = tuple(f.name for f in fields(ExperimentRecord) if f.name != "runtime_ms")
 
 
 def _fmt(x: object) -> str:
@@ -226,7 +215,8 @@ def aggregate(records: list[ExperimentRecord]) -> list[dict[str, object]]:
     for r in sorted(records, key=lambda r: (r.method, r.size or 0, r.param, r.repetition)):
         groups.setdefault((r.dataset, r.method, r.size, r.param), []).append(r)
 
-    def stats(values: list[float]) -> tuple[float | None, float | None]:
+    def stats(values: list[float | None]) -> tuple[float | None, float | None]:
+        values = [v for v in values if v is not None]
         if not values:
             return None, None
         mean = float(np.mean(values))
@@ -234,26 +224,10 @@ def aggregate(records: list[ExperimentRecord]) -> list[dict[str, object]]:
         return mean, std
 
     rows = []
-    for (dataset, method, size, param), group in groups.items():
+    for key, group in groups.items():
         ok = [r for r in group if r.status == "ok"]
-        ari_mean, ari_std = stats([r.ari for r in ok if r.ari is not None])
-        pd_mean, pd_std = stats(
-            [r.projector_distance for r in ok if r.projector_distance is not None]
-        )
-        rows.append(
-            {
-                "dataset": dataset,
-                "method": method,
-                "size": size,
-                "param": param,
-                "repetitions": len(group),
-                "failures": len(group) - len(ok),
-                "ari_mean": ari_mean,
-                "ari_std": ari_std,
-                "pd_mean": pd_mean,
-                "pd_std": pd_std,
-            }
-        )
+        ari, pd = stats([r.ari for r in ok]), stats([r.projector_distance for r in ok])
+        rows.append(dict(zip(SUMMARY_COLUMNS, (*key, len(group), len(group) - len(ok), *ari, *pd))))
     return rows
 
 

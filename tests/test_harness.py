@@ -418,6 +418,11 @@ class TestCli:
             (["--edges", "/nonexistent.txt", "--intra-mode", "hub"], "--size, --prob and --intra-mode need --family"),
             (["--family", "g6", "--size", "5", "--prob", "0.9"], "family g6 takes no coupling probability"),
             (["--family", "g6", "--size", "5", "--intra-mode", "hub"], "applies only to family bp, not g6"),
+            # the template file is never opened
+            (["--family", "c2", "--size", "5", "--template", "/nonexistent.txt"],
+             "--template does not apply to cnm: it chooses the number of communities itself"),
+            (["--family", "c2", "--size", "5", "--template", "/nonexistent.txt", "--method", "louvain"],
+             "--template does not apply to louvain: it chooses the number of communities itself"),
         ],
     )
     def test_cluster_flag_it_would_drop_exit_code(self, capsys, argv, message):
@@ -474,13 +479,26 @@ class TestCli:
         assert capsys.readouterr().out.splitlines()[-1] == "k_found: 3"
 
     @pytest.mark.parametrize("method", ["cnm", "louvain"])
-    @pytest.mark.parametrize("k", ["2", "3"])
+    @pytest.mark.parametrize("k", ["2", "3", "0"])
     def test_cluster_modularity_method_rejects_k(self, capsys, method, k):
         rc = main(["cluster", "--family", "g3", "--size", "10", "--k", k, "--method", method])
         assert rc == 1
         assert f"--k does not apply to {method}: it chooses the number of communities itself" in (
             capsys.readouterr().err
         )
+
+    def test_cluster_spectral_k_differs_from_template_exit_code(self, tmp_path, capsys):
+        template = tmp_path / "template.txt"
+        template.write_text("6 1\n1 6\n")
+        rc = main(["cluster", "--family", "c2", "--size", "5", "--method", "spectral", "--template", str(template),
+                   "--k", "3"])
+        assert rc == 1
+        assert "--k 3 differs from the template's k=2; spectral takes k from the template" in capsys.readouterr().err
+
+    def test_cluster_spectral_k_overrides_family_k(self, capsys):
+        rc = main(["cluster", "--family", "g3", "--size", "10", "--method", "spectral", "--k", "2"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "k_found: 2"
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_cluster_tb_cost_overflow_exit_code(self, tmp_path, capsys):

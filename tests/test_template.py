@@ -32,7 +32,8 @@ from templateclust import (
     template_cluster,
 )
 from templateclust.baselines import spectral_embedding
-from templateclust.template import CERTIFICATE_TOL, _kmeans_pp_init, _lloyd, _pairwise_sum, _sum_order
+from templateclust.rounding import _kmeans_pp_init, _lloyd, _pairwise_sum, _sum_order
+from templateclust.template import CERTIFICATE_TOL
 
 from conftest import load_bench_workloads, random_simple_graph, two_triangles
 
