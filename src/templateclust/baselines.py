@@ -80,16 +80,23 @@ def cnm_cluster(g: Graph) -> Partition:
     Starts from singletons and repeatedly merges the community pair with
     the largest positive modularity gain; ties go to the lexicographically
     smallest pair of community ids, and the merged community keeps the
-    smaller id. Two dense n x n matrices hold the communities'
-    cross-weights and their symmetric gains; a merge recomputes the merged
-    community's row of gains and copies it to its column. An upper bound on
-    each row's largest gain, raised when a gain grows and tightened when the
-    row is read, finds the best pair in a few rows instead of a scan of the
-    whole matrix, and gives the same merges in the same order.
+    smaller id. CNM draws no randomness, so the partition is computed on the
+    first call for a `Graph` and read from its memo after that; a graph that
+    raises is not memoized and raises again.
 
     Raises NumericalError when (2m)^2 overflows or underflows, so that the
     gains' degree term cannot be computed.
     """
+    return g.memo("cnm", lambda: _cnm_merges(g))
+
+
+def _cnm_merges(g: Graph) -> Partition:
+    """CNM's merge loop. Two dense n x n matrices hold the communities'
+    cross-weights and their symmetric gains; a merge recomputes the merged
+    community's row of gains and copies it to its column. An upper bound on
+    each row's largest gain, raised when a gain grows and tightened when the
+    row is read, finds the best pair in a few rows instead of a scan of the
+    whole matrix, and gives the same merges in the same order."""
     two_m = _gain_scale(g)
     two_m_sq = two_m * two_m
     n = g.n

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 import numpy as np
 
 from templateclust.errors import InputError, NumericalError
+
+T = TypeVar("T")
 
 
 def symmetric_matrix(m: object, what: str) -> np.ndarray:
@@ -63,7 +66,7 @@ class Graph:
 
     adjacency: np.ndarray
     n: int = field(init=False)
-    _factors: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "adjacency", symmetric_matrix(self.adjacency, "adjacency"))
@@ -73,19 +76,31 @@ class Graph:
         """Sum of weights over unordered vertex pairs, excluding self-loops."""
         return float(np.triu(self.adjacency, k=1).sum())
 
+    def memo(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """`compute()` on the first request for `key`, the stored value after
+        that; nothing is stored when `compute` raises. The graph is immutable,
+        so a value derived from it never goes stale. Each caller namespaces
+        its keys: `eigh` stores under ("eigh", matrix name)."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     def eigh(self, key: str, matrix: Callable[[], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Read-only `np.linalg.eigh` of the matrix `key` names ("adjacency",
         "laplacian"), built by `matrix()` and factored on the first request
-        only; the graph is immutable, so the factors never go stale."""
-        if key not in self._factors:
+        only."""
+
+        def factor() -> tuple[np.ndarray, np.ndarray]:
             with np.errstate(over="ignore", invalid="ignore"):
                 m = matrix()
             if not np.isfinite(m).all():
                 raise NumericalError(f"the graph's {key} overflows: entries are not finite")
-            self._factors[key] = np.linalg.eigh(m)
-            for a in self._factors[key]:
+            factors = np.linalg.eigh(m)
+            for a in factors:
                 a.setflags(write=False)
-        return self._factors[key]
+            return factors
+
+        return self.memo(("eigh", key), factor)
 
 
 def build_graph(edges: list[tuple[int, int, float]], n: int) -> Graph:

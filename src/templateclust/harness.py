@@ -25,7 +25,7 @@ from templateclust.baselines import (
     spectral_embedding,
 )
 from templateclust.dataio import load_edge_list, load_labels, model_from_ground_truth
-from templateclust.errors import InputError
+from templateclust.errors import InputError, NumericalError
 from templateclust.graphs import Graph
 from templateclust.metrics import (
     GroundTruth,
@@ -182,13 +182,19 @@ def _instances(
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
-    """Execute the full grid; per-repetition method failures become failed
-    rows rather than aborting the run."""
+    """Execute the full grid. A method that raises InputError or
+    NumericalError on a repetition gives a failed row and the run goes on;
+    any other exception is a fault in the program and propagates.
+
+    Each repetition draws from generators seeded by where it sits in the
+    grid: the graph by (seed, point, rep), each method by (seed, point, rep,
+    its index in METHODS), so its rows do not depend on the other methods
+    asked for."""
     records: list[ExperimentRecord] = []
     for size, param, point_idx, rep, graph, gt, model in _instances(cfg):
-        for m_idx, method in enumerate(cfg.methods):
+        for method in cfg.methods:
             rec = ExperimentRecord(cfg.dataset, method, size, param, rep, cfg.base_seed + rep)
-            rng = np.random.default_rng((cfg.base_seed, point_idx, rep, m_idx))
+            rng = np.random.default_rng((cfg.base_seed, point_idx, rep, METHODS.index(method)))
             start = time.perf_counter()
             try:
                 labels, embedding, iters = run_method(method, graph, gt.k, model, rng)
@@ -198,7 +204,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
                     pd = projector_distance(embedding, closest_orthonormal(gt.indicator()))
                 rec.ari, rec.projector_distance, rec.iterations = ari, pd, iters
                 rec.k_found = int(labels.max()) + 1
-            except Exception:
+            except (InputError, NumericalError):
                 rec.status = "failed"
             rec.runtime_ms = (time.perf_counter() - start) * 1000.0
             records.append(rec)

@@ -1,10 +1,12 @@
-"""Each graph matrix is factored once, on the graph that owns it.
+"""Each graph matrix is factored once, and CNM's partition computed once, on
+the graph that owns them.
 
-`Graph.eigh` memoizes the eigendecompositions of the adjacency and the
-Laplacian, so a spectral repetition, every repetition and noise level of a
-`real` grid, and every repetition of a `--fixed-graph` point reuse one
-factorization. An AST guard keeps new eigensolver calls out of the rest of
-the package.
+`Graph.memo` stores values derived from an immutable graph. `Graph.eigh`
+memoizes the eigendecompositions of the adjacency and the Laplacian through
+it, so a spectral repetition, every repetition and noise level of a `real`
+grid, and every repetition of a `--fixed-graph` point reuse one
+factorization; `cnm_cluster` memoizes its partition the same way. An AST
+guard keeps new eigensolver calls out of the rest of the package.
 """
 
 import ast
@@ -14,7 +16,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from templateclust import Graph, NumericalError, laplacian, make_g3, sample_graph, spectral_cluster
+from templateclust import (
+    Graph,
+    InputError,
+    NumericalError,
+    build_graph,
+    cnm_cluster,
+    laplacian,
+    make_g3,
+    sample_graph,
+    spectral_cluster,
+)
 from templateclust import baselines
 from templateclust.cli import main
 from templateclust.harness import run_method
@@ -27,7 +39,7 @@ SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
 
 # the graph memo, and the k x k template factorization
 ALLOWED = {
-    ("graphs.py", "Graph.eigh", "np.linalg.eigh(m)"),
+    ("graphs.py", "Graph.eigh.factor", "np.linalg.eigh(m)"),
     ("template.py", "eigenvector_start", "np.linalg.eigh(model.weights)"),
 }
 
@@ -104,6 +116,77 @@ def laplacians(monkeypatch):
     return built
 
 
+@pytest.fixture
+def merged(monkeypatch):
+    """Graphs on which CNM's merge loop ran, in call order."""
+    ran = []
+    merges = baselines._cnm_merges
+
+    def counting(g):
+        ran.append(g)
+        return merges(g)
+
+    monkeypatch.setattr(baselines, "_cnm_merges", counting)
+    return ran
+
+
+class TestGraphMemo:
+    def test_computes_on_the_first_request_only(self, rng):
+        g = random_simple_graph(5, rng)
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return object()
+
+        first = g.memo("value", compute)
+        assert g.memo("value", compute) is first and calls == [1]
+
+    def test_stores_nothing_when_compute_raises(self, rng):
+        g = random_simple_graph(5, rng)
+
+        def fail():
+            raise InputError("not this time")
+
+        for _ in range(2):
+            with pytest.raises(InputError, match="not this time"):
+                g.memo("value", fail)
+        assert g.memo("value", lambda: 3) == 3
+
+    def test_eigh_keys_do_not_collide_with_other_keys(self, rng):
+        g = random_simple_graph(6, rng)
+        assert g.memo("adjacency", lambda: "mine") == "mine"
+        evals, _ = g.eigh("adjacency", lambda: g.adjacency)
+        assert np.array_equal(evals, np.linalg.eigh(g.adjacency)[0])
+        assert g.memo("adjacency", lambda: "other") == "mine"
+
+
+class TestCNMMemo:
+    def test_merge_loop_runs_once_per_graph(self, rng, merged):
+        g = random_simple_graph(10, rng)
+        first = cnm_cluster(g)
+        assert cnm_cluster(g) is first and merged == [g]
+        assert not first.labels.flags.writeable
+
+    def test_graphs_with_equal_adjacency_compute_their_own(self, rng, merged):
+        a = random_simple_graph(10, rng)
+        b = Graph(a.adjacency.copy())
+        assert np.array_equal(cnm_cluster(a).labels, cnm_cluster(b).labels)
+        assert merged == [a, b]
+
+    @pytest.mark.parametrize(
+        "edges, error",
+        [([], InputError), ([(0, 1, 1e155), (1, 2, 1e155)], NumericalError)],
+        ids=["edgeless", "gain-scale-overflow"],
+    )
+    def test_a_graph_that_raises_raises_on_every_call(self, merged, edges, error):
+        g = build_graph(edges, 3)
+        for _ in range(3):
+            with pytest.raises(error):
+                cnm_cluster(g)
+        assert merged == [g] * 3
+
+
 class TestMemo:
     @pytest.mark.parametrize("key", ["adjacency", "laplacian"])
     def test_read_only_and_bit_identical_to_a_fresh_eigh(self, rng, key):
@@ -160,20 +243,21 @@ class TestFactorizationCounts:
         assert main(["cluster", "--family", "g3", "--size", "4", "--method", "spectral"]) == 0
         assert factored == [12] and len(laplacians) == 1
 
-    def test_real_grid_factors_each_graph_matrix_once(self, tmp_path, factored, laplacians):
+    def test_real_grid_factors_each_graph_matrix_once(self, tmp_path, factored, laplacians, merged):
         edges, labels = tmp_path / "edges.txt", tmp_path / "labels.txt"
         blocks = [range(0, 5), range(5, 10)]
         edges.write_text("".join(f"{i} {j}\n" for b in blocks for i in b for j in b if i < j) + "0 5\n")
         labels.write_text("".join(f"{i} {i // 5}\n" for i in range(10)))
         argv = ["real", "--edges", str(edges), "--labels", str(labels), "--sigma-list", "0,0.5"]
-        assert main(argv + ["--methods", "tb,spectral", "--reps", "3", "--out", str(tmp_path / "out")]) == 0
+        assert main(argv + ["--methods", "tb,spectral,cnm", "--reps", "3", "--out", str(tmp_path / "out")]) == 0
         # A_O and L once each; the 2 x 2 template once per tb repetition
         assert sorted(factored) == [2] * 6 + [10, 10]
-        assert len(laplacians) == 1
+        assert len(laplacians) == 1 and len(merged) == 1
 
     @pytest.mark.parametrize("fixed, graphs", [(True, 1), (False, 3)])
-    def test_fixed_graph_repetitions_share_one_graph(self, tmp_path, factored, laplacians, fixed, graphs):
-        argv = ["synth", "--family", "g3", "--sizes", "4", "--methods", "tb,spectral", "--reps", "3"]
+    def test_fixed_graph_repetitions_share_one_graph(self, tmp_path, factored, laplacians, merged, fixed, graphs):
+        argv = ["synth", "--family", "g3", "--sizes", "4", "--methods", "tb,spectral,cnm", "--reps", "3"]
         assert main(argv + ["--fixed-graph"] * fixed + ["--out", str(tmp_path)]) == 0
         assert sorted(factored) == [3] * 3 + [12] * (2 * graphs)
         assert len({id(g) for g in laplacians}) == len(laplacians) == graphs
+        assert len({id(g) for g in merged}) == len(merged) == graphs

@@ -10,6 +10,7 @@ import pytest
 from templateclust import TemplateModel, build_graph
 from templateclust.cli import main
 from templateclust.errors import InputError
+from templateclust import harness
 from templateclust.harness import (
     METHODS,
     ExperimentConfig,
@@ -67,6 +68,37 @@ class TestRunExperiment:
         records = run_experiment(cfg)
         # same graph every repetition, deterministic method: identical ARI
         assert len({r.ari for r in records}) == 1
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["sampled", "fixed-graph"])
+    def test_edgeless_graph_writes_failed_modularity_rows(self, tmp_path, fixed):
+        # with --fixed-graph every repetition meets the same graph, so a
+        # failure the CNM memo stored would surface as an ok row
+        argv = ["synth", "--family", "bp", "--sizes", "4", "--probs", "0", "--methods", "cnm,louvain"]
+        assert main(argv + ["--reps", "3"] + ["--fixed-graph"] * fixed + ["--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "records.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["cnm"] * 3 + ["louvain"] * 3
+        assert all(row.split(",")[6:] == ["failed", "", "", "", ""] for row in rows)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only InputError and NumericalError are a repetition's failure; a
+        # bug elsewhere must not hide in failed rows
+        def broken(graph):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(harness, "cnm_cluster", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            run_experiment(small_cfg(methods=("cnm",)))
+
+    def test_method_rows_do_not_depend_on_the_other_methods(self):
+        def rows(methods):
+            cfg = small_cfg(methods=methods, dataset="c2", sizes=(10,), probs=(0.42,), repetitions=5, base_seed=2)
+            return [(r.method, r.repetition, r.ari, r.projector_distance, r.iterations, r.k_found)
+                    for r in run_experiment(cfg)]
+
+        full = rows(METHODS)
+        assert rows(tuple(reversed(METHODS))) == full
+        # records sort by method name, so the single-method grids go in that order
+        assert sum((rows((method,)) for method in sorted(METHODS)), []) == full
 
     def test_bp_needs_probability(self):
         with pytest.raises(InputError):
@@ -218,7 +250,8 @@ class TestCsvOutput:
 
 
 # records.csv of the pure-Python baselines on two fixed grids; spectral and
-# tb are left out because their rows depend on the BLAS build
+# tb are left out because their rows depend on the BLAS build. Louvain draws
+# from its METHODS-index stream, so its rows are those of the full method list.
 BASELINE_RECORDS = {
     "g6": (
         ["--family", "g6", "--sizes", "10"],
@@ -241,7 +274,7 @@ c2,cnm,5,0.42,1,18,ok,0.6149545772187281,,,3
 c2,cnm,5,0.42,2,19,ok,0.6779661016949152,,,3
 c2,louvain,5,0.42,0,17,ok,0.6779661016949152,,,3
 c2,louvain,5,0.42,1,18,ok,0.6149545772187281,,,3
-c2,louvain,5,0.42,2,19,ok,0.6077621800165153,,,4
+c2,louvain,5,0.42,2,19,ok,0.6779661016949152,,,3
 """,
     ),
 }
