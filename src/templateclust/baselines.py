@@ -93,28 +93,29 @@ def cnm_cluster(g: Graph) -> Partition:
 def _cnm_merges(g: Graph) -> Partition:
     """CNM's merge loop. Two dense n x n matrices hold the communities'
     cross-weights and their symmetric gains; a merge recomputes the merged
-    community's row of gains and copies it to its column. An upper bound on
-    each row's largest gain, raised when a gain grows and tightened when the
-    row is read, finds the best pair in a few rows instead of a scan of the
+    community's row of gains and copies it to its column. The cross-weights
+    are -inf on the diagonal and in every absorbed community's column, so a
+    recomputed row is -inf there without a mask. An upper bound on each
+    row's largest gain, raised when a gain grows and tightened when the row
+    is read, finds the best pair in a few rows instead of a scan of the
     whole matrix, and gives the same merges in the same order."""
     two_m = _gain_scale(g)
     two_m_sq = two_m * two_m
     n = g.n
     deg = degree_matrix(g)
-    cross = g.adjacency.copy()  # cross-weights between communities; the diagonal is never read
+    cross = g.adjacency.copy()  # cross-weights between communities
+    np.fill_diagonal(cross, -np.inf)  # no community pairs with itself; self-loops count only in deg
     # gains[a, b] = 2 w_ab/2m - 2 d_a d_b/(2m)^2. A pair with no edge has a
     # gain <= 0, and only gains above 1e-15 are merged, so any positive
     # maximum is a joined pair. By symmetry the row-major first maximum
     # (a, b) has a < b and is the lexicographically smallest best pair.
     gains = 2.0 * cross / two_m - (2.0 * deg)[:, None] * deg / two_m_sq
-    np.fill_diagonal(gains, -np.inf)
     best = gains.max(axis=1)
-    dead = np.zeros(n, dtype=bool)
     degree_term = np.empty(n)
     merges = []
     while True:
-        a = int(np.argmax(best))
-        b = int(np.argmax(gains[a]))
+        a = int(best.argmax())  # the method skips np.argmax's dispatch, which costs more than the scan
+        b = int(gains[a].argmax())
         top = gains[a, b]
         if top < best[a]:  # a stale bound: tighten it and look again
             best[a] = top
@@ -122,25 +123,22 @@ def _cnm_merges(g: Graph) -> Partition:
         # top is the largest gain; a is the first row reaching it
         if not top > 1e-15:  # merge only strictly positive gains
             break
-        # merge b into a
+        # merge b into a; row b is never read again, as best[b] stays -inf
         merges.append((a, b))
-        dead[b] = True
         deg[a] += deg[b]
         cross[a] += cross[b]
         cross[:, a] = cross[a]
+        cross[:, b] = -np.inf
         row = gains[a]
         np.multiply(cross[a], 2.0, out=row)
         row /= two_m
         np.multiply(deg, 2.0 * deg[a], out=degree_term)
         degree_term /= two_m_sq
         row -= degree_term
-        row[dead] = -np.inf
-        row[a] = -np.inf
         gains[:, a] = row
-        gains[b] = -np.inf
         gains[:, b] = -np.inf
         np.maximum(best, row, out=best)
-        best[a] = row.max()
+        best[a] = row[row.argmax()]  # the max, without row.max()'s Python-level dispatch
         best[b] = -np.inf
     # in reverse, each absorbed id takes its absorber's final community
     root = list(range(n))
@@ -209,7 +207,7 @@ def louvain_cluster(g: Graph, rng: np.random.Generator) -> Partition:
     `cnm_cluster` does.
     """
     _gain_scale(g)
-    adj = g.adjacency.copy()
+    adj = g.adjacency  # read-only: local moving only reads it, block_sums returns a new matrix
     assignment = np.arange(g.n)  # maps original vertex -> current community index
     prev_q = -np.inf
     while True:

@@ -64,9 +64,9 @@ def sample_graph(spec: CommunitySpec, rng: np.random.Generator) -> tuple[Graph, 
     Bernoulli edge with the rate of its community pair. No self-loops."""
     labels = np.repeat(np.arange(spec.k), spec.sizes)
     n = spec.n
-    pair_prob = spec.rates[labels[:, None], labels[None, :]]
-    upper = np.triu(rng.random((n, n)) < pair_prob, k=1).astype(float)
-    return Graph(upper + upper.T), GroundTruth(labels)
+    pair_prob = spec.rates[labels][:, labels]
+    upper = np.triu(rng.random((n, n)) < pair_prob, k=1)
+    return Graph(upper | upper.T), GroundTruth(labels)  # Graph casts the booleans to float once
 
 
 def expected_model(spec: CommunitySpec) -> TemplateModel:

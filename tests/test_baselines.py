@@ -259,6 +259,23 @@ def integer_weight_graphs(draw):
     return Graph(upper + np.triu(upper, k=1).T)
 
 
+@st.composite
+def float_weight_graphs(draw):
+    """Symmetric graphs with float edge weights in (0, 1], self-loops of
+    weight 0.5 to 8, which CNM must leave out of every pair's cross-weight,
+    and isolated vertices."""
+    n = draw(st.integers(2, 25))
+    density = draw(st.floats(0.05, 0.9))
+    isolated = draw(st.integers(0, 3))
+    loops = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, k=1) * (1.0 - rng.random((n, n)))
+    upper[np.diag_indices(n)] = (rng.random(n) < loops) * rng.uniform(0.5, 8.0, size=n)
+    upper[:, rng.integers(n, size=isolated)] = 0.0
+    upper[rng.integers(n, size=isolated)] = 0.0
+    return Graph(upper + np.triu(upper, k=1).T)
+
+
 class TestCNM:
     def test_two_triangles_optimal(self):
         g = two_triangles()
@@ -320,6 +337,12 @@ class TestCNM:
     def test_matches_dense_reference_with_ties(self, g):
         assume(g.adjacency.sum() > 0)
         assert np.array_equal(cnm_cluster(g).labels, cnm_dense_reference(g).labels)
+
+    @settings(max_examples=150, deadline=None)
+    @given(float_weight_graphs())
+    def test_matches_references_float_weights_and_self_loops(self, g):
+        assume(g.adjacency.sum() > 0)  # a graph of self-loops alone stays singletons
+        assert_cnm_matches_references(g)
 
     def test_tied_pairs_go_to_the_lexicographically_smallest(self):
         # path 0-1-2-3-4: once {0, 1} and {3, 4} have formed, vertex 2 gains

@@ -265,6 +265,19 @@ g6,louvain,10,,1,18,ok,0.8102893890675241,,,5
 g6,louvain,10,,2,19,ok,1.0,,,6
 """,
     ),
+    # the benchmark's g6-mid size, n = 240
+    "g6-40": (
+        ["--family", "g6", "--sizes", "40"],
+        """\
+dataset,method,size,param,repetition,seed,status,ari,projector_distance,iterations,k_found
+g6,cnm,40,,0,17,ok,0.6796246648793566,,,4
+g6,cnm,40,,1,18,ok,0.6796246648793566,,,4
+g6,cnm,40,,2,19,ok,0.5591311176232845,,,3
+g6,louvain,40,,0,17,ok,1.0,,,6
+g6,louvain,40,,1,18,ok,1.0,,,6
+g6,louvain,40,,2,19,ok,1.0,,,6
+""",
+    ),
     "c2": (
         ["--family", "c2", "--sizes", "5", "--probs", "0.42"],
         """\
@@ -286,6 +299,27 @@ def test_baseline_records_unchanged(tmp_path, family):
     argv = ["synth", *grid, "--methods", "cnm,louvain", "--reps", "3", "--seed", "17"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert (tmp_path / "records.csv").read_text(encoding="utf-8") == expected
+
+
+def test_blas_free_methods_ignore_the_blas_thread_count(tmp_path):
+    """Sampling, CNM and Louvain call no BLAS routine whose sums split by
+    thread, so their records.csv is the same under one and two BLAS threads.
+    tb and spectral are left out: their projector distances can differ in the
+    last digits (see the README's "Output format")."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    grid = ["synth", "--family", "g6", "--sizes", "40", "--reps", "2", "--methods", "cnm,louvain"]
+    records = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "templateclust.cli", *grid, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        records.append((out / "records.csv").read_bytes())
+    assert records[0] == records[1]
 
 
 def test_c2_without_probs_writes_its_coupling(tmp_path):

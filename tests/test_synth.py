@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from templateclust import (
     CommunitySpec,
@@ -66,6 +68,29 @@ class TestSampleGraph:
             p = spec.rates[a, b]
             sd = np.sqrt(pairs * p * (1 - p))
             assert abs(observed - pairs * p) <= 3 * sd + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        size=st.integers(1, 40),
+        coupling=st.floats(0.0, 0.9),
+        hub=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_float_sum(self, family, size, coupling, hub, seed):
+        # oracle: the same draw and comparison, with the upper triangle cast
+        # to float and added to its transpose
+        prob = coupling if family in ("c2", "bp") else float("nan")
+        spec = make_family(family, size, prob, "hub" if hub and family == "bp" else "bipartite")
+        g, gt = sample_graph(spec, np.random.default_rng(seed))
+        labels = np.repeat(np.arange(spec.k), spec.sizes)
+        rng = np.random.default_rng(seed)
+        pair_prob = spec.rates[labels[:, None], labels[None, :]]
+        upper = np.triu(rng.random((spec.n, spec.n)) < pair_prob, k=1).astype(float)
+        expected = upper + upper.T
+        assert np.array_equal(g.adjacency, expected)
+        assert g.adjacency.tobytes() == expected.tobytes()
+        assert np.array_equal(gt.labels, labels)
 
 
 class TestCommunitySpec:
