@@ -153,32 +153,40 @@ def _local_moving(adj: np.ndarray, labels: np.ndarray, rng: np.random.Generator)
 
     The phase's off-diagonal nonzeros are listed once, row by row in
     ascending column order (CSR offsets `indptr`), so a visit reads only its
-    true neighbours; the scan runs over plain Python lists.
+    true neighbours; the scan runs over plain Python lists. A vertex's
+    weights to its neighbours' communities depend only on its neighbours'
+    labels, so a visit reuses the ones its last visit built until a
+    neighbour moves. Every visit still scores its candidates, so the moves,
+    the rng draws and the labels are those of the dense-row scan.
     """
     n = adj.shape[0]
     two_m = float(adj.sum())
     deg_arr = adj.sum(axis=1)
     comm_deg = np.bincount(labels, weights=deg_arr, minlength=n).tolist()
     deg = deg_arr.tolist()
-    rows, cols = np.nonzero(adj)
-    off_diag = rows != cols  # self-loops never pull a vertex anywhere
-    rows, cols = rows[off_diag], cols[off_diag]
-    weights = adj[rows, cols].tolist()
+    flat = np.flatnonzero(adj)  # the entries of np.nonzero(adj), in its row-major order
+    flat = flat[flat % (n + 1) != 0]  # self-loops never pull a vertex anywhere
+    rows, cols = np.divmod(flat, n)
+    weights = adj.ravel()[flat].tolist()
     indptr = np.searchsorted(rows, np.arange(n + 1)).tolist()
     cols = cols.tolist()
     lab = labels.tolist()
     two_m_sq = two_m * two_m
+    cached: list[dict[int, float] | None] = [None] * n  # w_to of each vertex's last visit
     moved = True
     while moved:
         moved = False
         for i in rng.permutation(n).tolist():
             ci = lab[i]
             lo, hi = indptr[i], indptr[i + 1]
-            # weight from i to each candidate community
-            w_to: dict[int, float] = {}
-            for j, w in zip(cols[lo:hi], weights[lo:hi]):
-                c = lab[j]
-                w_to[c] = w_to.get(c, 0.0) + w
+            w_to = cached[i]
+            if w_to is None:
+                # weight from i to each candidate community
+                w_to = {}
+                for j, w in zip(cols[lo:hi], weights[lo:hi]):
+                    c = lab[j]
+                    w_to[c] = w_to.get(c, 0.0) + w
+                cached[i] = w_to
             # detach i, then score re-insertion into each candidate community
             # by 2w/2m - 2 deg_i comm_deg/(2m)^2; terms constant across
             # candidates (deg_i^2, self-loops) drop out
@@ -196,6 +204,8 @@ def _local_moving(adj: np.ndarray, labels: np.ndarray, rng: np.random.Generator)
             if best_c != ci:
                 lab[i] = best_c
                 moved = True
+                for j in cols[lo:hi]:  # i's neighbours' weights now hold a stale label
+                    cached[j] = None
     labels[:] = lab
 
 

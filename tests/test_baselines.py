@@ -471,8 +471,33 @@ def louvain_dense_reference(g, rng):
 
 
 def assert_louvain_matches_reference(g, seed):
-    labels = louvain_cluster(g, np.random.default_rng(seed)).labels
-    assert np.array_equal(labels, louvain_dense_reference(g, np.random.default_rng(seed)).labels)
+    """Same labels, and the rng left in the same state, so the two also made
+    the same number of passes and phases."""
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(louvain_cluster(g, ours).labels, louvain_dense_reference(g, ref).labels)
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@st.composite
+def louvain_graphs(draw):
+    """Symmetric graphs with unit, integer or float weights, self-loops and
+    isolated vertices. Sparse ones take several passes per phase, in which
+    visits reuse the community weights that an earlier pass built."""
+    n = draw(st.integers(2, 30))
+    density = draw(st.floats(0.03, 0.6))
+    isolated = draw(st.integers(0, 3))
+    loops = draw(st.floats(0.0, 0.5))
+    weights = draw(st.sampled_from(["unit", "integer", "float"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density).astype(float)
+    upper[np.diag_indices(n)] = rng.random(n) < loops
+    if weights == "integer":
+        upper *= rng.integers(1, 5, size=(n, n))
+    elif weights == "float":
+        upper *= 1.0 - rng.random((n, n))
+    upper[:, rng.integers(n, size=isolated)] = 0.0
+    upper[rng.integers(n, size=isolated)] = 0.0
+    return Graph(upper + np.triu(upper, k=1).T)
 
 
 def email_graph(monkeypatch, tmp_path, index):
@@ -503,6 +528,12 @@ class TestLouvainMatchesDenseReference:
             if g.adjacency.sum() == 0:
                 continue
             assert_louvain_matches_reference(g, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(louvain_graphs(), st.integers(0, 2**32 - 1))
+    def test_matches_dense_reference_property(self, g, seed):
+        assume(g.adjacency.sum() > 0)
+        assert_louvain_matches_reference(g, seed)
 
     def test_isolated_vertex(self):
         edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 2, 2.0), (3, 4, 1.0), (4, 5, 1.0)]

@@ -22,6 +22,8 @@ from templateclust.harness import (
 )
 from templateclust.synth import C2_COUPLING, make_g3, sample_graph
 
+from conftest import load_bench_workloads
+
 
 def small_cfg(**kw):
     defaults = dict(
@@ -249,12 +251,12 @@ class TestCsvOutput:
         assert data.decode().splitlines()[0].startswith("dataset,method,size,param")
 
 
-# records.csv of the pure-Python baselines on two fixed grids; spectral and
+# records.csv of the pure-Python baselines on fixed grids; spectral and
 # tb are left out because their rows depend on the BLAS build. Louvain draws
 # from its METHODS-index stream, so its rows are those of the full method list.
 BASELINE_RECORDS = {
     "g6": (
-        ["--family", "g6", "--sizes", "10"],
+        ["synth", "--family", "g6", "--sizes", "10", "--reps", "3"],
         """\
 dataset,method,size,param,repetition,seed,status,ari,projector_distance,iterations,k_found
 g6,cnm,10,,0,17,ok,0.6647727272727273,,,4
@@ -267,7 +269,7 @@ g6,louvain,10,,2,19,ok,1.0,,,6
     ),
     # the benchmark's g6-mid size, n = 240
     "g6-40": (
-        ["--family", "g6", "--sizes", "40"],
+        ["synth", "--family", "g6", "--sizes", "40", "--reps", "3"],
         """\
 dataset,method,size,param,repetition,seed,status,ari,projector_distance,iterations,k_found
 g6,cnm,40,,0,17,ok,0.6796246648793566,,,4
@@ -279,7 +281,7 @@ g6,louvain,40,,2,19,ok,1.0,,,6
 """,
     ),
     "c2": (
-        ["--family", "c2", "--sizes", "5", "--probs", "0.42"],
+        ["synth", "--family", "c2", "--sizes", "5", "--probs", "0.42", "--reps", "3"],
         """\
 dataset,method,size,param,repetition,seed,status,ari,projector_distance,iterations,k_found
 c2,cnm,5,0.42,0,17,ok,0.6779661016949152,,,3
@@ -290,15 +292,53 @@ c2,louvain,5,0.42,1,18,ok,0.6149545772187281,,,3
 c2,louvain,5,0.42,2,19,ok,0.6779661016949152,,,3
 """,
     ),
+    # the benchmark's email-file workload: its graphs 0 and 1, read from files
+    "email-0": (
+        ["real", "--edges", "edges-0.txt", "--labels", "labels-0.txt", "--reps", "5"],
+        """\
+dataset,method,size,param,repetition,seed,status,ari,projector_distance,iterations,k_found
+real,cnm,,0.0,0,17,ok,0.8284929042063599,,,10
+real,cnm,,0.0,1,18,ok,0.8284929042063599,,,10
+real,cnm,,0.0,2,19,ok,0.8284929042063599,,,10
+real,cnm,,0.0,3,20,ok,0.8284929042063599,,,10
+real,cnm,,0.0,4,21,ok,0.8284929042063599,,,10
+real,louvain,,0.0,0,17,ok,1.0,,,12
+real,louvain,,0.0,1,18,ok,0.9883224433527071,,,12
+real,louvain,,0.0,2,19,ok,0.9536958745513567,,,12
+real,louvain,,0.0,3,20,ok,1.0,,,12
+real,louvain,,0.0,4,21,ok,0.9883224433527071,,,12
+""",
+    ),
+    "email-1": (
+        ["real", "--edges", "edges-1.txt", "--labels", "labels-1.txt", "--reps", "5"],
+        """\
+dataset,method,size,param,repetition,seed,status,ari,projector_distance,iterations,k_found
+real,cnm,,0.0,0,17,ok,0.9428692873223029,,,12
+real,cnm,,0.0,1,18,ok,0.9428692873223029,,,12
+real,cnm,,0.0,2,19,ok,0.9428692873223029,,,12
+real,cnm,,0.0,3,20,ok,0.9428692873223029,,,12
+real,cnm,,0.0,4,21,ok,0.9428692873223029,,,12
+real,louvain,,0.0,0,17,ok,0.9653550262025781,,,12
+real,louvain,,0.0,1,18,ok,0.9188656610749474,,,12
+real,louvain,,0.0,2,19,ok,0.9657424762940932,,,12
+real,louvain,,0.0,3,20,ok,0.923275953734006,,,12
+real,louvain,,0.0,4,21,ok,0.9657642041817268,,,12
+""",
+    ),
 }
 
 
 @pytest.mark.parametrize("family", sorted(BASELINE_RECORDS))
-def test_baseline_records_unchanged(tmp_path, family):
+def test_baseline_records_unchanged(monkeypatch, tmp_path, family):
     grid, expected = BASELINE_RECORDS[family]
-    argv = ["synth", *grid, "--methods", "cnm,louvain", "--reps", "3", "--seed", "17"]
-    assert main(argv + ["--out", str(tmp_path)]) == 0
-    assert (tmp_path / "records.csv").read_text(encoding="utf-8") == expected
+    if grid[0] == "real":
+        workloads = load_bench_workloads(monkeypatch)
+        for index in (0, 1):
+            workloads.write_email_graph(0, index, tmp_path)
+        monkeypatch.chdir(tmp_path)
+    argv = [*grid, "--methods", "cnm,louvain", "--seed", "17"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "records.csv").read_text(encoding="utf-8") == expected
 
 
 def test_blas_free_methods_ignore_the_blas_thread_count(tmp_path):
