@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from typing import NoReturn
 
@@ -44,7 +45,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one, so repeated `main` calls in one process build it once.
+    Parsing leaves it unchanged; callers must not modify it."""
     parser = _Parser(
         prog="templateclust",
         description="Template-guided graph clustering experiments",

@@ -37,9 +37,18 @@ def _read_records(
     optionally with a byte-order mark. A line holds no data when it is blank
     or its first non-blank character is '#'; a '#' anywhere else makes the
     line malformed. Lines are split by `str.splitlines` and tokens as by
-    `str.split`. Raises InputError when no line holds data.
+    `str.split`. Raises InputError when the file cannot be read, is not
+    UTF-8 (naming the line of the first bad byte), or no line holds data.
     """
-    lines = Path(path).read_bytes().decode("utf-8-sig").splitlines()
+    try:
+        lines = Path(path).read_bytes().decode("utf-8-sig").splitlines()
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read the file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        # exc.object holds the bytes after any byte-order mark, valid up to
+        # exc.start; "?" stands in for the bad byte when counting lines
+        lineno = len((exc.object[: exc.start].decode("utf-8") + "?").splitlines())
+        raise InputError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} 0x{exc.object[exc.start]:02x}") from None
     first = next((len(p) for p in map(str.split, lines) if p and not p[0].startswith("#")), 0)
     if not first:
         raise InputError(f"{path}: no {what} found")
@@ -124,9 +133,10 @@ def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
     ids, ends = np.unique(np.concatenate([rows["u"], rows["v"]]), return_inverse=True)
     u, v = np.split(ends, 2)
     u, v = u[u != v], v[u != v]
-    adj = np.zeros((ids.size, ids.size))
-    adj[u, v] = 1.0
-    adj[v, u] = 1.0
+    adj = np.zeros((ids.size, ids.size), bool)
+    adj[u, v] = True
+    adj[v, u] = True
+    # Graph casts the booleans to float once
     return Graph(adj), dict(zip(ids.tolist(), range(ids.size)))
 
 

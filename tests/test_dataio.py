@@ -178,6 +178,20 @@ class TestLoadEdgeList:
         assert g.total_edge_weight() == 2
         assert id_map == {0: 0, 1: 1, 2: 2}
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"\xff0 1\n", 1),
+            ("0 1\r\n1 2\r\n".encode("utf-8-sig") + b"2 \xc3(\r\n", 3),  # the mark is no line
+            ("0 1\r1 é 2\n".encode("utf-8") + b"\xe2\x82", 3),  # cut inside a character
+        ],
+    )
+    def test_not_utf8_names_the_line(self, tmp_path, data, line):
+        f = tmp_path / "e.txt"
+        f.write_bytes(data)
+        with pytest.raises(InputError, match=rf"e\.txt:{line}: not UTF-8 text: "):
+            load_edge_list(f)
+
     @pytest.mark.parametrize("token", [str(2**63), str(-(2**63) - 1), "1" * 30])
     def test_id_outside_int64(self, tmp_path, token):
         f = tmp_path / "e.txt"
@@ -485,6 +499,24 @@ class TestMatchesReference:
         assert np.array_equal(graph.adjacency, adj)
         assert list(id_map.items()) == list(ref_map.items())
         assert all(type(k) is int for k in id_map)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_adjacency_bytes_match_the_float_construction(self, tmp_path_factory, data):
+        """The boolean adjacency `load_edge_list` hands to `Graph` ends as the
+        same bytes as a float matrix built directly, the loader's former way."""
+        ids = data.draw(st.lists(IDS, min_size=1, max_size=8, unique=True))
+        edges = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), min_size=1, max_size=30))
+        path = write(tmp_path_factory.getbasetemp() / "edges.txt", "".join(f"{u} {v}\n" for u, v in edges))
+        file_ids, ends = np.unique(np.array(edges).T, return_inverse=True)
+        u, v = ends.reshape(2, -1)
+        u, v = u[u != v], v[u != v]
+        expected = np.zeros((file_ids.size, file_ids.size))
+        expected[u, v] = 1.0
+        expected[v, u] = 1.0
+        adjacency = load_edge_list(path)[0].adjacency
+        assert (adjacency.dtype, adjacency.shape) == (expected.dtype, expected.shape)
+        assert adjacency.tobytes() == expected.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

@@ -10,7 +10,7 @@ import pytest
 from templateclust import TemplateModel, build_graph
 from templateclust.cli import main
 from templateclust.errors import InputError
-from templateclust import harness
+from templateclust import cli, harness
 from templateclust.harness import (
     METHODS,
     ExperimentConfig,
@@ -764,3 +764,77 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "out" / "records.csv").exists()
+
+
+UNREADABLE = {
+    "missing": lambda path: None,
+    "directory": Path.mkdir,
+    "not UTF-8": lambda path: path.write_bytes(b"0 1\n1 2 \xff\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+@pytest.mark.parametrize("command, flag", [("real", "--edges"), ("real", "--labels"), ("cluster", "--edges"),
+                                           ("cluster", "--template")])
+def test_unreadable_file_is_an_input_error(tmp_path, capsys, case, command, flag):
+    """A file that cannot be read or decoded exits 1, like any bad input,
+    with a message that names the file and, for a decode error, the line."""
+    files = {"--edges": tmp_path / "edges.txt", "--labels": tmp_path / "labels.txt",
+             "--template": tmp_path / "template.txt"}
+    files["--edges"].write_text("0 1\n1 2\n2 0\n")
+    files["--labels"].write_text("0 0\n1 0\n2 1\n")
+    files["--template"].write_text("1 0\n0 1\n")
+    bad = files[flag] = tmp_path / "bad"
+    UNREADABLE[case](bad)
+    argv, given = {
+        "real": (["real", "--methods", "cnm", "--reps", "1", "--out", str(tmp_path / "out")], ["--edges", "--labels"]),
+        "cluster": (["cluster", "--method", "tb"], ["--edges", flag]),
+    }[command]
+    for name in dict.fromkeys(given):
+        argv += [name, str(files[name])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2: not UTF-8" if case == "not UTF-8" else f"error: {bad}: cannot read"), err
+
+
+class TestSharedParser:
+    """`main` builds its parser on the first call only, and no call leaves
+    state in it that a later call sees."""
+
+    def test_built_once(self, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        assert main(["cluster", "--family", "g3", "--size", "4", "--method", "cnm"]) == 0
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli.build_parser.__wrapped__()
+        assert len(built) == 4  # the counter sees a build: the parser and its three subcommands
+        built.clear()
+        assert main(["cluster", "--family", "g3", "--size", "4", "--method", "cnm"]) == 0
+        assert built == []
+
+    def test_no_state_carried_between_calls(self, tmp_path, capsys):
+        assert main(["synth", "--family", "g3", "--sizes", "x", "--out", str(tmp_path / "bad")]) == 1
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert main(["cluster", "--family", "g3", "--size", "4", "--method", "tb", "--seed", "1"]) == 0
+        assert main(["synth", "--family", "c2", "--sizes", "3", "--methods", "tb", "--probs", "0.42",
+                     "--reps", "2", "--out", str(tmp_path / "explicit")]) == 0
+        defaults = ["synth", "--family", "g3", "--sizes", "3"]
+        assert main(defaults + ["--out", str(tmp_path / "in-process")]) == 0
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "templateclust", *defaults, "--out", str(tmp_path / "fresh")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        fresh = (tmp_path / "fresh" / "records.csv").read_bytes()
+        assert (tmp_path / "in-process" / "records.csv").read_bytes() == fresh
