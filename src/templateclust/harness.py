@@ -260,7 +260,10 @@ def write_timings_csv(records: list[ExperimentRecord], path: str | Path) -> None
 
 def run_and_write(cfg: ExperimentConfig, out_dir: str | Path) -> list[ExperimentRecord]:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"{out}: cannot make the output directory: {exc.strerror}") from None
     records = run_experiment(cfg)
     write_records_csv(records, out / "records.csv")
     write_summary_csv(aggregate(records), out / "summary.csv")

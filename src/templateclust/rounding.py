@@ -11,39 +11,6 @@ import numpy as np
 from templateclust.errors import InputError, NumericalError
 
 
-# np.sum adds a contiguous run of at most 128 values as eight running sums,
-# one per position mod 8, combined as ((s0 + s1) + (s2 + s3)) + ((s4 + s5) +
-# (s6 + s7)), then adds the rest one by one; a longer run is split in two at a
-# multiple of 8. With each whole block of eight stored in this order, that
-# tree is three halvings.
-_HALVING_ORDER = [0, 4, 2, 6, 1, 5, 3, 7]
-
-
-def _sum_order(d: int) -> np.ndarray:
-    order = np.arange(d)
-    whole = d - d % 8
-    order[:whole] = order[:whole].reshape(-1, 8)[:, _HALVING_ORDER].ravel()
-    return order
-
-
-def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis of terms stored in `_sum_order`, with the bits
-    np.sum gives over the last axis of the same terms in natural order.
-    Overwrites terms."""
-    m = len(terms)
-    if m < 8:
-        return terms.sum(axis=0)
-    if m > 128:
-        half = m // 2 - m // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    whole = m - m % 8
-    sums = terms[:8] if whole == 8 else terms[:whole].reshape(-1, 8, *terms.shape[1:]).sum(axis=0)
-    np.add(sums[:4], sums[4:], out=sums[:4])
-    np.add(sums[:2], sums[2:4], out=sums[:2])
-    np.add(sums[0], sums[1], out=terms[whole - 1])
-    return terms[whole - 1 :].sum(axis=0)
-
-
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, restarts: int) -> np.ndarray:
     """k-means++ centroids for every restart at once, shape (restarts, k, d).
 
@@ -51,19 +18,20 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, restar
     a per-restart rng.choice(n, p=d2 / total), whose pick is the count of
     cdf <= u. A restart whose squared distances sum to 0 (fewer distinct rows
     than k) picks row floor(u * n) instead. Squared distances to a new seed
-    are differences squared as (d, restarts, n) and summed over d by
-    `_pairwise_sum`, the bits of the row sums of (restarts, n, d) squares.
+    are differences squared as (d, restarts, n) and summed over d in order.
+    For d >= 8 a distance can differ in the last bit from np.sum's pairwise
+    sum of a row; only the picks depend on the distances.
     """
     n = points.shape[0]
     first, u = map(np.array, zip(*[(rng.integers(n), rng.random(k - 1)) for _ in range(restarts)]))
     idx = np.column_stack([first, (u * n).astype(int)])
-    coords = points.T[_sum_order(points.shape[1])]
+    coords = points.T
     tiled = np.repeat(coords[:, None, :], restarts, axis=1)
 
     def sq_dists(rows: np.ndarray) -> np.ndarray:
         diff = tiled - coords[:, rows, None]
         diff *= diff
-        return _pairwise_sum(diff)
+        return diff.sum(axis=0)
 
     d2 = sq_dists(first)
     with np.errstate(invalid="ignore"):  # 0 / 0 where the distances sum to 0

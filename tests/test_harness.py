@@ -252,8 +252,8 @@ class TestCsvOutput:
 
 
 # records.csv of the pure-Python baselines on fixed grids; spectral and
-# tb are left out because their rows depend on the BLAS build. Louvain draws
-# from its METHODS-index stream, so its rows are those of the full method list.
+# tb are in EMBEDDING_RECORDS. Louvain draws from its METHODS-index stream, so
+# its rows are those of the full method list.
 BASELINE_RECORDS = {
     "g6": (
         ["synth", "--family", "g6", "--sizes", "10", "--reps", "3"],
@@ -328,17 +328,63 @@ real,louvain,,0.0,4,21,ok,0.9657642041817268,,,12
 }
 
 
-@pytest.mark.parametrize("family", sorted(BASELINE_RECORDS))
-def test_baseline_records_unchanged(monkeypatch, tmp_path, family):
-    grid, expected = BASELINE_RECORDS[family]
+# records.csv of tb and spectral on the email graphs, where k = 12 takes
+# k-means++ seeding past d = 8, without the projector_distance column, whose
+# last digits can move with the BLAS thread count
+EMBEDDING_RECORDS = {
+    "email-0": """\
+dataset,method,size,param,repetition,seed,status,ari,iterations,k_found
+real,spectral,,0.0,0,17,ok,1.0,,12
+real,spectral,,0.0,1,18,ok,1.0,,12
+real,spectral,,0.0,2,19,ok,1.0,,12
+real,spectral,,0.0,3,20,ok,1.0,,12
+real,spectral,,0.0,4,21,ok,1.0,,12
+real,tb,,0.0,0,17,ok,0.7330737521204503,0,12
+real,tb,,0.0,1,18,ok,0.9439791183979749,0,12
+real,tb,,0.0,2,19,ok,0.9664953889030142,0,12
+real,tb,,0.0,3,20,ok,0.9664953889030142,0,12
+real,tb,,0.0,4,21,ok,0.9664953889030142,0,12
+""",
+    "email-1": """\
+dataset,method,size,param,repetition,seed,status,ari,iterations,k_found
+real,spectral,,0.0,0,17,ok,0.6426489401575437,,12
+real,spectral,,0.0,1,18,ok,0.7840499497401645,,12
+real,spectral,,0.0,2,19,ok,0.664480188911678,,12
+real,spectral,,0.0,3,20,ok,0.7065128731033876,,12
+real,spectral,,0.0,4,21,ok,0.7762206101409055,,12
+real,tb,,0.0,0,17,ok,0.8045887724749436,0,12
+real,tb,,0.0,1,18,ok,0.6459412267891834,0,12
+real,tb,,0.0,2,19,ok,0.7227147638934796,0,12
+real,tb,,0.0,3,20,ok,0.6828092355493652,0,12
+real,tb,,0.0,4,21,ok,0.6805791798287617,0,12
+""",
+}
+
+
+def grid_records(monkeypatch, tmp_path, grid, methods):
+    """records.csv of one seed-17 grid; `real` grids read the benchmark's email graphs 0 and 1."""
     if grid[0] == "real":
         workloads = load_bench_workloads(monkeypatch)
         for index in (0, 1):
             workloads.write_email_graph(0, index, tmp_path)
         monkeypatch.chdir(tmp_path)
-    argv = [*grid, "--methods", "cnm,louvain", "--seed", "17"]
+    argv = [*grid, "--methods", methods, "--seed", "17"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-    assert (tmp_path / "out" / "records.csv").read_text(encoding="utf-8") == expected
+    return (tmp_path / "out" / "records.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("family", sorted(BASELINE_RECORDS))
+def test_baseline_records_unchanged(monkeypatch, tmp_path, family):
+    grid, expected = BASELINE_RECORDS[family]
+    assert grid_records(monkeypatch, tmp_path, grid, "cnm,louvain") == expected
+
+
+@pytest.mark.parametrize("family", sorted(EMBEDDING_RECORDS))
+def test_embedding_records_unchanged(monkeypatch, tmp_path, family):
+    text = grid_records(monkeypatch, tmp_path, BASELINE_RECORDS[family][0], "tb,spectral")
+    rows = [line.split(",") for line in text.splitlines()]
+    column = rows[0].index("projector_distance")
+    assert "".join(",".join(row[:column] + row[column + 1 :]) + "\n" for row in rows) == EMBEDDING_RECORDS[family]
 
 
 def test_blas_free_methods_ignore_the_blas_thread_count(tmp_path):
@@ -795,6 +841,20 @@ def test_unreadable_file_is_an_input_error(tmp_path, capsys, case, command, flag
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:2: not UTF-8" if case == "not UTF-8" else f"error: {bad}: cannot read"), err
+
+
+@pytest.mark.parametrize("under, reason", [("", "File exists"), ("sub", "Not a directory")])
+def test_out_through_a_file_is_an_input_error(tmp_path, capsys, under, reason):
+    """--out naming a regular file, or a path under one, exits 1 with a
+    message that names the output directory and the reason."""
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / under if under else afile
+    argv = ["synth", "--family", "g3", "--sizes", "3", "--reps", "1", "--methods", "cnm", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out}: cannot make the output directory: {reason}\n"
+    assert afile.read_text() == "kept\n"
 
 
 class TestSharedParser:

@@ -32,7 +32,7 @@ from templateclust import (
     template_cluster,
 )
 from templateclust.baselines import spectral_embedding
-from templateclust.rounding import _kmeans_pp_init, _lloyd, _pairwise_sum, _sum_order
+from templateclust.rounding import _kmeans_pp_init, _lloyd
 from templateclust.template import CERTIFICATE_TOL
 
 from conftest import load_bench_workloads, random_simple_graph, two_triangles
@@ -297,7 +297,9 @@ class TestLloydMatchesClusterLoop:
         assert np.array_equal(labels, ref_labels)
         assert inertia == pytest.approx(ref_inertia, rel=1e-9)
 
-    @pytest.mark.parametrize("n, k, d", [(30, 3, 2), (120, 5, 3), (300, 12, 12), (400, 8, 40)])
+    @pytest.mark.parametrize(
+        "n, k, d", [(30, 3, 2), (120, 5, 3), (300, 12, 12), (400, 8, 40), (200, 12, 129), (150, 6, 300)]
+    )
     def test_separated_blobs(self, n, k, d):
         rng = np.random.default_rng(n + k + d)
         centres = 10.0 * rng.standard_normal((k, d))
@@ -404,7 +406,8 @@ def test_kmeans_matches_sequential_reference(n, d, k, grid, seed):
 )
 def test_kmeans_matches_sequential_reference_at_benchmark_shapes(n, d, k, grid, seed):
     # out to email-file's d = k = 12: from d = 8 on, np.sum adds a row's
-    # squares as a pairwise tree, which the batched seeding must reproduce
+    # squares as a pairwise tree and the batched seeding adds them in order,
+    # and the picks must still be the reference's
     draw = np.random.default_rng(seed)
     points = draw.integers(0, 3, (n, d)).astype(float) if grid else draw.standard_normal((n, d))
     assume(len(np.unique(points, axis=0)) >= k)
@@ -417,12 +420,17 @@ def test_kmeans_matches_sequential_reference_at_benchmark_shapes(n, d, k, grid, 
 
 
 @pytest.mark.parametrize("d", [1, 7, 8, 12, 17, 40, 128, 129, 300])
-def test_seeding_sums_have_the_bits_of_np_sum(d):
-    # k-means++ picks compare cumulative distances, so the seeding's sums over
-    # a leading axis must round as np.sum rounds a contiguous row
-    squares = np.random.default_rng(d).standard_normal((4, 9, d)) ** 2 * np.logspace(-3, 3, d)
-    terms = np.ascontiguousarray(squares.transpose(2, 0, 1)[_sum_order(d)])
-    assert _pairwise_sum(terms).tobytes() == squares.sum(axis=2).tobytes()
+def test_seeds_are_those_of_rng_choice_at_every_width(d):
+    # the seeding sums each distance's squares over d in order, np.sum as a
+    # pairwise tree from d = 8 on, so their last bits can differ; a pick can
+    # differ only where a uniform lies that close to a cumulative boundary.
+    # Columns from 1e-3 to 1e3 mix terms of very different sizes in each sum.
+    points = np.random.default_rng(d).standard_normal((90, d)) * np.logspace(-3, 3, d)
+    rng, ref_rng = np.random.default_rng(d + 1), np.random.default_rng(d + 1)
+    seeds = _kmeans_pp_init(points, 9, rng, restarts=10)
+    for r in range(10):
+        assert np.array_equal(seeds[r], kmeans_pp_by_choice(points, 9, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_lloyd_restart_bits_independent_of_slot_and_numbering():
