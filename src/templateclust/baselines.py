@@ -147,9 +147,10 @@ def _cnm_merges(g: Graph) -> Partition:
     return Partition(np.array(root))
 
 
-def _local_moving(adj: np.ndarray, labels: np.ndarray, rng: np.random.Generator) -> None:
-    """One Louvain phase: move nodes to neighboring communities while any
-    move improves modularity. Updates `labels` in place.
+def _local_moving(adj: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One Louvain phase: starting with every vertex in its own community,
+    move vertices to neighboring communities while any move improves
+    modularity. Returns the vertices' community labels.
 
     The phase's off-diagonal nonzeros are listed once, row by row in
     ascending column order (CSR offsets `indptr`), so a visit reads only its
@@ -161,16 +162,15 @@ def _local_moving(adj: np.ndarray, labels: np.ndarray, rng: np.random.Generator)
     """
     n = adj.shape[0]
     two_m = float(adj.sum())
-    deg_arr = adj.sum(axis=1)
-    comm_deg = np.bincount(labels, weights=deg_arr, minlength=n).tolist()
-    deg = deg_arr.tolist()
+    deg = adj.sum(axis=1).tolist()
+    comm_deg = deg.copy()  # every community a singleton
     flat = np.flatnonzero(adj)  # the entries of np.nonzero(adj), in its row-major order
     flat = flat[flat % (n + 1) != 0]  # self-loops never pull a vertex anywhere
     rows, cols = np.divmod(flat, n)
     weights = adj.ravel()[flat].tolist()
     indptr = np.searchsorted(rows, np.arange(n + 1)).tolist()
     cols = cols.tolist()
-    lab = labels.tolist()
+    lab = list(range(n))
     two_m_sq = two_m * two_m
     cached: list[dict[int, float] | None] = [None] * n  # w_to of each vertex's last visit
     moved = True
@@ -206,7 +206,7 @@ def _local_moving(adj: np.ndarray, labels: np.ndarray, rng: np.random.Generator)
                 moved = True
                 for j in cols[lo:hi]:  # i's neighbours' weights now hold a stale label
                     cached[j] = None
-    labels[:] = lab
+    return np.array(lab)
 
 
 def louvain_cluster(g: Graph, rng: np.random.Generator) -> Partition:
@@ -221,8 +221,7 @@ def louvain_cluster(g: Graph, rng: np.random.Generator) -> Partition:
     assignment = np.arange(g.n)  # maps original vertex -> current community index
     prev_q = -np.inf
     while True:
-        labels = np.arange(adj.shape[0])
-        _local_moving(adj, labels, rng)
+        labels = _local_moving(adj, rng)
         _, idx = np.unique(labels, return_inverse=True)
         assignment = idx[assignment]
         adj = block_sums(adj, labels)

@@ -33,12 +33,14 @@ def _read_records(
     records of dtype `kind(t)`, where t is the first data line's token count.
 
     The records are None when `kind(t)` is None, or a data line has another
-    token count or a token that is not a number. The file is UTF-8,
-    optionally with a byte-order mark. A line holds no data when it is blank
-    or its first non-blank character is '#'; a '#' anywhere else makes the
-    line malformed. Lines are split by `str.splitlines` and tokens as by
-    `str.split`. Raises InputError when the file cannot be read, is not
-    UTF-8 (naming the line of the first bad byte), or no line holds data.
+    token count or a token that is not a number, or an integer does not fit
+    in int64. Numbers are read in the ASCII forms of `int()` and `float()`
+    without '_' separators. The file is UTF-8, optionally with a byte-order
+    mark. A line holds no data when it is blank or its first non-blank
+    character is '#'; a '#' anywhere else makes the line malformed. Lines
+    are split by `str.splitlines` and tokens as by `str.split`. Raises
+    InputError when the file cannot be read, is not UTF-8 (naming the line
+    of the first bad byte), or no line holds data.
     """
     try:
         lines = Path(path).read_bytes().decode("utf-8-sig").splitlines()
@@ -57,24 +59,14 @@ def _read_records(
     hashed = np.flatnonzero(np.fromiter(map(contains, lines, repeat("#")), bool, len(lines))).tolist()
     if dtype is None or not all(lines[i].lstrip().startswith("#") for i in hashed):
         return lines, None
-    return lines, _parse(lines, dtype)
-
-
-def _parse(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
-    """The lines as records of `dtype`, parsed in one bulk call, or None when
-    a token is not a number or an integer does not fit in int64.
-
-    Numbers are read in the ASCII forms of `int()` and `float()` without
-    '_' separators. Blank and comment lines are skipped.
-    """
     try:
-        return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+        return lines, np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
     except ValueError:
-        return None
+        return lines, None
 
 
 def _number(token: str, kind: type) -> int | float:
-    """`kind(token)` for the forms `_parse` reads; ValueError for others."""
+    """`kind(token)` for the forms `_read_records` reads; ValueError for others."""
     if not token.isascii() or "_" in token:
         raise ValueError(f"not a plain ASCII number: {token!r}")
     return kind(token)
@@ -140,7 +132,7 @@ def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
     return Graph(adj), dict(zip(ids.tolist(), range(ids.size)))
 
 
-def _raise_label_error(path: str | Path, lines: list[str], n: int, id_map: dict[int, int] | None) -> NoReturn:
+def _raise_label_error(path: str | Path, lines: list[str], id_map: dict[int, int]) -> NoReturn:
     """Raise the error of the first data line that breaks a rule of
     `load_labels`."""
     raw: dict[int, tuple[int, int]] = {}  # vertex -> (community, line of its first label)
@@ -152,13 +144,9 @@ def _raise_label_error(path: str | Path, lines: list[str], n: int, id_map: dict[
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: malformed label line") from exc
         _check_int64(path, lineno, parts, (u, c))
-        if id_map is not None:
-            if u not in id_map:
-                raise InputError(f"{path}:{lineno}: vertex {u} does not appear in the edge list")
-            u = id_map[u]
-        elif not 0 <= u < n:
-            raise InputError(f"{path}:{lineno}: vertex {u} is outside 0..{n - 1}")
-        first, first_line = raw.setdefault(u, (c, lineno))
+        if u not in id_map:
+            raise InputError(f"{path}:{lineno}: vertex {u} does not appear in the edge list")
+        first, first_line = raw.setdefault(id_map[u], (c, lineno))
         if first != c:
             raise InputError(
                 f"vertex {parts[0]} is labelled {first} at {path}:{first_line} and {c} at {path}:{lineno}"
@@ -166,33 +154,31 @@ def _raise_label_error(path: str | Path, lines: list[str], n: int, id_map: dict[
     raise AssertionError(f"{path}: the bulk checks rejected a file whose every line is valid")
 
 
-def _translate(vertex: np.ndarray, n: int, id_map: dict[int, int] | None) -> np.ndarray | None:
+def _translate(vertex: np.ndarray, id_map: dict[int, int]) -> np.ndarray | None:
     """Vertex ids of a label file as graph vertices, or None when one of
-    them is not in id_map (or, without id_map, outside 0..n-1)."""
-    if id_map is None:
-        return vertex if ((0 <= vertex) & (vertex < n)).all() else None
+    them is not in id_map."""
     try:
         return np.fromiter(map(id_map.__getitem__, vertex.tolist()), np.int64, vertex.size)
     except KeyError:
         return None
 
 
-def load_labels(path: str | Path, n: int, id_map: dict[int, int] | None = None) -> GroundTruth:
+def load_labels(path: str | Path, n: int, id_map: dict[int, int]) -> GroundTruth:
     """Read "vertex community" lines covering all n vertices.
 
     Comments and blank lines follow `load_edge_list`'s rules. Community ids
     are remapped to 0..k-1 in sorted order; vertex ids are translated
-    through id_map when given. A vertex may be repeated only with the same
-    community.
+    through id_map, as `load_edge_list` returns it. A vertex may be repeated
+    only with the same community.
     """
     lines, records = _read_records(path, _LABEL_KINDS.get, "labels")
-    vertex = None if records is None else _translate(records["vertex"], n, id_map)
+    vertex = None if records is None else _translate(records["vertex"], id_map)
     if vertex is None:
-        _raise_label_error(path, lines, n, id_map)
+        _raise_label_error(path, lines, id_map)
     comm = records["community"]
     labelled, first, which = np.unique(vertex, return_index=True, return_inverse=True)
     if (comm != comm[first][which]).any():  # a vertex labelled twice, differently
-        _raise_label_error(path, lines, n, id_map)
+        _raise_label_error(path, lines, id_map)
     # a vertex id_map sends outside 0..n-1 takes no label, but its community still counts
     _, community = np.unique(comm[first], return_inverse=True)
     inside = (0 <= labelled) & (labelled < n)
@@ -200,7 +186,7 @@ def load_labels(path: str | Path, n: int, id_map: dict[int, int] | None = None) 
     labels[labelled[inside]] = community[inside]
     missing = np.flatnonzero(labels < 0).tolist()
     if missing:
-        file_ids = {new: orig for orig, new in id_map.items()} if id_map is not None else {}
+        file_ids = {new: orig for orig, new in id_map.items()}
         raise InputError(f"{path}: missing labels for vertices {[file_ids.get(v, v) for v in missing[:20]]}")
     return GroundTruth(labels)
 

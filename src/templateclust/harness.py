@@ -201,7 +201,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
                 ari = adjusted_rand_index(labels, gt.labels)
                 pd = None
                 if embedding is not None:
-                    pd = projector_distance(embedding, closest_orthonormal(gt.indicator()))
+                    pd = projector_distance(embedding, closest_orthonormal(gt))
                 rec.ari, rec.projector_distance, rec.iterations = ari, pd, iters
                 rec.k_found = int(labels.max()) + 1
             except (InputError, NumericalError):

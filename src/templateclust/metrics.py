@@ -54,8 +54,7 @@ def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     _, a_idx = np.unique(a, return_inverse=True)
     _, b_idx = np.unique(b, return_inverse=True)
     ka, kb = a_idx.max() + 1, b_idx.max() + 1
-    contingency = np.zeros((ka, kb), dtype=np.int64)
-    np.add.at(contingency, (a_idx, b_idx), 1)
+    contingency = np.bincount(a_idx * kb + b_idx, minlength=ka * kb).reshape(ka, kb)
 
     def comb2(x: np.ndarray) -> np.ndarray:
         return x * (x - 1) // 2
@@ -74,21 +73,11 @@ def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     return float((sum_cells - expected) / (max_index - expected))
 
 
-def closest_orthonormal(b: np.ndarray) -> StiefelPoint:
-    """Polar factor of a binary indicator matrix (nearest orthonormal frame).
-
-    For an indicator this is just the indicator with each column scaled by
-    the inverse square root of its community size.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2:
-        raise InputError("indicator must be 2-d")
-    if not np.all((b == 0) | (b == 1)) or not np.all(b.sum(axis=1) == 1):
-        raise InputError("each row must contain exactly one 1")
-    sizes = b.sum(axis=0)
-    if np.any(sizes == 0):
-        raise InputError("indicator has an empty column")
-    return StiefelPoint(b / np.sqrt(sizes))
+def closest_orthonormal(gt: GroundTruth) -> StiefelPoint:
+    """Polar factor of the ground truth's indicator (nearest orthonormal
+    frame): the indicator with each column scaled by the inverse square root
+    of its community size."""
+    return StiefelPoint(gt.indicator() / np.sqrt(gt.sizes))
 
 
 def projector_distance(p: StiefelPoint, p_star: StiefelPoint) -> float:

@@ -61,7 +61,6 @@ class DescentTrace:
     """Record of a single descent run."""
 
     cost_history: list[float]
-    final_grad_norm: float
     converged_by: StopReason
     restarts: int  # iterations after the first that searched along -gradient
 
@@ -153,7 +152,6 @@ def steepest_descent(
     if not np.isfinite(f):
         raise NumericalError("cost is not finite at the starting point")
     history = [f]
-    grad_norm = np.inf
     converged_by: StopReason = "max-iters"
     j = 0  # grid index of the last accepted step
     restarts = 0
@@ -209,10 +207,4 @@ def steepest_descent(
             converged_by = "relative-cost"
             break
 
-    trace = DescentTrace(
-        cost_history=history,
-        final_grad_norm=grad_norm,
-        converged_by=converged_by,
-        restarts=restarts,
-    )
-    return p, trace
+    return p, DescentTrace(cost_history=history, converged_by=converged_by, restarts=restarts)

@@ -153,6 +153,8 @@ def add_model_noise(
     """
     if not sigma >= 0:
         raise InputError(f"sigma must be >= 0, got {sigma}")
+    if sigma == np.inf:
+        raise InputError(f"sigma must be finite, got {sigma}")
     k = model.k
     noise = np.zeros((k, k))
     iu = np.triu_indices(k)

@@ -239,7 +239,7 @@ def test_criterion_9_school1():
     g, id_map = load_edge_list(edges)
     gt = load_labels(labels, g.n, id_map)
     model = model_from_ground_truth(g, gt)
-    p_star = closest_orthonormal(gt.indicator())
+    p_star = closest_orthonormal(gt)
     tb_aris, tb_pds, sp_aris = [], [], []
     for s in range(10):
         res = template_cluster(g, model, rng=np.random.default_rng(900 + s))

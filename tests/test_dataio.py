@@ -60,7 +60,7 @@ def load_edge_list_reference(path: str | Path) -> tuple[np.ndarray, dict[int, in
     return adj, id_map
 
 
-def load_labels_reference(path: str | Path, n: int, id_map: dict[int, int] | None = None) -> np.ndarray:
+def load_labels_reference(path: str | Path, n: int, id_map: dict[int, int]) -> np.ndarray:
     """Reference label reader: one line at a time, first labels in a dict."""
     rows = _parse_lines(path)
     if not rows:
@@ -73,18 +73,15 @@ def load_labels_reference(path: str | Path, n: int, id_map: dict[int, int] | Non
             u, c = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: malformed label line") from exc
-        if id_map is not None:
-            if u not in id_map:
-                raise InputError(f"{path}:{lineno}: vertex {u} does not appear in the edge list")
-            u = id_map[u]
-        elif not 0 <= u < n:
-            raise InputError(f"{path}:{lineno}: vertex {u} is outside 0..{n - 1}")
+        if u not in id_map:
+            raise InputError(f"{path}:{lineno}: vertex {u} does not appear in the edge list")
+        u = id_map[u]
         first, first_line = raw.setdefault(u, (c, lineno))
         if first != c:
             raise InputError(
                 f"vertex {parts[0]} is labelled {first} at {path}:{first_line} and {c} at {path}:{lineno}"
             )
-    file_ids = {new: orig for orig, new in id_map.items()} if id_map is not None else {}
+    file_ids = {new: orig for orig, new in id_map.items()}
     missing = [file_ids.get(v, v) for v in sorted(set(range(n)) - set(raw))]
     if missing:
         raise InputError(f"{path}: missing labels for vertices {missing[:20]}")
@@ -283,13 +280,13 @@ class TestLoadLabels:
     def test_basic(self, tmp_path):
         f = tmp_path / "l.txt"
         f.write_text("0 0\n1 1\n")
-        gt = load_labels(f, 2)
+        gt = load_labels(f, 2, {0: 0, 1: 1})
         assert np.array_equal(gt.labels, [0, 1])
 
     def test_community_ids_remapped(self, tmp_path):
         f = tmp_path / "l.txt"
         f.write_text("0 7\n1 3\n2 7\n")
-        gt = load_labels(f, 3)
+        gt = load_labels(f, 3, {0: 0, 1: 1, 2: 2})
         assert gt.k == 2
         assert gt.labels[0] == gt.labels[2] != gt.labels[1]
 
@@ -297,7 +294,7 @@ class TestLoadLabels:
         f = tmp_path / "l.txt"
         f.write_text("0 0\n2 1\n")
         with pytest.raises(InputError, match="missing"):
-            load_labels(f, 3)
+            load_labels(f, 3, {0: 0, 1: 1, 2: 2})
 
     def test_vertex_absent_from_edge_list(self, tmp_path):
         f = tmp_path / "l.txt"
@@ -312,8 +309,8 @@ class TestLoadLabels:
     def test_vertex_out_of_range(self, tmp_path, text, line, vertex):
         f = tmp_path / "l.txt"
         f.write_text(text)
-        with pytest.raises(InputError, match=rf"l\.txt:{line}: vertex {vertex} "):
-            load_labels(f, 2)
+        with pytest.raises(InputError, match=rf"l\.txt:{line}: vertex {vertex} does not appear in the edge list$"):
+            load_labels(f, 2, {0: 0, 1: 1})
 
     def test_missing_vertex_named_as_in_file(self, tmp_path):
         edges = tmp_path / "e.txt"
@@ -334,18 +331,18 @@ class TestLoadLabels:
         f = tmp_path / "l.txt"
         f.write_text("0 0\n1 0\n2 1\n1 1\n")
         with pytest.raises(InputError, match=r"vertex 1 is labelled 0 at \S*l\.txt:2 and 1 at \S*l\.txt:4"):
-            load_labels(f, 3)
+            load_labels(f, 3, {0: 0, 1: 1, 2: 2})
 
     def test_exact_repeat_accepted(self, tmp_path):
         f = tmp_path / "l.txt"
         f.write_text("0 0\n1 1\n0 0\n")
-        assert np.array_equal(load_labels(f, 2).labels, [0, 1])
+        assert np.array_equal(load_labels(f, 2, {0: 0, 1: 1}).labels, [0, 1])
 
     def test_empty_once_comments_stripped(self, tmp_path):
         f = tmp_path / "l.txt"
         f.write_text("# vertex community\n\n# none\n")
         with pytest.raises(InputError, match=r"l\.txt: no labels found"):
-            load_labels(f, 2)
+            load_labels(f, 2, {0: 0, 1: 1})
 
     def test_byte_order_mark(self, tmp_path):
         f = tmp_path / "bom.txt"
@@ -364,7 +361,7 @@ class TestLoadLabels:
         f = tmp_path / "l.txt"
         f.write_text("# vertex community\n0 0 # note\n1 1\n")
         with pytest.raises(InputError, match=r"l\.txt:2: expected 'vertex community'$"):
-            load_labels(f, 2)
+            load_labels(f, 2, {0: 0, 1: 1})
 
     @pytest.mark.parametrize("text", [f"0 0\n1 {2**63}\n", f"0 0\n{2**64} 1\n"])
     def test_id_outside_int64(self, tmp_path, text):

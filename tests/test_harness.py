@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -418,6 +419,41 @@ def test_c2_without_probs_writes_its_coupling(tmp_path):
         assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "given" / name).read_bytes()
 
 
+# (cluster's input flags, the matching grid's) for one graph or planted family
+CLUSTER_GRIDS = {
+    "g3": (["--family", "g3", "--size", "10"], ["synth", "--family", "g3", "--sizes", "10"]),
+    "c2": (
+        ["--family", "c2", "--size", "10", "--prob", "0.42"],
+        ["synth", "--family", "c2", "--sizes", "10", "--probs", "0.42"],
+    ),
+    "bp-hub": (
+        ["--family", "bp", "--size", "10", "--prob", "0.6", "--intra-mode", "hub"],
+        ["synth", "--family", "bp", "--sizes", "10", "--probs", "0.6", "--intra-mode", "hub"],
+    ),
+    "email": (
+        ["--edges", "edges-0.txt", "--labels", "labels-0.txt"],
+        ["real", "--edges", "edges-0.txt", "--labels", "labels-0.txt", "--sigma-list", "0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("case", sorted(CLUSTER_GRIDS))
+def test_cluster_matches_the_first_grid_row(monkeypatch, tmp_path, capsys, case, method):
+    """`cluster --seed s` draws the streams of repetition 0 at point 0 of a
+    seed-s grid, so it prints that row's ari and k_found."""
+    if case == "email":
+        load_bench_workloads(monkeypatch).write_email_graph(0, 0, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    single, grid = CLUSTER_GRIDS[case]
+    assert main(["cluster", *single, "--method", method, "--seed", "5"]) == 0
+    printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert main([*grid, "--methods", method, "--reps", "1", "--seed", "5", "--out", "out"]) == 0
+    with open(tmp_path / "out" / "records.csv", encoding="utf-8", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert (printed["ari"], printed["k_found"]) == (f"{float(row['ari']):.6f}", row["k_found"])
+
+
 class TestCli:
     def test_synth_command(self, tmp_path, capsys):
         rc = main(
@@ -540,8 +576,9 @@ class TestCli:
             (["synth", "--family", "g3", "--sizes", "4", "--seed", "-1"], "error: seed must be >= 0, got -1"),
             (["cluster", "--family", "g3", "--size", "4", "--seed", "-1"], "error: --seed must be >= 0, got -1"),
             (["real", "--sigma-list", "nan", "--methods", "cnm"], "error: sigma must be >= 0, got nan"),
+            (["real", "--sigma-list", "inf", "--methods", "cnm"], "error: sigma must be finite, got inf"),
         ],
-        ids=["synth-seed", "cluster-seed", "real-sigma"],
+        ids=["synth-seed", "cluster-seed", "real-sigma", "real-sigma-inf"],
     )
     def test_bad_seed_or_sigma_exit_code(self, tmp_path, capsys, argv, message):
         edges = tmp_path / "edges.txt"

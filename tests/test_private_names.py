@@ -5,13 +5,16 @@ defines it. A module imports only public names from another and reads a
 private attribute only of `self` or `cls`, so state such as a graph's memo
 is reached through its public methods. And every module-level private name a
 module defines is read in that module outside its own definition, so a helper
-left behind by a refactor fails here.
+left behind by a refactor fails here. Every dataclass field is read somewhere
+in the package, its tests or the benchmark, so a field that is only written
+fails here too.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "templateclust"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "templateclust"
 
 
 def private(name: str) -> bool:
@@ -114,5 +117,69 @@ def test_package_reads_every_private_name_it_defines():
         f"{path.name}:{line}: {name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for line, name in unread_private_names(path.read_text(encoding="utf-8"))
+    ]
+    assert not unread
+
+
+def dataclass_fields(source: str) -> list[tuple[int, str]]:
+    """(line, Class.field) for each annotated field of a dataclass."""
+    return [
+        (stmt.lineno, f"{node.name}.{stmt.target.id}")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            ast.unparse(d.func if isinstance(d, ast.Call) else d).split(".")[-1] == "dataclass"
+            for d in node.decorator_list
+        )
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+def read_names(source: str) -> set[str]:
+    """Every attribute name the source loads, and every string constant in
+    it, which covers a `getattr` with a constant name and a column tuple
+    that names a field."""
+    return {
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_field_detector():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class Box:\n"
+        "    width: int\n"
+        "    depth: int = field(init=False)\n"
+        "    def grow(self):\n"
+        "        self.depth = self.width + 1\n"
+        "@dataclasses.dataclass\n"
+        "class Tag:\n"
+        "    colour: str\n"
+        "    shade: str\n"
+        "class Plain:\n"
+        "    height: int\n"
+        "COLUMNS = ('shade',)\n"
+    )
+    assert dataclass_fields(source) == [(5, "Box.width"), (6, "Box.depth"), (11, "Tag.colour"), (12, "Tag.shade")]
+    reads = read_names(source) | read_names("getattr(tag, 'colour')")
+    assert [name for _, name in dataclass_fields(source) if name.split(".")[1] not in reads] == ["Box.depth"]
+
+
+def test_every_dataclass_field_is_read():
+    reads = set().union(
+        *(read_names(path.read_text(encoding="utf-8")) for root in ("src", "tests", "bench")
+          for path in sorted((REPO / root).rglob("*.py")))
+    )
+    unread = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in dataclass_fields(path.read_text(encoding="utf-8"))
+        if name.split(".")[1] not in reads
     ]
     assert not unread

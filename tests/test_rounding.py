@@ -155,5 +155,5 @@ def test_spectral_outputs_independent_of_eigenvector_signs(name, tmp_path, monke
         labels = spectral_cluster(g, gt.k, np.random.default_rng(seed)).labels
         rounded, _ = kmeans(fixed.matrix, gt.k, np.random.default_rng(seed))
         assert np.array_equal(labels, Partition(rounded).labels)
-    truth = closest_orthonormal(gt.indicator())
+    truth = closest_orthonormal(gt)
     assert projector_distance(p, truth) == projector_distance(fixed, truth)
