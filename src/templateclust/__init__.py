@@ -2,7 +2,7 @@
 
 Clusters an observation graph by matching its vertices onto a small
 template of expected communities, optimizing an orthonormal embedding,
-then running k-means on the embedding rows.  Ships spectral and
+then rounding the embedding rows into clusters.  Ships spectral and
 modularity baselines, evaluation metrics, synthetic graph generators,
 dataset loaders and a CSV experiment harness.
 """
@@ -17,7 +17,7 @@ from templateclust.stiefel import (
     retract_qr,
     steepest_descent,
 )
-from templateclust.rounding import kmeans
+from templateclust.rounding import kmeans, pivoted_qr_seeds
 from templateclust.template import (
     ClusteringResult,
     TemplateModel,
@@ -71,6 +71,7 @@ __all__ = [
     "euclidean_gradient",
     "eigenvector_start",
     "kmeans",
+    "pivoted_qr_seeds",
     "template_cluster",
     "Partition",
     "spectral_cluster",

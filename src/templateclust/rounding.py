@@ -1,7 +1,9 @@
 """Rounding: k clusters from the rows of an n x k embedding.
 
-`tb` and the spectral baseline both round with `kmeans`: Lloyd's algorithm
-with k-means++ seeding, the best of 10 restarts run as one batch.
+`tb` rounds by `pivoted_qr_seeds` and one Lloyd run of `kmeans` from them on
+the row-normalized embedding, drawing nothing from an rng. The spectral
+baseline rounds with `kmeans`' k-means++ seeding: Lloyd's algorithm, the best
+of 10 restarts run as one batch.
 """
 
 from __future__ import annotations
@@ -112,10 +114,8 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int) -> tuple[n
     return final_labels, inertia
 
 
-def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Lloyd's algorithm with k-means++ seeding; best of 10 restarts by inertia,
-    seeded and iterated as one batch in which each restart gets its own
-    sequential result; the first of equal inertias wins."""
+def _checked_points(points: np.ndarray, k: int) -> np.ndarray:
+    """points as a float array of n >= k >= 1 finite rows, or InputError."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise InputError("points must be a 2-d array of row vectors")
@@ -123,13 +123,74 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.nda
         raise InputError("points contain non-finite values (NaN or inf)")
     if not 1 <= k <= len(points):
         raise InputError(f"need n >= k >= 1, got n={len(points)}, k={k}")
-    # centroids are means of rows, so every squared distance and every term of
-    # ||x||^2 - 2 x.c + ||c||^2 is at most 4 ||X||_F^2, and 4 n ||X||_F^2
-    # bounds each sum that seeding and Lloyd take
+    return points
+
+
+def pivoted_qr_seeds(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows divided by their norms (zero rows kept, as Ng, Jordan and Weiss
+    2002 cluster unit rows) and k Lloyd centroids (k, d) for them, drawn from
+    no rng.
+
+    The k pivots are the rows a greedy pivoted QR of points^T picks (Damle,
+    Minden and Ying 2019): at each step the row of largest residual norm, the
+    first on a tie, which is then projected out of every row. They come from
+    the raw rows, whose norms seldom tie; unit rows would tie at the first
+    pick. Each unit row takes the label j of its largest |(rows W)_ij|, with W
+    the orthogonal polar factor of the pivots' unit rows transposed, and each
+    centroid is its label's mean unit row, or its pivot's when no row takes
+    the label. The points are first scaled by an exact power of 2, so no
+    square overflows. A residual norm at most max(n, d) eps times the largest
+    row norm counts as zero, so fewer than k independent rows raise
+    NumericalError naming the rank.
+    """
+    points = _checked_points(points, k)
+    n, d = points.shape
+    points = np.ldexp(points, -np.frexp(np.abs(points).max())[1])  # largest |entry| in [1/2, 1)
+    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+    tol = max(n, d) * np.finfo(float).eps * norms.max()
+    residual = points.copy()
+    pivots = []
+    for rank in range(k):
+        sq = np.einsum("ij,ij->i", residual, residual)
+        pivot = int(np.argmax(sq))
+        if not sq[pivot] > tol * tol:
+            raise NumericalError(f"pivoted-QR seeding needs k={k} independent rows, but the points have rank {rank}")
+        pivots.append(pivot)
+        q = residual[pivot] / np.sqrt(sq[pivot])
+        residual -= np.outer(residual @ q, q)
+    rows = points / np.where(norms > 0, norms, 1.0)[:, None]
+    u, _, vt = np.linalg.svd(rows[pivots].T, full_matrices=False)
+    labels = np.argmax(np.abs(rows @ (u @ vt)), axis=1)
+    counts = np.bincount(labels, minlength=k)[:, None]
+    sums = np.eye(k)[labels].T @ rows
+    return rows, np.where(counts > 0, sums / np.maximum(counts, 1), rows[pivots])
+
+
+def kmeans(
+    points: np.ndarray, k: int, rng: np.random.Generator, centroids: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """Lloyd's algorithm; returns labels and inertia.
+
+    Without `centroids`, k-means++ seeding and the best of 10 restarts by
+    inertia, seeded and iterated as one batch in which each restart gets its
+    own sequential result; the first of equal inertias wins. Given k finite
+    centroids (k, d), one Lloyd run from them, which draws nothing from `rng`.
+    """
+    points = _checked_points(points, k)
+    if centroids is not None:
+        centroids = np.asarray(centroids, dtype=float)
+        if centroids.shape != (k, points.shape[1]) or not np.isfinite(centroids).all():
+            raise InputError(f"centroids must be {k} finite rows of {points.shape[1]} coordinates")
+    # after the first iteration centroids are means of rows, so every squared
+    # distance and every term of ||x||^2 - 2 x.c + ||c||^2 is at most
+    # 4 (||X||_F^2 + ||C||_F^2), with C the given centroids (none for k-means++,
+    # whose seeds are rows), and n times that bounds each sum seeding and Lloyd take
     with np.errstate(over="ignore"):
-        bound = 4.0 * len(points) * float(np.vdot(points, points))
+        mass = float(np.vdot(points, points)) + (0.0 if centroids is None else float(np.vdot(centroids, centroids)))
+        bound = 4.0 * len(points) * mass
     if not np.isfinite(bound):
         raise NumericalError("k-means squared distances overflow: the points lie too far from the origin")
-    labels, inertia = _lloyd(points, _kmeans_pp_init(points, k, rng, restarts=10), max_iters=300)
+    seeds = _kmeans_pp_init(points, k, rng, restarts=10) if centroids is None else centroids[None]
+    labels, inertia = _lloyd(points, seeds, max_iters=300)
     best = int(np.argmin(inertia))
     return labels[best], float(inertia[best])

@@ -3,7 +3,8 @@
 The observation adjacency A_O is contracted through an orthonormal n x k
 embedding P and compared against the template weights A_M.  Minimizing
 ||A_M - P^T A_O P||_F^2 over orthonormal frames yields an embedding whose
-rows are clustered with k-means to produce the final partition.
+rows are rounded into the final partition: pivoted-QR seeds and one Lloyd
+run on the row-normalized embedding (`rounding.pivoted_qr_seeds`).
 
 With A_M = U diag(lambda) U^T and mu the eigenvalues of A_O, both ascending,
 the eigenvalues of P^T A_O P interlace mu, so by Hoffman-Wielandt no frame
@@ -12,7 +13,8 @@ positive lambda lies above its interval and every negative one below it, the
 eigenvector frame P* = V_S U^T attains LB (Umeyama 1988; Fan and Pall 1957),
 where V_S holds the eigenvectors of A_O for the k_- smallest and the k - k_-
 largest mu and k_- counts the negative lambda.  The descent then starts at
-P* and stops at once; otherwise P* is a saddle and it starts at random.
+P* and stops at once; otherwise P* is a saddle and it starts at random,
+the only draw a run takes from its rng.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from templateclust.errors import InputError
 from templateclust.graphs import Graph, symmetric_matrix
-from templateclust.rounding import kmeans
+from templateclust.rounding import kmeans, pivoted_qr_seeds
 from templateclust.stiefel import DescentTrace, StiefelPoint, random_stiefel, steepest_descent
 
 # P* certifies itself when its cost is within this much of LB, relative to
@@ -99,12 +101,13 @@ def eigenvector_start(g_o: Graph, model: TemplateModel) -> tuple[StiefelPoint, f
 
 
 def template_cluster(g_o: Graph, model: TemplateModel, rng: np.random.Generator) -> ClusteringResult:
-    """Optimize the embedding, then k-means its rows.
+    """Optimize the embedding, then round its rows by pivoted-QR seeds and one
+    Lloyd run on the unit rows, which draw nothing from `rng`.
 
     The descent starts at the eigenvector frame P* when P* certifies itself,
     costing no more than LB + CERTIFICATE_TOL * max(1, ||A_M||_F^2); it then
     stops at once on the gradient with no iterations and no draw from `rng`
-    for the start. Otherwise (some template eigenvalue lies inside its
+    at all. Otherwise (some template eigenvalue lies inside its
     interval, where P* is a saddle) it starts at a random frame. Ties at
     the selection boundary, such as mu_{n-k} = mu_{n-k+1}, make P*
     non-unique but deterministic. The result carries LB as `lower_bound`.
@@ -122,6 +125,7 @@ def template_cluster(g_o: Graph, model: TemplateModel, rng: np.random.Generator)
         lambda p: euclidean_gradient(a_o, model, p),
         p0,
     )
-    labels, _ = kmeans(p_opt.matrix, model.k, rng)
+    rows, seeds = pivoted_qr_seeds(p_opt.matrix, model.k)
+    labels, _ = kmeans(rows, model.k, rng, centroids=seeds)
     labels.setflags(write=False)
     return ClusteringResult(partition=labels, embedding=p_opt, trace=trace, lower_bound=lower_bound)

@@ -329,9 +329,10 @@ real,louvain,,0.0,4,21,ok,0.9657642041817268,,,12
 }
 
 
-# records.csv of tb and spectral on the email graphs, where k = 12 takes
-# k-means++ seeding past d = 8, without the projector_distance column, whose
-# last digits can move with the BLAS thread count
+# records.csv of tb and spectral on the email graphs, without the
+# projector_distance column, whose last digits can move with the BLAS thread
+# count. Spectral's k-means++ seeding runs past d = 8 at k = 12; tb's frame is
+# certified and its rounding draws from no rng, so its rows repeat one value
 EMBEDDING_RECORDS = {
     "email-0": """\
 dataset,method,size,param,repetition,seed,status,ari,iterations,k_found
@@ -340,8 +341,8 @@ real,spectral,,0.0,1,18,ok,1.0,,12
 real,spectral,,0.0,2,19,ok,1.0,,12
 real,spectral,,0.0,3,20,ok,1.0,,12
 real,spectral,,0.0,4,21,ok,1.0,,12
-real,tb,,0.0,0,17,ok,0.7330737521204503,0,12
-real,tb,,0.0,1,18,ok,0.9439791183979749,0,12
+real,tb,,0.0,0,17,ok,0.9664953889030142,0,12
+real,tb,,0.0,1,18,ok,0.9664953889030142,0,12
 real,tb,,0.0,2,19,ok,0.9664953889030142,0,12
 real,tb,,0.0,3,20,ok,0.9664953889030142,0,12
 real,tb,,0.0,4,21,ok,0.9664953889030142,0,12
@@ -353,11 +354,11 @@ real,spectral,,0.0,1,18,ok,0.7840499497401645,,12
 real,spectral,,0.0,2,19,ok,0.664480188911678,,12
 real,spectral,,0.0,3,20,ok,0.7065128731033876,,12
 real,spectral,,0.0,4,21,ok,0.7762206101409055,,12
-real,tb,,0.0,0,17,ok,0.8045887724749436,0,12
-real,tb,,0.0,1,18,ok,0.6459412267891834,0,12
-real,tb,,0.0,2,19,ok,0.7227147638934796,0,12
-real,tb,,0.0,3,20,ok,0.6828092355493652,0,12
-real,tb,,0.0,4,21,ok,0.6805791798287617,0,12
+real,tb,,0.0,0,17,ok,0.9653550262025781,0,12
+real,tb,,0.0,1,18,ok,0.9653550262025781,0,12
+real,tb,,0.0,2,19,ok,0.9653550262025781,0,12
+real,tb,,0.0,3,20,ok,0.9653550262025781,0,12
+real,tb,,0.0,4,21,ok,0.9653550262025781,0,12
 """,
 }
 

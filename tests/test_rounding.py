@@ -1,9 +1,10 @@
 """The rounding module: `tb` and the spectral baseline both cluster their
-embeddings' rows with `rounding.kmeans`.
+embeddings' rows with `rounding.kmeans`, `tb` with one Lloyd run from
+`pivoted_qr_seeds` on its unit rows and spectral with k-means++ seeding.
 
-An AST guard keeps k-means in `rounding.py`, keeps `baselines` from importing
-the template method it is compared against, and keeps `template` calling
-`kmeans` as a module global, the name the traced benchmark wraps. The
+An AST guard keeps the rounding code in `rounding.py`, keeps `baselines` from
+importing the template method it is compared against, and keeps `template`
+calling `kmeans` as a module global, the name the traced benchmark wraps. The
 package's `__init__` imports every module, so `sys.modules` cannot tell who
 imports whom.
 """
@@ -17,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from templateclust import (
+    InputError,
+    NumericalError,
     Partition,
     StiefelPoint,
     closest_orthonormal,
@@ -24,6 +27,7 @@ from templateclust import (
     load_edge_list,
     load_labels,
     make_g6,
+    pivoted_qr_seeds,
     projector_distance,
     sample_graph,
     spectral_cluster,
@@ -34,7 +38,7 @@ from conftest import load_bench_workloads
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "templateclust"
 
-ROUNDING = {"kmeans", "_lloyd", "_kmeans_pp_init"}
+ROUNDING = {"kmeans", "pivoted_qr_seeds", "_lloyd", "_kmeans_pp_init"}
 
 
 def imported_names(node: ast.AST) -> list[tuple[str, str, str]]:
@@ -157,3 +161,83 @@ def test_spectral_outputs_independent_of_eigenvector_signs(name, tmp_path, monke
         assert np.array_equal(labels, Partition(rounded).labels)
     truth = closest_orthonormal(gt)
     assert projector_distance(p, truth) == projector_distance(fixed, truth)
+
+
+def round_by_pivots(points, k):
+    """tb's rounding: one Lloyd run on the unit rows from their pivoted-QR seeds."""
+    rows, seeds = pivoted_qr_seeds(points, k)
+    labels, _ = kmeans(rows, k, np.random.default_rng(0), centroids=seeds)
+    return Partition(labels).labels
+
+
+def separated_frame(draw, n, k):
+    """n rows near k orthonormal directions, each row scaled by a factor in
+    [1/2, 2] and each direction taken by some row, and the true labels."""
+    labels = np.concatenate([np.arange(k), draw.integers(0, k, n - k)])
+    draw.shuffle(labels)
+    directions, _ = np.linalg.qr(draw.standard_normal((k, k)))
+    scale = draw.uniform(0.5, 2.0, n)[:, None]
+    return directions[labels] * scale + 1e-3 * draw.standard_normal((n, k)), labels
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 80), k=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_pivoted_rounding_invariant_under_rotations_and_row_scaling(n, k, seed):
+    """On well-separated clusters the rounding finds the clusters, and neither
+    P -> PQ for an orthogonal Q nor a positive factor on each row changes the
+    partition."""
+    draw = np.random.default_rng(seed)
+    k = min(k, n)
+    points, truth = separated_frame(draw, n, k)
+    partition = round_by_pivots(points, k)
+    assert np.array_equal(partition, Partition(truth).labels)
+    q, _ = np.linalg.qr(draw.standard_normal((k, k)))
+    assert np.array_equal(round_by_pivots(points @ q, k), partition)
+    factors = np.exp(draw.uniform(-5.0, 5.0, n))[:, None]
+    assert np.array_equal(round_by_pivots(points * factors, k), partition)
+
+
+def test_pivoted_seeds_keep_zero_rows():
+    points = np.array([[2.0, 0.0], [0.0, 0.0], [0.0, -3.0], [1.0, 1.0]])
+    rows, seeds = pivoted_qr_seeds(points, 2)
+    r = 1 / np.sqrt(2)
+    assert np.array_equal(rows, [[1.0, 0.0], [0.0, 0.0], [0.0, -1.0], [r, r]])
+    assert seeds.shape == (2, 2) and np.isfinite(seeds).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    rank=st.integers(0, 6),
+    extra=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pivoted_seeds_name_the_rank_of_dependent_rows(n, rank, extra, seed):
+    """Points with fewer than k independent rows raise NumericalError naming
+    their rank. An orthonormal frame has k; a library caller's points may not.
+    The rows are combinations of `rank` orthonormal vectors whose coefficient
+    matrix holds the identity, so its smallest singular value is at least 1."""
+    draw = np.random.default_rng(seed)
+    rank = min(rank, n - 1)
+    k = min(rank + extra, n)
+    d = k + int(draw.integers(0, 3))
+    basis, _ = np.linalg.qr(draw.standard_normal((d, d)))
+    coefficients = np.vstack([np.eye(rank), draw.integers(-3, 4, (n - rank, rank))])
+    # squares of entries near 1e200 overflow and near 1e-200 underflow, unless
+    # the seeding scales the points first
+    points = draw.permutation(coefficients @ basis[:rank]) * 10.0 ** draw.integers(-200, 200)
+    with pytest.raises(NumericalError, match=f"needs k={k} independent rows, but the points have rank {rank}$"):
+        pivoted_qr_seeds(points, k)
+
+
+def test_pivoted_seeds_with_more_clusters_than_coordinates():
+    with pytest.raises(NumericalError, match="have rank 2$"):
+        pivoted_qr_seeds(np.random.default_rng(0).standard_normal((9, 2)), 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pivoted_seeds_reject_non_finite_points(bad):
+    points = np.eye(3)
+    points[1, 2] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        pivoted_qr_seeds(points, 2)

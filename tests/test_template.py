@@ -10,8 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from templateclust import (
+    Graph,
     InputError,
     NumericalError,
+    Partition,
     StiefelPoint,
     TemplateModel,
     adjusted_rand_index,
@@ -419,6 +421,42 @@ def test_kmeans_matches_sequential_reference_at_benchmark_shapes(n, d, k, grid, 
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 120),
+    d=st.integers(1, 12),
+    k=st.integers(1, 12),
+    grid=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kmeans_from_given_centroids_is_one_reference_run(n, d, k, grid, seed):
+    """Given centroids, kmeans is one Lloyd run from them, empty-cluster
+    refill included, and draws nothing from its rng."""
+    draw = np.random.default_rng(seed)
+    points = draw.integers(0, 3, (n, d)).astype(float) if grid else draw.standard_normal((n, d))
+    k = min(k, n)
+    centroids = draw.standard_normal((k, d)) * 2.0
+    rng = np.random.default_rng(seed + 1)
+    state = rng.bit_generator.state
+    labels, inertia = kmeans(points, k, rng, centroids=centroids)
+    ref_labels, ref_inertia = lloyd_one_restart(points, centroids.copy(), max_iters=300)
+    assert np.array_equal(labels, ref_labels)
+    assert inertia == pytest.approx(ref_inertia, rel=1e-9, abs=1e-12)
+    assert rng.bit_generator.state == state
+
+
+class TestGivenCentroids:
+    def test_wrong_shape_or_non_finite(self, rng):
+        pts = rng.standard_normal((6, 2))
+        for bad in (np.zeros((3, 2)), np.zeros((2, 3)), np.array([[0.0, 0.0], [np.nan, 0.0]])):
+            with pytest.raises(InputError, match="centroids must be 2 finite rows of 2 coordinates"):
+                kmeans(pts, 2, rng, centroids=bad)
+
+    def test_overflow_from_far_centroids(self, rng):
+        with pytest.raises(NumericalError, match="overflow"):
+            kmeans(np.zeros((3, 1)), 1, rng, centroids=[[1e200]])
+
+
 @pytest.mark.parametrize("d", [1, 7, 8, 12, 17, 40, 128, 129, 300])
 def test_seeds_are_those_of_rng_choice_at_every_width(d):
     # the seeding sums each distance's squares over d in order, np.sum as a
@@ -582,11 +620,12 @@ def test_lower_bound_holds_and_certified_runs_attain_it(n, k, density, scale, se
 
 class TestEigenvectorStart:
     @staticmethod
-    def instances(name, seed, tmp_path, monkeypatch):
+    def instances(name, seed, tmp_path, monkeypatch, index=0):
+        """A graph and its template; email graphs are `write_email_graph(seed, index)`."""
         if name == "email":
-            load_bench_workloads(monkeypatch).write_email_graph(seed, 0, tmp_path)
-            g, ids = load_edge_list(tmp_path / "edges-0.txt")
-            return g, model_from_ground_truth(g, load_labels(tmp_path / "labels-0.txt", g.n, ids))
+            load_bench_workloads(monkeypatch).write_email_graph(seed, index, tmp_path)
+            g, ids = load_edge_list(tmp_path / f"edges-{index}.txt")
+            return g, model_from_ground_truth(g, load_labels(tmp_path / f"labels-{index}.txt", g.n, ids))
         spec = {"g6-40": make_g6(40), "c2-10-0.60": make_c2(10, 0.60), "c2-10-0.42": make_c2(10, 0.42)}[name]
         g, _ = sample_graph(spec, np.random.default_rng(seed))
         return g, expected_model(spec)
@@ -615,3 +654,29 @@ class TestEigenvectorStart:
         # the fallback draws its start first, exactly as a plain random start
         _, trace = random_start_descent(g.adjacency, model, np.random.default_rng(seed))
         assert result.trace.cost_history == trace.cost_history
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["g6-40", "c2-10-0.60", "email"])
+    def test_certified_run_draws_nothing_from_rng(self, name, seed, tmp_path, monkeypatch):
+        g, model = self.instances(name, seed, tmp_path, monkeypatch)
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        result = template_cluster(g, model, rng)
+        assert result.trace.iterates_count == 0
+        assert rng.bit_generator.state == state
+        other = template_cluster(g, model, np.random.default_rng(seed + 1000))
+        assert np.array_equal(result.partition, other.partition)
+
+    @pytest.mark.parametrize("index", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["g6-40", "c2-10-0.60", "email"])
+    def test_relabelling_vertices_relabels_the_partition(self, name, index, tmp_path, monkeypatch):
+        """tb on a certified graph whose vertices are relabelled returns the
+        relabelled partition: its frame follows the vertices, and its rounding
+        is deterministic and invariant under the frame's column signs."""
+        g, model = self.instances(name, 3 if name == "email" else index, tmp_path, monkeypatch, index)
+        perm = np.random.default_rng(11).permutation(g.n)
+        relabelled = Graph(g.adjacency[np.ix_(perm, perm)])
+        result = template_cluster(g, model, np.random.default_rng(0))
+        moved = template_cluster(relabelled, model, np.random.default_rng(0))
+        assert result.trace.iterates_count == moved.trace.iterates_count == 0
+        assert np.array_equal(Partition(result.partition[perm]).labels, Partition(moved.partition).labels)
