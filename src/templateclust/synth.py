@@ -160,4 +160,8 @@ def add_model_noise(
     iu = np.triu_indices(k)
     noise[iu] = rng.normal(0.0, sigma, size=len(iu[0]))
     noise = noise + np.triu(noise, k=1).T
-    return TemplateModel(model.weights + noise)
+    with np.errstate(over="ignore"):  # an overflow is inf, rejected below
+        weights = model.weights + noise
+    if not np.isfinite(weights).all():
+        raise InputError(f"sigma {sigma} makes the template weights non-finite")
+    return TemplateModel(weights)

@@ -8,13 +8,15 @@ run on the row-normalized embedding (`rounding.pivoted_qr_seeds`).
 
 With A_M = U diag(lambda) U^T and mu the eigenvalues of A_O, both ascending,
 the eigenvalues of P^T A_O P interlace mu, so by Hoffman-Wielandt no frame
-costs less than LB = sum_i dist(lambda_i, [mu_i, mu_{n-k+i}])^2.  When every
-positive lambda lies above its interval and every negative one below it, the
-eigenvector frame P* = V_S U^T attains LB (Umeyama 1988; Fan and Pall 1957),
-where V_S holds the eigenvectors of A_O for the k_- smallest and the k - k_-
-largest mu and k_- counts the negative lambda.  The descent then starts at
-P* and stops at once; otherwise P* is a saddle and it starts at random,
-the only draw a run takes from its rng.
+costs less than LB = sum_i dist(lambda_i, [mu_i, mu_{n-k+i}])^2.  When each
+negative lambda_i lies at or below its interval and each other lambda_i at or
+above it, the eigenvector frame P* = V_S U^T attains LB (Umeyama 1988; Fan
+and Pall 1957), where V_S holds the eigenvectors of A_O for the k_- smallest
+and the k - k_- largest mu and k_- counts the negative lambda.  This sign
+test on the spectra certifies P* as a global minimum: the descent starts at
+P* and stops at once.  Otherwise it starts at random, the only draw a run
+takes from its rng; P* then costs more than LB unless a lambda lies past an
+interval of zero width.
 """
 
 from __future__ import annotations
@@ -27,11 +29,6 @@ from templateclust.errors import InputError
 from templateclust.graphs import Graph, symmetric_matrix
 from templateclust.rounding import kmeans, pivoted_qr_seeds
 from templateclust.stiefel import DescentTrace, StiefelPoint, random_stiefel, steepest_descent
-
-# P* certifies itself when its cost is within this much of LB, relative to
-# max(1, ||A_M||_F^2); rounding leaves under 1e-15 on g6/40, g3/20 and
-# c2/10/0.60 graphs.
-CERTIFICATE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +82,10 @@ def euclidean_gradient(a_o: np.ndarray, a_m: TemplateModel, p: StiefelPoint) -> 
     return 4.0 * (ap @ (p.matrix.T @ ap) - ap @ a_m.weights)
 
 
-def eigenvector_start(g_o: Graph, model: TemplateModel) -> tuple[StiefelPoint, float]:
-    """The eigenvector frame P* = V_S U^T and the interlacing lower bound LB
-    on the misfit, as defined in the module docstring; A_O's factors come
-    from the graph's memo."""
+def eigenvector_start(g_o: Graph, model: TemplateModel) -> tuple[StiefelPoint, float, bool]:
+    """The eigenvector frame P* = V_S U^T, the interlacing lower bound LB on
+    the misfit, and whether P* attains LB by the sign test, all as defined in
+    the module docstring; A_O's factors come from the graph's memo."""
     lam, u = np.linalg.eigh(model.weights)
     mu, v = g_o.eigh("adjacency", lambda: g_o.adjacency)
     n, k = mu.size, lam.size
@@ -97,28 +94,26 @@ def eigenvector_start(g_o: Graph, model: TemplateModel) -> tuple[StiefelPoint, f
     with np.errstate(over="ignore", invalid="ignore"):
         excess = np.maximum(mu[:k] - lam, 0.0) + np.maximum(lam - mu[n - k :], 0.0)
         lower_bound = float(np.sum(excess * excess))
-    return StiefelPoint(v_s @ u.T), lower_bound
+    certified = bool(np.all(lam[:negative] <= mu[:negative]) and np.all(lam[negative:] >= mu[n - k + negative :]))
+    return StiefelPoint(v_s @ u.T), lower_bound, certified
 
 
 def template_cluster(g_o: Graph, model: TemplateModel, rng: np.random.Generator) -> ClusteringResult:
     """Optimize the embedding, then round its rows by pivoted-QR seeds and one
     Lloyd run on the unit rows, which draw nothing from `rng`.
 
-    The descent starts at the eigenvector frame P* when P* certifies itself,
-    costing no more than LB + CERTIFICATE_TOL * max(1, ||A_M||_F^2); it then
-    stops at once on the gradient with no iterations and no draw from `rng`
-    at all. Otherwise (some template eigenvalue lies inside its
-    interval, where P* is a saddle) it starts at a random frame. Ties at
-    the selection boundary, such as mu_{n-k} = mu_{n-k+1}, make P*
-    non-unique but deterministic. The result carries LB as `lower_bound`.
+    The descent starts at the eigenvector frame P* when the sign test
+    certifies it (each negative template eigenvalue at or below its interval
+    and each other one at or above it, so P* costs LB) and then stops at once
+    on the gradient with no iterations and no draw from `rng` at all.
+    Otherwise it starts at a random frame. Ties at the selection boundary,
+    such as mu_{n-k} = mu_{n-k+1}, make P* non-unique but deterministic.
+    The result carries LB as `lower_bound`.
     """
     if g_o.n <= model.k:
         raise InputError(f"graph has n={g_o.n} vertices but template needs n > k={model.k}")
     a_o = g_o.adjacency
-    p_star, lower_bound = eigenvector_start(g_o, model)
-    with np.errstate(over="ignore"):
-        slack = CERTIFICATE_TOL * max(1.0, float(np.sum(model.weights**2)))
-    certified = objective(a_o, model, p_star) <= lower_bound + slack
+    p_star, lower_bound, certified = eigenvector_start(g_o, model)
     p0 = p_star if certified else random_stiefel(g_o.n, model.k, rng)
     p_opt, trace = steepest_descent(
         lambda p: objective(a_o, model, p),

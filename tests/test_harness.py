@@ -329,11 +329,41 @@ real,louvain,,0.0,4,21,ok,0.9657642041817268,,,12
 }
 
 
-# records.csv of tb and spectral on the email graphs, without the
+# records.csv of tb and spectral on the grids above, without the
 # projector_distance column, whose last digits can move with the BLAS thread
-# count. Spectral's k-means++ seeding runs past d = 8 at k = 12; tb's frame is
-# certified and its rounding draws from no rng, so its rows repeat one value
+# count. Spectral's k-means++ seeding runs past d = 8 at k = 12 on the email
+# graphs. On the g6 and email graphs tb's frame is certified and its rounding
+# draws from no rng, so its rows repeat one value; on c2/5/0.42 no frame is
+# certified and tb descends from a random start, so a flipped certificate
+# decision changes a row on one side or the other
 EMBEDDING_RECORDS = {
+    "g6": """\
+dataset,method,size,param,repetition,seed,status,ari,iterations,k_found
+g6,spectral,10,,0,17,ok,1.0,,6
+g6,spectral,10,,1,18,ok,1.0,,6
+g6,spectral,10,,2,19,ok,1.0,,6
+g6,tb,10,,0,17,ok,1.0,0,6
+g6,tb,10,,1,18,ok,1.0,0,6
+g6,tb,10,,2,19,ok,1.0,0,6
+""",
+    "g6-40": """\
+dataset,method,size,param,repetition,seed,status,ari,iterations,k_found
+g6,spectral,40,,0,17,ok,1.0,,6
+g6,spectral,40,,1,18,ok,1.0,,6
+g6,spectral,40,,2,19,ok,1.0,,6
+g6,tb,40,,0,17,ok,1.0,0,6
+g6,tb,40,,1,18,ok,1.0,0,6
+g6,tb,40,,2,19,ok,1.0,0,6
+""",
+    "c2": """\
+dataset,method,size,param,repetition,seed,status,ari,iterations,k_found
+c2,spectral,5,0.42,0,17,ok,0.6686046511627907,,4
+c2,spectral,5,0.42,1,18,ok,0.6334405144694534,,4
+c2,spectral,5,0.42,2,19,ok,0.634334103156274,,4
+c2,tb,5,0.42,0,17,ok,0.6705202312138728,60,4
+c2,tb,5,0.42,1,18,ok,0.7556270096463023,87,4
+c2,tb,5,0.42,2,19,ok,0.6077621800165153,68,4
+""",
     "email-0": """\
 dataset,method,size,param,repetition,seed,status,ari,iterations,k_found
 real,spectral,,0.0,0,17,ok,1.0,,12
@@ -578,8 +608,13 @@ class TestCli:
             (["cluster", "--family", "g3", "--size", "4", "--seed", "-1"], "error: --seed must be >= 0, got -1"),
             (["real", "--sigma-list", "nan", "--methods", "cnm"], "error: sigma must be >= 0, got nan"),
             (["real", "--sigma-list", "inf", "--methods", "cnm"], "error: sigma must be finite, got inf"),
+            # at seed 0 the first noise draw of the second sigma overflows to -inf
+            (
+                ["real", "--sigma-list", "0,1.5e308", "--methods", "cnm"],
+                "error: sigma 1.5e+308 makes the template weights non-finite",
+            ),
         ],
-        ids=["synth-seed", "cluster-seed", "real-sigma", "real-sigma-inf"],
+        ids=["synth-seed", "cluster-seed", "real-sigma", "real-sigma-inf", "real-sigma-overflow"],
     )
     def test_bad_seed_or_sigma_exit_code(self, tmp_path, capsys, argv, message):
         edges = tmp_path / "edges.txt"
