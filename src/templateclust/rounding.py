@@ -2,9 +2,7 @@
 
 `tb` rounds by `pivoted_qr_seeds` and one Lloyd run of `kmeans` from them on
 the row-normalized embedding, drawing nothing from an rng. The spectral
-baseline rounds with `kmeans`' k-means++ seeding: Lloyd's algorithm, the best
-of 10 restarts run as one batch.
-"""
+baseline rounds by `kmeans`' k-means++ seeding and `RESTARTS` restarts."""
 
 from __future__ import annotations
 
@@ -12,23 +10,25 @@ import numpy as np
 
 from templateclust.errors import InputError, NumericalError
 
+RESTARTS = 10
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, restarts: int) -> np.ndarray:
-    """k-means++ centroids for every restart at once, shape (restarts, k, d).
+
+def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ centroids for every restart at once, shape (RESTARTS, k, d).
 
     Each restart draws rng.integers(n), then rng.random(k - 1): the stream of
     a per-restart rng.choice(n, p=d2 / total), whose pick is the count of
     cdf <= u. A restart whose squared distances sum to 0 (fewer distinct rows
     than k) picks row floor(u * n) instead. Squared distances to a new seed
-    are differences squared as (d, restarts, n) and summed over d in order.
+    are differences squared as (d, RESTARTS, n) and summed over d in order.
     For d >= 8 a distance can differ in the last bit from np.sum's pairwise
     sum of a row; only the picks depend on the distances.
     """
     n = points.shape[0]
-    first, u = map(np.array, zip(*[(rng.integers(n), rng.random(k - 1)) for _ in range(restarts)]))
+    first, u = map(np.array, zip(*[(rng.integers(n), rng.random(k - 1)) for _ in range(RESTARTS)]))
     idx = np.column_stack([first, (u * n).astype(int)])
     coords = points.T
-    tiled = np.repeat(coords[:, None, :], restarts, axis=1)
+    tiled = np.repeat(coords[:, None, :], RESTARTS, axis=1)
 
     def sq_dists(rows: np.ndarray) -> np.ndarray:
         diff = tiled - coords[:, rows, None]
@@ -171,9 +171,9 @@ def kmeans(
 ) -> tuple[np.ndarray, float]:
     """Lloyd's algorithm; returns labels and inertia.
 
-    Without `centroids`, k-means++ seeding and the best of 10 restarts by
-    inertia, seeded and iterated as one batch in which each restart gets its
-    own sequential result; the first of equal inertias wins. Given k finite
+    Without `centroids`, k-means++ seeding and the best of `RESTARTS` restarts
+    by inertia, seeded and run as one batch in which each restart gets its own
+    sequential result; the first of equal inertias wins. Given k finite
     centroids (k, d), one Lloyd run from them, which draws nothing from `rng`.
     """
     points = _checked_points(points, k)
@@ -190,7 +190,7 @@ def kmeans(
         bound = 4.0 * len(points) * mass
     if not np.isfinite(bound):
         raise NumericalError("k-means squared distances overflow: the points lie too far from the origin")
-    seeds = _kmeans_pp_init(points, k, rng, restarts=10) if centroids is None else centroids[None]
+    seeds = _kmeans_pp_init(points, k, rng) if centroids is None else centroids[None]
     labels, inertia = _lloyd(points, seeds, max_iters=300)
     best = int(np.argmin(inertia))
     return labels[best], float(inertia[best])

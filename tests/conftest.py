@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from templateclust import Graph, build_graph
+from templateclust import Graph, GroundTruth, build_graph, load_edge_list, load_labels
 
 
 def two_triangles() -> Graph:
@@ -32,3 +32,11 @@ def load_bench_workloads(monkeypatch: pytest.MonkeyPatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
     spec.loader.exec_module(workloads)
     return workloads
+
+
+def email_graph(monkeypatch: pytest.MonkeyPatch, tmp_path: Path, seed: int, index: int) -> tuple[Graph, GroundTruth]:
+    """The graph and labels `write_email_graph(seed, index)` writes for the
+    benchmark's file workload, loaded as `real` loads them."""
+    load_bench_workloads(monkeypatch).write_email_graph(seed, index, tmp_path)
+    g, ids = load_edge_list(tmp_path / f"edges-{index}.txt")
+    return g, load_labels(tmp_path / f"labels-{index}.txt", g.n, ids)

@@ -16,7 +16,6 @@ from templateclust import (
     build_graph,
     cnm_cluster,
     degree_matrix,
-    load_edge_list,
     louvain_cluster,
     make_c2,
     make_g3,
@@ -27,7 +26,7 @@ from templateclust import (
 )
 from templateclust.baselines import spectral_embedding
 
-from conftest import load_bench_workloads, random_simple_graph, two_triangles
+from conftest import email_graph, random_simple_graph, two_triangles
 
 
 def best_partition_exhaustive(g):
@@ -500,12 +499,6 @@ def louvain_graphs(draw):
     return Graph(upper + np.triu(upper, k=1).T)
 
 
-def email_graph(monkeypatch, tmp_path, index):
-    """Planted graph `index` of the benchmark's file workload, as `real` loads it."""
-    load_bench_workloads(monkeypatch).write_email_graph(0, index, tmp_path)
-    return load_edge_list(tmp_path / f"edges-{index}.txt")[0]
-
-
 class TestLouvainMatchesDenseReference:
     @pytest.mark.parametrize("weights", ["unit", "integer", "float"])
     def test_random_graphs_with_self_loops(self, weights):
@@ -547,7 +540,7 @@ class TestLouvainMatchesDenseReference:
             assert_louvain_matches_reference(g, seed)
 
     def test_email_file_graph(self, monkeypatch, tmp_path):
-        assert_louvain_matches_reference(email_graph(monkeypatch, tmp_path, 0), 0)
+        assert_louvain_matches_reference(email_graph(monkeypatch, tmp_path, 0, 0)[0], 0)
 
 
 def median_louvain_modularity(g, nx):
@@ -577,7 +570,7 @@ class TestLouvainMatchesNetworkx:
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_email_file_graphs(self, monkeypatch, tmp_path, index):
         nx = pytest.importorskip("networkx")
-        ours, theirs = median_louvain_modularity(email_graph(monkeypatch, tmp_path, index), nx)
+        ours, theirs = median_louvain_modularity(email_graph(monkeypatch, tmp_path, 0, index)[0], nx)
         assert ours == pytest.approx(theirs, abs=0.005)
 
 
@@ -607,7 +600,7 @@ class TestCNMMatchesNetworkx:
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_email_file_graphs(self, monkeypatch, tmp_path, index):
         nx = pytest.importorskip("networkx")
-        g = email_graph(monkeypatch, tmp_path, index)
+        g, _ = email_graph(monkeypatch, tmp_path, 0, index)
         assert np.array_equal(cnm_cluster(g).labels, networkx_cnm(g, nx).labels)
 
 

@@ -1,20 +1,25 @@
 """The rounding module: `tb` and the spectral baseline both cluster their
 embeddings' rows with `rounding.kmeans`, `tb` with one Lloyd run from
 `pivoted_qr_seeds` on its unit rows and spectral with k-means++ seeding.
+The k-means tests compare `kmeans`, `_kmeans_pp_init` and `_lloyd` with
+reference implementations written the way they once ran.
 
 An AST guard keeps the rounding code in `rounding.py`, keeps `baselines` from
 importing the template method it is compared against, and keeps `template`
 calling `kmeans` as a module global, the name the traced benchmark wraps. The
 package's `__init__` imports every module, so `sys.modules` cannot tell who
-imports whom.
+imports whom. A second guard keeps this file the only one that reaches into
+rounding's private names, so its helpers' tests stay in one place.
 """
 
 import ast
+import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from templateclust import (
@@ -23,20 +28,24 @@ from templateclust import (
     Partition,
     StiefelPoint,
     closest_orthonormal,
+    expected_model,
     kmeans,
-    load_edge_list,
-    load_labels,
     make_g6,
+    model_from_ground_truth,
     pivoted_qr_seeds,
     projector_distance,
     sample_graph,
     spectral_cluster,
+    template_cluster,
 )
 from templateclust.baselines import spectral_embedding
+from templateclust.rounding import _kmeans_pp_init, _lloyd
 
-from conftest import load_bench_workloads
+from conftest import email_graph
+from test_private_names import private
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "templateclust"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "templateclust"
 
 ROUNDING = {"kmeans", "pivoted_qr_seeds", "_lloyd", "_kmeans_pp_init"}
 
@@ -110,6 +119,405 @@ def test_rounding_layout():
     assert layout_faults(sources) == []
 
 
+def private_rounding_reads(source: str) -> list[tuple[int, str]]:
+    """(line, code) for each import of a private name from
+    templateclust.rounding, and each private attribute read from the module
+    itself or from a name an import binds to it."""
+    tree = ast.parse(source)
+    found, module_names = [], {"templateclust.rounding"}
+    for node in ast.walk(tree):
+        for module, imported, bound in imported_names(node):
+            if module == "templateclust.rounding" and private(imported):
+                found.append((node.lineno, ast.unparse(node)))
+            # `from templateclust import rounding` and `import templateclust.rounding as r`
+            # bind the module; a plain `import templateclust.rounding` binds the package
+            elif f"{module}.{imported}" == "templateclust.rounding" or (
+                module == "templateclust.rounding" and not imported and bound != "templateclust"
+            ):
+                module_names.add(bound)
+    found += [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and private(node.attr) and ast.unparse(node.value) in module_names
+    ]
+    return sorted(set(found))
+
+
+def test_private_rounding_reads_detector():
+    source = (
+        "from templateclust.rounding import _kmeans_pp_init, _lloyd\n"
+        "from templateclust.rounding import RESTARTS, kmeans as km\n"
+        "from templateclust import rounding as r, template\n"
+        "import templateclust.rounding\n"
+        "import templateclust.rounding as tr\n"
+        "from templateclust.baselines import _cnm_merges\n"
+        "x = r._lloyd, templateclust.rounding._lloyd, tr._lloyd(km), r.kmeans, template._x, templateclust._y\n"
+    )
+    assert private_rounding_reads(source) == [
+        (1, "from templateclust.rounding import _kmeans_pp_init, _lloyd"),
+        (7, "r._lloyd"),
+        (7, "templateclust.rounding._lloyd"),
+        (7, "tr._lloyd"),
+    ]
+
+
+def test_only_this_file_reads_private_rounding_names():
+    offenders = [
+        f"{path.relative_to(REPO)}:{line}: {code}"
+        for root in ("src", "tests", "bench")
+        for path in sorted((REPO / root).rglob("*.py"))
+        if path != Path(__file__).resolve()
+        for line, code in private_rounding_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+class TestKMeans:
+    def test_single_cluster(self, rng):
+        pts = rng.standard_normal((8, 2))
+        labels, inertia = kmeans(pts, 1, rng)
+        assert np.array_equal(labels, np.zeros(8, dtype=int))
+        assert inertia == pytest.approx(np.sum((pts - pts.mean(axis=0)) ** 2))
+
+    def test_separated_duplicates(self, rng):
+        pts = np.repeat(np.eye(2), 3, axis=0)
+        labels, inertia = kmeans(pts, 2, rng)
+        assert inertia == pytest.approx(0.0, abs=1e-12)
+        assert len(set(labels[:3])) == 1 and len(set(labels[3:])) == 1
+        assert labels[0] != labels[3]
+
+    def test_unit_square_inertia(self, rng):
+        # brute-force oracle: all 2-partitions of the 4 corners; side pairs
+        # are optimal with inertia 2 * (2 * 0.25) = 1.0
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        best = np.inf
+        for assign in itertools.product([0, 1], repeat=4):
+            assign = np.array(assign)
+            if assign.sum() in (0, 4):
+                continue
+            inertia = 0.0
+            for c in (0, 1):
+                group = pts[assign == c]
+                inertia += np.sum((group - group.mean(axis=0)) ** 2)
+            best = min(best, inertia)
+        assert best == pytest.approx(1.0)
+        _, inertia = kmeans(pts, 2, rng)
+        assert inertia == pytest.approx(best)
+
+    def test_deterministic_given_seed(self):
+        pts = np.random.default_rng(5).standard_normal((30, 3))
+        l1, i1 = kmeans(pts, 4, np.random.default_rng(9))
+        l2, i2 = kmeans(pts, 4, np.random.default_rng(9))
+        assert np.array_equal(l1, l2) and i1 == i2
+
+    def test_too_few_points(self, rng):
+        with pytest.raises(InputError):
+            kmeans(np.zeros((2, 2)), 3, rng)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points(self, rng, bad):
+        pts = rng.standard_normal((6, 2))
+        pts[3, 1] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            kmeans(pts, 2, rng)
+
+    @staticmethod
+    def assert_overflow_before_seeding(pts, k, rng):
+        # raised before seeding draws anything, and without a numpy warning
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflow"):
+                kmeans(np.array(pts), k, rng)
+        assert rng.bit_generator.state == state
+
+    def test_overflowing_distances(self, rng):
+        self.assert_overflow_before_seeding([[0.0], [1e200], [2e200], [3e200]], 2, rng)
+
+    def test_overflowing_norms_of_equal_points(self, rng):
+        # no two points are apart, but ||x||^2 - 2 x.c + ||c||^2 overflows
+        self.assert_overflow_before_seeding([[1e200], [1e200], [1e200]], 1, rng)
+
+
+def lloyd_by_cluster_loop(points, centroids, max_iters):
+    """Reference Lloyd: an n x k x d difference tensor per assignment and one
+    boolean-mask mean per cluster, as `_lloyd` was written before its
+    distances and centroids became matrix products."""
+    n, _ = points.shape
+    k = centroids.shape[0]
+    labels = np.zeros(n, dtype=int)
+    for _ in range(max_iters):
+        dists = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(dists, axis=1)
+        for c in range(k):
+            mask = new_labels == c
+            if mask.any():
+                centroids[c] = points[mask].mean(axis=0)
+            else:
+                worst = int(np.argmax(dists[np.arange(n), new_labels]))
+                centroids[c] = points[worst]
+                new_labels[worst] = c
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    dists = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    return labels, float(dists[np.arange(n), labels].sum())
+
+
+def kmeans_pp_by_choice(points, k, rng):
+    """Reference k-means++ seeding for one restart: each later centroid is
+    drawn by rng.choice with probability proportional to squared distance."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    for c in range(1, k):
+        centroids[c] = points[rng.choice(n, p=d2 / d2.sum())]
+        d2 = np.minimum(d2, np.sum((points - centroids[c]) ** 2, axis=1))
+    return centroids
+
+
+def lloyd_one_restart(points, centroids, max_iters):
+    """Reference Lloyd for one restart in the package's arithmetic (matrix
+    product distances, one-hot centroid sums, the same empty-cluster refill),
+    as `_lloyd` ran each restart before the restarts became one batch."""
+    n, k = points.shape[0], centroids.shape[0]
+    rows = np.arange(n)
+    point_sq = np.einsum("ij,ij->i", points, points)[:, None]
+
+    def sq_dists(c):
+        return point_sq - 2.0 * (points @ c.T) + np.einsum("ij,ij->i", c, c)
+
+    labels = np.zeros(n, dtype=int)
+    for _ in range(max_iters):
+        dists = sq_dists(centroids)
+        new_labels = np.argmin(dists, axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        far = dists[rows, new_labels]
+        for c in np.flatnonzero(counts == 0):
+            worst = int(np.argmax(np.where(counts[new_labels] > 1, far, -np.inf)))
+            counts[new_labels[worst]] -= 1
+            new_labels[worst] = c
+            counts[c] = 1
+        membership = np.zeros((n, k))
+        membership[rows, new_labels] = 1.0
+        centroids = (membership.T @ points) / counts[:, None]
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return new_labels, float(sq_dists(centroids)[rows, new_labels].sum())
+
+
+def kmeans_by_cluster_loop(points, k, rng, restarts=10, max_iters=300, lloyd=lloyd_by_cluster_loop):
+    """Reference k-means: restarts one after another, each seeded by
+    `kmeans_pp_by_choice` and run by `lloyd`, the first of equal inertias kept."""
+    best_labels, best_inertia = None, np.inf
+    for _ in range(restarts):
+        labels, inertia = lloyd(points, kmeans_pp_by_choice(points, k, rng), max_iters)
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    return best_labels, best_inertia
+
+
+class TestLloydMatchesClusterLoop:
+    def assert_matches_reference(self, points, k, seed):
+        labels, inertia = kmeans(points, k, np.random.default_rng(seed))
+        ref_labels, ref_inertia = kmeans_by_cluster_loop(points, k, np.random.default_rng(seed))
+        assert np.array_equal(labels, ref_labels)
+        assert inertia == pytest.approx(ref_inertia, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "n, k, d", [(30, 3, 2), (120, 5, 3), (300, 12, 12), (400, 8, 40), (200, 12, 129), (150, 6, 300)]
+    )
+    def test_separated_blobs(self, n, k, d):
+        rng = np.random.default_rng(n + k + d)
+        centres = 10.0 * rng.standard_normal((k, d))
+        points = centres[np.arange(n) % k] + rng.standard_normal((n, d))
+        self.assert_matches_reference(points, k, seed=d)
+
+    def test_ties_go_to_the_lowest_index(self):
+        # 1 is exactly as far from centroid 0 as from centroid 2
+        points = np.array([[0.0], [1.0], [2.0]])
+        (labels,), _ = _lloyd(points, np.array([[[0.0], [2.0]]]), max_iters=1)
+        ref_labels, _ = lloyd_by_cluster_loop(points, np.array([[0.0], [2.0]]), max_iters=1)
+        assert np.array_equal(labels, [0, 0, 1])
+        assert np.array_equal(labels, ref_labels)
+
+    def test_g6_embeddings(self):
+        spec = make_g6(40)
+        g, _ = sample_graph(spec, np.random.default_rng(3))
+        tb = template_cluster(g, expected_model(spec), rng=np.random.default_rng(4))
+        self.assert_matches_reference(tb.embedding.matrix, 6, seed=5)
+        self.assert_matches_reference(spectral_embedding(g, 6).matrix, 6, seed=6)
+
+    def test_email_file_embeddings(self, monkeypatch, tmp_path):
+        g, gt = email_graph(monkeypatch, tmp_path, 0, 0)
+        tb = template_cluster(g, model_from_ground_truth(g, gt), rng=np.random.default_rng(1))
+        self.assert_matches_reference(tb.embedding.matrix, gt.k, seed=2)
+        self.assert_matches_reference(spectral_embedding(g, gt.k).matrix, gt.k, seed=3)
+
+
+class TestEmptyClusters:
+    def test_fewer_distinct_points_than_k(self):
+        points = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 4, axis=0)
+        for seed in range(5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                labels, inertia = kmeans(points, 5, np.random.default_rng(seed))
+            assert labels.min() >= 0 and labels.max() <= 4
+            assert np.bincount(labels, minlength=5).all()
+            assert np.isfinite(inertia)
+
+    def test_refill_never_empties_a_singleton(self):
+        # one iteration: the point at 50 is the farthest from its centroid but
+        # alone in its cluster, so the empty third cluster takes the next
+        # farthest, 0
+        points = np.array([[0.0], [1.0], [2.0], [50.0]])
+        (labels,), (inertia,) = _lloyd(points, np.array([[[1.0], [60.0], [1000.0]]]), max_iters=1)
+        assert np.array_equal(labels, [2, 0, 0, 1])
+        assert inertia == pytest.approx(0.5)
+
+    def test_zero_distance_seed_takes_row_floor_u_n(self):
+        # two distinct rows and k=3: once both are seeds the squared distances
+        # sum to 0, and the third seed is row floor(u * n) of its own uniform
+        points = np.array([[0.0], [0.0], [0.0], [5.0]])
+        seeds = _kmeans_pp_init(points, 3, np.random.default_rng(7))
+        twin = np.random.default_rng(7)
+        for r in range(10):
+            first, u = twin.integers(4), twin.random(2)
+            assert seeds[r, 0, 0] == points[first, 0]
+            assert seeds[r, 1, 0] == 5.0 - points[first, 0]
+            assert seeds[r, 2, 0] == points[int(u[1] * 4), 0]
+        rng = np.random.default_rng(7)
+        labels, inertia = kmeans(points, 3, rng)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        again, _ = kmeans(points, 3, np.random.default_rng(7))
+        assert np.array_equal(labels, again)
+        assert np.bincount(labels, minlength=3).all()
+        assert inertia == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    d=st.integers(1, 4),
+    k=st.integers(1, 6),
+    grid=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kmeans_matches_sequential_reference(n, d, k, grid, seed):
+    draw = np.random.default_rng(seed)
+    # integer grid points bring exact ties and duplicate rows
+    points = draw.integers(0, 3, (n, d)).astype(float) if grid else draw.standard_normal((n, d))
+    assume(len(np.unique(points, axis=0)) >= k)
+    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    labels, inertia = kmeans(points, k, rng)
+    ref_labels, ref_inertia = kmeans_by_cluster_loop(points, k, ref_rng, lloyd=lloyd_one_restart)
+    assert np.array_equal(labels, ref_labels)
+    assert inertia == pytest.approx(ref_inertia, rel=1e-9, abs=1e-12)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if not grid:
+        # at an exact tie the difference tensor's rounding can pick the other
+        # centroid, or another restart that found the same clusters under
+        # other numbers; off ties it must find the same partition
+        loop_labels, loop_inertia = kmeans_by_cluster_loop(points, k, np.random.default_rng(seed + 1))
+        assert len(set(zip(labels, loop_labels))) == len(set(labels)) == len(set(loop_labels))
+        assert inertia == pytest.approx(loop_inertia, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 250),
+    d=st.integers(1, 12),
+    k=st.integers(1, 12),
+    grid=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kmeans_matches_sequential_reference_at_benchmark_shapes(n, d, k, grid, seed):
+    # out to email-file's d = k = 12: from d = 8 on, np.sum adds a row's
+    # squares as a pairwise tree and the batched seeding adds them in order,
+    # and the picks must still be the reference's
+    draw = np.random.default_rng(seed)
+    points = draw.integers(0, 3, (n, d)).astype(float) if grid else draw.standard_normal((n, d))
+    assume(len(np.unique(points, axis=0)) >= k)
+    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    labels, inertia = kmeans(points, k, rng)
+    ref_labels, ref_inertia = kmeans_by_cluster_loop(points, k, ref_rng, lloyd=lloyd_one_restart)
+    assert np.array_equal(labels, ref_labels)
+    assert inertia == pytest.approx(ref_inertia, rel=1e-9)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 120),
+    d=st.integers(1, 12),
+    k=st.integers(1, 12),
+    grid=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kmeans_from_given_centroids_is_one_reference_run(n, d, k, grid, seed):
+    """Given centroids, kmeans is one Lloyd run from them, empty-cluster
+    refill included, and draws nothing from its rng."""
+    draw = np.random.default_rng(seed)
+    points = draw.integers(0, 3, (n, d)).astype(float) if grid else draw.standard_normal((n, d))
+    k = min(k, n)
+    centroids = draw.standard_normal((k, d)) * 2.0
+    rng = np.random.default_rng(seed + 1)
+    state = rng.bit_generator.state
+    labels, inertia = kmeans(points, k, rng, centroids=centroids)
+    ref_labels, ref_inertia = lloyd_one_restart(points, centroids.copy(), max_iters=300)
+    assert np.array_equal(labels, ref_labels)
+    assert inertia == pytest.approx(ref_inertia, rel=1e-9, abs=1e-12)
+    assert rng.bit_generator.state == state
+
+
+class TestGivenCentroids:
+    def test_wrong_shape_or_non_finite(self, rng):
+        pts = rng.standard_normal((6, 2))
+        for bad in (np.zeros((3, 2)), np.zeros((2, 3)), np.array([[0.0, 0.0], [np.nan, 0.0]])):
+            with pytest.raises(InputError, match="centroids must be 2 finite rows of 2 coordinates"):
+                kmeans(pts, 2, rng, centroids=bad)
+
+    def test_overflow_from_far_centroids(self, rng):
+        with pytest.raises(NumericalError, match="overflow"):
+            kmeans(np.zeros((3, 1)), 1, rng, centroids=[[1e200]])
+
+
+@pytest.mark.parametrize("d", [1, 7, 8, 12, 17, 40, 128, 129, 300])
+def test_seeds_are_those_of_rng_choice_at_every_width(d):
+    # the seeding sums each distance's squares over d in order, np.sum as a
+    # pairwise tree from d = 8 on, so their last bits can differ; a pick can
+    # differ only where a uniform lies that close to a cumulative boundary.
+    # Columns from 1e-3 to 1e3 mix terms of very different sizes in each sum.
+    points = np.random.default_rng(d).standard_normal((90, d)) * np.logspace(-3, 3, d)
+    rng, ref_rng = np.random.default_rng(d + 1), np.random.default_rng(d + 1)
+    seeds = _kmeans_pp_init(points, 9, rng)
+    for r in range(10):
+        assert np.array_equal(seeds[r], kmeans_pp_by_choice(points, 9, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_lloyd_restart_bits_independent_of_slot_and_numbering():
+    """A restart's arithmetic is its own: neither its slot in the batch nor
+    the numbers of its clusters may change a bit of its result. Otherwise two
+    restarts that find the same clusters can differ in the last bit of their
+    inertia, and the later one can win the best-of-restarts."""
+    points = np.random.default_rng(0).standard_normal((27, 1))
+    seeds = _kmeans_pp_init(points, 3, np.random.default_rng(1))
+    labels, inertia = _lloyd(points, seeds, max_iters=300)
+    rev_labels, rev_inertia = _lloyd(points, seeds[::-1], max_iters=300)
+    for r in range(10):
+        (alone,), (alone_inertia,) = _lloyd(points, seeds[r : r + 1], max_iters=300)
+        assert np.array_equal(labels[r], alone) and np.array_equal(rev_labels[9 - r], alone)
+        assert inertia[r].tobytes() == alone_inertia.tobytes() == rev_inertia[9 - r].tobytes()
+    # restarts 0 and 3 end in one partition, numbered differently
+    assert not np.array_equal(labels[0], labels[3])
+    assert len(set(zip(labels[0], labels[3]))) == len(set(labels[0])) == 3
+    assert inertia[0].tobytes() == inertia[3].tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(2, 259),
@@ -148,9 +556,7 @@ def largest_entry_positive(p):
 @pytest.mark.parametrize("name", ["g6-40", "email"])
 def test_spectral_outputs_independent_of_eigenvector_signs(name, tmp_path, monkeypatch):
     if name == "email":
-        load_bench_workloads(monkeypatch).write_email_graph(0, 0, tmp_path)
-        g, ids = load_edge_list(tmp_path / "edges-0.txt")
-        gt = load_labels(tmp_path / "labels-0.txt", g.n, ids)
+        g, gt = email_graph(monkeypatch, tmp_path, 0, 0)
     else:
         g, gt = sample_graph(make_g6(40), np.random.default_rng(3))
     p = spectral_embedding(g, gt.k)
