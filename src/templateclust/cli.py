@@ -1,4 +1,5 @@
-"""Command-line entry points for running experiments and one-shot clustering."""
+"""Command-line entry points. `synth` and `real` run a grid; `cluster` runs
+repetition 0 at point 0 of the one-point grid its flags name, through `harness`."""
 
 from __future__ import annotations
 
@@ -8,13 +9,11 @@ import functools
 import sys
 from typing import NoReturn
 
-import numpy as np
-
-from templateclust.dataio import load_edge_list, load_labels, load_template, model_from_ground_truth
+from templateclust.dataio import load_edge_list, load_template
 from templateclust.errors import InputError
-from templateclust.harness import METHODS, ExperimentConfig, run_and_write, run_method
+from templateclust.harness import METHODS, ExperimentConfig, instances, method_rng, run_and_write, run_method
 from templateclust.metrics import adjusted_rand_index
-from templateclust.synth import FAMILIES, expected_model, make_family, sample_graph
+from templateclust.synth import FAMILIES
 
 
 def _comma_list(text: str, convert: type, what: str) -> tuple:
@@ -119,23 +118,22 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 raise InputError(f"{flag} does not apply to {args.method}: it chooses the number of communities itself")
     if args.k is not None and args.k < 1:
         raise InputError(f"--k must be >= 1, got {args.k}")
-    gt = None
-    model = None
-    # the graph and the method draw the streams of repetition 0 at point 0
-    # of a grid with this seed, so the run matches that grid's first row
+    # a family, or edges with labels, name a one-point grid: run its first repetition
     if args.family:
         if args.size is None:
             raise InputError("--family needs --size")
-        spec = make_family(args.family, args.size, args.prob, args.intra_mode)
-        graph, gt = sample_graph(spec, np.random.default_rng((args.seed, 0, 0)))
-        model = expected_model(spec)
+        cfg = ExperimentConfig("synth", args.family, sizes=(args.size,), probs=(args.prob,),
+                               intra_mode=args.intra_mode, repetitions=1, base_seed=args.seed)
+    elif args.labels:
+        cfg = ExperimentConfig("real", "real", edges_path=args.edges, labels_path=args.labels,
+                               repetitions=1, base_seed=args.seed)
     elif args.edges:
-        graph, id_map = load_edge_list(args.edges)
-        if args.labels:
-            gt = load_labels(args.labels, graph.n, id_map)
-            model = model_from_ground_truth(graph, gt)
+        cfg, gt, model = None, None, None
+        graph, _ = load_edge_list(args.edges)
     else:
         raise InputError("provide either --family/--size or --edges")
+    if cfg is not None:
+        *_, graph, gt, model = next(instances(cfg))
 
     if args.template:
         model = load_template(args.template)
@@ -144,8 +142,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if (args.method == "tb" or args.template) and model is not None and args.k not in (None, model.k):
         raise InputError(f"--k {args.k} differs from the template's k={model.k}; {args.method} takes k from the template")
     k = args.k or (model.k if model is not None else None) or (gt.k if gt else None)
-    rng = np.random.default_rng((args.seed, 0, 0, METHODS.index(args.method)))
-    labels, _, _ = run_method(args.method, graph, k, model, rng)
+    labels, _, _ = run_method(args.method, graph, k, model, method_rng(args.seed, 0, 0, args.method))
 
     print("labels:", " ".join(str(int(x)) for x in labels))
     if gt is not None:

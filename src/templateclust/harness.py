@@ -4,7 +4,8 @@ Each experiment sweeps parameter points (community size, coupling
 probability, or noise level), repeats every point with derived seeds,
 runs the requested clustering methods on the same sampled instance, and
 records ARI, projector distance, iteration counts and timing.  Raw
-records and mean/std summaries are written as CSV.
+records and mean/std summaries are written as CSV.  `instances` and
+`method_rng` are the only code that builds and seeds a repetition.
 """
 
 from __future__ import annotations
@@ -153,7 +154,13 @@ def run_method(
     raise InputError(f"unknown method {method!r}")
 
 
-def _instances(
+def method_rng(seed: int, point_idx: int, rep: int, method: str) -> np.random.Generator:
+    """The stream `method` draws from at repetition `rep` of point
+    `point_idx`, seeded by that place and the method's index in METHODS."""
+    return np.random.default_rng((seed, point_idx, rep, METHODS.index(method)))
+
+
+def instances(
     cfg: ExperimentConfig,
 ) -> Iterator[tuple[int | None, float, int, int, Graph, GroundTruth, TemplateModel]]:
     """Yield (size, param, point_idx, rep, graph, truth, template) for every
@@ -184,17 +191,13 @@ def _instances(
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Execute the full grid. A method that raises InputError or
     NumericalError on a repetition gives a failed row and the run goes on;
-    any other exception is a fault in the program and propagates.
-
-    Each repetition draws from generators seeded by where it sits in the
-    grid: the graph by (seed, point, rep), each method by (seed, point, rep,
-    its index in METHODS), so its rows do not depend on the other methods
-    asked for."""
+    any other exception is a fault in the program and propagates. Each
+    method draws from `method_rng`, so its rows do not depend on the others."""
     records: list[ExperimentRecord] = []
-    for size, param, point_idx, rep, graph, gt, model in _instances(cfg):
+    for size, param, point_idx, rep, graph, gt, model in instances(cfg):
         for method in cfg.methods:
             rec = ExperimentRecord(cfg.dataset, method, size, param, rep, cfg.base_seed + rep)
-            rng = np.random.default_rng((cfg.base_seed, point_idx, rep, METHODS.index(method)))
+            rng = method_rng(cfg.base_seed, point_idx, rep, method)
             start = time.perf_counter()
             try:
                 labels, embedding, iters = run_method(method, graph, gt.k, model, rng)

@@ -122,10 +122,10 @@ C2_COUPLING = 0.42  # c2's central coupling when none is given
 
 
 def make_family(name: str, size: int, prob: float, intra_mode: str) -> CommunitySpec:
-    """The named family at one size. `prob` is the c2 central coupling
-    (C2_COUPLING when NaN) or the bp inter rate (required); g3 and g6 take
-    none, so it must be NaN for them. `intra_mode` other than 'bipartite'
-    applies to bp only. A flag the family does not use raises InputError."""
+    """The named family at one size. `prob` is the c2 central coupling or
+    the bp inter rate, required for both; g3 and g6 take none, so it must be
+    NaN for them. `intra_mode` other than 'bipartite' applies to bp only. A
+    flag the family does not use raises InputError."""
     if name in ("g3", "g6") and prob == prob:
         raise InputError(f"family {name} takes no coupling probability, got {prob}")
     if name in ("g3", "g6", "c2") and intra_mode != "bipartite":
@@ -135,7 +135,7 @@ def make_family(name: str, size: int, prob: float, intra_mode: str) -> Community
     if name == "g6":
         return make_g6(size)
     if name == "c2":
-        return make_c2(size, C2_COUPLING if prob != prob else prob)
+        return make_c2(size, prob)
     if name == "bp":
         if prob != prob:
             raise InputError("bp experiments need an inter-connection probability")

@@ -460,6 +460,8 @@ CLUSTER_GRIDS = {
         ["--family", "c2", "--size", "10", "--prob", "0.42"],
         ["synth", "--family", "c2", "--sizes", "10", "--probs", "0.42"],
     ),
+    # no coupling on either side: both take c2's default from ExperimentConfig
+    "c2-default": (["--family", "c2", "--size", "10"], ["synth", "--family", "c2", "--sizes", "10"]),
     "bp-hub": (
         ["--family", "bp", "--size", "10", "--prob", "0.6", "--intra-mode", "hub"],
         ["synth", "--family", "bp", "--sizes", "10", "--probs", "0.6", "--intra-mode", "hub"],
@@ -859,6 +861,23 @@ class TestCli:
         assert labels[0] == labels[1] == labels[2]
         assert labels[3] == labels[4] == labels[5]
         assert labels[0] != labels[3]
+
+    @pytest.mark.parametrize("method", ["tb", "spectral"])
+    def test_cluster_template_file_decides_over_the_labels(self, monkeypatch, tmp_path, capsys, method):
+        # a 6-community template on a 12-community graph: the file, not the
+        # labels' block sums, sets the partition, and the labels give its ari
+        load_bench_workloads(monkeypatch).write_email_graph(3, 0, tmp_path)
+        template = tmp_path / "template.txt"
+        template.write_text("".join(" ".join("60" if i == j else "2" for j in range(6)) + "\n" for i in range(6)))
+        argv = ["cluster", "--edges", str(tmp_path / "edges-0.txt"), "--template", str(template),
+                "--method", method, "--seed", "7"]
+        assert main(argv) == 0
+        unlabelled = capsys.readouterr().out.splitlines()
+        assert main([*argv, "--labels", str(tmp_path / "labels-0.txt")]) == 0
+        labelled = capsys.readouterr().out.splitlines()
+        assert labelled[0] == unlabelled[0]
+        assert labelled[1].startswith("ari: ")
+        assert labelled[2] == unlabelled[1] == "k_found: 6"
 
     def test_cluster_spectral_with_k(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"

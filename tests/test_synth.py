@@ -183,12 +183,17 @@ class TestMakeFamily:
             ("g3", float("nan"), "bipartite", make_g3(7)),
             ("g6", float("nan"), "bipartite", make_g6(7)),
             ("c2", 0.3, "bipartite", make_c2(7, 0.3)),
-            ("c2", float("nan"), "bipartite", make_c2(7, 0.42)),
+            # c2's default coupling is ExperimentConfig's, so make_family has none
+            ("c2", float("nan"), "bipartite", pytest.raises(InputError)),
             ("bp", 0.6, "bipartite", make_bp(7, 0.6, "bipartite")),
             ("bp", 0.6, "hub", make_bp(7, 0.6, "hub")),
         ],
     )
     def test_matches_make_functions(self, name, prob, intra_mode, direct):
+        if not isinstance(direct, CommunitySpec):
+            with direct:
+                make_family(name, 7, prob, intra_mode)
+            return
         spec = make_family(name, 7, prob, intra_mode)
         assert spec.sizes == direct.sizes
         assert np.array_equal(spec.rates, direct.rates)

@@ -24,7 +24,6 @@ from templateclust import (
     TemplateModel,
     template_cluster,
 )
-from templateclust.template import ClusteringResult
 
 
 def clustering_result(adjacency, weights):
