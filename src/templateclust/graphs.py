@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from typing import TypeVar
@@ -11,6 +12,96 @@ import numpy as np
 from templateclust.errors import InputError, NumericalError
 
 T = TypeVar("T")
+
+# Below this many vertices per wanted eigenpair the Lanczos kernel rarely
+# proves its answer, and a failed try adds its time to dense eigh's. One BLAS
+# thread, kernel with its checks against eigh in ms, and graphs proved of 3:
+# g6/10 (10 per pair) 0.14/0.20, 0; the email-file graphs (16) 0.89/2.07, 0;
+# g6/20 (20) 0.37/0.73, 1; g6/30 (30) 0.70/1.70, 3; g6/40 (40) 1.00/3.05, 3.
+KERNEL_MIN_VERTICES_PER_PAIR = 32
+# explicit residual bound of a returned pair, relative to ||m||_inf
+KERNEL_RESIDUAL_TOL = 1e-12
+KERNEL_TEST_EVERY = 8  # Lanczos steps between tests of the Ritz residuals
+
+
+def _nothing_above(m: np.ndarray, y: np.ndarray, theta: np.ndarray, scale: float, tol: float) -> bool:
+    """Whether every eigenvalue of `m` but the t found ones (columns of `y`,
+    values `theta`) lies below tau = min(theta) - sqrt(t) tol.
+
+    Moving the found values to -scale <= min eig(m) is a negative
+    semidefinite change of rank t, so by Weyl's inequality the (t+1)-th
+    largest eigenvalue of `m` is at most the largest of the moved matrix,
+    which is below tau when tau I minus it has a Cholesky factor. The found
+    values have errors below sqrt(t) tol, so the t largest eigenvalues are
+    then the found ones; a missed copy of a repeated one fails the factor
+    by sqrt(t) tol, far above its rounding (n eps scale).
+    """
+    tau = theta.min() - np.sqrt(theta.size) * tol
+    moved = (y * (theta + scale)) @ y.T - m
+    moved[np.diag_indices_from(moved)] += tau
+    try:
+        np.linalg.cholesky(moved)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def extremal_pairs(m: np.ndarray, bottom: int, top: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The `bottom` smallest and `top` largest eigenpairs of the symmetric
+    matrix `m` as (values ascending, read-only unit eigenvectors as columns),
+    or None when they cannot be proved.
+
+    Lanczos (1950) with full reorthogonalization (classical Gram-Schmidt,
+    twice) from a fixed start vector, testing the Ritz residuals every
+    KERNEL_TEST_EVERY steps and stopping after at most n // 4 steps. A
+    result is returned only when each pair's explicit residual
+    ||m y - theta y|| is at most KERNEL_RESIDUAL_TOL ||m||_inf and, at each
+    wanted end, a Cholesky factorization proves that no other eigenvalue
+    lies beyond the found ones (`_nothing_above`). A repeated eigenvalue
+    whose copy the Krylov space missed therefore gives None, never a frame.
+    """
+    n = m.shape[0]
+    want = bottom + top
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(np.abs(m).sum(axis=1).max())
+    steps = n // 4
+    if not np.isfinite(scale) or want == 0 or steps < want:
+        return None
+    tol = KERNEL_RESIDUAL_TOL * scale
+    basis = np.empty((steps + 1, n))  # rows: the Krylov basis, then the next vector
+    tridiagonal = np.zeros((steps + 1, steps + 1))
+    # fixed, positive and aperiodic: no rng draw, and no graph's eigenvector
+    # is orthogonal to it except by accident
+    start = 1.5 + np.sin(np.sqrt(2.0) * np.arange(1, n + 1))
+    basis[0] = start / np.linalg.norm(start)
+    for j in range(steps):
+        q, size = basis[j], j + 1
+        w = m @ q
+        tridiagonal[j, j] = q @ w
+        krylov = basis[:size]
+        for _ in range(2):
+            w -= (krylov @ w) @ krylov
+        beta = math.sqrt(w @ w)
+        tridiagonal[j, size] = tridiagonal[size, j] = beta
+        if size >= want and (size % KERNEL_TEST_EVERY == 0 or beta <= tol or size == steps):
+            theta, s = np.linalg.eigh(tridiagonal[:size, :size])
+            pick = np.concatenate([np.arange(bottom), np.arange(size - top, size)])
+            if beta * np.abs(s[-1, pick]).max() <= tol:
+                break
+        if beta <= tol or size == steps:  # an invariant subspace too small, or out of steps
+            return None
+        np.divide(w, beta, out=basis[size])
+    theta = theta[pick]
+    y = krylov.T @ s[:, pick]
+    if np.linalg.norm(m @ y - y * theta, axis=0).max() > tol:
+        return None
+    if top and not _nothing_above(m, y[:, bottom:], theta[bottom:], scale, tol):
+        return None
+    if bottom and not _nothing_above(-m, y[:, :bottom], -theta[:bottom], scale, tol):
+        return None
+    for a in (theta, y):
+        a.setflags(write=False)
+    return theta, y
 
 
 def symmetric_matrix(m: object, what: str) -> np.ndarray:
@@ -62,6 +153,8 @@ class Graph:
 
     Diagonal entries hold self-loop weights. Only `build_graph` makes them;
     loaded and sampled observation graphs are zero-diagonal and {0,1}-valued.
+    Values derived from the graph are memoized on it: dense eigendecompositions
+    (`eigh`), proved end eigenpairs (`extremal_eigh`) and CNM's partition.
     """
 
     adjacency: np.ndarray
@@ -80,7 +173,8 @@ class Graph:
         """`compute()` on the first request for `key`, the stored value after
         that; nothing is stored when `compute` raises. The graph is immutable,
         so a value derived from it never goes stale. Each caller namespaces
-        its keys: `eigh` stores under ("eigh", matrix name)."""
+        its keys: `eigh` stores under ("eigh", matrix name), `extremal_eigh`
+        under ("extremal", matrix name, bottom, top)."""
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
@@ -91,16 +185,35 @@ class Graph:
         only."""
 
         def factor() -> tuple[np.ndarray, np.ndarray]:
-            with np.errstate(over="ignore", invalid="ignore"):
-                m = matrix()
-            if not np.isfinite(m).all():
-                raise NumericalError(f"the graph's {key} overflows: entries are not finite")
+            m = _finite(key, matrix)
             factors = np.linalg.eigh(m)
             for a in factors:
                 a.setflags(write=False)
             return factors
 
         return self.memo(("eigh", key), factor)
+
+    def extremal_eigh(
+        self, key: str, matrix: Callable[[], np.ndarray], bottom: int, top: int
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """`extremal_pairs(m, bottom, top)` of the matrix `key` names, built
+        by `matrix()` and computed on the first request only, a None result
+        included. None, with nothing built, when the graph has fewer than
+        KERNEL_MIN_VERTICES_PER_PAIR vertices per wanted pair, where the
+        kernel rarely proves its answer."""
+        if self.n < KERNEL_MIN_VERTICES_PER_PAIR * (bottom + top):
+            return None
+        return self.memo(("extremal", key, bottom, top), lambda: extremal_pairs(_finite(key, matrix), bottom, top))
+
+
+def _finite(key: str, matrix: Callable[[], np.ndarray]) -> np.ndarray:
+    """`matrix()`, built with overflow warnings off; NumericalError naming
+    `key` when an entry is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = matrix()
+    if not np.isfinite(m).all():
+        raise NumericalError(f"the graph's {key} overflows: entries are not finite")
+    return m
 
 
 def build_graph(edges: list[tuple[int, int, float]], n: int) -> Graph:

@@ -134,11 +134,12 @@ def make_family(name: str, size: int, prob: float, intra_mode: str) -> Community
         return make_g3(size)
     if name == "g6":
         return make_g6(size)
+    if name in ("c2", "bp") and prob != prob:
+        coupling = "a central coupling" if name == "c2" else "an inter-connection"
+        raise InputError(f"{name} experiments need {coupling} probability")
     if name == "c2":
         return make_c2(size, prob)
     if name == "bp":
-        if prob != prob:
-            raise InputError("bp experiments need an inter-connection probability")
         return make_bp(size, prob, intra_mode)
     raise InputError(f"unknown synthetic family {name!r}")
 

@@ -16,7 +16,9 @@ and the k - k_- largest mu and k_- counts the negative lambda.  This sign
 test on the spectra certifies P* as a global minimum: the descent starts at
 P* and stops at once.  Otherwise it starts at random, the only draw a run
 takes from its rng; P* then costs more than LB unless a lambda lies past an
-interval of zero width.
+interval of zero width.  Only the k end pairs of A_O enter a certified P*
+and LB, so on graphs with at least 32 vertices per end pair a Lanczos
+kernel computes them (`graphs.extremal_pairs`) in place of a dense eigh.
 """
 
 from __future__ import annotations
@@ -85,17 +87,34 @@ def euclidean_gradient(a_o: np.ndarray, a_m: TemplateModel, p: StiefelPoint) -> 
 def eigenvector_start(g_o: Graph, model: TemplateModel) -> tuple[StiefelPoint, float, bool]:
     """The eigenvector frame P* = V_S U^T, the interlacing lower bound LB on
     the misfit, and whether P* attains LB by the sign test, all as defined in
-    the module docstring; A_O's factors come from the graph's memo."""
+    the module docstring.
+
+    V_S and its eigenvalues come from the graph's Lanczos kernel when it
+    proves them (`Graph.extremal_eigh`) and they pass the sign test, since a
+    certified LB needs only those ends: sum_i (lambda_i - end_i)^2. Otherwise
+    they, and LB's intervals, come from the graph's memoized dense `eigh`.
+    """
     lam, u = np.linalg.eigh(model.weights)
-    mu, v = g_o.eigh("adjacency", lambda: g_o.adjacency)
-    n, k = mu.size, lam.size
+    k = lam.size
     negative = int(np.count_nonzero(lam < 0))
-    v_s = np.hstack([v[:, :negative], v[:, n - k + negative :]])
+
+    def certifies(ends: np.ndarray) -> bool:
+        return bool(np.all(lam[:negative] <= ends[:negative]) and np.all(lam[negative:] >= ends[negative:]))
+
+    pairs = g_o.extremal_eigh("adjacency", lambda: g_o.adjacency, negative, k - negative)
+    if pairs is not None and certifies(pairs[0]):
+        ends, v_s = pairs
+        low = high = ends
+    else:
+        mu, v = g_o.eigh("adjacency", lambda: g_o.adjacency)
+        n = mu.size
+        ends = np.concatenate([mu[:negative], mu[n - k + negative :]])
+        v_s = np.hstack([v[:, :negative], v[:, n - k + negative :]])
+        low, high = mu[:k], mu[n - k :]
     with np.errstate(over="ignore", invalid="ignore"):
-        excess = np.maximum(mu[:k] - lam, 0.0) + np.maximum(lam - mu[n - k :], 0.0)
+        excess = np.maximum(low - lam, 0.0) + np.maximum(lam - high, 0.0)
         lower_bound = float(np.sum(excess * excess))
-    certified = bool(np.all(lam[:negative] <= mu[:negative]) and np.all(lam[negative:] >= mu[n - k + negative :]))
-    return StiefelPoint(v_s @ u.T), lower_bound, certified
+    return StiefelPoint(v_s @ u.T), lower_bound, certifies(ends)
 
 
 def template_cluster(g_o: Graph, model: TemplateModel, rng: np.random.Generator) -> ClusteringResult:

@@ -20,14 +20,18 @@ from templateclust import (
     Graph,
     InputError,
     NumericalError,
+    TemplateModel,
     build_graph,
     cnm_cluster,
+    expected_model,
     laplacian,
     make_g3,
+    make_g6,
     sample_graph,
     spectral_cluster,
+    template_cluster,
 )
-from templateclust import baselines
+from templateclust import baselines, graphs
 from templateclust.cli import main
 from templateclust.harness import run_method
 
@@ -37,9 +41,11 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "templateclust"
 
 SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
 
-# the graph memo, and the k x k template factorization
+# the graph memo, the Lanczos kernel's tridiagonal, and the k x k template
+# factorization
 ALLOWED = {
     ("graphs.py", "Graph.eigh.factor", "np.linalg.eigh(m)"),
+    ("graphs.py", "extremal_pairs", "np.linalg.eigh(tridiagonal[:size, :size])"),
     ("template.py", "eigenvector_start", "np.linalg.eigh(model.weights)"),
 }
 
@@ -100,6 +106,20 @@ def factored(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    return orders
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Orders of the matrices the Lanczos kernel ran on, in call order."""
+    orders = []
+    kernel = graphs.extremal_pairs
+
+    def counting(m, bottom, top):
+        orders.append(m.shape[0])
+        return kernel(m, bottom, top)
+
+    monkeypatch.setattr(graphs, "extremal_pairs", counting)
     return orders
 
 
@@ -261,3 +281,35 @@ class TestFactorizationCounts:
         assert sorted(factored) == [3] * 3 + [12] * (2 * graphs)
         assert len({id(g) for g in laplacians}) == len(laplacians) == graphs
         assert len({id(g) for g in merged}) == len(merged) == graphs
+
+
+class TestKernelCounts:
+    def test_certified_repetitions_never_factor_the_adjacency(self, factored, kernel_runs):
+        """g6/40 has 40 vertices per wanted pair: tb's certified frame comes
+        from one kernel run per graph, memoized for the second repetition,
+        and the only eigh calls are the kernel's tridiagonals and the 6 x 6
+        template."""
+        spec = make_g6(40)
+        g, gt = sample_graph(spec, np.random.default_rng(0))
+        for rep in range(2):
+            _, _, iterations = run_method("tb", g, gt.k, expected_model(spec), np.random.default_rng(rep))
+            assert iterations == 0
+        assert kernel_runs == [240]
+        assert factored.count(6) == 2 and max(factored) < 240
+
+    def test_graph_under_the_size_rule_never_reaches_the_kernel(self, factored, kernel_runs):
+        spec = make_g6(10)  # 60 vertices, 10 per wanted pair
+        g, gt = sample_graph(spec, np.random.default_rng(0))
+        run_method("tb", g, gt.k, expected_model(spec), np.random.default_rng(1))
+        assert kernel_runs == [] and sorted(factored) == [6, 60]
+
+    def test_overflowing_adjacency_raises_without_warning(self, rng, kernel_runs):
+        # row sums of 1.9e309 overflow ||A||_inf: the kernel gives up and the
+        # dense path raises as it did before the kernel
+        n = graphs.KERNEL_MIN_VERTICES_PER_PAIR * 6
+        g = Graph(np.full((n, n), 1e307) - np.diag(np.full(n, 1e307)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="cost is not finite at the starting point"):
+                template_cluster(g, TemplateModel(np.eye(6)), rng)
+        assert kernel_runs == [n]

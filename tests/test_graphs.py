@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from templateclust import (
     CommunitySpec,
@@ -14,7 +16,10 @@ from templateclust import (
     degree_matrix,
     laplacian,
     make_c2,
+    make_g6,
+    sample_graph,
 )
+from templateclust.graphs import KERNEL_RESIDUAL_TOL, extremal_pairs
 
 from conftest import random_simple_graph
 
@@ -220,3 +225,102 @@ def test_block_sums_groups_ordered_by_label_value():
 def test_block_sums_label_count_mismatch():
     with pytest.raises(InputError, match="labels cover 2 vertices but graph has 3"):
         block_sums(np.zeros((3, 3)), np.array([0, 1]))
+
+
+def kernel_input(kind: str, n: int, blocks: int, density: float, rng: np.random.Generator) -> np.ndarray:
+    """A `kind` adjacency on about n vertices: "random" plants `blocks`
+    groups with `density` inside and a tenth of it between; "doubled" is two
+    disjoint copies of such a graph, so every eigenvalue is repeated."""
+    if kind == "complete":
+        return np.ones((n, n)) - np.eye(n)
+    if kind == "empty":
+        return np.zeros((n, n))
+    size = n // 2 if kind == "doubled" else n
+    groups = np.arange(size) % blocks
+    prob = np.where(groups[:, None] == groups[None, :], density, density / 10)
+    upper = np.triu(rng.random((size, size)) < prob, k=1).astype(float)
+    a = upper + upper.T
+    return np.kron(np.eye(2), a) if kind == "doubled" else a
+
+
+def assert_extremal_pairs(m: np.ndarray, bottom: int, top: int, pairs: tuple[np.ndarray, np.ndarray]) -> None:
+    """The pairs are the `bottom` smallest and `top` largest of `eigvalsh`
+    within 1e-10 ||m||_inf, orthonormal, read-only and within the kernel's
+    residual tolerance."""
+    values, vectors = pairs
+    n, want = m.shape[0], bottom + top
+    scale = np.abs(m).sum(axis=1).max()
+    mu = np.linalg.eigvalsh(m)
+    assert values.shape == (want,) and vectors.shape == (n, want)
+    assert np.all(np.abs(values - np.r_[mu[:bottom], mu[n - top :]]) <= 1e-10 * scale)
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(want))) <= 1e-10
+    assert np.linalg.norm(m @ vectors - vectors * values, axis=0).max() <= KERNEL_RESIDUAL_TOL * scale
+    assert not values.flags.writeable and not vectors.flags.writeable
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "doubled", "complete", "empty"]),
+    n=st.integers(8, 240),
+    blocks=st.integers(1, 6),
+    density=st.floats(0.05, 0.9),
+    bottom=st.integers(0, 3),
+    top=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extremal_pairs_are_the_ends_whenever_they_return(kind, n, blocks, density, bottom, top, seed):
+    """The kernel may give up (None), but what it returns is right, also
+    where every eigenvalue is repeated (doubled, complete) or zero (empty).
+    A planted graph's largest eigenvalues stand apart from the bulk only up
+    to one per block, so `top` is capped there to let the kernel return."""
+    if kind in ("random", "doubled"):
+        top = min(top, blocks * (2 if kind == "doubled" else 1))
+    assume(bottom + top > 0)
+    m = kernel_input(kind, n, blocks, density, np.random.default_rng(seed))
+    pairs = extremal_pairs(m, bottom, top)
+    if pairs is not None:
+        assert_extremal_pairs(m, bottom, top, pairs)
+
+
+PLANTED = {
+    "g6-40": make_g6(40),
+    # 12 email-like communities of 32: more wanted pairs than steps between tests
+    "email-12x32": CommunitySpec((32,) * 12, np.where(np.eye(12) > 0, 0.3, 0.005)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_extremal_pairs_return_on_planted_graphs(name, seed):
+    """At 32 or more vertices per wanted pair the kernel proves the planted
+    graph's k largest pairs, and spans the eigenvectors of dense eigh's."""
+    spec = PLANTED[name]
+    k = len(spec.sizes)
+    g, _ = sample_graph(spec, np.random.default_rng(seed))
+    pairs = extremal_pairs(g.adjacency, 0, k)
+    assert pairs is not None
+    assert_extremal_pairs(g.adjacency, 0, k, pairs)
+    v = np.linalg.eigh(g.adjacency)[1][:, -k:]
+    assert np.linalg.norm(pairs[1] @ pairs[1].T - v @ v.T) <= 1e-10
+
+
+def test_extremal_pairs_never_return_one_copy_of_a_repeated_end():
+    """Two disjoint copies of a g6/40 graph: its largest eigenvalue is
+    repeated, and a Krylov space from one start vector holds only one copy.
+    Asked for the largest pair, the kernel must give up; asked for two, it
+    gives up or returns both copies."""
+    g, _ = sample_graph(make_g6(40), np.random.default_rng(0))
+    m = np.kron(np.eye(2), g.adjacency)
+    assert extremal_pairs(m, 0, 1) is None
+    pairs = extremal_pairs(m, 0, 2)
+    if pairs is not None:
+        assert_extremal_pairs(m, 0, 2, pairs)
+        v = np.linalg.eigh(m)[1][:, -2:]
+        assert np.linalg.norm(pairs[1] @ pairs[1].T - v @ v.T) <= 1e-10
+
+
+@pytest.mark.parametrize("bottom, top", [(0, 0), (0, 3), (2, 1)])
+def test_extremal_pairs_need_n_over_4_steps_per_pair(bottom, top):
+    """No pair wanted, or more than n // 4 Lanczos steps could find."""
+    g, _ = sample_graph(make_c2(2, 0.6), np.random.default_rng(0))
+    assert extremal_pairs(g.adjacency, bottom, top) is None

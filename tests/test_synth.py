@@ -184,7 +184,7 @@ class TestMakeFamily:
             ("g6", float("nan"), "bipartite", make_g6(7)),
             ("c2", 0.3, "bipartite", make_c2(7, 0.3)),
             # c2's default coupling is ExperimentConfig's, so make_family has none
-            ("c2", float("nan"), "bipartite", pytest.raises(InputError)),
+            ("c2", float("nan"), "bipartite", pytest.raises(InputError, match="c2 experiments need a central coupling")),
             ("bp", 0.6, "bipartite", make_bp(7, 0.6, "bipartite")),
             ("bp", 0.6, "hub", make_bp(7, 0.6, "hub")),
         ],

@@ -15,7 +15,10 @@ from templateclust import (
     eigenvector_start,
     euclidean_gradient,
     expected_model,
+    graphs,
+    make_bp,
     make_c2,
+    make_g3,
     make_g6,
     model_from_ground_truth,
     objective,
@@ -26,6 +29,7 @@ from templateclust import (
     template,
     template_cluster,
 )
+from templateclust.cli import main
 
 from conftest import email_graph, random_simple_graph, two_triangles
 
@@ -297,13 +301,24 @@ class TestEigenvectorStart:
         if name == "email":
             g, gt = email_graph(monkeypatch, tmp_path, seed, index)
             return g, model_from_ground_truth(g, gt)
-        spec = {"g6-40": make_g6(40), "c2-10-0.60": make_c2(10, 0.60), "c2-10-0.42": make_c2(10, 0.42)}[name]
+        spec = {
+            "g6-40": make_g6(40),
+            "g3-40": make_g3(40),
+            "c2-10-0.60": make_c2(10, 0.60),
+            "c2-10-0.42": make_c2(10, 0.42),
+            "c2-40-0.60": make_c2(40, 0.60),
+            "bp-80-0.8-hub": make_bp(80, 0.8, "hub"),
+        }[name]
         g, _ = sample_graph(spec, np.random.default_rng(seed))
         return g, expected_model(spec)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("name", ["g6-40", "c2-10-0.60", "email"])
+    @pytest.mark.parametrize("name", ["g6-40", "c2-10-0.60", "email", "c2-40-0.60", "g3-40", "bp-80-0.8-hub"])
     def test_certified_start_matches_random_start_descent(self, name, seed, tmp_path, monkeypatch):
+        """g6-40 and the last three have 32 or more vertices per wanted pair,
+        so their frame comes from the Lanczos kernel: its flag, bound and
+        partition are those of the dense path, which the kernel's size rule
+        set out of reach selects."""
         g, model = self.instances(name, seed, tmp_path, monkeypatch)
         p_star, bound, certified = eigenvector_start(g, model)
         assert bound == pytest.approx(interlacing_bound(g.adjacency, model.weights), rel=1e-12)
@@ -315,6 +330,12 @@ class TestEigenvectorStart:
         assert np.array_equal(result.embedding.matrix, p_star.matrix)
         p_descent, _ = random_start_descent(g.adjacency, model, np.random.default_rng(100 + seed))
         assert projector_distance(p_star, p_descent) <= 1e-5
+        monkeypatch.setattr(graphs, "KERNEL_MIN_VERTICES_PER_PAIR", g.n + 1)
+        dense = Graph(g.adjacency)
+        _, dense_bound, dense_certified = eigenvector_start(dense, model)
+        assert dense_certified == certified
+        assert bound == pytest.approx(dense_bound, rel=1e-12)
+        assert np.array_equal(template_cluster(dense, model, np.random.default_rng(seed)).partition, result.partition)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_saddle_falls_back_to_random_start(self, seed, tmp_path, monkeypatch):
@@ -327,6 +348,22 @@ class TestEigenvectorStart:
         # the fallback draws its start first, exactly as a plain random start
         _, trace = random_start_descent(g.adjacency, model, np.random.default_rng(seed))
         assert result.trace.cost_history == trace.cost_history
+
+    def test_uncertified_rows_equal_the_dense_paths(self, tmp_path, monkeypatch):
+        """c2/40/0.42 passes the kernel's size rule but is never certified:
+        its records.csv is byte-identical to that of the dense path alone."""
+        runs = []
+        kernel = graphs.extremal_pairs
+        monkeypatch.setattr(graphs, "extremal_pairs", lambda *args: runs.append(1) or kernel(*args))
+        argv = ["synth", "--family", "c2", "--sizes", "40", "--probs", "0.42", "--reps", "2", "--methods", "tb"]
+        assert main(argv + ["--out", str(tmp_path / "kernel")]) == 0
+        assert runs == [1, 1]
+        monkeypatch.setattr(graphs, "KERNEL_MIN_VERTICES_PER_PAIR", 10**9)
+        assert main(argv + ["--out", str(tmp_path / "dense")]) == 0
+        assert runs == [1, 1]
+        rows = (tmp_path / "kernel" / "records.csv").read_text().splitlines()
+        assert all(int(row.split(",")[-2]) > 0 for row in rows[1:])  # iterations: every row descends
+        assert (tmp_path / "kernel" / "records.csv").read_bytes() == (tmp_path / "dense" / "records.csv").read_bytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", ["g6-40", "c2-10-0.60", "email"])
