@@ -142,12 +142,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if (args.method == "tb" or args.template) and model is not None and args.k not in (None, model.k):
         raise InputError(f"--k {args.k} differs from the template's k={model.k}; {args.method} takes k from the template")
     k = args.k or (model.k if model is not None else None) or (gt.k if gt else None)
-    labels, _, _ = run_method(args.method, graph, k, model, method_rng(args.seed, 0, 0, args.method))
+    partition, _, _ = run_method(args.method, graph, k, model, method_rng(args.seed, 0, 0, args.method))
 
-    print("labels:", " ".join(str(int(x)) for x in labels))
+    print("labels:", " ".join(str(int(x)) for x in partition.labels))
     if gt is not None:
-        print(f"ari: {adjusted_rand_index(labels, gt.labels):.6f}")
-    print(f"k_found: {int(labels.max()) + 1}")
+        print(f"ari: {adjusted_rand_index(partition.labels, gt.labels):.6f}")
+    print(f"k_found: {partition.k_found}")
     return 0
 
 

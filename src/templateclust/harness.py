@@ -131,26 +131,27 @@ def run_method(
     k: int | None,
     model: TemplateModel | None,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, StiefelPoint | None, int | None]:
+) -> tuple[Partition, StiefelPoint | None, int | None]:
     """Cluster `graph` with one of METHODS.
 
-    Returns the labels, canonical by first appearance; the embedding of tb
-    and spectral, else None; and tb's descent iteration count, else None.
+    Returns the partition, labels canonical by first appearance; the
+    embedding of tb and spectral, else None; and tb's descent iteration
+    count, else None.
     tb needs `model`, spectral needs `k`.
     """
     if method == "tb":
         if model is None:
             raise InputError("method tb needs --template, --labels, or --family")
         result = template_cluster(graph, model, rng=rng)
-        return Partition(result.partition).labels, result.embedding, result.trace.iterates_count
+        return Partition(result.partition), result.embedding, result.trace.iterates_count
     if method == "spectral":
         if k is None:
             raise InputError("method spectral needs --k, --template, or --labels")
-        return spectral_cluster(graph, k, rng).labels, spectral_embedding(graph, k), None
+        return spectral_cluster(graph, k, rng), spectral_embedding(graph, k), None
     if method == "cnm":
-        return cnm_cluster(graph).labels, None, None
+        return cnm_cluster(graph), None, None
     if method == "louvain":
-        return louvain_cluster(graph, rng).labels, None, None
+        return louvain_cluster(graph, rng), None, None
     raise InputError(f"unknown method {method!r}")
 
 
@@ -200,13 +201,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
             rng = method_rng(cfg.base_seed, point_idx, rep, method)
             start = time.perf_counter()
             try:
-                labels, embedding, iters = run_method(method, graph, gt.k, model, rng)
-                ari = adjusted_rand_index(labels, gt.labels)
+                partition, embedding, iters = run_method(method, graph, gt.k, model, rng)
+                ari = adjusted_rand_index(partition.labels, gt.labels)
                 pd = None
                 if embedding is not None:
                     pd = projector_distance(embedding, closest_orthonormal(gt))
                 rec.ari, rec.projector_distance, rec.iterations = ari, pd, iters
-                rec.k_found = int(labels.max()) + 1
+                rec.k_found = partition.k_found
             except (InputError, NumericalError):
                 rec.status = "failed"
             rec.runtime_ms = (time.perf_counter() - start) * 1000.0

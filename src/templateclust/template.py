@@ -93,7 +93,10 @@ def eigenvector_start(g_o: Graph, model: TemplateModel) -> tuple[StiefelPoint, f
     proves them (`Graph.extremal_eigh`) and they pass the sign test, since a
     certified LB needs only those ends: sum_i (lambda_i - end_i)^2. Otherwise
     they, and LB's intervals, come from the graph's memoized dense `eigh`.
+    Raises InputError unless the graph has more vertices than the template.
     """
+    if g_o.n <= model.k:
+        raise InputError(f"graph has n={g_o.n} vertices but template needs n > k={model.k}")
     lam, u = np.linalg.eigh(model.weights)
     k = lam.size
     negative = int(np.count_nonzero(lam < 0))
@@ -129,8 +132,6 @@ def template_cluster(g_o: Graph, model: TemplateModel, rng: np.random.Generator)
     such as mu_{n-k} = mu_{n-k+1}, make P* non-unique but deterministic.
     The result carries LB as `lower_bound`.
     """
-    if g_o.n <= model.k:
-        raise InputError(f"graph has n={g_o.n} vertices but template needs n > k={model.k}")
     a_o = g_o.adjacency
     p_star, lower_bound, certified = eigenvector_start(g_o, model)
     p0 = p_star if certified else random_stiefel(g_o.n, model.k, rng)

@@ -5,13 +5,12 @@ the graph that owns them.
 memoizes the eigendecompositions of the adjacency and the Laplacian through
 it, so a spectral repetition, every repetition and noise level of a `real`
 grid, and every repetition of a `--fixed-graph` point reuse one
-factorization; `cnm_cluster` memoizes its partition the same way. An AST
-guard keeps new eigensolver calls out of the rest of the package.
+factorization; `cnm_cluster` memoizes its partition the same way.
+`tests/test_source_rules.py` keeps eigensolver calls out of the rest of the
+package.
 """
 
-import ast
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,63 +35,6 @@ from templateclust.cli import main
 from templateclust.harness import run_method
 
 from conftest import random_simple_graph
-
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "templateclust"
-
-SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
-
-# the graph memo, the Lanczos kernel's tridiagonal, and the k x k template
-# factorization
-ALLOWED = {
-    ("graphs.py", "Graph.eigh.factor", "np.linalg.eigh(m)"),
-    ("graphs.py", "extremal_pairs", "np.linalg.eigh(tridiagonal[:size, :size])"),
-    ("template.py", "eigenvector_start", "np.linalg.eigh(model.weights)"),
-}
-
-
-def eigensolver_calls(source: str) -> list[tuple[str, str]]:
-    """(enclosing class/function path, call) for each dense eigensolver call:
-    `<...>.linalg.<solver>(...)` or a bare `<solver>(...)`."""
-    found = []
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            elif isinstance(child, ast.Call):
-                parts = ast.unparse(child.func).split(".")
-                if parts[-1] in SOLVERS and (len(parts) == 1 or parts[-2] == "linalg"):
-                    found.append((scope, ast.unparse(child)))
-            visit(child, inner)
-
-    visit(ast.parse(source), "")
-    return found
-
-
-def test_detector():
-    source = (
-        "class G:\n"
-        "    def f(self):\n"
-        "        return np.linalg.eigh(self.a)\n"
-        "def g(x):\n"
-        "    y = scipy.linalg.eigvalsh(x) + eig(x)\n"
-        "    return x.eigh('adjacency', lambda: x)\n"
-    )
-    assert eigensolver_calls(source) == [
-        ("G.f", "np.linalg.eigh(self.a)"),
-        ("g", "scipy.linalg.eigvalsh(x)"),
-        ("g", "eig(x)"),
-    ]
-
-
-def test_package_factors_graphs_only_through_the_memo():
-    calls = {
-        (path.name, scope, call)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for scope, call in eigensolver_calls(path.read_text(encoding="utf-8"))
-    }
-    assert calls - ALLOWED == set()
 
 
 @pytest.fixture

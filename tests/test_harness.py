@@ -158,7 +158,7 @@ class TestRunMethod:
         # two triangles and vertex 6 without edges
         edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0)]
         model = TemplateModel(np.diag([6.0, 6.0]))
-        labels, _, _ = run_method(method, build_graph(edges, 7), 2, model, np.random.default_rng(0))
+        labels = run_method(method, build_graph(edges, 7), 2, model, np.random.default_rng(0))[0].labels
         assert labels.shape == (7,)
         assert labels.min() == 0 and labels.max() < 7
         assert labels[0] == labels[1] == labels[2] and labels[3] == labels[4] == labels[5]

@@ -4,18 +4,12 @@ embeddings' rows with `rounding.kmeans`, `tb` with one Lloyd run from
 The k-means tests compare `kmeans`, `_kmeans_pp_init` and `_lloyd` with
 reference implementations written the way they once ran.
 
-An AST guard keeps the rounding code in `rounding.py`, keeps `baselines` from
-importing the template method it is compared against, and keeps `template`
-calling `kmeans` as a module global, the name the traced benchmark wraps. The
-package's `__init__` imports every module, so `sys.modules` cannot tell who
-imports whom. A second guard keeps this file the only one that reaches into
-rounding's private names, so its helpers' tests stay in one place.
+`tests/test_source_rules.py` keeps the rounding code in `rounding.py` and
+keeps this file the only one that reaches into rounding's private names.
 """
 
-import ast
 import itertools
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,134 +36,6 @@ from templateclust.baselines import spectral_embedding
 from templateclust.rounding import _kmeans_pp_init, _lloyd
 
 from conftest import email_graph
-from test_private_names import private
-
-REPO = Path(__file__).resolve().parent.parent
-PACKAGE = REPO / "src" / "templateclust"
-
-ROUNDING = {"kmeans", "pivoted_qr_seeds", "_lloyd", "_kmeans_pp_init"}
-
-
-def imported_names(node: ast.AST) -> list[tuple[str, str, str]]:
-    """(module, name, bound name) for each name an import statement binds; a
-    plain `import a.b` gives ("a.b", "", "a")."""
-    if isinstance(node, ast.Import):
-        return [(alias.name, "", alias.asname or alias.name.split(".")[0]) for alias in node.names]
-    if isinstance(node, ast.ImportFrom):
-        module = (("templateclust." if node.level else "") + (node.module or "")).rstrip(".")
-        return [(module, alias.name, alias.asname or alias.name) for alias in node.names]
-    return []
-
-
-def layout_faults(sources: dict[str, str]) -> list[str]:
-    """Each way the package's modules, by file name, break the rounding layout."""
-    faults = []
-    template_imports_kmeans = False
-    for name, source in sorted(sources.items()):
-        for node in ast.walk(ast.parse(source)):
-            defined = [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
-            if isinstance(node, ast.Assign):
-                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            faults += [f"{name}:{node.lineno}: defines {d}" for d in defined if d in ROUNDING and name != "rounding.py"]
-            for module, imported, bound in imported_names(node):
-                if name == "baselines.py" and "templateclust.template" in (module, f"{module}.{imported}"):
-                    faults.append(f"baselines.py:{node.lineno}: imports from templateclust.template")
-                if name == "template.py" and (module, imported, bound) == ("templateclust.rounding", "kmeans", "kmeans"):
-                    template_imports_kmeans = True
-    if not template_imports_kmeans:
-        faults.append("template.py: does not import kmeans by name from templateclust.rounding")
-    return faults
-
-
-def test_detector():
-    # the layout before `rounding.py`: k-means in template, imported from there
-    before = {
-        "template.py": "def _kmeans_pp_init(p, k, rng, restarts): pass\ndef kmeans(p, k, rng): pass\n",
-        "baselines.py": "from templateclust.template import kmeans\n",
-    }
-    assert layout_faults(before) == [
-        "baselines.py:1: imports from templateclust.template",
-        "template.py:1: defines _kmeans_pp_init",
-        "template.py:2: defines kmeans",
-        "template.py: does not import kmeans by name from templateclust.rounding",
-    ]
-    other_ways = {
-        "baselines.py": (
-            "from templateclust import template\n"
-            "from .template import objective\n"
-            "from templateclust.template import kmeans as km\n"
-            "import templateclust.template\n"
-        ),
-        "graphs.py": "_lloyd = None\n",
-        "template.py": "from templateclust import rounding\nfrom templateclust.rounding import kmeans as km\n",
-    }
-    assert layout_faults(other_ways) == [
-        "baselines.py:1: imports from templateclust.template",
-        "baselines.py:2: imports from templateclust.template",
-        "baselines.py:3: imports from templateclust.template",
-        "baselines.py:4: imports from templateclust.template",
-        "graphs.py:1: defines _lloyd",
-        "template.py: does not import kmeans by name from templateclust.rounding",
-    ]
-    assert layout_faults({"template.py": "from .rounding import kmeans\n"}) == []
-
-
-def test_rounding_layout():
-    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
-    assert layout_faults(sources) == []
-
-
-def private_rounding_reads(source: str) -> list[tuple[int, str]]:
-    """(line, code) for each import of a private name from
-    templateclust.rounding, and each private attribute read from the module
-    itself or from a name an import binds to it."""
-    tree = ast.parse(source)
-    found, module_names = [], {"templateclust.rounding"}
-    for node in ast.walk(tree):
-        for module, imported, bound in imported_names(node):
-            if module == "templateclust.rounding" and private(imported):
-                found.append((node.lineno, ast.unparse(node)))
-            # `from templateclust import rounding` and `import templateclust.rounding as r`
-            # bind the module; a plain `import templateclust.rounding` binds the package
-            elif f"{module}.{imported}" == "templateclust.rounding" or (
-                module == "templateclust.rounding" and not imported and bound != "templateclust"
-            ):
-                module_names.add(bound)
-    found += [
-        (node.lineno, ast.unparse(node))
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and private(node.attr) and ast.unparse(node.value) in module_names
-    ]
-    return sorted(set(found))
-
-
-def test_private_rounding_reads_detector():
-    source = (
-        "from templateclust.rounding import _kmeans_pp_init, _lloyd\n"
-        "from templateclust.rounding import RESTARTS, kmeans as km\n"
-        "from templateclust import rounding as r, template\n"
-        "import templateclust.rounding\n"
-        "import templateclust.rounding as tr\n"
-        "from templateclust.baselines import _cnm_merges\n"
-        "x = r._lloyd, templateclust.rounding._lloyd, tr._lloyd(km), r.kmeans, template._x, templateclust._y\n"
-    )
-    assert private_rounding_reads(source) == [
-        (1, "from templateclust.rounding import _kmeans_pp_init, _lloyd"),
-        (7, "r._lloyd"),
-        (7, "templateclust.rounding._lloyd"),
-        (7, "tr._lloyd"),
-    ]
-
-
-def test_only_this_file_reads_private_rounding_names():
-    offenders = [
-        f"{path.relative_to(REPO)}:{line}: {code}"
-        for root in ("src", "tests", "bench")
-        for path in sorted((REPO / root).rglob("*.py"))
-        if path != Path(__file__).resolve()
-        for line, code in private_rounding_reads(path.read_text(encoding="utf-8"))
-    ]
-    assert offenders == []
 
 
 class TestKMeans:

@@ -295,6 +295,11 @@ def test_lower_bound_holds_and_certified_runs_attain_it(n, k, density, scale, do
 
 
 class TestEigenvectorStart:
+    def test_rejects_n_at_most_k_by_name(self):
+        triangle = Graph(np.ones((3, 3)) - np.eye(3))
+        with pytest.raises(InputError, match=r"n=3 vertices but template needs n > k=4"):
+            eigenvector_start(triangle, TemplateModel(np.eye(4)))
+
     @staticmethod
     def instances(name, seed, tmp_path, monkeypatch, index=0):
         """A graph and its template; email graphs are `write_email_graph(seed, index)`."""
