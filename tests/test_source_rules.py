@@ -357,9 +357,12 @@ def test_walk_covers_every_file_and_owner():
                 assert [(owner[0], *key) for _, *key in detect(parsed(owner[0]))].count(owner) == 1, owner
 
 
-def test_random_detector():
+def test_unseeded_draw_detector():
     source = "a = np.random.default_rng()\nb = np.random.default_rng(3)\nc = numpy.random.rand(2)\nd = rng.random()\n"
     assert random_uses(ast.parse(source))[1] == [(1, "np.random.default_rng()"), (3, "numpy.random.rand(2)")]
+
+
+def test_seeder_detector():
     source = (
         "import numpy as np\n"
         "from numpy.random import default_rng as fresh\n"
