@@ -15,10 +15,21 @@ T = TypeVar("T")
 
 # Below this many vertices per wanted eigenpair the Lanczos kernel rarely
 # proves its answer, and a failed try adds its time to dense eigh's. One BLAS
-# thread, kernel with its checks against eigh in ms, and graphs proved of 3:
-# g6/10 (10 per pair) 0.14/0.20, 0; the email-file graphs (16) 0.89/2.07, 0;
-# g6/20 (20) 0.37/0.73, 1; g6/30 (30) 0.70/1.70, 3; g6/40 (40) 1.00/3.05, 3.
+# thread, kernel with its checks against eigh in ms, and graphs proved of 3,
+# for adjacency ends at n // 4 steps: g6/10 (10 per pair) 0.14/0.20, 0; the
+# email-file graphs (16) 0.89/2.07, 0; g6/20 (20) 0.37/0.73, 1; g6/30 (30)
+# 0.70/1.70, 3; g6/40 (40) 1.00/3.05, 3. The rule holds for every matrix; the
+# Laplacian also needs KERNEL_LONG_RUN_VERTICES.
 KERNEL_MIN_VERTICES_PER_PAIR = 32
+# From this many vertices the kernel may run n // 2 Lanczos steps, below it
+# n // 4, and only from here does it try the Laplacian's bottom end: below,
+# a run long enough to prove more costs more than dense eigh. Spectral time
+# per repetition, kernel at n // 2 steps against dense eigh alone, one BLAS
+# thread, 8 graphs each: bp/40/0.6 (n=80) +52% bipartite, +77% hub; bp/80/0.6
+# hub +16%; bp/100 hub (n=200) +18% to +47%, bp/110/0.4 hub +21%, bp/120 hub
+# -8% to +4%; other families gained from n=200 (c2/50 17-22%, g6/34 37%).
+# tb's eigenvector_start on bp/40 took 12-15% longer at n // 2 than n // 4.
+KERNEL_LONG_RUN_VERTICES = 240
 # explicit residual bound of a returned pair, relative to ||m||_inf
 KERNEL_RESIDUAL_TOL = 1e-12
 KERNEL_TEST_EVERY = 8  # Lanczos steps between tests of the Ritz residuals
@@ -46,28 +57,42 @@ def _nothing_above(m: np.ndarray, y: np.ndarray, theta: np.ndarray, scale: float
     return True
 
 
-def extremal_pairs(m: np.ndarray, bottom: int, top: int) -> tuple[np.ndarray, np.ndarray] | None:
+def extremal_pairs(
+    m: np.ndarray, bottom: int, top: int, limits: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
     """The `bottom` smallest and `top` largest eigenpairs of the symmetric
     matrix `m` as (values ascending, read-only unit eigenvectors as columns),
     or None when they cannot be proved.
 
     Lanczos (1950) with full reorthogonalization (classical Gram-Schmidt,
     twice) from a fixed start vector, testing the Ritz residuals every
-    KERNEL_TEST_EVERY steps and stopping after at most n // 4 steps. A
-    result is returned only when each pair's explicit residual
-    ||m y - theta y|| is at most KERNEL_RESIDUAL_TOL ||m||_inf and, at each
-    wanted end, a Cholesky factorization proves that no other eigenvalue
-    lies beyond the found ones (`_nothing_above`). A repeated eigenvalue
-    whose copy the Krylov space missed therefore gives None, never a frame.
+    KERNEL_TEST_EVERY steps and stopping after at most n // 2 steps (n // 4
+    below KERNEL_LONG_RUN_VERTICES vertices). A result is returned only when
+    each pair's explicit residual ||m y - theta y|| is at most
+    KERNEL_RESIDUAL_TOL ||m||_inf and, at each wanted end, a Cholesky
+    factorization proves that no other eigenvalue lies beyond the found ones
+    (`_nothing_above`). A repeated eigenvalue whose copy the Krylov space
+    missed therefore gives None, never a frame.
+
+    `limits`, ascending like the values, asks for wanted bottom values at or
+    above `limits[:bottom]` and top ones at or below `limits[bottom:]`. The
+    i-th smallest Ritz value never lies below the i-th smallest eigenvalue,
+    nor the i-th largest above the i-th largest (Cauchy interlacing), so the
+    kernel gives up at the first test where a wanted Ritz value is past its
+    limit by more than the residual bound: the eigenvalue is past it too.
     """
     n = m.shape[0]
     want = bottom + top
     with np.errstate(over="ignore", invalid="ignore"):
         scale = float(np.abs(m).sum(axis=1).max())
-    steps = n // 4
+    steps = n // 2 if n >= KERNEL_LONG_RUN_VERTICES else n // 4
     if not np.isfinite(scale) or want == 0 or steps < want:
         return None
     tol = KERNEL_RESIDUAL_TOL * scale
+    pick = np.concatenate([np.arange(bottom), np.arange(-top, 0)])  # the wanted Ritz pairs at any size
+    if limits is not None:  # a wanted theta is past its limit when side * theta > past
+        side = np.repeat([-1.0, 1.0], [bottom, top])
+        past = side * limits + tol
     basis = np.empty((steps + 1, n))  # rows: the Krylov basis, then the next vector
     tridiagonal = np.zeros((steps + 1, steps + 1))
     # fixed, positive and aperiodic: no rng draw, and no graph's eigenvector
@@ -85,7 +110,8 @@ def extremal_pairs(m: np.ndarray, bottom: int, top: int) -> tuple[np.ndarray, np
         tridiagonal[j, size] = tridiagonal[size, j] = beta
         if size >= want and (size % KERNEL_TEST_EVERY == 0 or beta <= tol or size == steps):
             theta, s = np.linalg.eigh(tridiagonal[:size, :size])
-            pick = np.concatenate([np.arange(bottom), np.arange(size - top, size)])
+            if limits is not None and (side * theta[pick] > past).any():
+                return None
             if beta * np.abs(s[-1, pick]).max() <= tol:
                 break
         if beta <= tol or size == steps:  # an invariant subspace too small, or out of steps
@@ -174,7 +200,8 @@ class Graph:
         that; nothing is stored when `compute` raises. The graph is immutable,
         so a value derived from it never goes stale. Each caller namespaces
         its keys: `eigh` stores under ("eigh", matrix name), `extremal_eigh`
-        under ("extremal", matrix name, bottom, top)."""
+        under ("extremal", matrix name, bottom, top), which it reads and
+        writes itself since it keeps some results out."""
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
@@ -194,16 +221,53 @@ class Graph:
         return self.memo(("eigh", key), factor)
 
     def extremal_eigh(
-        self, key: str, matrix: Callable[[], np.ndarray], bottom: int, top: int
+        self,
+        key: str,
+        matrix: Callable[[], np.ndarray],
+        bottom: int,
+        top: int,
+        limits: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """`extremal_pairs(m, bottom, top)` of the matrix `key` names, built
-        by `matrix()` and computed on the first request only, a None result
-        included. None, with nothing built, when the graph has fewer than
-        KERNEL_MIN_VERTICES_PER_PAIR vertices per wanted pair, where the
-        kernel rarely proves its answer."""
-        if self.n < KERNEL_MIN_VERTICES_PER_PAIR * (bottom + top):
+        """`extremal_pairs(m, bottom, top, limits)` of the matrix `key`
+        names, built by `matrix()` with overflow warnings off; the kernel
+        itself gives up on an entry that is not finite. A result is computed
+        on the first request only, except a None under `limits`, which may
+        be the limits' exit and is not stored. None, with nothing built,
+        when the graph has fewer than KERNEL_MIN_VERTICES_PER_PAIR vertices
+        per wanted pair, or when `key` is "laplacian" and the graph has
+        fewer than KERNEL_LONG_RUN_VERTICES vertices: there the kernel
+        rarely proves its answer in time. A caller that falls back to `eigh`
+        passes both the same `built_once` matrix, so that a failed try and
+        the fallback build it once and check it once.
+        """
+        if self.n < KERNEL_MIN_VERTICES_PER_PAIR * (bottom + top) or (
+            key == "laplacian" and self.n < KERNEL_LONG_RUN_VERTICES
+        ):
             return None
-        return self.memo(("extremal", key, bottom, top), lambda: extremal_pairs(_finite(key, matrix), bottom, top))
+        memo_key = ("extremal", key, bottom, top)
+        if memo_key in self._memo:
+            return self._memo[memo_key]
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = matrix()
+        pairs = extremal_pairs(m, bottom, top, limits)
+        if pairs is not None or limits is None:
+            self._memo[memo_key] = pairs
+        return pairs
+
+
+def built_once(build: Callable[[], np.ndarray]) -> Callable[[], np.ndarray]:
+    """`build` run on the first call only, its matrix returned after that:
+    a failed kernel try and the dense `eigh` that follows it share one
+    build. A closure, since functools.cache cost about 5 us per spectral
+    repetition on a graph that never tries the kernel."""
+    built = []
+
+    def matrix() -> np.ndarray:
+        if not built:
+            built.append(build())
+        return built[0]
+
+    return matrix
 
 
 def _finite(key: str, matrix: Callable[[], np.ndarray]) -> np.ndarray:

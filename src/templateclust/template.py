@@ -19,6 +19,8 @@ takes from its rng; P* then costs more than LB unless a lambda lies past an
 interval of zero width.  Only the k end pairs of A_O enter a certified P*
 and LB, so on graphs with at least 32 vertices per end pair a Lanczos
 kernel computes them (`graphs.extremal_pairs`) in place of a dense eigh.
+It is given the lambda as limits and gives up as soon as its Ritz values
+show that the sign test is lost.
 """
 
 from __future__ import annotations
@@ -91,8 +93,10 @@ def eigenvector_start(g_o: Graph, model: TemplateModel) -> tuple[StiefelPoint, f
 
     V_S and its eigenvalues come from the graph's Lanczos kernel when it
     proves them (`Graph.extremal_eigh`) and they pass the sign test, since a
-    certified LB needs only those ends: sum_i (lambda_i - end_i)^2. Otherwise
-    they, and LB's intervals, come from the graph's memoized dense `eigh`.
+    certified LB needs only those ends: sum_i (lambda_i - end_i)^2. The
+    kernel takes lambda as its limits, so it stops at the first Ritz test
+    that shows the sign test lost. Otherwise V_S, its eigenvalues and LB's
+    intervals come from the graph's memoized dense `eigh`.
     Raises InputError unless the graph has more vertices than the template.
     """
     if g_o.n <= model.k:
@@ -104,7 +108,7 @@ def eigenvector_start(g_o: Graph, model: TemplateModel) -> tuple[StiefelPoint, f
     def certifies(ends: np.ndarray) -> bool:
         return bool(np.all(lam[:negative] <= ends[:negative]) and np.all(lam[negative:] >= ends[negative:]))
 
-    pairs = g_o.extremal_eigh("adjacency", lambda: g_o.adjacency, negative, k - negative)
+    pairs = g_o.extremal_eigh("adjacency", lambda: g_o.adjacency, negative, k - negative, lam)
     if pairs is not None and certifies(pairs[0]):
         ends, v_s = pairs
         low = high = ends

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +24,9 @@ from templateclust import (
     sample_graph,
     spectral_cluster,
 )
+from templateclust import graphs
 from templateclust.baselines import spectral_embedding
+from templateclust.cli import main
 
 from conftest import email_graph, random_simple_graph, two_triangles
 
@@ -87,6 +91,38 @@ class TestSpectral:
     def test_k_too_large(self, rng):
         with pytest.raises(InputError):
             spectral_cluster(two_triangles(), 7, rng)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [["--family", "c2", "--sizes", "60", "--probs", "0.3,0.6"], ["--family", "g6", "--sizes", "40"]],
+        ids=["c2-60", "g6-40"],
+    )
+    def test_spectral_rows_equal_the_dense_paths(self, tmp_path, monkeypatch, grid):
+        """These graphs pass the Laplacian's size rules and the kernel proves
+        every one. k-means sees only distances between rows, which a rotation
+        of the frame keeps, so every column of records.csv equals the dense
+        path's but projector_distance, which moves in the last digits."""
+        proved = []
+        kernel = graphs.extremal_pairs
+
+        def proving(*args):
+            pairs = kernel(*args)
+            proved.append(pairs is not None)
+            return pairs
+
+        monkeypatch.setattr(graphs, "extremal_pairs", proving)
+        argv = ["synth", *grid, "--reps", "2", "--methods", "spectral"]
+        assert main(argv + ["--out", str(tmp_path / "kernel")]) == 0
+        monkeypatch.setattr(graphs, "KERNEL_LONG_RUN_VERTICES", 10**9)
+        assert main(argv + ["--out", str(tmp_path / "dense")]) == 0
+        kernel_rows, dense_rows = (
+            list(csv.DictReader((tmp_path / d / "records.csv").read_text().splitlines())) for d in ("kernel", "dense")
+        )
+        assert all(proved) and len(proved) == len(kernel_rows) == len(dense_rows)  # one proved run per graph
+        for ours, theirs in zip(kernel_rows, dense_rows):
+            pd = "projector_distance"
+            assert abs(float(ours.pop(pd)) - float(theirs.pop(pd))) <= 1e-11
+            assert ours == theirs
 
 
 class TestModularity:

@@ -24,6 +24,8 @@ from templateclust import (
     cnm_cluster,
     expected_model,
     laplacian,
+    make_bp,
+    make_c2,
     make_g3,
     make_g6,
     sample_graph,
@@ -57,9 +59,9 @@ def kernel_runs(monkeypatch):
     orders = []
     kernel = graphs.extremal_pairs
 
-    def counting(m, bottom, top):
+    def counting(m, bottom, top, limits=None):
         orders.append(m.shape[0])
-        return kernel(m, bottom, top)
+        return kernel(m, bottom, top, limits)
 
     monkeypatch.setattr(graphs, "extremal_pairs", counting)
     return orders
@@ -194,12 +196,32 @@ class TestMemo:
         with pytest.raises(NumericalError, match="laplacian overflows"):
             g.eigh("laplacian", lambda: laplacian(g))  # a failure is not memoized as success
 
+    def test_overflowing_laplacian_past_the_kernel_rules_raises_without_warning(self, rng, kernel_runs):
+        """The kernel gives up on the infinite degrees and the dense path
+        raises as it does below the kernel's size rules."""
+        n = graphs.KERNEL_LONG_RUN_VERTICES
+        g = Graph(np.full((n, n), 1e307) - np.diag(np.full(n, 1e307)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="laplacian overflows"):
+                spectral_cluster(g, 2, rng)
+        assert kernel_runs == [n]
+
 
 class TestFactorizationCounts:
-    def test_spectral_repetition_factors_the_laplacian_once(self, factored, laplacians):
+    def test_spectral_repetition_factors_the_laplacian_once(self, factored, laplacians, monkeypatch):
+        """Also where the kernel tries the Laplacian and gives up: the try
+        and the dense fallback share one build of L."""
         g, gt = sample_graph(make_g3(4), np.random.default_rng(0))
         run_method("spectral", g, gt.k, None, np.random.default_rng(1))
         assert factored == [g.n] and len(laplacians) == 1 and laplacians[0] is g
+        tried = []
+        monkeypatch.setattr(graphs, "extremal_pairs", lambda m, *args: tried.append(m.shape[0]))
+        g, gt = sample_graph(make_g3(80), np.random.default_rng(0))
+        factored.clear()
+        laplacians.clear()
+        run_method("spectral", g, gt.k, None, np.random.default_rng(1))
+        assert tried == [240] and factored == [240] and laplacians == [g]
 
     def test_cluster_spectral_factors_the_laplacian_once(self, factored, laplacians, capsys):
         assert main(["cluster", "--family", "g3", "--size", "4", "--method", "spectral"]) == 0
@@ -244,6 +266,44 @@ class TestKernelCounts:
         g, gt = sample_graph(spec, np.random.default_rng(0))
         run_method("tb", g, gt.k, expected_model(spec), np.random.default_rng(1))
         assert kernel_runs == [] and sorted(factored) == [6, 60]
+
+    def test_spectral_never_factors_the_laplacian_on_g6_40(self, factored, kernel_runs):
+        """g6/40 passes both of the Laplacian's size rules: one kernel run
+        per graph gives the embedding of both calls of a repetition, and the
+        only eigh calls are the kernel's tridiagonals."""
+        g, gt = sample_graph(make_g6(40), np.random.default_rng(0))
+        for rep in range(2):
+            run_method("spectral", g, gt.k, None, np.random.default_rng(rep))
+        assert kernel_runs == [240] and max(factored) < 240
+
+    def test_spectral_below_the_vertex_floor_never_reaches_the_kernel(self, factored, kernel_runs):
+        spec = make_bp(100, 0.6, "hub")  # 100 vertices per pair, but 200 < KERNEL_LONG_RUN_VERTICES
+        g, gt = sample_graph(spec, np.random.default_rng(0))
+        run_method("spectral", g, gt.k, None, np.random.default_rng(1))
+        assert kernel_runs == [] and factored == [200]
+
+    def test_uncertified_template_ends_the_kernel_at_its_first_test(self, factored, kernel_runs):
+        """c2/40/0.42's template fails the sign test: the first Ritz test,
+        at KERNEL_TEST_EVERY steps, shows it lost, and the dense path runs."""
+        spec = make_c2(40, 0.42)
+        g, gt = sample_graph(spec, np.random.default_rng(0))
+        _, _, iterations = run_method("tb", g, gt.k, expected_model(spec), np.random.default_rng(1))
+        assert iterations > 0
+        assert kernel_runs == [160] and factored == [4, graphs.KERNEL_TEST_EVERY, 160]
+
+    def test_sigma_sweep_runs_the_kernel_once(self, tmp_path, kernel_runs):
+        """A `real` grid loads one graph; its templates at every sigma and
+        repetition are certified, so the first kernel run's proved pairs
+        serve them all."""
+        g, gt = sample_graph(make_g6(40), np.random.default_rng(0))
+        edges, labels = tmp_path / "edges.txt", tmp_path / "labels.txt"
+        edges.write_text("".join(f"{i} {j}\n" for i, j in zip(*np.nonzero(np.triu(g.adjacency)))))
+        labels.write_text("".join(f"{i} {c}\n" for i, c in enumerate(gt.labels)))
+        argv = ["real", "--edges", str(edges), "--labels", str(labels), "--sigma-list", "0,0.5", "--reps", "2"]
+        assert main(argv + ["--methods", "tb", "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "records.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 and all(row.split(",")[-2] == "0" for row in rows)  # iterations: all certified
+        assert kernel_runs == [240]
 
     def test_overflowing_adjacency_raises_without_warning(self, rng, kernel_runs):
         # row sums of 1.9e309 overflow ||A||_inf: the kernel gives up and the

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,10 +17,12 @@ from templateclust import (
     build_graph,
     degree_matrix,
     laplacian,
+    make_bp,
     make_c2,
     make_g6,
     sample_graph,
 )
+from templateclust import graphs
 from templateclust.graphs import KERNEL_RESIDUAL_TOL, extremal_pairs
 
 from conftest import random_simple_graph
@@ -319,8 +323,85 @@ def test_extremal_pairs_never_return_one_copy_of_a_repeated_end():
         assert np.linalg.norm(pairs[1] @ pairs[1].T - v @ v.T) <= 1e-10
 
 
+def laplacian_input(kind: str, n: int, blocks: int, density: float, rng: np.random.Generator) -> np.ndarray:
+    """The Laplacian of a planted graph on about n vertices, as in
+    `kernel_input`: "weighted" draws each edge's weight from [0.1, 10],
+    "disconnected" takes two disjoint copies, and "isolated" cuts a tenth of
+    the vertices off. Zero is a repeated eigenvalue in the last two."""
+    a = kernel_input("doubled" if kind == "disconnected" else "random", n, blocks, density, rng)
+    if kind == "weighted":
+        upper = np.triu(a * rng.uniform(0.1, 10.0, a.shape), k=1)
+        a = upper + upper.T
+    if kind == "isolated":
+        cut = rng.permutation(n)[: n // 10 + 1]
+        a[cut], a[:, cut] = 0.0, 0.0
+    return np.diag(a.sum(axis=1)) - a
+
+
+def assert_bottom_pairs(m: np.ndarray, k: int, pairs: tuple[np.ndarray, np.ndarray]) -> None:
+    """`assert_extremal_pairs` for the k smallest pairs, whose vectors also
+    span dense eigh's bottom-k space wherever the k-th and (k+1)-th
+    eigenvalues stand 1e-4 ||m||_inf apart: by Davis and Kahan the residual
+    bound then keeps the projectors within sqrt(2k) 1e-8."""
+    assert_extremal_pairs(m, k, 0, pairs)
+    mu, v = np.linalg.eigh(m)
+    if mu[k] - mu[k - 1] > 1e-4 * np.abs(m).sum(axis=1).max():
+        vectors = pairs[1]
+        assert np.linalg.norm(vectors @ vectors.T - v[:, :k] @ v[:, :k].T) <= 1e-7
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["planted", "weighted", "disconnected", "isolated"]),
+    n=st.integers(32, 300),
+    blocks=st.integers(1, 6),
+    density=st.floats(0.05, 0.9),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_laplacian_bottom_pairs_are_right_whenever_they_return(kind, n, blocks, density, k, seed):
+    """Spectral's request, with the kernel's vertex floor off so that it may
+    run n // 2 steps at any size. Whatever it returns are the k smallest
+    pairs, never one copy of a repeated zero, and they span dense eigh's
+    bottom-k space where that space is well separated."""
+    m = laplacian_input(kind, n, blocks, density, np.random.default_rng(seed))
+    with mock.patch.object(graphs, "KERNEL_LONG_RUN_VERTICES", 0):
+        pairs = extremal_pairs(m, k, 0)
+    if pairs is not None:
+        assert_bottom_pairs(m, k, pairs)
+
+
+def test_laplacian_pairs_fail_the_property_without_the_completeness_check(monkeypatch):
+    """Two disjoint copies of a g6/40 graph: zero is a double eigenvalue and
+    the Krylov space holds one copy. A kernel whose Cholesky check always
+    passes returns that copy with the next eigenvalue, which the property
+    rejects; the kernel itself gives up."""
+    g, _ = sample_graph(make_g6(40), np.random.default_rng(0))
+    m = np.kron(np.eye(2), laplacian(g))
+    assert extremal_pairs(m, 2, 0) is None
+    monkeypatch.setattr(graphs, "_nothing_above", lambda *args: True)
+    pairs = extremal_pairs(m, 2, 0)
+    assert pairs is not None
+    with pytest.raises(AssertionError):
+        assert_bottom_pairs(m, 2, pairs)
+
+
+def test_extremal_pairs_run_up_to_n_over_2_steps_from_the_vertex_floor(monkeypatch):
+    """A bp/120/0.4 hub Laplacian (n = 240) needs more than n // 4 Lanczos
+    steps for its two bottom pairs, which the kernel proves within n // 2."""
+    g, _ = sample_graph(make_bp(120, 0.4, "hub"), np.random.default_rng(0))
+    m = laplacian(g)
+    tests = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: tests.append(a.shape[0]) or eigh(a))
+    pairs = extremal_pairs(m, 2, 0)
+    assert m.shape[0] // 4 < tests[-1] <= m.shape[0] // 2
+    assert_bottom_pairs(m, 2, pairs)
+
+
 @pytest.mark.parametrize("bottom, top", [(0, 0), (0, 3), (2, 1)])
 def test_extremal_pairs_need_n_over_4_steps_per_pair(bottom, top):
-    """No pair wanted, or more than n // 4 Lanczos steps could find."""
+    """No pair wanted, or more than n // 4 Lanczos steps could find, on a
+    graph below KERNEL_LONG_RUN_VERTICES."""
     g, _ = sample_graph(make_c2(2, 0.6), np.random.default_rng(0))
     assert extremal_pairs(g.adjacency, bottom, top) is None

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -292,6 +293,53 @@ def test_lower_bound_holds_and_certified_runs_attain_it(n, k, density, scale, do
         assert result.trace.iterates_count == 0
         assert result.trace.converged_by == "gradient"
         assert abs(final - bound) <= slack
+
+
+def kernel_run(m, bottom, top, limits=None):
+    """`graphs.extremal_pairs`' result, and how many Ritz tests it made."""
+    tests = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        tests.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigh", counting):
+        pairs = graphs.extremal_pairs(m, bottom, top, limits)
+    return pairs, len(tests)
+
+
+EXIT_GRAPHS = {
+    "c2-40-0.42": make_c2(40, 0.42),  # its template is never certified
+    "bp-40-0.6-hub": make_bp(40, 0.6, "hub"),
+    "bp-120-0.4-hub": make_bp(120, 0.4, "hub"),  # n // 2 steps
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(EXIT_GRAPHS)), noise=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_the_kernels_exit_never_gives_up_a_certifiable_frame(name, noise, seed):
+    """The template is the graph's expected one plus symmetric Gaussian
+    noise of `noise` times its largest eigenvalue's size, so the signs of
+    its eigenvalues and the sign test go either way. Whenever the limits end
+    a run early, the dense sign test fails; a run they do not end makes the
+    same tests and returns the same pairs as the run without limits."""
+    spec = EXIT_GRAPHS[name]
+    rng = np.random.default_rng(seed)
+    g, _ = sample_graph(spec, rng)
+    weights = expected_model(spec).weights
+    w = rng.standard_normal(weights.shape) * noise * np.abs(np.linalg.eigvalsh(weights)).max()
+    lam = np.linalg.eigvalsh(weights + w + w.T)
+    k, negative = lam.size, int(np.count_nonzero(lam < 0))
+    plain, plain_tests = kernel_run(g.adjacency, negative, k - negative)
+    pairs, tests = kernel_run(g.adjacency, negative, k - negative, lam)
+    mu = np.linalg.eigvalsh(g.adjacency)
+    ends = np.concatenate([mu[:negative], mu[mu.size - k + negative :]])
+    certifiable = np.all(lam[:negative] <= ends[:negative]) and np.all(lam[negative:] >= ends[negative:])
+    if pairs is not None:
+        assert tests == plain_tests and all(np.array_equal(a, b) for a, b in zip(pairs, plain))
+    elif plain is not None or tests < plain_tests:  # the exit ended the run
+        assert not certifiable
 
 
 class TestEigenvectorStart:
