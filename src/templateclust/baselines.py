@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from templateclust.errors import InputError, NumericalError
-from templateclust.graphs import Graph, block_sums, built_once, degree_matrix, integer_vector, laplacian
+from templateclust.graphs import Graph, block_sums, degree_matrix, integer_vector, laplacian
 from templateclust.rounding import kmeans
 from templateclust.stiefel import StiefelPoint
 
@@ -30,19 +30,12 @@ class Partition:
 
 
 def spectral_embedding(g: Graph, k: int) -> StiefelPoint:
-    """Eigenvectors of the k smallest Laplacian eigenvalues, as columns.
-
-    They come from the graph's Lanczos kernel when it proves them
-    (`Graph.extremal_eigh`), else from its memoized dense `eigh`; a failed
-    try and the fallback share one build of L."""
+    """Eigenvectors of the k smallest Laplacian eigenvalues, as columns: the
+    graph's k bottom end pairs of L (`Graph.end_pairs`), which build L at
+    most once."""
     if g.n < k or k < 1:
         raise InputError(f"need n >= k >= 1, got n={g.n}, k={k}")
-    matrix = built_once(lambda: laplacian(g))
-    pairs = g.extremal_eigh("laplacian", matrix, k, 0)
-    if pairs is not None:
-        return StiefelPoint(pairs[1])
-    _, evecs = g.eigh("laplacian", matrix)
-    return StiefelPoint(evecs[:, :k])
+    return StiefelPoint(g.end_pairs("laplacian", lambda: laplacian(g), k, 0)[1])
 
 
 def spectral_cluster(g: Graph, k: int, rng: np.random.Generator) -> Partition:

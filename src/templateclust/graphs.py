@@ -94,7 +94,7 @@ def extremal_pairs(
         side = np.repeat([-1.0, 1.0], [bottom, top])
         past = side * limits + tol
     basis = np.empty((steps + 1, n))  # rows: the Krylov basis, then the next vector
-    tridiagonal = np.zeros((steps + 1, steps + 1))
+    diagonal, off = np.empty(steps), np.empty(steps)  # the tridiagonal's, off[j] at (j, j + 1) and (j + 1, j)
     # fixed, positive and aperiodic: no rng draw, and no graph's eigenvector
     # is orthogonal to it except by accident
     start = 1.5 + np.sin(np.sqrt(2.0) * np.arange(1, n + 1))
@@ -102,14 +102,16 @@ def extremal_pairs(
     for j in range(steps):
         q, size = basis[j], j + 1
         w = m @ q
-        tridiagonal[j, j] = q @ w
+        diagonal[j] = q @ w
         krylov = basis[:size]
         for _ in range(2):
             w -= (krylov @ w) @ krylov
-        beta = math.sqrt(w @ w)
-        tridiagonal[j, size] = tridiagonal[size, j] = beta
+        off[j] = beta = math.sqrt(w @ w)
         if size >= want and (size % KERNEL_TEST_EVERY == 0 or beta <= tol or size == steps):
-            theta, s = np.linalg.eigh(tridiagonal[:size, :size])
+            tridiagonal = np.zeros((size, size))
+            tridiagonal.flat[:: size + 1] = diagonal[:size]
+            tridiagonal.flat[1 :: size + 1] = tridiagonal.flat[size :: size + 1] = off[: size - 1]
+            theta, s = np.linalg.eigh(tridiagonal)
             if limits is not None and (side * theta[pick] > past).any():
                 return None
             if beta * np.abs(s[-1, pick]).max() <= tol:
@@ -180,7 +182,8 @@ class Graph:
     Diagonal entries hold self-loop weights. Only `build_graph` makes them;
     loaded and sampled observation graphs are zero-diagonal and {0,1}-valued.
     Values derived from the graph are memoized on it: dense eigendecompositions
-    (`eigh`), proved end eigenpairs (`extremal_eigh`) and CNM's partition.
+    (`eigh`), the proved end eigenpairs `end_pairs` computes instead of them,
+    and CNM's partition.
     """
 
     adjacency: np.ndarray
@@ -199,20 +202,23 @@ class Graph:
         """`compute()` on the first request for `key`, the stored value after
         that; nothing is stored when `compute` raises. The graph is immutable,
         so a value derived from it never goes stale. Each caller namespaces
-        its keys: `eigh` stores under ("eigh", matrix name), `extremal_eigh`
-        under ("extremal", matrix name, bottom, top), which it reads and
-        writes itself since it keeps some results out."""
+        its keys: `eigh` stores under ("eigh", matrix name), `end_pairs` its
+        proved pairs under ("end pairs", matrix name, bottom, top)."""
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
 
     def eigh(self, key: str, matrix: Callable[[], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Read-only `np.linalg.eigh` of the matrix `key` names ("adjacency",
-        "laplacian"), built by `matrix()` and factored on the first request
-        only."""
+        "laplacian"), built by `matrix()` with overflow warnings off and
+        factored on the first request only. NumericalError naming `key` when
+        an entry of the matrix is not finite."""
 
         def factor() -> tuple[np.ndarray, np.ndarray]:
-            m = _finite(key, matrix)
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = matrix()
+            if not np.isfinite(m).all():
+                raise NumericalError(f"the graph's {key} overflows: entries are not finite")
             factors = np.linalg.eigh(m)
             for a in factors:
                 a.setflags(write=False)
@@ -220,64 +226,45 @@ class Graph:
 
         return self.memo(("eigh", key), factor)
 
-    def extremal_eigh(
+    def end_pairs(
         self,
         key: str,
         matrix: Callable[[], np.ndarray],
         bottom: int,
         top: int,
         limits: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """`extremal_pairs(m, bottom, top, limits)` of the matrix `key`
-        names, built by `matrix()` with overflow warnings off; the kernel
-        itself gives up on an entry that is not finite. A result is computed
-        on the first request only, except a None under `limits`, which may
-        be the limits' exit and is not stored. None, with nothing built,
-        when the graph has fewer than KERNEL_MIN_VERTICES_PER_PAIR vertices
-        per wanted pair, or when `key` is "laplacian" and the graph has
-        fewer than KERNEL_LONG_RUN_VERTICES vertices: there the kernel
-        rarely proves its answer in time. A caller that falls back to `eigh`
-        passes both the same `built_once` matrix, so that a failed try and
-        the fallback build it once and check it once.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The `bottom` smallest and `top` largest eigenpairs of the matrix
+        `key` names, as (values ascending, unit eigenvectors as columns).
+        `matrix()` builds it, with overflow warnings off, at most once.
+
+        Proved pairs stored for (key, bottom, top) come first. Next, the
+        graph's dense factors (`eigh`) are sliced when it holds them, or when
+        the Lanczos kernel is ruled out: below KERNEL_MIN_VERTICES_PER_PAIR
+        vertices per wanted pair, and for "laplacian" below
+        KERNEL_LONG_RUN_VERTICES vertices, where it rarely proves its answer
+        in time. Otherwise `extremal_pairs(m, bottom, top, limits)` runs; its
+        pairs are stored when proved, and when it gives up, `eigh` factors
+        the matrix it ran on. So a graph tries the kernel at most once per
+        matrix and split, and never once it holds the dense factors.
         """
-        if self.n < KERNEL_MIN_VERTICES_PER_PAIR * (bottom + top) or (
-            key == "laplacian" and self.n < KERNEL_LONG_RUN_VERTICES
+        proved = ("end pairs", key, bottom, top)
+        if proved in self._memo:
+            return self._memo[proved]
+        if ("eigh", key) not in self._memo and self.n >= KERNEL_MIN_VERTICES_PER_PAIR * (bottom + top) and (
+            key != "laplacian" or self.n >= KERNEL_LONG_RUN_VERTICES
         ):
-            return None
-        memo_key = ("extremal", key, bottom, top)
-        if memo_key in self._memo:
-            return self._memo[memo_key]
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = matrix()
-        pairs = extremal_pairs(m, bottom, top, limits)
-        if pairs is not None or limits is None:
-            self._memo[memo_key] = pairs
-        return pairs
-
-
-def built_once(build: Callable[[], np.ndarray]) -> Callable[[], np.ndarray]:
-    """`build` run on the first call only, its matrix returned after that:
-    a failed kernel try and the dense `eigh` that follows it share one
-    build. A closure, since functools.cache cost about 5 us per spectral
-    repetition on a graph that never tries the kernel."""
-    built = []
-
-    def matrix() -> np.ndarray:
-        if not built:
-            built.append(build())
-        return built[0]
-
-    return matrix
-
-
-def _finite(key: str, matrix: Callable[[], np.ndarray]) -> np.ndarray:
-    """`matrix()`, built with overflow warnings off; NumericalError naming
-    `key` when an entry is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = matrix()
-    if not np.isfinite(m).all():
-        raise NumericalError(f"the graph's {key} overflows: entries are not finite")
-    return m
+            with np.errstate(over="ignore", invalid="ignore"):
+                built = matrix()
+            pairs = extremal_pairs(built, bottom, top, limits)
+            if pairs is not None:
+                self._memo[proved] = pairs
+                return pairs
+            matrix = lambda: built  # the dense factors reuse the try's build
+        values, vectors = self.eigh(key, matrix)
+        pick = np.arange(bottom + top)
+        pick[bottom:] += self.n - bottom - top
+        return values[pick], vectors[:, pick]
 
 
 def build_graph(edges: list[tuple[int, int, float]], n: int) -> Graph:

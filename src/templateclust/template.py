@@ -16,11 +16,10 @@ and the k - k_- largest mu and k_- counts the negative lambda.  This sign
 test on the spectra certifies P* as a global minimum: the descent starts at
 P* and stops at once.  Otherwise it starts at random, the only draw a run
 takes from its rng; P* then costs more than LB unless a lambda lies past an
-interval of zero width.  Only the k end pairs of A_O enter a certified P*
-and LB, so on graphs with at least 32 vertices per end pair a Lanczos
-kernel computes them (`graphs.extremal_pairs`) in place of a dense eigh.
-It is given the lambda as limits and gives up as soon as its Ritz values
-show that the sign test is lost.
+interval of zero width.  Only the k end pairs of A_O enter P*, the sign
+test and a certified LB, so they are asked of the graph (`Graph.end_pairs`),
+which chooses how to compute them; the lambda go along as limits, past
+which the sign test is lost.
 """
 
 from __future__ import annotations
@@ -91,12 +90,10 @@ def eigenvector_start(g_o: Graph, model: TemplateModel) -> tuple[StiefelPoint, f
     the misfit, and whether P* attains LB by the sign test, all as defined in
     the module docstring.
 
-    V_S and its eigenvalues come from the graph's Lanczos kernel when it
-    proves them (`Graph.extremal_eigh`) and they pass the sign test, since a
-    certified LB needs only those ends: sum_i (lambda_i - end_i)^2. The
-    kernel takes lambda as its limits, so it stops at the first Ritz test
-    that shows the sign test lost. Otherwise V_S, its eigenvalues and LB's
-    intervals come from the graph's memoized dense `eigh`.
+    V_S and its eigenvalues, the ends, are the graph's end pairs
+    (`Graph.end_pairs`), with lambda as their limits. A certified LB needs
+    only the ends, sum_i (lambda_i - end_i)^2; otherwise LB's intervals come
+    from the graph's memoized dense `eigh`.
     Raises InputError unless the graph has more vertices than the template.
     """
     if g_o.n <= model.k:
@@ -104,24 +101,17 @@ def eigenvector_start(g_o: Graph, model: TemplateModel) -> tuple[StiefelPoint, f
     lam, u = np.linalg.eigh(model.weights)
     k = lam.size
     negative = int(np.count_nonzero(lam < 0))
-
-    def certifies(ends: np.ndarray) -> bool:
-        return bool(np.all(lam[:negative] <= ends[:negative]) and np.all(lam[negative:] >= ends[negative:]))
-
-    pairs = g_o.extremal_eigh("adjacency", lambda: g_o.adjacency, negative, k - negative, lam)
-    if pairs is not None and certifies(pairs[0]):
-        ends, v_s = pairs
+    ends, v_s = g_o.end_pairs("adjacency", lambda: g_o.adjacency, negative, k - negative, lam)
+    certified = bool(np.all(lam[:negative] <= ends[:negative]) and np.all(lam[negative:] >= ends[negative:]))
+    if certified:
         low = high = ends
     else:
-        mu, v = g_o.eigh("adjacency", lambda: g_o.adjacency)
-        n = mu.size
-        ends = np.concatenate([mu[:negative], mu[n - k + negative :]])
-        v_s = np.hstack([v[:, :negative], v[:, n - k + negative :]])
-        low, high = mu[:k], mu[n - k :]
+        mu, _ = g_o.eigh("adjacency", lambda: g_o.adjacency)
+        low, high = mu[:k], mu[mu.size - k :]
     with np.errstate(over="ignore", invalid="ignore"):
         excess = np.maximum(low - lam, 0.0) + np.maximum(lam - high, 0.0)
         lower_bound = float(np.sum(excess * excess))
-    return StiefelPoint(v_s @ u.T), lower_bound, certifies(ends)
+    return StiefelPoint(v_s @ u.T), lower_bound, certified
 
 
 def template_cluster(g_o: Graph, model: TemplateModel, rng: np.random.Generator) -> ClusteringResult:

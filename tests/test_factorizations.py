@@ -1,13 +1,16 @@
-"""Each graph matrix is factored once, and CNM's partition computed once, on
-the graph that owns them.
+"""Each graph matrix is factored once, its end pairs tried on the Lanczos
+kernel at most once, and CNM's partition computed once, on the graph that
+owns them.
 
 `Graph.memo` stores values derived from an immutable graph. `Graph.eigh`
 memoizes the eigendecompositions of the adjacency and the Laplacian through
 it, so a spectral repetition, every repetition and noise level of a `real`
 grid, and every repetition of a `--fixed-graph` point reuse one
 factorization; `cnm_cluster` memoizes its partition the same way.
-`tests/test_source_rules.py` keeps eigensolver calls out of the rest of the
-package.
+`Graph.end_pairs` stores the kernel's proved pairs, and once a graph holds
+a matrix's dense factors it slices them without a kernel try.
+`tests/test_source_rules.py` keeps eigensolver and kernel calls out of the
+rest of the package.
 """
 
 import warnings
@@ -290,6 +293,15 @@ class TestKernelCounts:
         _, _, iterations = run_method("tb", g, gt.k, expected_model(spec), np.random.default_rng(1))
         assert iterations > 0
         assert kernel_runs == [160] and factored == [4, graphs.KERNEL_TEST_EVERY, 160]
+
+    def test_fixed_graph_uncertified_repetitions_run_the_kernel_once(self, tmp_path, kernel_runs):
+        """The first repetition's try ends at its exit and leaves the dense
+        factors on the graph; the other four read them without a try."""
+        argv = ["synth", "--family", "c2", "--sizes", "40", "--probs", "0.42", "--reps", "5", "--fixed-graph"]
+        assert main(argv + ["--methods", "tb", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "records.csv").read_text().splitlines()[1:]
+        assert len(rows) == 5 and all(int(row.split(",")[-2]) > 0 for row in rows)  # iterations: none certified
+        assert kernel_runs == [160]
 
     def test_sigma_sweep_runs_the_kernel_once(self, tmp_path, kernel_runs):
         """A `real` grid loads one graph; its templates at every sigma and

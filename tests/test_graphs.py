@@ -405,3 +405,70 @@ def test_extremal_pairs_need_n_over_4_steps_per_pair(bottom, top):
     graph below KERNEL_LONG_RUN_VERTICES."""
     g, _ = sample_graph(make_c2(2, 0.6), np.random.default_rng(0))
     assert extremal_pairs(g.adjacency, bottom, top) is None
+
+
+END_GRAPHS = {
+    "c2-10-0.60": make_c2(10, 0.6),
+    "g6-10": make_g6(10),
+    "bp-30-0.6-hub": make_bp(30, 0.6, "hub"),
+    "g6-40": make_g6(40),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(END_GRAPHS)),
+    key=st.sampled_from(["adjacency", "laplacian"]),
+    bottom=st.integers(0, 3),
+    top=st.integers(0, 6),
+    kernel=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_end_pairs_are_the_ends_of_dense_eigh(name, key, bottom, top, kernel, seed):
+    """With the size rules at 0 the graph tries the Lanczos kernel, past n
+    it never does. Either way the values lie within the kernel's tolerance
+    of eigvalsh's ends (plus eigvalsh's rounding), and each end's projector
+    is dense eigh's where that end stands apart from the rest of the
+    spectrum. Ruled out, the pairs are slices of the graph's own `eigh`, bit
+    for bit. Once the graph holds its dense factors no split tries the
+    kernel."""
+    assume(bottom + top > 0)
+    g, _ = sample_graph(END_GRAPHS[name], np.random.default_rng(seed))
+    matrix = (lambda: g.adjacency) if key == "adjacency" else (lambda: laplacian(g))
+    m, n, want = matrix(), g.n, bottom + top
+    runs = []
+    kernel_fn = graphs.extremal_pairs
+
+    def end_pairs(rule, low, high):
+        """`g.end_pairs` with both size rules at `rule`, counting kernel runs."""
+        counting = lambda *args: runs.append(1) or kernel_fn(*args)
+        with mock.patch.multiple(
+            graphs, KERNEL_MIN_VERTICES_PER_PAIR=rule, KERNEL_LONG_RUN_VERTICES=rule, extremal_pairs=counting
+        ):
+            return g.end_pairs(key, matrix, low, high)
+
+    def dense_ends(low, high):
+        mu, v = g.eigh(key, matrix)
+        return np.r_[mu[:low], mu[n - high :]], np.hstack([v[:, :low], v[:, n - high :]])
+
+    values, vectors = end_pairs(0 if kernel else n + 1, bottom, top)
+    assert len(runs) == kernel
+    if not kernel:
+        assert all(np.array_equal(a, b) for a, b in zip((values, vectors), dense_ends(bottom, top)))
+    assert values.shape == (want,) and vectors.shape == (n, want) and np.all(np.diff(values) >= 0)
+    scale = np.abs(m).sum(axis=1).max()
+    mu = np.linalg.eigvalsh(m)
+    assert np.all(np.abs(values - np.r_[mu[:bottom], mu[n - top :]]) <= (KERNEL_RESIDUAL_TOL + 1e-14 * n) * scale)
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(want))) <= 1e-10
+    gap = 1e-4 * scale
+    v = np.linalg.eigh(m)[1]
+    for found, dense, apart in (
+        (vectors[:, :bottom], v[:, :bottom], bottom and mu[bottom] - mu[bottom - 1] > gap),
+        (vectors[:, bottom:], v[:, n - top :], top and mu[n - top] - mu[n - top - 1] > gap),
+    ):
+        if apart:
+            assert np.linalg.norm(found @ found.T - dense @ dense.T) <= 1e-7
+    dense_ends(bottom, top)  # the graph now holds its dense factors
+    for split in [(bottom + 1, top), (bottom, top + 1)]:
+        assert all(np.array_equal(a, b) for a, b in zip(end_pairs(0, *split), dense_ends(*split)))
+    assert len(runs) == kernel

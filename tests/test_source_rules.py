@@ -9,6 +9,7 @@ and each detector's reason is its docstring.
 
 import ast
 import functools
+from collections.abc import Callable
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,24 @@ def bulk_parses(tree: ast.Module) -> list[tuple[int, str]]:
     return [(line, "loadtxt") for line, call in file_reads(tree) if "loadtxt" in call]
 
 
+def scoped_calls(tree: ast.Module, named: Callable[[list[str]], bool]) -> list[tuple[int, str, str]]:
+    """(line, enclosing class/function path, call) for each call whose
+    function's dotted name, split at the dots, `named` accepts."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call) and named(ast.unparse(child.func).split(".")):
+                found.append((child.lineno, scope, ast.unparse(child)))
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
 def eigensolver_calls(tree: ast.Module) -> list[tuple[int, str, str]]:
     """(line, enclosing class/function path, call) for each dense eigensolver
     call: `<...>.linalg.<solver>(...)` or a bare `<solver>(...)`.
@@ -124,21 +143,19 @@ def eigensolver_calls(tree: ast.Module) -> list[tuple[int, str, str]]:
     eigensolvers run only in the graph memo, the Lanczos kernel's tridiagonal
     and the k x k template factorization.
     """
-    found = []
+    return scoped_calls(tree, lambda parts: parts[-1] in SOLVERS and (len(parts) == 1 or parts[-2] == "linalg"))
 
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            elif isinstance(child, ast.Call):
-                parts = ast.unparse(child.func).split(".")
-                if parts[-1] in SOLVERS and (len(parts) == 1 or parts[-2] == "linalg"):
-                    found.append((child.lineno, scope, ast.unparse(child)))
-            visit(child, inner)
 
-    visit(tree, "")
-    return found
+def kernel_calls(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """(line, enclosing class/function path, call) for each call of the
+    Lanczos kernel `extremal_pairs`, bare or through its module.
+
+    The graph alone chooses between the kernel and its dense factors, in
+    `Graph.end_pairs`: a module that tried the kernel itself would skip the
+    memoized pairs and the size rules, and would try again on a graph that
+    already holds the dense factors.
+    """
+    return scoped_calls(tree, lambda parts: parts[-1] == "extremal_pairs")
 
 
 def unread_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -312,8 +329,11 @@ RULES = {
     "bulk_parse": (bulk_parses, PACKAGE, {("dataio.py", "loadtxt")}),
     "eigensolvers": (eigensolver_calls, PACKAGE, {
         ("graphs.py", "Graph.eigh.factor", "np.linalg.eigh(m)"),
-        ("graphs.py", "extremal_pairs", "np.linalg.eigh(tridiagonal[:size, :size])"),
+        ("graphs.py", "extremal_pairs", "np.linalg.eigh(tridiagonal)"),
         ("template.py", "eigenvector_start", "np.linalg.eigh(model.weights)"),
+    }),
+    "kernel_calls": (kernel_calls, PACKAGE, {
+        ("graphs.py", "Graph.end_pairs", "extremal_pairs(built, bottom, top, limits)"),
     }),
     # the acceptance criteria are kept as written, unused imports included
     "unused_imports": (unread_imports, PACKAGE + TESTS + BENCH, {"tests/test_acceptance.py"}),
@@ -418,6 +438,25 @@ def test_eigensolver_detector():
         ("g", "eig(x)"),
     ]
     assert [line for line, _, _ in found] == [3, 5, 5]
+
+
+def test_kernel_call_detector():
+    # bare and through the module; a call inside a lambda keeps its enclosing scope
+    source = (
+        "from templateclust import graphs\n"
+        "from templateclust.graphs import extremal_pairs\n"
+        "def eigenvector_start(g, lam):\n"
+        "    pairs = graphs.extremal_pairs(g.adjacency, 0, 2, lam)\n"
+        "    return pairs or extremal_pairs(g.adjacency, 0, 2)\n"
+        "class Graph:\n"
+        "    def end_pairs(self, key, matrix, bottom, top, limits=None):\n"
+        "        return self.memo(key, lambda: extremal_pairs(matrix(), bottom, top, limits))\n"
+    )
+    assert kernel_calls(ast.parse(source)) == [
+        (4, "eigenvector_start", "graphs.extremal_pairs(g.adjacency, 0, 2, lam)"),
+        (5, "eigenvector_start", "extremal_pairs(g.adjacency, 0, 2)"),
+        (8, "Graph.end_pairs", "extremal_pairs(matrix(), bottom, top, limits)"),
+    ]
 
 
 def test_unused_import_detector():
