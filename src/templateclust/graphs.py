@@ -142,7 +142,7 @@ def symmetric_matrix(m: object, what: str) -> np.ndarray:
         raise InputError(f"{what} must be a nonempty square matrix of numbers, got a ragged sequence") from None
     if m.dtype.kind not in "biuf" or m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise InputError(f"{what} must be a nonempty square matrix of numbers, got {m.dtype} of shape {m.shape}")
-    if not np.isfinite(m).all():
+    if m.dtype.kind == "f" and not np.isfinite(m).all():  # booleans and integers are finite
         raise InputError(f"non-finite values (NaN or inf) in {what}")
     if not np.array_equal(m, m.T):
         raise InputError(f"{what} must be exactly symmetric")
@@ -203,7 +203,7 @@ class Graph:
         that; nothing is stored when `compute` raises. The graph is immutable,
         so a value derived from it never goes stale. Each caller namespaces
         its keys: `eigh` stores under ("eigh", matrix name), `end_pairs` its
-        proved pairs under ("end pairs", matrix name, bottom, top)."""
+        proved split and pairs under ("end pairs", matrix name)."""
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
@@ -239,26 +239,31 @@ class Graph:
         `matrix()` builds it, with overflow warnings off, at most once.
 
         Proved pairs stored for (key, bottom, top) come first. Next, the
-        graph's dense factors (`eigh`) are sliced when it holds them, or when
-        the Lanczos kernel is ruled out: below KERNEL_MIN_VERTICES_PER_PAIR
-        vertices per wanted pair, and for "laplacian" below
-        KERNEL_LONG_RUN_VERTICES vertices, where it rarely proves its answer
-        in time. Otherwise `extremal_pairs(m, bottom, top, limits)` runs; its
-        pairs are stored when proved, and when it gives up, `eigh` factors
-        the matrix it ran on. So a graph tries the kernel at most once per
-        matrix and split, and never once it holds the dense factors.
+        graph's dense factors (`eigh`) are sliced when it holds them or has
+        already tried the Lanczos kernel on the matrix, or when the kernel is
+        ruled out: below KERNEL_MIN_VERTICES_PER_PAIR vertices per wanted
+        pair, and for "laplacian" below KERNEL_LONG_RUN_VERTICES vertices,
+        where it rarely proves its answer in time. Otherwise
+        `extremal_pairs(m, bottom, top, limits)` runs; its pairs are stored
+        when proved, and when it gives up, `eigh` factors the matrix it ran
+        on. So a graph tries the kernel at most once per matrix: a split
+        with a bottom end can cost the kernel more than the dense factors
+        that serve every split, as when a sigma sweep changes k_-.
         """
-        proved = ("end pairs", key, bottom, top)
-        if proved in self._memo:
-            return self._memo[proved]
-        if ("eigh", key) not in self._memo and self.n >= KERNEL_MIN_VERTICES_PER_PAIR * (bottom + top) and (
-            key != "laplacian" or self.n >= KERNEL_LONG_RUN_VERTICES
+        proved = self._memo.get(("end pairs", key))  # (split, pairs) of the one kernel try that proved
+        if proved is not None and proved[0] == (bottom, top):
+            return proved[1]
+        if (
+            proved is None
+            and ("eigh", key) not in self._memo
+            and self.n >= KERNEL_MIN_VERTICES_PER_PAIR * (bottom + top)
+            and (key != "laplacian" or self.n >= KERNEL_LONG_RUN_VERTICES)
         ):
             with np.errstate(over="ignore", invalid="ignore"):
                 built = matrix()
             pairs = extremal_pairs(built, bottom, top, limits)
             if pairs is not None:
-                self._memo[proved] = pairs
+                self._memo["end pairs", key] = (bottom, top), pairs
                 return pairs
             matrix = lambda: built  # the dense factors reuse the try's build
         values, vectors = self.eigh(key, matrix)

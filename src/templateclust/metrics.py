@@ -81,12 +81,17 @@ def closest_orthonormal(gt: GroundTruth) -> StiefelPoint:
 
 
 def projector_distance(p: StiefelPoint, p_star: StiefelPoint) -> float:
-    """Squared Frobenius distance between the column-space projectors.
+    """Squared Frobenius distance ||P P^T - Q Q^T||^2 between the
+    column-space projectors of P = `p` (n x k) and Q = `p_star` (n x k').
 
-    Invariant to right-multiplication by orthogonal matrices; 0 iff the two
-    embeddings span the same subspace; at most 2k.
+    Computed from k x k products as ||P^T P||^2 + ||Q^T Q||^2 - 2 ||P^T Q||^2,
+    the same sum expanded by the trace's cyclic property, so no n x n
+    projector is formed; rounding can take it a few ulps below 0, so it is
+    clamped there. Invariant to right-multiplication by orthogonal matrices;
+    0 iff the two embeddings span the same subspace; at most k + k'.
     """
     if p.shape[0] != p_star.shape[0]:
         raise InputError(f"embeddings disagree on n: {p.shape} vs {p_star.shape}")
-    diff = p.matrix @ p.matrix.T - p_star.matrix @ p_star.matrix.T
-    return float(np.sum(diff * diff))
+    p, q = p.matrix, p_star.matrix
+    pp, qq, pq = (np.sum(m * m) for m in (p.T @ p, q.T @ q, p.T @ q))
+    return max(float(pp + qq - 2.0 * pq), 0.0)

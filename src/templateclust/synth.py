@@ -61,11 +61,19 @@ class CommunitySpec:
 
 def sample_graph(spec: CommunitySpec, rng: np.random.Generator) -> tuple[Graph, GroundTruth]:
     """Draw an unweighted graph: each cross/intra pair is an independent
-    Bernoulli edge with the rate of its community pair. No self-loops."""
+    Bernoulli edge with the rate of its community pair. No self-loops.
+
+    Each ordered pair gets one uniform, in row-major order, as from one
+    `rng.random((n, n))` call, and the pairs above the diagonal decide the
+    edges. Each community's rows are drawn as one block and compared with
+    its row of rates, so no n x n float array is built."""
     labels = np.repeat(np.arange(spec.k), spec.sizes)
-    n = spec.n
-    pair_prob = spec.rates[labels][:, labels]
-    upper = np.triu(rng.random((n, n)) < pair_prob, k=1)
+    n, start = spec.n, 0
+    edges = np.empty((n, n), dtype=bool)
+    for c, size in enumerate(spec.sizes):
+        np.less(rng.random((size, n)), spec.rates[c][labels], out=edges[start : start + size])
+        start += size
+    upper = np.triu(edges, k=1)
     return Graph(upper | upper.T), GroundTruth(labels)  # Graph casts the booleans to float once
 
 

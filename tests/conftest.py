@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,17 @@ def two_triangles() -> Graph:
 def random_simple_graph(n: int, rng: np.random.Generator, p: float = 0.5) -> Graph:
     upper = np.triu(rng.random((n, n)) < p, k=1).astype(float)
     return Graph(upper + upper.T)
+
+
+def traced_peak(call):
+    """`call()`'s result and the peak of the memory traced while it ran;
+    numpy reports its data buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ it, so a spectral repetition, every repetition and noise level of a `real`
 grid, and every repetition of a `--fixed-graph` point reuse one
 factorization; `cnm_cluster` memoizes its partition the same way.
 `Graph.end_pairs` stores the kernel's proved pairs, and once a graph holds
-a matrix's dense factors it slices them without a kernel try.
+a matrix's dense factors, or has tried the kernel on it, it slices the dense
+factors without a kernel try.
 `tests/test_source_rules.py` keeps eigensolver and kernel calls out of the
 rest of the package.
 """
@@ -316,6 +317,18 @@ class TestKernelCounts:
         rows = (tmp_path / "out" / "records.csv").read_text().splitlines()[1:]
         assert len(rows) == 4 and all(row.split(",")[-2] == "0" for row in rows)  # iterations: all certified
         assert kernel_runs == [240]
+
+    def test_sigma_sweep_changing_the_split_runs_the_kernel_once(self, tmp_path, factored, kernel_runs):
+        """As sigma grows the noisy templates' k_- runs through 0 to 3, so tb
+        asks for the splits (0, 6) to (3, 3) of one adjacency. The first is
+        proved; every later split is sliced from one dense factorization."""
+        g, gt = sample_graph(make_g6(40), np.random.default_rng(1))
+        edges, labels = tmp_path / "edges.txt", tmp_path / "labels.txt"
+        edges.write_text("".join(f"{i} {j}\n" for i, j in zip(*np.nonzero(np.triu(g.adjacency)))))
+        labels.write_text("".join(f"{i} {c}\n" for i, c in enumerate(gt.labels)))
+        argv = ["real", "--edges", str(edges), "--labels", str(labels), "--sigma-list", "0,100,300,1000,2000"]
+        assert main(argv + ["--reps", "6", "--methods", "tb", "--seed", "0", "--out", str(tmp_path / "out")]) == 0
+        assert kernel_runs == [240] and factored.count(240) == 1
 
     def test_overflowing_adjacency_raises_without_warning(self, rng, kernel_runs):
         # row sums of 1.9e309 overflow ||A||_inf: the kernel gives up and the

@@ -15,6 +15,8 @@ from templateclust import (
     random_stiefel,
 )
 
+from conftest import traced_peak
+
 
 def ari_pair_counting(a, b):
     """O(n^2) brute-force Rand-index oracle over all element pairs."""
@@ -119,7 +121,37 @@ class TestClosestOrthonormal:
         assert np.allclose(gram, np.eye(3), atol=1e-15)
 
 
+def dense_projector_distance(p, q):
+    """||P P^T - Q Q^T||^2 from the two n x n projectors."""
+    diff = p.matrix @ p.matrix.T - q.matrix @ q.matrix.T
+    return float(np.sum(diff * diff))
+
+
 class TestProjectorDistance:
+    @given(
+        n=st.integers(1, 60),
+        k_frac=st.floats(0.0, 1.0),
+        k_other_frac=st.floats(0.0, 1.0),
+        other=st.sampled_from(["random", "identical", "rotated"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_dense_projectors(self, n, k_frac, k_other_frac, other, seed):
+        rng = np.random.default_rng(seed)
+        k = 1 + round(k_frac * (n - 1))
+        p = random_stiefel(n, k, rng)
+        if other == "random":
+            q = random_stiefel(n, 1 + round(k_other_frac * (n - 1)), rng)
+        elif other == "identical":
+            q = p
+        else:
+            q = StiefelPoint(p.matrix @ random_stiefel(k, k, rng).matrix)
+        bound = k + q.shape[1]
+        d = projector_distance(p, q)
+        assert abs(d - dense_projector_distance(p, q)) <= 1e-12 * bound
+        assert abs(d - projector_distance(q, p)) <= 1e-12 * bound
+        assert 0.0 <= d <= bound
+
     def test_same_point(self, rng):
         p = random_stiefel(5, 2, rng)
         assert projector_distance(p, p) == 0.0
@@ -145,6 +177,14 @@ class TestProjectorDistance:
             d = projector_distance(p, q)
             assert d == pytest.approx(projector_distance(q, p))
             assert 0 <= d <= 2 * k + 1e-12
+
+    def test_never_forms_an_n_by_n_array(self):
+        """At g6/200's n = 1200 the traced peak stays below 1% of one n x n
+        float array."""
+        gt = GroundTruth(np.repeat(np.arange(6), 200))
+        p, truth = random_stiefel(gt.labels.size, 6, np.random.default_rng(0)), closest_orthonormal(gt)
+        _, peak = traced_peak(lambda: projector_distance(p, truth))
+        assert peak < 0.01 * gt.labels.size**2 * 8
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(InputError):

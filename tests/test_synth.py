@@ -18,6 +18,8 @@ from templateclust import (
 )
 from templateclust.synth import FAMILIES, G6_TEMPLATE_EDGES, make_family
 
+from conftest import traced_peak
+
 
 class TestSampleGraph:
     def test_zero_rates_empty_graph(self, rng):
@@ -91,6 +93,33 @@ class TestSampleGraph:
         assert np.array_equal(g.adjacency, expected)
         assert g.adjacency.tobytes() == expected.tobytes()
         assert np.array_equal(gt.labels, labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 15), min_size=1, max_size=6),
+        rates=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=21, max_size=21),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blockwise_draw_is_one_n_by_n_draw(self, sizes, rates, seed):
+        """Oracle: one rng.random((n, n)) call compared with the gathered
+        n x n rate matrix. Same edges bit for bit, and the generators end in
+        the same state."""
+        k = len(sizes)
+        r = np.zeros((k, k))
+        r[np.triu_indices(k)] = rates[: k * (k + 1) // 2]
+        spec = CommunitySpec(tuple(sizes), r + np.triu(r, 1).T)
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        g, _ = sample_graph(spec, rng)
+        labels = np.repeat(np.arange(k), sizes)
+        upper = np.triu(reference.random((spec.n, spec.n)) < spec.rates[labels][:, labels], 1)
+        assert g.adjacency.tobytes() == (upper | upper.T).astype(float).tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_peak_memory_below_one_and_a_half_adjacencies(self):
+        """At g6/200's n = 1200 sampling builds no n x n float array besides
+        the graph's adjacency."""
+        (g, _), peak = traced_peak(lambda: sample_graph(make_g6(200), np.random.default_rng(0)))
+        assert peak < 1.5 * g.adjacency.nbytes
 
 
 class TestCommunitySpec:
