@@ -91,33 +91,42 @@ def cnm_cluster(g: Graph) -> Partition:
     return g.memo("cnm", lambda: _cnm_merges(g))
 
 
+@np.errstate(over="ignore")  # 2 d_a d_b overflows only at -inf cross-weights: live degrees sum to 2m
 def _cnm_merges(g: Graph) -> Partition:
-    """CNM's merge loop. Two dense n x n matrices hold the communities'
-    cross-weights and their symmetric gains; a merge recomputes the merged
-    community's row of gains and copies it to its column. The cross-weights
-    are -inf on the diagonal and in every absorbed community's column, so a
-    recomputed row is -inf there without a mask. An upper bound on each
-    row's largest gain, raised when a gain grows and tightened when the row
-    is read, finds the best pair in a few rows instead of a scan of the
-    whole matrix, and gives the same merges in the same order."""
+    """CNM's merge loop. Its one n x n matrix holds the communities'
+    cross-weights, -inf on the diagonal and in absorbed communities' columns;
+    a community's row of gains is computed from it when read and kept until
+    the next merge. An upper bound on each row's largest gain, raised when a
+    gain grows and tightened when the row is read, finds the best pair in a
+    few rows and gives the same merges in the same order."""
     two_m = _gain_scale(g)
-    two_m_sq = two_m * two_m
-    n = g.n
+    half_m, two_m_sq = two_m / 2, two_m * two_m  # 2m/2 is exact: (2m)^2 > 0 keeps 2m normal
     deg = degree_matrix(g)
     cross = g.adjacency.copy()  # cross-weights between communities
     np.fill_diagonal(cross, -np.inf)  # no community pairs with itself; self-loops count only in deg
-    # gains[a, b] = 2 w_ab/2m - 2 d_a d_b/(2m)^2. A pair with no edge has a
-    # gain <= 0, and only gains above 1e-15 are merged, so any positive
-    # maximum is a joined pair. By symmetry the row-major first maximum
-    # (a, b) has a < b and is the lexicographically smallest best pair.
-    gains = 2.0 * cross / two_m - (2.0 * deg)[:, None] * deg / two_m_sq
-    best = gains.max(axis=1)
-    degree_term = np.empty(n)
+    # gain(a, b) = 2 w_ab/2m - 2 d_a d_b/(2m)^2, where w_ab/(2m/2) has the bits
+    # of 2 w_ab/2m. A pair with no edge has a gain <= 0 and only gains above
+    # 1e-15 are merged; by symmetry the row-major first maximum (a, b) has
+    # a < b and is the lexicographically smallest best pair.
+    blocks = [slice(lo, lo + 64) for lo in range(0, g.n, 64)]  # row maxima 64 rows at a time
+    best = np.concatenate([(cross[r] / half_m - (2.0 * deg[r])[:, None] * deg / two_m_sq).max(axis=1) for r in blocks])
+    row, degree_term = np.empty(g.n), np.empty(g.n)
+
+    def read(a: int) -> int:  # community a's row of gains into `row`, in the same form
+        np.divide(cross[a], half_m, out=row)
+        np.multiply(deg, 2.0 * deg[a], out=degree_term)
+        np.divide(degree_term, two_m_sq, out=degree_term)
+        np.subtract(row, degree_term, out=row)
+        return a
+
+    held = -1  # the community whose gains `row` holds
     merges = []
     while True:
         a = int(best.argmax())  # the method skips np.argmax's dispatch, which costs more than the scan
-        b = int(gains[a].argmax())
-        top = gains[a, b]
+        if a != held:
+            held = read(a)
+        b = int(row.argmax())
+        top = row[b]
         if top < best[a]:  # a stale bound: tighten it and look again
             best[a] = top
             continue
@@ -130,19 +139,12 @@ def _cnm_merges(g: Graph) -> Partition:
         cross[a] += cross[b]
         cross[:, a] = cross[a]
         cross[:, b] = -np.inf
-        row = gains[a]
-        np.multiply(cross[a], 2.0, out=row)
-        row /= two_m
-        np.multiply(deg, 2.0 * deg[a], out=degree_term)
-        degree_term /= two_m_sq
-        row -= degree_term
-        gains[:, a] = row
-        gains[:, b] = -np.inf
+        held = read(a)  # every other row changed only at a and b, to row's gain and -inf
         np.maximum(best, row, out=best)
         best[a] = row[row.argmax()]  # the max, without row.max()'s Python-level dispatch
         best[b] = -np.inf
     # in reverse, each absorbed id takes its absorber's final community
-    root = list(range(n))
+    root = list(range(g.n))
     for a, b in reversed(merges):
         root[b] = root[a]
     return Partition(np.array(root))

@@ -194,10 +194,6 @@ class Graph:
         object.__setattr__(self, "adjacency", symmetric_matrix(self.adjacency, "adjacency"))
         object.__setattr__(self, "n", self.adjacency.shape[0])
 
-    def total_edge_weight(self) -> float:
-        """Sum of weights over unordered vertex pairs, excluding self-loops."""
-        return float(np.triu(self.adjacency, k=1).sum())
-
     def memo(self, key: Hashable, compute: Callable[[], T]) -> T:
         """`compute()` on the first request for `key`, the stored value after
         that; nothing is stored when `compute` raises. The graph is immutable,

@@ -35,7 +35,7 @@ from templateclust.metrics import (
     projector_distance,
 )
 from templateclust.stiefel import StiefelPoint
-from templateclust.synth import C2_COUPLING, add_model_noise, expected_model, make_family, sample_graph
+from templateclust.synth import C2_COUPLING, add_model_noise, check_sigma, expected_model, make_family, sample_graph
 from templateclust.template import TemplateModel, template_cluster
 
 METHODS = ("tb", "spectral", "cnm", "louvain")
@@ -170,8 +170,8 @@ def instances(
     loads the files once and adds template noise per repetition."""
     if cfg.kind == "synth":
         points = [(size, prob) for size in cfg.sizes for prob in cfg.probs]
-        for point_idx, (size, prob) in enumerate(points):
-            spec = make_family(cfg.dataset, size, prob, cfg.intra_mode)
+        specs = [make_family(cfg.dataset, size, prob, cfg.intra_mode) for size, prob in points]  # all checked first
+        for point_idx, ((size, prob), spec) in enumerate(zip(points, specs)):
             model = expected_model(spec)
             # a fixed graph is sampled once, so its repetitions share its factors
             fixed = sample_graph(spec, np.random.default_rng((cfg.base_seed, point_idx))) if cfg.fixed_graph else None
@@ -179,6 +179,8 @@ def instances(
                 graph, gt = fixed or sample_graph(spec, np.random.default_rng((cfg.base_seed, point_idx, rep)))
                 yield size, prob, point_idx, rep, graph, gt, model
     else:
+        for sigma in cfg.sigmas:  # all checked first
+            check_sigma(sigma)
         graph, id_map = load_edge_list(cfg.edges_path)
         gt = load_labels(cfg.labels_path, graph.n, id_map)
         base_model = model_from_ground_truth(graph, gt)
@@ -203,9 +205,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
             try:
                 partition, embedding, iters = run_method(method, graph, gt.k, model, rng)
                 ari = adjusted_rand_index(partition.labels, gt.labels)
-                pd = None
-                if embedding is not None:
-                    pd = projector_distance(embedding, closest_orthonormal(gt))
+                pd = None if embedding is None else projector_distance(embedding, closest_orthonormal(gt))
                 rec.ari, rec.projector_distance, rec.iterations = ari, pd, iters
                 rec.k_found = partition.k_found
             except (InputError, NumericalError):
@@ -229,9 +229,7 @@ def aggregate(records: list[ExperimentRecord]) -> list[dict[str, object]]:
         values = [v for v in values if v is not None]
         if not values:
             return None, None
-        mean = float(np.mean(values))
-        std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-        return mean, std
+        return float(np.mean(values)), float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
     rows = []
     for key, group in groups.items():

@@ -152,6 +152,12 @@ def make_family(name: str, size: int, prob: float, intra_mode: str) -> Community
     raise InputError(f"unknown synthetic family {name!r}")
 
 
+def check_sigma(sigma: float) -> None:
+    """InputError unless `sigma` is a noise level: finite and >= 0."""
+    if not 0 <= sigma < np.inf:
+        raise InputError(f"sigma must be {'finite' if sigma == np.inf else '>= 0'}, got {sigma}")
+
+
 def add_model_noise(
     model: TemplateModel, sigma: float, rng: np.random.Generator
 ) -> TemplateModel:
@@ -160,10 +166,7 @@ def add_model_noise(
     Upper-triangle entries (diagonal included) get i.i.d. N(0, sigma^2)
     draws mirrored below the diagonal; weights are not clamped at zero.
     """
-    if not sigma >= 0:
-        raise InputError(f"sigma must be >= 0, got {sigma}")
-    if sigma == np.inf:
-        raise InputError(f"sigma must be finite, got {sigma}")
+    check_sigma(sigma)
     k = model.k
     noise = np.zeros((k, k))
     iu = np.triu_indices(k)

@@ -20,6 +20,11 @@ def random_simple_graph(n: int, rng: np.random.Generator, p: float = 0.5) -> Gra
     return Graph(upper + upper.T)
 
 
+def edge_weight(g: Graph) -> float:
+    """Sum of weights over unordered vertex pairs, excluding self-loops."""
+    return float(np.triu(g.adjacency, 1).sum())
+
+
 def traced_peak(call):
     """`call()`'s result and the peak of the memory traced while it ran;
     numpy reports its data buffers to tracemalloc."""

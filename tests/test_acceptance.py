@@ -41,7 +41,7 @@ from templateclust import (
 )
 from templateclust.harness import ExperimentConfig, run_and_write
 
-from conftest import random_simple_graph, two_triangles
+from conftest import edge_weight, random_simple_graph, two_triangles
 from test_metrics import ari_pair_counting
 from test_template import finite_diff_gradient, normalized_indicator
 
@@ -138,7 +138,7 @@ def test_criterion_4_modularity_oracle():
     checked = 0
     while checked < 20:
         g = random_simple_graph(int(rng.integers(3, 12)), rng)
-        if g.total_edge_weight() == 0:
+        if edge_weight(g) == 0:
             continue
         q = modularity(g, Partition(np.zeros(g.n, dtype=int)))
         assert q == pytest.approx(0.0, abs=1e-12)

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -25,10 +26,10 @@ from templateclust import (
     spectral_cluster,
 )
 from templateclust import graphs
-from templateclust.baselines import spectral_embedding
+from templateclust.baselines import _cnm_merges, spectral_embedding
 from templateclust.cli import main
 
-from conftest import email_graph, random_simple_graph, two_triangles
+from conftest import edge_weight, email_graph, random_simple_graph, traced_peak, two_triangles
 
 
 def best_partition_exhaustive(g):
@@ -129,7 +130,7 @@ class TestModularity:
     def test_all_in_one_is_zero(self, rng):
         for _ in range(10):
             g = random_simple_graph(int(rng.integers(3, 10)), rng)
-            if g.total_edge_weight() == 0:
+            if edge_weight(g) == 0:
                 continue
             q = modularity(g, Partition(np.zeros(g.n, dtype=int)))
             assert q == pytest.approx(0.0, abs=1e-12)
@@ -309,6 +310,20 @@ def float_weight_graphs(draw):
     return Graph(upper + np.triu(upper, k=1).T)
 
 
+@st.composite
+def rescaled_weight_graphs(draw):
+    """A graph of `integer_weight_graphs` or `float_weight_graphs` with every
+    weight multiplied by 2^e, where e puts (2m)^2 anywhere from just above
+    underflow to just below overflow, both ends drawn often. Every scaled
+    weight stays a normal number, so 2m scales exactly."""
+    g = draw(st.one_of(integer_weight_graphs(), float_weight_graphs()))
+    two_m = float(g.adjacency.sum())
+    assume(two_m > 0)
+    scales = [e for e in range(-600, 600) if 0.0 < math.ldexp(two_m, e) * math.ldexp(two_m, e) < math.inf]
+    e = draw(st.one_of(st.sampled_from(scales[:3] + scales[-3:]), st.sampled_from(scales)))
+    return Graph(np.ldexp(g.adjacency, e))
+
+
 class TestCNM:
     def test_two_triangles_optimal(self):
         g = two_triangles()
@@ -327,7 +342,7 @@ class TestCNM:
     def test_never_below_singletons(self, rng):
         for _ in range(10):
             g = random_simple_graph(int(rng.integers(4, 12)), rng)
-            if g.total_edge_weight() == 0:
+            if edge_weight(g) == 0:
                 continue
             part = cnm_cluster(g)
             assert modularity(g, part) >= modularity(g, Partition(np.arange(g.n))) - 1e-12
@@ -376,6 +391,34 @@ class TestCNM:
     def test_matches_references_float_weights_and_self_loops(self, g):
         assume(g.adjacency.sum() > 0)  # a graph of self-loops alone stays singletons
         assert_cnm_matches_references(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rescaled_weight_graphs())
+    def test_matches_references_near_the_gain_scale_limits(self, g):
+        # a row of gains divides by 2m/2 where the references multiply by 2
+        # and divide by 2m; both give the same bits wherever (2m)^2 is finite
+        # and nonzero, subnormal (2m)^2 and degree terms included. The dense
+        # reference's 2 d_a d_b can overflow in an absorbed column, which it
+        # then discards; cnm_cluster must not warn
+        with np.errstate(over="ignore"):
+            reference = cnm_dense_reference(g).labels
+        labels = cnm_cluster(g).labels
+        assert np.array_equal(labels, reference)
+        assert np.array_equal(labels, cnm_by_pair_dict(g).labels)
+
+    def test_top_of_the_gain_scale_merges_without_a_warning(self):
+        # (2m)^2 is 1.37e308; the merged community's degree is 2m, so its
+        # 2 d_a d_a overflows on the diagonal, where the cross-weight is -inf
+        w = 5.02792797e153
+        g = Graph(np.array([[0.0, w], [w, w / 3]]))
+        assert cnm_cluster(g).labels.tolist() == [0, 0]
+
+    def test_merge_loop_holds_one_n_by_n_array(self):
+        # the cross-weights are the loop's one n x n float array: rows of
+        # gains are computed when read, and the row maxima a block at a time
+        g, _ = sample_graph(make_g6(200), np.random.default_rng(0))
+        _, peak = traced_peak(lambda: _cnm_merges(g))
+        assert peak <= 1.5 * g.n * g.n * 8
 
     def test_tied_pairs_go_to_the_lexicographically_smallest(self):
         # path 0-1-2-3-4: once {0, 1} and {3, 4} have formed, vertex 2 gains
@@ -432,7 +475,7 @@ class TestLouvain:
     def test_never_below_singletons(self, rng):
         for _ in range(10):
             g = random_simple_graph(int(rng.integers(4, 12)), rng)
-            if g.total_edge_weight() == 0:
+            if edge_weight(g) == 0:
                 continue
             part = louvain_cluster(g, rng)
             assert modularity(g, part) >= modularity(g, Partition(np.arange(g.n))) - 1e-12

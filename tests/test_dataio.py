@@ -16,7 +16,7 @@ from templateclust import (
 )
 from templateclust import dataio
 
-from conftest import load_bench_workloads, random_simple_graph, two_triangles
+from conftest import edge_weight, load_bench_workloads, random_simple_graph, two_triangles
 
 
 def _parse_lines(path: str | Path) -> list[tuple[int, list[str]]]:
@@ -110,7 +110,7 @@ class TestLoadEdgeList:
         g, id_map = load_edge_list(f)
         assert id_map == {10: 0, 20: 1, 30: 2}
         assert g.n == 3
-        assert g.total_edge_weight() == 2
+        assert edge_weight(g) == 2
 
     def test_line_order_irrelevant(self, tmp_path):
         a = tmp_path / "a.txt"
@@ -172,7 +172,7 @@ class TestLoadEdgeList:
         f = tmp_path / "bom.txt"
         f.write_bytes("0 1\n1 2\n".encode("utf-8-sig"))
         g, id_map = load_edge_list(f)
-        assert g.total_edge_weight() == 2
+        assert edge_weight(g) == 2
         assert id_map == {0: 0, 1: 1, 2: 2}
 
     @pytest.mark.parametrize(
@@ -202,7 +202,7 @@ class TestLoadEdgeList:
         g, id_map = load_edge_list(f)
         assert id_map == {-(2**63): 0, 0: 1, 2**63 - 1: 2}
         assert all(type(k) is int for k in id_map)
-        assert g.total_edge_weight() == 2
+        assert edge_weight(g) == 2
 
     @pytest.mark.parametrize("line", ["1_0 1", "\u0663 1", "\uff13 1", "0 1 1_0.5"])
     def test_only_plain_ascii_numbers(self, tmp_path, line):

@@ -647,6 +647,37 @@ class TestCli:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["synth", "--family", "c2", "--sizes", "40", "--probs", "0.3,0.95", "--reps", "30"],
+                "error: central_inter must lie in [0, 0.9] to keep rates valid",
+            ),
+            (["synth", "--family", "c2", "--sizes", "10,0", "--reps", "2"], "error: every community needs size >= 1"),
+            (["real", "--sigma-list", "0,nan", "--reps", "2"], "error: sigma must be >= 0, got nan"),
+        ],
+        ids=["c2-probs", "sizes", "real-sigma"],
+    )
+    def test_bad_grid_point_fails_before_any_repetition(self, tmp_path, monkeypatch, capsys, argv, message):
+        calls = []
+
+        def counting_run_method(*args):
+            calls.append(args[0])
+            return run_method(*args)
+
+        monkeypatch.setattr(harness, "run_method", counting_run_method)
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n2 0\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0 0\n1 0\n2 1\n")
+        if argv[0] == "real":
+            argv = argv + ["--edges", str(edges), "--labels", str(labels)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out" / "records.csv").exists()
+
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_cluster_k_below_one_exit_code(self, capsys, k):
         rc = main(["cluster", "--family", "g3", "--size", "4", "--method", "spectral", "--k", k])

@@ -18,7 +18,7 @@ from templateclust import (
 )
 from templateclust.synth import FAMILIES, G6_TEMPLATE_EDGES, make_family
 
-from conftest import traced_peak
+from conftest import edge_weight, traced_peak
 
 
 class TestSampleGraph:
@@ -50,7 +50,7 @@ class TestSampleGraph:
         counts = np.empty(reps)
         for i in range(reps):
             g, _ = sample_graph(spec, rng)
-            counts[i] = g.total_edge_weight()
+            counts[i] = edge_weight(g)
         assert abs(counts.mean() - 45 * 0.8) <= 1.0
 
     def test_block_densities_converge(self):
