@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="run a synthetic-family experiment grid")
     synth.add_argument("--family", dest="dataset", required=True, choices=FAMILIES)
     synth.add_argument("--sizes", type=_int_list, required=True, help="comma-separated community sizes")
-    synth.add_argument("--probs", type=_float_list, default=(float("nan"),),
+    synth.add_argument("--probs", type=_float_list, default=(None,),
                        help="comma-separated coupling probabilities (c2 central / bp inter)")
     synth.add_argument("--intra-mode", choices=["bipartite", "hub"], default="bipartite")
     synth.add_argument("--methods", type=_methods, default=METHODS)
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     single.add_argument("--labels", help="ground-truth label file")
     single.add_argument("--family", choices=FAMILIES)
     single.add_argument("--size", type=int, help="community size for --family")
-    single.add_argument("--prob", type=float, default=float("nan"))
+    single.add_argument("--prob", type=float)
     single.add_argument("--intra-mode", choices=["bipartite", "hub"], default="bipartite")
     single.add_argument("--template", help="whitespace-separated k x k template weight matrix file")
     single.add_argument("--k", type=int, help="cluster count (defaults to the template or label count)")
@@ -110,7 +110,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         raise InputError("give either --family or --edges, not both")
     if args.labels and not args.edges:
         raise InputError("--labels needs --edges")
-    if not args.family and (args.size is not None or args.prob == args.prob or args.intra_mode != "bipartite"):
+    if not args.family and (args.size is not None or args.prob is not None or args.intra_mode != "bipartite"):
         raise InputError("--size, --prob and --intra-mode need --family")
     if args.method in ("cnm", "louvain"):
         for flag, value in (("--k", args.k), ("--template", args.template)):

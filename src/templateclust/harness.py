@@ -62,7 +62,7 @@ class ExperimentConfig:
     dataset: str  # family name (g3|g6|c2|bp) or dataset label
     methods: tuple[str, ...] = METHODS
     sizes: tuple[int, ...] = ()
-    probs: tuple[float, ...] = (float("nan"),)  # NaN: none given, which c2 reads as C2_COUPLING
+    probs: tuple[float | None, ...] = (None,)  # None: no coupling given, which c2 reads as C2_COUPLING
     sigmas: tuple[float, ...] = (0.0,)
     intra_mode: str = "bipartite"
     repetitions: int = 100
@@ -87,13 +87,13 @@ class ExperimentConfig:
         if self.kind == "real" and (self.edges_path is None or self.labels_path is None):
             raise InputError("real experiments need edge and label file paths")
         if self.kind == "synth" and self.dataset == "c2":
-            object.__setattr__(self, "probs", tuple(C2_COUPLING if p != p else p for p in self.probs))
+            object.__setattr__(self, "probs", tuple(C2_COUPLING if p is None else p for p in self.probs))
         for axis in ("sizes", "probs", "sigmas", "methods"):
             seen = set()
             for value in getattr(self, axis):
-                if (key := None if value != value else value) in seen:  # NaN repeats NaN
+                if value in seen:
                     raise InputError(f"{axis} repeats the value {value!r}")
-                seen.add(key)
+                seen.add(value)
 
 
 @dataclass
@@ -101,7 +101,7 @@ class ExperimentRecord:
     dataset: str
     method: str
     size: int | None
-    param: float
+    param: float | None
     repetition: int
     seed: int
     status: str = "ok"
@@ -116,13 +116,12 @@ RECORD_COLUMNS = tuple(f.name for f in fields(ExperimentRecord) if f.name != "ru
 
 
 def _fmt(x: object) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        if x != x:  # NaN parameter placeholder
-            return ""
-        return repr(x)
-    return str(x)
+    return "" if x is None else str(x)
+
+
+def _order(r: ExperimentRecord) -> tuple:
+    # a size or param of None (a real grid's size, no coupling given) sorts as 0
+    return r.method, r.size or 0, r.param or 0.0, r.repetition
 
 
 def run_method(
@@ -163,7 +162,7 @@ def method_rng(seed: int, point_idx: int, rep: int, method: str) -> np.random.Ge
 
 def instances(
     cfg: ExperimentConfig,
-) -> Iterator[tuple[int | None, float, int, int, Graph, GroundTruth, TemplateModel]]:
+) -> Iterator[tuple[int | None, float | None, int, int, Graph, GroundTruth, TemplateModel]]:
     """Yield (size, param, point_idx, rep, graph, truth, template) for every
     repetition of the grid: synth samples each graph from its family (once per
     point under `fixed_graph`) and uses the expected-value template; real
@@ -212,7 +211,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
                 rec.status = "failed"
             rec.runtime_ms = (time.perf_counter() - start) * 1000.0
             records.append(rec)
-    records.sort(key=lambda r: (r.method, r.size or 0, r.param, r.repetition))
+    records.sort(key=_order)
     return records
 
 
@@ -222,7 +221,7 @@ def aggregate(records: list[ExperimentRecord]) -> list[dict[str, object]]:
     if not records:
         raise InputError("no records to aggregate")
     groups: dict[tuple, list[ExperimentRecord]] = {}
-    for r in sorted(records, key=lambda r: (r.method, r.size or 0, r.param, r.repetition)):
+    for r in sorted(records, key=_order):
         groups.setdefault((r.dataset, r.method, r.size, r.param), []).append(r)
 
     def stats(values: list[float | None]) -> tuple[float | None, float | None]:

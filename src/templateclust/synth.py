@@ -129,12 +129,12 @@ FAMILIES = ("g3", "g6", "c2", "bp")
 C2_COUPLING = 0.42  # c2's central coupling when none is given
 
 
-def make_family(name: str, size: int, prob: float, intra_mode: str) -> CommunitySpec:
+def make_family(name: str, size: int, prob: float | None, intra_mode: str) -> CommunitySpec:
     """The named family at one size. `prob` is the c2 central coupling or
     the bp inter rate, required for both; g3 and g6 take none, so it must be
-    NaN for them. `intra_mode` other than 'bipartite' applies to bp only. A
+    None for them. `intra_mode` other than 'bipartite' applies to bp only. A
     flag the family does not use raises InputError."""
-    if name in ("g3", "g6") and prob == prob:
+    if name in ("g3", "g6") and prob is not None:
         raise InputError(f"family {name} takes no coupling probability, got {prob}")
     if name in ("g3", "g6", "c2") and intra_mode != "bipartite":
         raise InputError(f"intra_mode {intra_mode!r} applies only to family bp, not {name}")
@@ -142,7 +142,7 @@ def make_family(name: str, size: int, prob: float, intra_mode: str) -> Community
         return make_g3(size)
     if name == "g6":
         return make_g6(size)
-    if name in ("c2", "bp") and prob != prob:
+    if name in ("c2", "bp") and prob is None:
         coupling = "a central coupling" if name == "c2" else "an inter-connection"
         raise InputError(f"{name} experiments need {coupling} probability")
     if name == "c2":

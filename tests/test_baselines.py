@@ -436,6 +436,22 @@ class TestCNM:
         g = build_graph(edges, 6)
         assert cnm_cluster(g).labels.tolist() == [0, 1, 0, 1, 1, 0]
 
+    def test_tied_gains_are_divided_by_half_of_2m(self):
+        # 2m = 1.6: (0, 1) and (1, 2) both gain exactly 1/16 as
+        # w/(2m/2) - 2 d_a d_b/(2m)^2, and the tie goes to (0, 1). With the
+        # reciprocal, 0.3 * (1/0.8) rounds one ulp above 0.3/0.8, and merging
+        # (1, 2) first would give [0, 1, 1]
+        g = build_graph([(0, 1, 0.1), (1, 2, 0.3), (0, 0, 0.1), (2, 2, 0.7)], 3)
+        assert cnm_cluster(g).labels.tolist() == [0, 0, 1]
+
+    def test_relabelling_is_equivariant_only_in_distribution(self):
+        # the tie rule favours the smallest ids, so on this c2/10/0.42 graph
+        # the relabelled graph breaks a tie between two pairs the other way
+        g, _ = sample_graph(make_c2(10, 0.42), np.random.default_rng(23))
+        perm = np.random.default_rng(23).permutation(g.n)
+        relabelled = cnm_cluster(Graph(g.adjacency[np.ix_(perm, perm)])).labels
+        assert not np.array_equal(relabelled, Partition(cnm_cluster(g).labels[perm]).labels)
+
     @pytest.mark.parametrize("weight", [1e155, 1e-165])
     def test_gain_scale_out_of_range_rejected(self, weight):
         g = build_graph([(0, 1, weight), (1, 2, weight), (3, 4, weight)], 5)

@@ -121,25 +121,26 @@ class TestRunExperiment:
             ExperimentConfig(kind="real", dataset="x")
 
     def test_c2_without_probs_resolves_its_coupling(self):
-        nan = float("nan")
         assert small_cfg(dataset="c2").probs == (C2_COUPLING,)
-        assert small_cfg(dataset="c2", probs=(0.3, nan)).probs == (0.3, C2_COUPLING)
-        assert np.isnan(small_cfg(dataset="g3").probs).all()
+        assert small_cfg(dataset="c2", probs=(0.3, None)).probs == (0.3, C2_COUPLING)
+        assert small_cfg(dataset="g3").probs == (None,)
+        # an explicit NaN is a value, not "none given": make_c2 rejects it later
+        assert np.isnan(small_cfg(dataset="c2", probs=(float("nan"),)).probs).all()
 
     @pytest.mark.parametrize(
         "kw, message",
         [
             (dict(sizes=(4, 5, 4)), "sizes repeats the value 4"),
-            (dict(probs=(float("nan"), float("nan"))), "probs repeats the value nan"),
+            (dict(probs=(None, None)), "probs repeats the value None"),
             (dict(dataset="c2", probs=(0.3, 0.3)), "probs repeats the value 0.3"),
-            (dict(dataset="c2", probs=(0.42, float("nan"))), "probs repeats the value 0.42"),
+            (dict(dataset="c2", probs=(0.42, None)), "probs repeats the value 0.42"),
             (dict(methods=("louvain", "cnm", "louvain")), "methods repeats the value 'louvain'"),
             (
                 dict(kind="real", sigmas=(0.0, 5.0, 0.0), edges_path="e.txt", labels_path="l.txt"),
                 "sigmas repeats the value 0.0",
             ),
         ],
-        ids=["sizes", "probs-nan", "probs", "c2-default-given", "methods", "sigmas"],
+        ids=["sizes", "probs-none", "probs", "c2-default-given", "methods", "sigmas"],
     )
     def test_repeated_grid_value_rejected(self, kw, message):
         # a repeated point would write rows with the same key but different results
@@ -231,6 +232,24 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             aggregate([])
+
+    @pytest.mark.parametrize("text", ["0.1", None])
+    def test_equal_params_built_apart_share_a_row(self, text):
+        # float(text) gives each record its own object, as parsing a grid does
+        recs = [
+            ExperimentRecord("d", "tb", 5, None if text is None else float(text), i, i, ari=x)
+            for i, x in enumerate([0.2, 0.9, 0.5])
+        ]
+        rows = aggregate(recs)
+        assert [(row["param"], row["repetitions"]) for row in rows] == [(recs[0].param, 3)]
+
+    def test_grids_with_and_without_a_coupling_aggregate_together(self):
+        recs = [ExperimentRecord(dataset, "cnm", 5, param, rep, rep, ari=0.5)
+                for dataset, param in (("c2", 0.42), ("g3", None), ("c2", 0.3)) for rep in range(2)]
+        rows = aggregate(recs)
+        assert [(row["dataset"], row["param"], row["repetitions"]) for row in rows] == [
+            ("g3", None, 2), ("c2", 0.3, 2), ("c2", 0.42, 2)
+        ]
 
 
 class TestCsvOutput:
@@ -608,12 +627,11 @@ class TestCli:
         "argv, message",
         [
             (["synth", "--family", "g3", "--sizes", "4,4"], "sizes repeats the value 4"),
-            (["synth", "--family", "c2", "--sizes", "4", "--probs", "0.42,nan"], "probs repeats the value 0.42"),
-            (["synth", "--family", "g3", "--sizes", "4", "--probs", "nan,nan"], "probs repeats the value nan"),
+            (["synth", "--family", "c2", "--sizes", "4", "--probs", "0.42,0.42"], "probs repeats the value 0.42"),
             (["synth", "--family", "g3", "--sizes", "4", "--methods", "louvain,louvain"], "methods repeats"),
             (["real", "--edges", "e.txt", "--labels", "l.txt", "--sigma-list", "0,0"], "sigmas repeats"),
         ],
-        ids=["sizes", "c2-probs", "probs-nan", "methods", "sigmas"],
+        ids=["sizes", "c2-probs", "methods", "sigmas"],
     )
     def test_repeated_grid_value_exit_code(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--reps", "2", "--out", str(tmp_path / "out")]) == 1
@@ -656,8 +674,22 @@ class TestCli:
             ),
             (["synth", "--family", "c2", "--sizes", "10,0", "--reps", "2"], "error: every community needs size >= 1"),
             (["real", "--sigma-list", "0,nan", "--reps", "2"], "error: sigma must be >= 0, got nan"),
+            # a NaN coupling is a value, not "none given", and meets the family's own check
+            (["synth", "--family", "g3", "--sizes", "4", "--probs", "nan"],
+             "error: family g3 takes no coupling probability, got nan"),
+            (["synth", "--family", "c2", "--sizes", "4", "--probs", "nan"],
+             "error: central_inter must lie in [0, 0.9] to keep rates valid"),
+            (["synth", "--family", "c2", "--sizes", "4", "--probs", "nan,0.42"],
+             "error: central_inter must lie in [0, 0.9] to keep rates valid"),
+            (["synth", "--family", "bp", "--sizes", "4", "--probs", "nan", "--intra-mode", "hub"],
+             "error: non-finite values (NaN or inf) in rates"),
+            (["cluster", "--family", "c2", "--size", "5", "--prob", "nan"],
+             "error: central_inter must lie in [0, 0.9] to keep rates valid"),
+            (["cluster", "--edges", "/nonexistent.txt", "--prob", "nan"],
+             "error: --size, --prob and --intra-mode need --family"),
         ],
-        ids=["c2-probs", "sizes", "real-sigma"],
+        ids=["c2-probs", "sizes", "real-sigma", "g3-nan", "c2-nan", "c2-nan-given", "bp-nan", "cluster-nan",
+             "cluster-edges-nan"],
     )
     def test_bad_grid_point_fails_before_any_repetition(self, tmp_path, monkeypatch, capsys, argv, message):
         calls = []
@@ -667,13 +699,16 @@ class TestCli:
             return run_method(*args)
 
         monkeypatch.setattr(harness, "run_method", counting_run_method)
+        monkeypatch.setattr(cli, "run_method", counting_run_method)
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n1 2\n2 0\n")
         labels = tmp_path / "labels.txt"
         labels.write_text("0 0\n1 0\n2 1\n")
         if argv[0] == "real":
             argv = argv + ["--edges", str(edges), "--labels", str(labels)]
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        if argv[0] != "cluster":
+            argv = argv + ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
         assert message in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "out" / "records.csv").exists()

@@ -321,6 +321,25 @@ def private_rounding_reads(tree: ast.Module) -> list[tuple[int, str]]:
     return sorted(set(found))
 
 
+def self_comparisons(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, comparison) for each `==` or `!=` between a name or attribute
+    and itself, such as `x != x`.
+
+    Such a comparison is a NaN test in disguise. A value that is not given is
+    None, tested with `is None`; NaN is a value like any other, and meets the
+    range or finiteness check of the code that uses it.
+    """
+    return sorted(
+        (node.lineno, f"{ast.unparse(left)} {'==' if isinstance(op, ast.Eq) else '!='} {ast.unparse(right)}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators)
+        if isinstance(op, (ast.Eq, ast.NotEq))
+        and isinstance(left, (ast.Name, ast.Attribute))
+        and ast.unparse(left) == ast.unparse(right)
+    )
+
+
 # rule: (detector, files it scans, owners it allows)
 RULES = {
     "seeders": (lambda t: random_uses(t)[0], PACKAGE, {"harness.py"}),
@@ -344,6 +363,7 @@ RULES = {
     "compared_methods": (template_imports, ["baselines.py"], set()),
     "traced_kmeans": (kmeans_import, ["template.py"], set()),
     "rounding_privates": (private_rounding_reads, PACKAGE + TESTS + BENCH, {"tests/test_rounding.py"}),
+    "self_comparisons": (self_comparisons, PACKAGE, set()),
 }
 
 
@@ -472,6 +492,23 @@ def test_unused_import_detector():
         "    return os.sep\n"
     )
     assert unread_imports(ast.parse(source)) == [(2, "itertools"), (3, "np"), (5, "Bad"), (8, "json")]
+
+
+def test_self_comparison_detector():
+    # lines 1 and 2 are how the command line and the harness once tested for
+    # "no coupling given"; an integer test by rounding is not a self-comparison
+    source = (
+        "if args.prob == args.prob: pass\n"
+        "key = None if value != value else value\n"
+        "ok = 0 <= prob != prob\n"
+        "whole = np.round(x) == x\n"
+        "same = a == b != c and f(x) == f(x)\n"
+    )
+    assert self_comparisons(ast.parse(source)) == [
+        (1, "args.prob == args.prob"),
+        (2, "value != value"),
+        (3, "prob != prob"),
+    ]
 
 
 def test_private_access_detector():

@@ -82,7 +82,7 @@ class TestSampleGraph:
     def test_same_bits_as_float_sum(self, family, size, coupling, hub, seed):
         # oracle: the same draw and comparison, with the upper triangle cast
         # to float and added to its transpose
-        prob = coupling if family in ("c2", "bp") else float("nan")
+        prob = coupling if family in ("c2", "bp") else None
         spec = make_family(family, size, prob, "hub" if hub and family == "bp" else "bipartite")
         g, gt = sample_graph(spec, np.random.default_rng(seed))
         labels = np.repeat(np.arange(spec.k), spec.sizes)
@@ -209,11 +209,11 @@ class TestMakeFamily:
     @pytest.mark.parametrize(
         "name, prob, intra_mode, direct",
         [
-            ("g3", float("nan"), "bipartite", make_g3(7)),
-            ("g6", float("nan"), "bipartite", make_g6(7)),
+            ("g3", None, "bipartite", make_g3(7)),
+            ("g6", None, "bipartite", make_g6(7)),
             ("c2", 0.3, "bipartite", make_c2(7, 0.3)),
             # c2's default coupling is ExperimentConfig's, so make_family has none
-            ("c2", float("nan"), "bipartite", pytest.raises(InputError, match="c2 experiments need a central coupling")),
+            ("c2", None, "bipartite", pytest.raises(InputError, match="c2 experiments need a central coupling")),
             ("bp", 0.6, "bipartite", make_bp(7, 0.6, "bipartite")),
             ("bp", 0.6, "hub", make_bp(7, 0.6, "hub")),
         ],
@@ -229,7 +229,7 @@ class TestMakeFamily:
 
     def test_every_family_builds(self):
         for name in FAMILIES:
-            prob = float("nan") if name in ("g3", "g6") else 0.5
+            prob = None if name in ("g3", "g6") else 0.5
             assert make_family(name, 3, prob, "bipartite").sizes[0] == 3
 
     @pytest.mark.parametrize("name", ["g3", "g6"])
@@ -239,13 +239,13 @@ class TestMakeFamily:
 
     @pytest.mark.parametrize("name", ["g3", "g6", "c2"])
     def test_hub_mode_rejected_outside_bp(self, name):
-        prob = 0.3 if name == "c2" else float("nan")
+        prob = 0.3 if name == "c2" else None
         with pytest.raises(InputError, match=f"intra_mode 'hub' applies only to family bp, not {name}"):
             make_family(name, 5, prob, "hub")
 
     def test_bp_needs_probability(self):
         with pytest.raises(InputError, match="inter-connection probability"):
-            make_family("bp", 5, float("nan"), "hub")
+            make_family("bp", 5, None, "hub")
 
     def test_unknown_family(self):
         with pytest.raises(InputError, match="unknown synthetic family"):
