@@ -150,29 +150,32 @@ def _cnm_merges(g: Graph) -> Partition:
     return Partition(np.array(root))
 
 
-def _local_moving(adj: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _neighbour_lists(adj: np.ndarray) -> tuple[float, list[float], list[int], list[int], list[float]]:
+    """2m, the degrees, and the off-diagonal nonzeros listed row by row in
+    ascending column order (CSR offsets, columns and weights), as plain lists."""
+    n = adj.shape[0]
+    flat = np.flatnonzero(adj)  # the entries of np.nonzero(adj), in its row-major order
+    flat = flat[flat % (n + 1) != 0]  # self-loops never pull a vertex anywhere
+    rows, cols = np.divmod(flat, n)
+    indptr = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    return float(adj.sum()), adj.sum(axis=1).tolist(), indptr, cols.tolist(), adj.ravel()[flat].tolist()
+
+
+def _local_moving(lists: tuple, rng: np.random.Generator) -> np.ndarray:
     """One Louvain phase: starting with every vertex in its own community,
     move vertices to neighboring communities while any move improves
     modularity. Returns the vertices' community labels.
 
-    The phase's off-diagonal nonzeros are listed once, row by row in
-    ascending column order (CSR offsets `indptr`), so a visit reads only its
-    true neighbours; the scan runs over plain Python lists. A vertex's
-    weights to its neighbours' communities depend only on its neighbours'
-    labels, so a visit reuses the ones its last visit built until a
-    neighbour moves. Every visit still scores its candidates, so the moves,
-    the rng draws and the labels are those of the dense-row scan.
+    The phase's graph comes as `_neighbour_lists` gives it, and is only read:
+    a visit reads only its true neighbours, and the scan runs over plain
+    Python lists. A vertex's weights to its neighbours' communities depend
+    only on its neighbours' labels, so a visit reuses the ones its last visit
+    built until a neighbour moves. Every visit still scores its candidates, so
+    the moves, the rng draws and the labels are those of the dense-row scan.
     """
-    n = adj.shape[0]
-    two_m = float(adj.sum())
-    deg = adj.sum(axis=1).tolist()
+    two_m, deg, indptr, cols, weights = lists
+    n = len(deg)
     comm_deg = deg.copy()  # every community a singleton
-    flat = np.flatnonzero(adj)  # the entries of np.nonzero(adj), in its row-major order
-    flat = flat[flat % (n + 1) != 0]  # self-loops never pull a vertex anywhere
-    rows, cols = np.divmod(flat, n)
-    weights = adj.ravel()[flat].tolist()
-    indptr = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    cols = cols.tolist()
     lab = list(range(n))
     two_m_sq = two_m * two_m
     cached: list[dict[int, float] | None] = [None] * n  # w_to of each vertex's last visit
@@ -214,24 +217,30 @@ def _local_moving(adj: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def louvain_cluster(g: Graph, rng: np.random.Generator) -> Partition:
     """Two-phase Louvain: local moving with shuffled visit order, then
-    community aggregation, repeated until modularity stops improving.
+    community aggregation, repeated until modularity stops improving or a
+    phase after the first moves no vertex, whose aggregate would be its input.
+    The graph memoizes the first phase's neighbour lists, which use no rng.
 
     Raises NumericalError when (2m)^2 overflows or underflows, as
     `cnm_cluster` does.
     """
     _gain_scale(g)
-    adj = g.adjacency  # read-only: local moving only reads it, block_sums returns a new matrix
+    lists = g.memo("neighbour lists", lambda: _neighbour_lists(g.adjacency))
+    adj = g.adjacency  # read-only: block_sums returns a new matrix
     assignment = np.arange(g.n)  # maps original vertex -> current community index
     prev_q = -np.inf
     while True:
-        labels = _local_moving(adj, rng)
-        _, idx = np.unique(labels, return_inverse=True)
+        labels = _local_moving(lists, rng)
+        communities, idx = np.unique(labels, return_inverse=True)
+        if communities.size == labels.size and prev_q > -np.inf:  # a later phase moved nothing
+            break
         assignment = idx[assignment]
         adj = block_sums(adj, labels)
         q = _modularity_from_adj(adj)
         if q <= prev_q + 1e-9:
             break
         prev_q = q
+        lists = _neighbour_lists(adj)
     return Partition(assignment)
 
 

@@ -183,7 +183,7 @@ class Graph:
     loaded and sampled observation graphs are zero-diagonal and {0,1}-valued.
     Values derived from the graph are memoized on it: dense eigendecompositions
     (`eigh`), the proved end eigenpairs `end_pairs` computes instead of them,
-    and CNM's partition.
+    CNM's partition and the neighbour lists of Louvain's first phase.
     """
 
     adjacency: np.ndarray

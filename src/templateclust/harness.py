@@ -261,11 +261,17 @@ def write_timings_csv(records: list[ExperimentRecord], path: str | Path) -> None
 
 def run_and_write(cfg: ExperimentConfig, out_dir: str | Path) -> list[ExperimentRecord]:
     out = Path(out_dir)
+    made = [d for d in (out, *out.parents) if not d.exists() and d.name != ".."]  # deepest first
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"{out}: cannot make the output directory: {exc.strerror}") from None
-    records = run_experiment(cfg)
+    try:
+        records = run_experiment(cfg)
+    except BaseException:  # a grid that writes no CSV leaves no directory behind
+        for d in made:
+            d.rmdir()
+        raise
     write_records_csv(records, out / "records.csv")
     write_summary_csv(aggregate(records), out / "summary.csv")
     write_timings_csv(records, out / "timings.csv")

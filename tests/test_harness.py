@@ -713,6 +713,31 @@ class TestCli:
         assert calls == []
         assert not (tmp_path / "out" / "records.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--family", "c2", "--sizes", "4", "--probs", "nan"],
+            ["synth", "--family", "g3", "--sizes", "10,0"],
+            ["synth", "--family", "c2", "--sizes", "4", "--probs", "0.95"],
+            ["real", "--edges", "edges.txt", "--labels", "labels.txt", "--sigma-list", "0,nan"],
+            ["real", "--edges", "missing.txt", "--labels", "labels.txt"],
+        ],
+        ids=["c2-nan", "sizes", "c2-probs", "real-sigma", "real-missing"],
+    )
+    def test_rejected_grid_leaves_no_output_directory(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("edges.txt").write_text("0 1\n1 2\n2 0\n")
+        Path("labels.txt").write_text("0 0\n1 0\n2 1\n")
+        Path("kept").mkdir()
+        for out in ["out/a/b", "out/../c/d"]:  # mkdir makes "out" and "c" for the second
+            assert main(argv + ["--out", out]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not Path("out").exists() and not Path("c").exists()
+        # a directory that was there before the run stays, though empty
+        assert main(argv + ["--out", "kept/c"]) == 1
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "edges.txt", tmp_path / "kept", tmp_path / "labels.txt"]
+        assert list(Path("kept").iterdir()) == []
+
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_cluster_k_below_one_exit_code(self, capsys, k):
         rc = main(["cluster", "--family", "g3", "--size", "4", "--method", "spectral", "--k", k])

@@ -117,9 +117,10 @@ def bulk_parses(tree: ast.Module) -> list[tuple[int, str]]:
     return [(line, "loadtxt") for line, call in file_reads(tree) if "loadtxt" in call]
 
 
-def scoped_calls(tree: ast.Module, named: Callable[[list[str]], bool]) -> list[tuple[int, str, str]]:
-    """(line, enclosing class/function path, call) for each call whose
-    function's dotted name, split at the dots, `named` accepts."""
+def scoped(tree: ast.Module, finding: Callable[[ast.AST], str | None]) -> list[tuple[int, str, str]]:
+    """(line, enclosing class/function path, finding) for each node that
+    `finding` names a string for; a definition opens a scope and is not
+    itself checked."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -127,12 +128,24 @@ def scoped_calls(tree: ast.Module, named: Callable[[list[str]], bool]) -> list[t
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            elif isinstance(child, ast.Call) and named(ast.unparse(child.func).split(".")):
-                found.append((child.lineno, scope, ast.unparse(child)))
+            elif (name := finding(child)) is not None:
+                found.append((child.lineno, scope, name))
             visit(child, inner)
 
     visit(tree, "")
     return found
+
+
+def scoped_calls(tree: ast.Module, named: Callable[[list[str]], bool]) -> list[tuple[int, str, str]]:
+    """(line, enclosing class/function path, call) for each call whose
+    function's dotted name, split at the dots, `named` accepts."""
+
+    def call(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Call) and named(ast.unparse(node.func).split(".")):
+            return ast.unparse(node)
+        return None
+
+    return scoped(tree, call)
 
 
 def eigensolver_calls(tree: ast.Module) -> list[tuple[int, str, str]]:
@@ -156,6 +169,31 @@ def kernel_calls(tree: ast.Module) -> list[tuple[int, str, str]]:
     already holds the dense factors.
     """
     return scoped_calls(tree, lambda parts: parts[-1] == "extremal_pairs")
+
+
+def memo_key(node: ast.AST) -> str | None:
+    """The string key a node writes to a graph's memo, if any: the first
+    argument of a `.memo(...)` call or the subscript of a `_memo[...]` being
+    assigned, a tuple key by its first element."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "memo" and node.args:
+        key = node.args[0]
+    elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and ast.unparse(node.value).endswith("_memo"):
+        key = node.slice
+    else:
+        return None
+    key = key.elts[0] if isinstance(key, ast.Tuple) and key.elts else key
+    return key.value if isinstance(key, ast.Constant) and isinstance(key.value, str) else None
+
+
+def memo_writes(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """(line, enclosing class/function path, key) for each write of a string
+    key to a graph's memo.
+
+    A graph's memo is one dict for every value derived from it, so each key
+    has one owner that writes it; a second writer of a key would hand one
+    method the value that another cached.
+    """
+    return scoped(tree, memo_key)
 
 
 def unread_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -364,6 +402,12 @@ RULES = {
     "traced_kmeans": (kmeans_import, ["template.py"], set()),
     "rounding_privates": (private_rounding_reads, PACKAGE + TESTS + BENCH, {"tests/test_rounding.py"}),
     "self_comparisons": (self_comparisons, PACKAGE, set()),
+    "memo_keys": (memo_writes, PACKAGE, {
+        ("baselines.py", "cnm_cluster", "cnm"),
+        ("baselines.py", "louvain_cluster", "neighbour lists"),
+        ("graphs.py", "Graph.eigh", "eigh"),
+        ("graphs.py", "Graph.end_pairs", "end pairs"),
+    }),
 }
 
 
@@ -476,6 +520,41 @@ def test_kernel_call_detector():
         (4, "eigenvector_start", "graphs.extremal_pairs(g.adjacency, 0, 2, lam)"),
         (5, "eigenvector_start", "extremal_pairs(g.adjacency, 0, 2)"),
         (8, "Graph.end_pairs", "extremal_pairs(matrix(), bottom, top, limits)"),
+    ]
+
+
+def test_memo_key_detector():
+    # reads of the memo and keys that are not string constants are not writes
+    source = (
+        "class Graph:\n"
+        "    def memo(self, key, compute):\n"
+        "        self._memo[key] = compute()\n"
+        "    def eigh(self, key, matrix):\n"
+        "        return self.memo(('eigh', key), lambda: matrix())\n"
+        "    def end_pairs(self, key):\n"
+        "        proved = self._memo.get(('end pairs', key))\n"
+        "        if ('eigh', key) not in self._memo:\n"
+        "            self._memo['end pairs', key] = proved\n"
+        "def cnm_cluster(g):\n"
+        "    return g.memo('cnm', lambda: g.memo(KEY, list))\n"
+    )
+    assert memo_writes(ast.parse(source)) == [
+        (5, "Graph.eigh", "eigh"),
+        (9, "Graph.end_pairs", "end pairs"),
+        (11, "cnm_cluster", "cnm"),
+    ]
+
+
+def test_second_writer_of_a_memo_key_is_flagged():
+    trees = {name: parsed(name) for name in ("baselines.py", "graphs.py")}
+    assert offenders("memo_keys", trees.get) == []
+    trees["harness.py"] = ast.parse("def run_method(g):\n    return g.memo('cnm', lambda: None)\n")
+    assert offenders("memo_keys", trees.get) == ["harness.py:2: run_method: cnm"]
+    planted = FILES["baselines.py"].read_text() + "def f(g):\n    return g.memo(('cnm', 1), list)\n"
+    trees["baselines.py"] = ast.parse(planted)
+    assert offenders("memo_keys", trees.get) == [
+        f"baselines.py:{planted.count(chr(10))}: f: cnm",
+        "harness.py:2: run_method: cnm",
     ]
 
 
