@@ -181,8 +181,8 @@ class Graph:
 
     Diagonal entries hold self-loop weights. Only `build_graph` makes them;
     loaded and sampled observation graphs are zero-diagonal and {0,1}-valued.
-    Values derived from the graph are memoized on it: dense eigendecompositions
-    (`eigh`), the proved end eigenpairs `end_pairs` computes instead of them,
+    Values derived from the graph are memoized on it: the dense
+    eigendecompositions and proved end eigenpairs that serve `end_pairs`,
     CNM's partition and the neighbour lists of Louvain's first phase.
     """
 
@@ -198,29 +198,11 @@ class Graph:
         """`compute()` on the first request for `key`, the stored value after
         that; nothing is stored when `compute` raises. The graph is immutable,
         so a value derived from it never goes stale. Each caller namespaces
-        its keys: `eigh` stores under ("eigh", matrix name), `end_pairs` its
-        proved split and pairs under ("end pairs", matrix name)."""
+        its keys: `end_pairs` stores dense factors under ("eigh", matrix
+        name) and proved split and pairs under ("end pairs", matrix name)."""
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
-
-    def eigh(self, key: str, matrix: Callable[[], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only `np.linalg.eigh` of the matrix `key` names ("adjacency",
-        "laplacian"), built by `matrix()` with overflow warnings off and
-        factored on the first request only. NumericalError naming `key` when
-        an entry of the matrix is not finite."""
-
-        def factor() -> tuple[np.ndarray, np.ndarray]:
-            with np.errstate(over="ignore", invalid="ignore"):
-                m = matrix()
-            if not np.isfinite(m).all():
-                raise NumericalError(f"the graph's {key} overflows: entries are not finite")
-            factors = np.linalg.eigh(m)
-            for a in factors:
-                a.setflags(write=False)
-            return factors
-
-        return self.memo(("eigh", key), factor)
 
     def end_pairs(
         self,
@@ -231,41 +213,46 @@ class Graph:
         limits: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """The `bottom` smallest and `top` largest eigenpairs of the matrix
-        `key` names, as (values ascending, unit eigenvectors as columns).
-        `matrix()` builds it, with overflow warnings off, at most once.
+        `key` names, as read-only (values ascending, unit eigenvectors as
+        columns). `matrix()` builds it, with overflow warnings off, at most once.
 
         Proved pairs stored for (key, bottom, top) come first. Next, the
-        graph's dense factors (`eigh`) are sliced when it holds them or has
-        already tried the Lanczos kernel on the matrix, or when the kernel is
-        ruled out: below KERNEL_MIN_VERTICES_PER_PAIR vertices per wanted
-        pair, and for "laplacian" below KERNEL_LONG_RUN_VERTICES vertices,
-        where it rarely proves its answer in time. Otherwise
+        graph's dense factors (`np.linalg.eigh`) are sliced when it holds them
+        or has already tried the Lanczos kernel on the matrix, or when the
+        kernel is ruled out: below KERNEL_MIN_VERTICES_PER_PAIR vertices per
+        wanted pair, and for "laplacian" below KERNEL_LONG_RUN_VERTICES
+        vertices, where it rarely proves its answer in time. Otherwise
         `extremal_pairs(m, bottom, top, limits)` runs; its pairs are stored
-        when proved, and when it gives up, `eigh` factors the matrix it ran
-        on. So a graph tries the kernel at most once per matrix: a split
-        with a bottom end can cost the kernel more than the dense factors
-        that serve every split, as when a sigma sweep changes k_-.
+        when proved, and when it gives up, the matrix it ran on is factored.
+        So a graph tries the kernel at most once per matrix: a split with a
+        bottom end can cost the kernel more than the dense factors that serve
+        every split, as when a sigma sweep changes k_-. NumericalError naming
+        `key`, on every request, when an entry of the matrix is not finite.
         """
         proved = self._memo.get(("end pairs", key))  # (split, pairs) of the one kernel try that proved
         if proved is not None and proved[0] == (bottom, top):
             return proved[1]
-        if (
-            proved is None
-            and ("eigh", key) not in self._memo
-            and self.n >= KERNEL_MIN_VERTICES_PER_PAIR * (bottom + top)
-            and (key != "laplacian" or self.n >= KERNEL_LONG_RUN_VERTICES)
-        ):
+        factors = self._memo.get(("eigh", key))
+        if factors is None:
             with np.errstate(over="ignore", invalid="ignore"):
-                built = matrix()
-            pairs = extremal_pairs(built, bottom, top, limits)
-            if pairs is not None:
-                self._memo["end pairs", key] = (bottom, top), pairs
-                return pairs
-            matrix = lambda: built  # the dense factors reuse the try's build
-        values, vectors = self.eigh(key, matrix)
+                m = matrix()
+            if proved is None and self.n >= KERNEL_MIN_VERTICES_PER_PAIR * (bottom + top) and (
+                key != "laplacian" or self.n >= KERNEL_LONG_RUN_VERTICES
+            ):
+                pairs = extremal_pairs(m, bottom, top, limits)
+                if pairs is not None:
+                    self._memo["end pairs", key] = (bottom, top), pairs
+                    return pairs
+            if not np.isfinite(m).all():
+                raise NumericalError(f"the graph's {key} overflows: entries are not finite")
+            factors = self._memo["eigh", key] = np.linalg.eigh(m)
+        values, vectors = factors
         pick = np.arange(bottom + top)
         pick[bottom:] += self.n - bottom - top
-        return values[pick], vectors[:, pick]
+        ends = values[pick], vectors[:, pick]
+        for a in ends:
+            a.setflags(write=False)
+        return ends
 
 
 def build_graph(edges: list[tuple[int, int, float]], n: int) -> Graph:

@@ -94,6 +94,11 @@ class ExperimentConfig:
                 if value in seen:
                     raise InputError(f"{axis} repeats the value {value!r}")
                 seen.add(value)
+        unread = {"synth": ("sigmas", "edges_path", "labels_path"),
+                  "real": ("sizes", "probs", "intra_mode", "fixed_graph")}[self.kind]
+        for f in fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise InputError(f"{f.name} does not apply to {self.kind} experiments")
 
 
 @dataclass

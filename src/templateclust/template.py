@@ -16,10 +16,10 @@ and the k - k_- largest mu and k_- counts the negative lambda.  This sign
 test on the spectra certifies P* as a global minimum: the descent starts at
 P* and stops at once.  Otherwise it starts at random, the only draw a run
 takes from its rng; P* then costs more than LB unless a lambda lies past an
-interval of zero width.  Only the k end pairs of A_O enter P*, the sign
-test and a certified LB, so they are asked of the graph (`Graph.end_pairs`),
-which chooses how to compute them; the lambda go along as limits, past
-which the sign test is lost.
+interval of zero width.  The eigenpairs of A_O come from the graph
+(`Graph.end_pairs`), which chooses how to compute them.  Only the k end
+pairs enter P*, the sign test and a certified LB, with the lambda as limits
+past which the sign test is lost; an uncertified LB reads both ends k deep.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def eigenvector_start(g_o: Graph, model: TemplateModel) -> tuple[StiefelPoint, f
     V_S and its eigenvalues, the ends, are the graph's end pairs
     (`Graph.end_pairs`), with lambda as their limits. A certified LB needs
     only the ends, sum_i (lambda_i - end_i)^2; otherwise LB's intervals come
-    from the graph's memoized dense `eigh`.
+    from the graph's k bottom and k top pairs, all n of them when n < 2k.
     Raises InputError unless the graph has more vertices than the template.
     """
     if g_o.n <= model.k:
@@ -106,8 +106,8 @@ def eigenvector_start(g_o: Graph, model: TemplateModel) -> tuple[StiefelPoint, f
     if certified:
         low = high = ends
     else:
-        mu, _ = g_o.eigh("adjacency", lambda: g_o.adjacency)
-        low, high = mu[:k], mu[mu.size - k :]
+        mu, _ = g_o.end_pairs("adjacency", lambda: g_o.adjacency, k, min(k, g_o.n - k))
+        low, high = mu[:k], mu[-k:]
     with np.errstate(over="ignore", invalid="ignore"):
         excess = np.maximum(low - lam, 0.0) + np.maximum(lam - high, 0.0)
         lower_bound = float(np.sum(excess * excess))

@@ -2,14 +2,14 @@
 kernel at most once, and CNM's partition computed once, on the graph that
 owns them.
 
-`Graph.memo` stores values derived from an immutable graph. `Graph.eigh`
-memoizes the eigendecompositions of the adjacency and the Laplacian through
-it, so a spectral repetition, every repetition and noise level of a `real`
-grid, and every repetition of a `--fixed-graph` point reuse one
-factorization; `cnm_cluster` memoizes its partition the same way.
-`Graph.end_pairs` stores the kernel's proved pairs, and once a graph holds
-a matrix's dense factors, or has tried the kernel on it, it slices the dense
-factors without a kernel try.
+`Graph.memo` stores values derived from an immutable graph.
+`Graph.end_pairs` keeps the dense eigendecompositions of the adjacency and
+the Laplacian through it, so a spectral repetition, every repetition and
+noise level of a `real` grid, and every repetition of a `--fixed-graph`
+point reuse one factorization; `cnm_cluster` memoizes its partition the
+same way. `Graph.end_pairs` also stores the kernel's proved pairs, and once
+a graph holds a matrix's dense factors, or has tried the kernel on it, it
+slices the dense factors without a kernel try.
 `tests/test_source_rules.py` keeps eigensolver and kernel calls out of the
 rest of the package.
 """
@@ -123,10 +123,11 @@ class TestGraphMemo:
 
     def test_eigh_keys_do_not_collide_with_other_keys(self, rng):
         g = random_simple_graph(6, rng)
-        assert g.memo("adjacency", lambda: "mine") == "mine"
-        evals, _ = g.eigh("adjacency", lambda: g.adjacency)
-        assert np.array_equal(evals, np.linalg.eigh(g.adjacency)[0])
-        assert g.memo("adjacency", lambda: "other") == "mine"
+        for key, build in (("adjacency", lambda: g.adjacency), ("laplacian", lambda: laplacian(g))):
+            assert g.memo(key, lambda: "mine") == "mine"
+            evals, _ = g.end_pairs(key, build, 3, 3)
+            assert np.array_equal(evals, np.linalg.eigh(build())[0])
+            assert g.memo(key, lambda: "other") == "mine"
 
 
 class TestCNMMemo:
@@ -156,16 +157,21 @@ class TestCNMMemo:
 
 
 class TestMemo:
+    """`Graph.end_pairs` on graphs below the kernel's size rules, which
+    serve every split from one dense factorization."""
+
     @pytest.mark.parametrize("key", ["adjacency", "laplacian"])
     def test_read_only_and_bit_identical_to_a_fresh_eigh(self, rng, key):
         g = random_simple_graph(12, rng)
         matrix = g.adjacency if key == "adjacency" else laplacian(g)
-        evals, evecs = g.eigh(key, lambda: matrix)
         fresh_evals, fresh_evecs = np.linalg.eigh(matrix)
-        assert np.array_equal(evals, fresh_evals) and np.array_equal(evecs, fresh_evecs)
-        assert not evals.flags.writeable and not evecs.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            evecs[0, 0] = 1.0
+        for bottom, top in [(3, 0), (0, 4), (2, 5), (5, 7)]:
+            evals, evecs = g.end_pairs(key, lambda: matrix, bottom, top)
+            pick = np.r_[:bottom, 12 - top : 12]
+            assert np.array_equal(evals, fresh_evals[pick]) and np.array_equal(evecs, fresh_evecs[:, pick])
+            assert not evals.flags.writeable and not evecs.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                evecs[0, 0] = 1.0
 
     def test_factors_on_the_first_request_only(self, rng, factored):
         g = random_simple_graph(9, rng)
@@ -175,20 +181,22 @@ class TestMemo:
             builds.append(1)
             return g.adjacency
 
-        first = g.eigh("adjacency", build)
-        again = g.eigh("adjacency", build)
+        first = g.end_pairs("adjacency", build, 2, 1)
+        again = g.end_pairs("adjacency", build, 2, 1)
+        g.end_pairs("adjacency", build, 0, 4)
+        g.end_pairs("adjacency", build, 4, 5)
         assert builds == [1] and factored == [9]
-        assert all(a is b for a, b in zip(first, again))
-        g.eigh("laplacian", lambda: laplacian(g))
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        g.end_pairs("laplacian", lambda: laplacian(g), 2, 0)
         assert factored == [9, 9]
 
-    def test_graphs_do_not_share_factors(self, rng):
+    def test_graphs_do_not_share_factors(self, rng, factored):
         a, b = random_simple_graph(8, rng), random_simple_graph(8, rng)
-        mu_a, _ = a.eigh("adjacency", lambda: a.adjacency)
-        mu_b, _ = b.eigh("adjacency", lambda: b.adjacency)
-        assert not np.array_equal(mu_a, mu_b)
+        mu_a, _ = a.end_pairs("adjacency", lambda: a.adjacency, 4, 4)
+        mu_b, _ = b.end_pairs("adjacency", lambda: b.adjacency, 4, 4)
+        assert not np.array_equal(mu_a, mu_b) and factored == [8, 8]
 
-    def test_overflowing_laplacian_raises_without_warning(self, rng):
+    def test_overflowing_laplacian_raises_without_warning(self, rng, factored):
         # degrees of 5e308 overflow to inf; eigh would return NaN eigenvalues
         # and identity columns, and k-means a partition of them
         adj = np.full((6, 6), 1e308) - np.diag(np.full(6, 1e308))
@@ -197,8 +205,10 @@ class TestMemo:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="laplacian overflows"):
                 spectral_cluster(g, 2, rng)
-        with pytest.raises(NumericalError, match="laplacian overflows"):
-            g.eigh("laplacian", lambda: laplacian(g))  # a failure is not memoized as success
+            for _ in range(2):  # a failure is not memoized as success
+                with pytest.raises(NumericalError, match="the graph's laplacian overflows: entries are not finite"):
+                    g.end_pairs("laplacian", lambda: laplacian(g), 2, 0)
+        assert factored == []
 
     def test_overflowing_laplacian_past_the_kernel_rules_raises_without_warning(self, rng, kernel_runs):
         """The kernel gives up on the infinite degrees and the dense path

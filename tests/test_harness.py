@@ -147,6 +147,23 @@ class TestRunExperiment:
         with pytest.raises(InputError, match=f"^{message}$"):
             small_cfg(**kw)
 
+    UNREAD = [
+        ("synth", "sigmas", (5.0,)),
+        ("synth", "edges_path", "e.txt"),
+        ("synth", "labels_path", "l.txt"),
+        ("real", "sizes", (5,)),
+        ("real", "probs", (0.3,)),
+        ("real", "intra_mode", "hub"),
+        ("real", "fixed_graph", True),
+    ]
+
+    @pytest.mark.parametrize("kind, field, value", UNREAD, ids=[f"{kind}-{field}" for kind, field, _ in UNREAD])
+    def test_field_its_kind_never_reads_rejected(self, kind, field, value):
+        # a grid of that kind would run as if the field were not given
+        real = dict(sizes=(), edges_path="e.txt", labels_path="l.txt") if kind == "real" else {}
+        with pytest.raises(InputError, match=f"^{field} does not apply to {kind} experiments$"):
+            small_cfg(kind=kind, **{**real, field: value})
+
 
 class TestRunMethod:
     def test_unknown_method(self):

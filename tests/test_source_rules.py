@@ -9,6 +9,7 @@ and each detector's reason is its docstring.
 
 import ast
 import functools
+import re
 from collections.abc import Callable
 from pathlib import Path
 
@@ -153,8 +154,8 @@ def eigensolver_calls(tree: ast.Module) -> list[tuple[int, str, str]]:
     call: `<...>.linalg.<solver>(...)` or a bare `<solver>(...)`.
 
     Each graph matrix is factored once, on the graph that owns it, so
-    eigensolvers run only in the graph memo, the Lanczos kernel's tridiagonal
-    and the k x k template factorization.
+    eigensolvers run only in `Graph.end_pairs`, the Lanczos kernel's
+    tridiagonal and the k x k template factorization.
     """
     return scoped_calls(tree, lambda parts: parts[-1] in SOLVERS and (len(parts) == 1 or parts[-2] == "linalg"))
 
@@ -385,12 +386,12 @@ RULES = {
     "file_reads": (file_reads, PACKAGE, {"dataio.py"}),
     "bulk_parse": (bulk_parses, PACKAGE, {("dataio.py", "loadtxt")}),
     "eigensolvers": (eigensolver_calls, PACKAGE, {
-        ("graphs.py", "Graph.eigh.factor", "np.linalg.eigh(m)"),
+        ("graphs.py", "Graph.end_pairs", "np.linalg.eigh(m)"),
         ("graphs.py", "extremal_pairs", "np.linalg.eigh(tridiagonal)"),
         ("template.py", "eigenvector_start", "np.linalg.eigh(model.weights)"),
     }),
     "kernel_calls": (kernel_calls, PACKAGE, {
-        ("graphs.py", "Graph.end_pairs", "extremal_pairs(built, bottom, top, limits)"),
+        ("graphs.py", "Graph.end_pairs", "extremal_pairs(m, bottom, top, limits)"),
     }),
     # the acceptance criteria are kept as written, unused imports included
     "unused_imports": (unread_imports, PACKAGE + TESTS + BENCH, {"tests/test_acceptance.py"}),
@@ -405,7 +406,7 @@ RULES = {
     "memo_keys": (memo_writes, PACKAGE, {
         ("baselines.py", "cnm_cluster", "cnm"),
         ("baselines.py", "louvain_cluster", "neighbour lists"),
-        ("graphs.py", "Graph.eigh", "eigh"),
+        ("graphs.py", "Graph.end_pairs", "eigh"),
         ("graphs.py", "Graph.end_pairs", "end pairs"),
     }),
 }
@@ -427,6 +428,11 @@ def offenders(rule: str, parse=parsed) -> list[str]:
 @pytest.mark.parametrize("rule", RULES)
 def test_rule(rule):
     assert offenders(rule) == []
+
+
+def test_readme_lists_every_rule():
+    section = (REPO / "README.md").read_text().split("\n## Install & test\n")[1].split("\n## ")[0]
+    assert sorted(re.findall(r"^- `(\w+)`: ", section, flags=re.M)) == sorted(RULES)
 
 
 def test_walk_covers_every_file_and_owner():

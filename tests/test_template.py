@@ -295,6 +295,45 @@ def test_lower_bound_holds_and_certified_runs_attain_it(n, k, density, scale, do
         assert abs(final - bound) <= slack
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(2, 5),
+    extra=st.integers(1, 7),
+    density=st.floats(0.1, 0.9),
+    scale=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lower_bound_is_read_from_one_factorization(k, extra, density, scale, seed):
+    """n runs from k + 1 to 2k + 2, so the two ends of the spectrum that an
+    uncertified LB reads overlap (n < 2k), meet (n = 2k) or stand apart.
+    LB is, bit for bit, the sum over the ends of a fresh `np.linalg.eigh`
+    of A, and the graph factors its n x n adjacency once, certified or not."""
+    n = k + min(extra, k + 2)
+    rng = np.random.default_rng(seed)
+    g = random_simple_graph(n, rng, density)
+    w = rng.standard_normal((k, k)) * scale
+    model = TemplateModel(w + w.T)
+    lam = np.linalg.eigh(model.weights)[0]
+    mu = np.linalg.eigh(g.adjacency)[0]
+    negative = int(np.count_nonzero(lam < 0))
+    ends = np.r_[mu[:negative], mu[n - k + negative :]]
+    oracle_certified = bool(np.all(lam[:negative] <= ends[:negative]) and np.all(lam[negative:] >= ends[negative:]))
+    low, high = (ends, ends) if oracle_certified else (mu[:k], mu[n - k :])
+    excess = np.maximum(low - lam, 0.0) + np.maximum(lam - high, 0.0)
+    orders = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        orders.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigh", counting):
+        _, bound, certified = eigenvector_start(g, model)
+    assert certified == oracle_certified
+    assert bound == float(np.sum(excess * excess))
+    assert orders == [k, n]
+
+
 def kernel_run(m, bottom, top, limits=None):
     """`graphs.extremal_pairs`' result, and how many Ritz tests it made."""
     tests = []
