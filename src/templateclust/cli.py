@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 from typing import NoReturn
 
@@ -14,6 +15,14 @@ from templateclust.errors import InputError
 from templateclust.harness import METHODS, ExperimentConfig, instances, method_rng, run_and_write, run_method
 from templateclust.metrics import adjusted_rand_index
 from templateclust.synth import FAMILIES
+
+# glibc's mallopt parameters (malloc.h) and the values `main` sets. Arrays up
+# to 4 MiB (an n x n float64 array up to n = 724) come from the heap, not
+# from a fresh mmap, and up to 64 MiB of freed memory stays in the heap.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_BYTES, TRIM_THRESHOLD_BYTES = 4 << 20, 64 << 20
+# glibc reads these at start-up; when either is set, its settings win
+GLIBC_MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
 
 
 def _comma_list(text: str, convert: type, what: str) -> tuple:
@@ -151,7 +160,42 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Ask the C library, once per process, to keep the memory it frees.
+
+    By default glibc serves each allocation above 128 KiB with a fresh mmap,
+    or trims freed memory off the top of the heap, so every repetition's n x n
+    arrays fault their pages in again: the repetitions of a g6/40 grid
+    (n = 240) took 320-690 minor page faults each, most in numpy's eigh and
+    Cholesky, and 0-1 under the policy. Fixed mmap and trim thresholds let
+    those arrays reuse pages the process already holds. A silent no-op when
+    the C library cannot be opened or has no `mallopt`, and when the user
+    set either of GLIBC_MALLOC_VARS.
+    """
+    from ctypes import CDLL, c_int
+
+    if any(var in os.environ for var in GLIBC_MALLOC_VARS):
+        return
+    try:
+        mallopt = CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library to open, or no mallopt in it
+        return
+    mallopt.argtypes, mallopt.restype = (c_int, c_int), c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run the command line `argv` (default `sys.argv[1:]`) and return its
+    exit code: 0 on success, 1 on an input error, 2 on a numerical or
+    runtime failure, each reported on stderr.
+
+    The first call in a process applies the allocator policy of
+    `_keep_freed_memory`; importing the package or calling the library
+    leaves the C library's settings alone.
+    """
+    _keep_freed_memory()
     handlers = {"synth": _cmd_grid, "real": _cmd_grid, "cluster": _cmd_cluster}
     try:
         args = build_parser().parse_args(argv)

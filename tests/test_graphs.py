@@ -25,7 +25,7 @@ from templateclust import (
 from templateclust import graphs
 from templateclust.graphs import KERNEL_RESIDUAL_TOL, extremal_pairs
 
-from conftest import random_simple_graph
+from conftest import random_simple_graph, traced_peak
 
 
 def test_empty_graph():
@@ -397,6 +397,63 @@ def test_extremal_pairs_run_up_to_n_over_2_steps_from_the_vertex_floor(monkeypat
     pairs = extremal_pairs(m, 2, 0)
     assert m.shape[0] // 4 < tests[-1] <= m.shape[0] // 2
     assert_bottom_pairs(m, 2, pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    t=st.integers(1, 6),
+    extra=st.integers(0, 3),
+    sign=st.sampled_from([1.0, -1.0]),
+    found=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_proof_matrix_is_built_in_the_work_array(n, t, extra, sign, found, seed):
+    """`_nothing_above` leaves in `work` exactly the matrix it used to build
+    from a negated copy of `m` for the bottom end: (y (theta + scale)) y^T -
+    sign m, plus tau on the diagonal, bit for bit, and its verdict is whether
+    that matrix has a Cholesky factor (which does not write its input). `y`
+    is a column slice of a wider array, as the kernel passes it; with `found`
+    it holds the t largest eigenpairs of sign m, otherwise random orthonormal
+    columns and values."""
+    t = min(t, n)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n))
+    m = x + x.T
+    if found:
+        values, vectors = np.linalg.eigh(sign * m)
+        theta, columns = values[n - t :], vectors[:, n - t :]
+    else:
+        theta, columns = rng.standard_normal(t), np.linalg.qr(rng.standard_normal((n, t)))[0]
+    y = np.hstack([np.ones((n, extra)), columns])[:, extra:]
+    scale = float(np.abs(m).sum(axis=1).max())
+    tol = KERNEL_RESIDUAL_TOL * scale
+    work = np.full((n, n), np.nan)
+    proved = graphs._nothing_above(m, sign, y, theta, scale, tol, work)
+    moved = (y * (theta + scale)) @ y.T - (sign * m)
+    moved[np.diag_indices_from(moved)] += theta.min() - np.sqrt(t) * tol
+    assert np.array_equal(work, moved)
+    try:
+        np.linalg.cholesky(moved)
+    except np.linalg.LinAlgError:
+        assert not proved
+    else:
+        assert proved
+
+
+@pytest.mark.parametrize(
+    "matrix, bottom, top, bound",
+    [("laplacian", 6, 0, 2.75), ("adjacency", 0, 6, 2.6)],
+)
+def test_extremal_pairs_traced_peak(matrix, bottom, top, bound):
+    """A proved g6/40 call (n = 240, n // 2 steps) holds at most `bound` n x n
+    float64 arrays at once: the Krylov basis (about half of one), the work
+    array of both ends' proofs and Cholesky's factor."""
+    g, _ = sample_graph(make_g6(40), np.random.default_rng(0))
+    m = laplacian(g) if matrix == "laplacian" else g.adjacency
+    pairs, peak = traced_peak(lambda: extremal_pairs(m, bottom, top))
+    assert pairs is not None
+    assert peak <= bound * m.nbytes
 
 
 @pytest.mark.parametrize("bottom, top", [(0, 0), (0, 3), (2, 1)])

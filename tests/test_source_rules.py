@@ -379,6 +379,31 @@ def self_comparisons(tree: ast.Module) -> list[tuple[int, str]]:
     )
 
 
+
+def process_settings(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """(line, enclosing class/function path, code) for each import or read
+    of `ctypes` and each call of the CLI's allocator policy
+    `_keep_freed_memory`.
+
+    A setting of the whole process, such as the C library's allocator
+    thresholds, belongs to the command line's entry point: importing the
+    package, calling the library and the benchmark's set-up leave the process
+    as they found it. So `ctypes` is reached only inside the policy helper,
+    and only `main` calls that.
+    """
+
+    def finding(node: ast.AST) -> str | None:
+        if any(module.split(".")[0] == "ctypes" for module, _, _ in imported_names(node)):
+            return ast.unparse(node)
+        if isinstance(node, ast.Name) and node.id == "ctypes" or isinstance(node, ast.Attribute) and node.attr == "ctypes":
+            return ast.unparse(node)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_keep_freed_memory":
+            return ast.unparse(node)
+        return None
+
+    return scoped(tree, finding)
+
+
 # rule: (detector, files it scans, owners it allows)
 RULES = {
     "seeders": (lambda t: random_uses(t)[0], PACKAGE, {"harness.py"}),
@@ -403,6 +428,10 @@ RULES = {
     "traced_kmeans": (kmeans_import, ["template.py"], set()),
     "rounding_privates": (private_rounding_reads, PACKAGE + TESTS + BENCH, {"tests/test_rounding.py"}),
     "self_comparisons": (self_comparisons, PACKAGE, set()),
+    "process_settings": (process_settings, PACKAGE, {
+        ("cli.py", "_keep_freed_memory", "from ctypes import CDLL, c_int"),
+        ("cli.py", "main", "_keep_freed_memory()"),
+    }),
     "memo_keys": (memo_writes, PACKAGE, {
         ("baselines.py", "cnm_cluster", "cnm"),
         ("baselines.py", "louvain_cluster", "neighbour lists"),
@@ -595,6 +624,39 @@ def test_self_comparison_detector():
         (3, "prob != prob"),
     ]
 
+
+
+def test_process_settings_detector():
+    # imports at any depth, reads of the module or of an array's `.ctypes`,
+    # and calls of the policy, bare or through its module
+    source = (
+        "import ctypes.util\n"
+        "from ctypes import CDLL\n"
+        "def _keep_freed_memory():\n"
+        "    import ctypes\n"
+        "    return ctypes.CDLL(None).mallopt\n"
+        "def main():\n"
+        "    _keep_freed_memory()\n"
+        "def run(a):\n"
+        "    cli._keep_freed_memory()\n"
+        "    return a.ctypes.data\n"
+    )
+    assert process_settings(ast.parse(source)) == [
+        (1, "", "import ctypes.util"),
+        (2, "", "from ctypes import CDLL"),
+        (4, "_keep_freed_memory", "import ctypes"),
+        (5, "_keep_freed_memory", "ctypes"),
+        (7, "main", "_keep_freed_memory()"),
+        (9, "run", "cli._keep_freed_memory()"),
+        (10, "run", "a.ctypes"),
+    ]
+
+
+def test_policy_applied_at_import_is_flagged():
+    planted = FILES["cli.py"].read_text() + "_keep_freed_memory()\n"
+    trees = {"cli.py": ast.parse(planted)}
+    line = len(planted.splitlines())
+    assert offenders("process_settings", trees.get) == [f"cli.py:{line}: : _keep_freed_memory()"]  # module scope
 
 def test_private_access_detector():
     source = (
