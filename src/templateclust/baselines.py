@@ -8,7 +8,7 @@ import numpy as np
 
 from templateclust.errors import InputError, NumericalError
 from templateclust.graphs import Graph, block_sums, degree_matrix, integer_vector, laplacian
-from templateclust.rounding import kmeans
+from templateclust.rounding import kmeans, pivoted_qr_seeds
 from templateclust.stiefel import StiefelPoint
 
 
@@ -39,9 +39,14 @@ def spectral_embedding(g: Graph, k: int) -> StiefelPoint:
 
 
 def spectral_cluster(g: Graph, k: int, rng: np.random.Generator) -> Partition:
-    """Unnormalized spectral clustering: k-means on rows of the k bottom
-    eigenvectors of L = D - A."""
-    labels, _ = kmeans(spectral_embedding(g, k).matrix, k, rng)
+    """Unnormalized spectral clustering: the rows of the k bottom eigenvectors
+    of L = D - A, rounded as `tb` rounds its frame, by pivoted-QR seeds and
+    one Lloyd run on the unit rows (`rounding.pivoted_qr_seeds`).
+
+    `rng` is unused: nothing is drawn. The parameter stays because callers,
+    the acceptance tests among them, pass one."""
+    rows, seeds = pivoted_qr_seeds(spectral_embedding(g, k).matrix, k)
+    labels, _ = kmeans(rows, seeds)
     return Partition(labels)
 
 

@@ -76,8 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", dest="base_seed", type=int, default=0)
     synth.add_argument("--fixed-graph", action="store_true",
                        help="sample one graph per point; repetitions redraw only each method's stream "
-                            "(spectral's k-means seeds, Louvain's visit order, tb's random start when "
-                            "its frame is not certified)")
+                            "(Louvain's visit order, tb's random start when its frame is not certified)")
     synth.add_argument("--out", required=True, help="output directory for CSV files")
 
     real = sub.add_parser("real", help="run a real-dataset experiment with model noise levels")

@@ -135,6 +135,6 @@ def template_cluster(g_o: Graph, model: TemplateModel, rng: np.random.Generator)
         p0,
     )
     rows, seeds = pivoted_qr_seeds(p_opt.matrix, model.k)
-    labels, _ = kmeans(rows, model.k, rng, centroids=seeds)
+    labels, _ = kmeans(rows, seeds)
     labels.setflags(write=False)
     return ClusteringResult(partition=labels, embedding=p_opt, trace=trace, lower_bound=lower_bound)

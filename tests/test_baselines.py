@@ -19,6 +19,7 @@ from templateclust import (
     cnm_cluster,
     degree_matrix,
     louvain_cluster,
+    make_bp,
     make_c2,
     make_g3,
     make_g6,
@@ -93,6 +94,31 @@ class TestSpectral:
     def test_k_too_large(self, rng):
         with pytest.raises(InputError):
             spectral_cluster(two_triangles(), 7, rng)
+
+    @pytest.mark.parametrize("name", ["g6-40", "c2-10-0.60", "bp-10-0.4-hub", "email"])
+    def test_draws_nothing_and_follows_a_relabelling(self, name, tmp_path, monkeypatch):
+        """Spectral rounds as tb does, by pivoted-QR seeds and one Lloyd run:
+        it leaves its rng as it found it, and a graph whose vertices are
+        relabelled gets the relabelled partition, in Partition's canonical
+        labels."""
+        if name == "email":
+            g, gt = email_graph(monkeypatch, tmp_path, 3, 0)
+            cases = [(g, gt.k)]
+        else:
+            spec = {
+                "g6-40": make_g6(40),
+                "c2-10-0.60": make_c2(10, 0.60),
+                "bp-10-0.4-hub": make_bp(10, 0.4, "hub"),
+            }[name]
+            cases = [(sample_graph(spec, np.random.default_rng((5, s)))[0], spec.k) for s in range(5)]
+        for g, k in cases:
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            part = spectral_cluster(g, k, rng)
+            assert rng.bit_generator.state == state
+            perm = np.random.default_rng(11).permutation(g.n)
+            moved = spectral_cluster(Graph(g.adjacency[np.ix_(perm, perm)]), k, rng)
+            assert np.array_equal(Partition(part.labels[perm]).labels, moved.labels)
 
     @pytest.mark.parametrize(
         "grid",

@@ -72,6 +72,15 @@ class TestRunExperiment:
         # same graph every repetition, deterministic method: identical ARI
         assert len({r.ari for r in records}) == 1
 
+    def test_fixed_graph_spectral_rows_repeat(self, tmp_path):
+        # spectral draws nothing from its stream, so on one graph every
+        # repetition writes the first one's row but for its number and seed
+        argv = ["synth", "--family", "c2", "--sizes", "10", "--probs", "0.6", "--reps", "3", "--fixed-graph"]
+        assert main(argv + ["--methods", "spectral", "--out", str(tmp_path)]) == 0
+        rows = list(csv.DictReader((tmp_path / "records.csv").read_text(encoding="utf-8").splitlines()))
+        assert [(row.pop("repetition"), row.pop("seed")) for row in rows] == [("0", "0"), ("1", "1"), ("2", "2")]
+        assert rows[0]["status"] == "ok" and rows[0] == rows[1] == rows[2]
+
     @pytest.mark.parametrize("fixed", [False, True], ids=["sampled", "fixed-graph"])
     def test_edgeless_graph_writes_failed_modularity_rows(self, tmp_path, fixed):
         # with --fixed-graph every repetition meets the same graph, so a
@@ -367,9 +376,9 @@ real,louvain,,0.0,4,21,ok,0.9657642041817268,,,12
 
 # records.csv of tb and spectral on the grids above, without the
 # projector_distance column, whose last digits can move with the BLAS thread
-# count. Spectral's k-means++ seeding runs past d = 8 at k = 12 on the email
-# graphs. On the g6 and email graphs tb's frame is certified and its rounding
-# draws from no rng, so its rows repeat one value; on c2/5/0.42 no frame is
+# count. Neither method's rounding draws from an rng, so spectral's rows on a
+# `real` grid's one graph repeat one value, and so do tb's on the g6 and email
+# graphs, whose frames are certified. On c2/5/0.42 no frame is
 # certified and tb descends from a random start, so a flipped certificate
 # decision changes a row on one side or the other. Those descending rows hold
 # only on the same CPU and BLAS kernels, not only the same thread count: the
@@ -396,9 +405,9 @@ g6,tb,40,,2,19,ok,1.0,0,6
 """,
     "c2": """\
 dataset,method,size,param,repetition,seed,status,ari,iterations,k_found
-c2,spectral,5,0.42,0,17,ok,0.6686046511627907,,4
+c2,spectral,5,0.42,0,17,ok,0.634334103156274,,4
 c2,spectral,5,0.42,1,18,ok,0.6334405144694534,,4
-c2,spectral,5,0.42,2,19,ok,0.634334103156274,,4
+c2,spectral,5,0.42,2,19,ok,0.6334405144694534,,4
 c2,tb,5,0.42,0,17,ok,0.6705202312138728,60,4
 c2,tb,5,0.42,1,18,ok,0.7556270096463023,87,4
 c2,tb,5,0.42,2,19,ok,0.6077621800165153,68,4
@@ -418,11 +427,11 @@ real,tb,,0.0,4,21,ok,0.9664953889030142,0,12
 """,
     "email-1": """\
 dataset,method,size,param,repetition,seed,status,ari,iterations,k_found
-real,spectral,,0.0,0,17,ok,0.6426489401575437,,12
-real,spectral,,0.0,1,18,ok,0.7840499497401645,,12
-real,spectral,,0.0,2,19,ok,0.664480188911678,,12
-real,spectral,,0.0,3,20,ok,0.7065128731033876,,12
-real,spectral,,0.0,4,21,ok,0.7762206101409055,,12
+real,spectral,,0.0,0,17,ok,0.7169195106063108,,12
+real,spectral,,0.0,1,18,ok,0.7169195106063108,,12
+real,spectral,,0.0,2,19,ok,0.7169195106063108,,12
+real,spectral,,0.0,3,20,ok,0.7169195106063108,,12
+real,spectral,,0.0,4,21,ok,0.7169195106063108,,12
 real,tb,,0.0,0,17,ok,0.9653550262025781,0,12
 real,tb,,0.0,1,18,ok,0.9653550262025781,0,12
 real,tb,,0.0,2,19,ok,0.9653550262025781,0,12

@@ -1,8 +1,8 @@
-"""The rounding module: `tb` and the spectral baseline both cluster their
-embeddings' rows with `rounding.kmeans`, `tb` with one Lloyd run from
-`pivoted_qr_seeds` on its unit rows and spectral with k-means++ seeding.
-The k-means tests compare `kmeans`, `_kmeans_pp_init` and `_lloyd` with
-reference implementations written the way they once ran.
+"""The rounding module: `tb` and the spectral baseline both round their
+embeddings' rows the same way, by `pivoted_qr_seeds` and one Lloyd run of
+`rounding.kmeans` from those seeds on the unit rows. The Lloyd tests compare
+`kmeans` and `_lloyd` with reference implementations written the way they
+once ran.
 
 `tests/test_source_rules.py` keeps the rounding code in `rounding.py` and
 keeps this file the only one that reaches into rounding's private names.
@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from templateclust import (
@@ -33,7 +33,7 @@ from templateclust import (
     template_cluster,
 )
 from templateclust.baselines import spectral_embedding
-from templateclust.rounding import _kmeans_pp_init, _lloyd
+from templateclust.rounding import _lloyd
 
 from conftest import email_graph
 
@@ -41,20 +41,22 @@ from conftest import email_graph
 class TestKMeans:
     def test_single_cluster(self, rng):
         pts = rng.standard_normal((8, 2))
-        labels, inertia = kmeans(pts, 1, rng)
+        labels, inertia = kmeans(pts, pts[:1])
         assert np.array_equal(labels, np.zeros(8, dtype=int))
         assert inertia == pytest.approx(np.sum((pts - pts.mean(axis=0)) ** 2))
 
-    def test_separated_duplicates(self, rng):
+    def test_separated_duplicates(self):
         pts = np.repeat(np.eye(2), 3, axis=0)
-        labels, inertia = kmeans(pts, 2, rng)
+        labels, inertia = kmeans(*pivoted_qr_seeds(pts, 2))
         assert inertia == pytest.approx(0.0, abs=1e-12)
         assert len(set(labels[:3])) == 1 and len(set(labels[3:])) == 1
         assert labels[0] != labels[3]
 
-    def test_unit_square_inertia(self, rng):
+    def test_unit_square_inertia(self):
         # brute-force oracle: all 2-partitions of the 4 corners; side pairs
-        # are optimal with inertia 2 * (2 * 0.25) = 1.0
+        # are optimal with inertia 2 * (2 * 0.25) = 1.0. Lloyd from two
+        # adjacent corners finds a side pair; from opposite corners, which tie
+        # the other two, it stops at a worse local optimum
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         best = np.inf
         for assign in itertools.product([0, 1], repeat=4):
@@ -67,42 +69,44 @@ class TestKMeans:
                 inertia += np.sum((group - group.mean(axis=0)) ** 2)
             best = min(best, inertia)
         assert best == pytest.approx(1.0)
-        _, inertia = kmeans(pts, 2, rng)
-        assert inertia == pytest.approx(best)
+        for i, j in itertools.combinations(range(4), 2):
+            _, inertia = kmeans(pts, pts[[i, j]])
+            assert inertia == pytest.approx(4 / 3 if i + j == 3 else best)
 
     def test_deterministic_given_seed(self):
         pts = np.random.default_rng(5).standard_normal((30, 3))
-        l1, i1 = kmeans(pts, 4, np.random.default_rng(9))
-        l2, i2 = kmeans(pts, 4, np.random.default_rng(9))
+        seeds = pts[[0, 7, 14, 21]]
+        given = seeds.copy()
+        l1, i1 = kmeans(pts, seeds)
+        l2, i2 = kmeans(pts, seeds)
         assert np.array_equal(l1, l2) and i1 == i2
+        assert np.array_equal(seeds, given)  # the caller's seeds are not moved
 
-    def test_too_few_points(self, rng):
+    def test_too_few_points(self):
         with pytest.raises(InputError):
-            kmeans(np.zeros((2, 2)), 3, rng)
+            kmeans(np.zeros((2, 2)), np.zeros((3, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points(self, rng, bad):
         pts = rng.standard_normal((6, 2))
         pts[3, 1] = bad
         with pytest.raises(InputError, match="non-finite"):
-            kmeans(pts, 2, rng)
+            kmeans(pts, pts[:2])
 
     @staticmethod
-    def assert_overflow_before_seeding(pts, k, rng):
-        # raised before seeding draws anything, and without a numpy warning
-        state = rng.bit_generator.state
+    def assert_overflow(pts, centroids):
+        # raised before Lloyd runs, and without a numpy warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="overflow"):
-                kmeans(np.array(pts), k, rng)
-        assert rng.bit_generator.state == state
+                kmeans(np.array(pts), centroids)
 
-    def test_overflowing_distances(self, rng):
-        self.assert_overflow_before_seeding([[0.0], [1e200], [2e200], [3e200]], 2, rng)
+    def test_overflowing_distances(self):
+        self.assert_overflow([[0.0], [1e200], [2e200], [3e200]], [[0.0], [1.0]])
 
-    def test_overflowing_norms_of_equal_points(self, rng):
+    def test_overflowing_norms_of_equal_points(self):
         # no two points are apart, but ||x||^2 - 2 x.c + ||c||^2 overflows
-        self.assert_overflow_before_seeding([[1e200], [1e200], [1e200]], 1, rng)
+        self.assert_overflow([[1e200], [1e200], [1e200]], [[1e200]])
 
 
 def lloyd_by_cluster_loop(points, centroids, max_iters):
@@ -131,23 +135,10 @@ def lloyd_by_cluster_loop(points, centroids, max_iters):
     return labels, float(dists[np.arange(n), labels].sum())
 
 
-def kmeans_pp_by_choice(points, k, rng):
-    """Reference k-means++ seeding for one restart: each later centroid is
-    drawn by rng.choice with probability proportional to squared distance."""
-    n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
-    for c in range(1, k):
-        centroids[c] = points[rng.choice(n, p=d2 / d2.sum())]
-        d2 = np.minimum(d2, np.sum((points - centroids[c]) ** 2, axis=1))
-    return centroids
-
-
 def lloyd_one_restart(points, centroids, max_iters):
-    """Reference Lloyd for one restart in the package's arithmetic (matrix
-    product distances, one-hot centroid sums, the same empty-cluster refill),
-    as `_lloyd` ran each restart before the restarts became one batch."""
+    """Reference Lloyd in the package's arithmetic (matrix product distances,
+    one-hot centroid sums, the same empty-cluster refill), with labels by
+    `np.argmin` and the refill as a loop over the empty clusters."""
     n, k = points.shape[0], centroids.shape[0]
     rows = np.arange(n)
     point_sq = np.einsum("ij,ij->i", points, points)[:, None]
@@ -175,23 +166,15 @@ def lloyd_one_restart(points, centroids, max_iters):
     return new_labels, float(sq_dists(centroids)[rows, new_labels].sum())
 
 
-def kmeans_by_cluster_loop(points, k, rng, restarts=10, max_iters=300, lloyd=lloyd_by_cluster_loop):
-    """Reference k-means: restarts one after another, each seeded by
-    `kmeans_pp_by_choice` and run by `lloyd`, the first of equal inertias kept."""
-    best_labels, best_inertia = None, np.inf
-    for _ in range(restarts):
-        labels, inertia = lloyd(points, kmeans_pp_by_choice(points, k, rng), max_iters)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    return best_labels, best_inertia
-
-
 class TestLloydMatchesClusterLoop:
-    def assert_matches_reference(self, points, k, seed):
-        labels, inertia = kmeans(points, k, np.random.default_rng(seed))
-        ref_labels, ref_inertia = kmeans_by_cluster_loop(points, k, np.random.default_rng(seed))
+    def assert_matches_reference(self, points, centroids):
+        labels, inertia = kmeans(points, centroids)
+        ref_labels, ref_inertia = lloyd_by_cluster_loop(points, centroids.copy(), max_iters=300)
         assert np.array_equal(labels, ref_labels)
         assert inertia == pytest.approx(ref_inertia, rel=1e-9)
+
+    def assert_rounding_matches_reference(self, embedding, k):
+        self.assert_matches_reference(*pivoted_qr_seeds(embedding, k))
 
     @pytest.mark.parametrize(
         "n, k, d", [(30, 3, 2), (120, 5, 3), (300, 12, 12), (400, 8, 40), (200, 12, 129), (150, 6, 300)]
@@ -200,12 +183,12 @@ class TestLloydMatchesClusterLoop:
         rng = np.random.default_rng(n + k + d)
         centres = 10.0 * rng.standard_normal((k, d))
         points = centres[np.arange(n) % k] + rng.standard_normal((n, d))
-        self.assert_matches_reference(points, k, seed=d)
+        self.assert_matches_reference(points, points[rng.permutation(n)[:k]])
 
     def test_ties_go_to_the_lowest_index(self):
         # 1 is exactly as far from centroid 0 as from centroid 2
         points = np.array([[0.0], [1.0], [2.0]])
-        (labels,), _ = _lloyd(points, np.array([[[0.0], [2.0]]]), max_iters=1)
+        labels, _ = _lloyd(points, np.array([[0.0], [2.0]]), max_iters=1)
         ref_labels, _ = lloyd_by_cluster_loop(points, np.array([[0.0], [2.0]]), max_iters=1)
         assert np.array_equal(labels, [0, 0, 1])
         assert np.array_equal(labels, ref_labels)
@@ -214,23 +197,24 @@ class TestLloydMatchesClusterLoop:
         spec = make_g6(40)
         g, _ = sample_graph(spec, np.random.default_rng(3))
         tb = template_cluster(g, expected_model(spec), rng=np.random.default_rng(4))
-        self.assert_matches_reference(tb.embedding.matrix, 6, seed=5)
-        self.assert_matches_reference(spectral_embedding(g, 6).matrix, 6, seed=6)
+        self.assert_rounding_matches_reference(tb.embedding.matrix, 6)
+        self.assert_rounding_matches_reference(spectral_embedding(g, 6).matrix, 6)
 
     def test_email_file_embeddings(self, monkeypatch, tmp_path):
         g, gt = email_graph(monkeypatch, tmp_path, 0, 0)
         tb = template_cluster(g, model_from_ground_truth(g, gt), rng=np.random.default_rng(1))
-        self.assert_matches_reference(tb.embedding.matrix, gt.k, seed=2)
-        self.assert_matches_reference(spectral_embedding(g, gt.k).matrix, gt.k, seed=3)
+        self.assert_rounding_matches_reference(tb.embedding.matrix, gt.k)
+        self.assert_rounding_matches_reference(spectral_embedding(g, gt.k).matrix, gt.k)
 
 
 class TestEmptyClusters:
     def test_fewer_distinct_points_than_k(self):
         points = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 4, axis=0)
         for seed in range(5):
+            seeds = np.random.default_rng(seed).standard_normal((5, 2))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                labels, inertia = kmeans(points, 5, np.random.default_rng(seed))
+                labels, inertia = kmeans(points, seeds)
             assert labels.min() >= 0 and labels.max() <= 4
             assert np.bincount(labels, minlength=5).all()
             assert np.isfinite(inertia)
@@ -240,148 +224,76 @@ class TestEmptyClusters:
         # alone in its cluster, so the empty third cluster takes the next
         # farthest, 0
         points = np.array([[0.0], [1.0], [2.0], [50.0]])
-        (labels,), (inertia,) = _lloyd(points, np.array([[[1.0], [60.0], [1000.0]]]), max_iters=1)
+        labels, inertia = _lloyd(points, np.array([[1.0], [60.0], [1000.0]]), max_iters=1)
         assert np.array_equal(labels, [2, 0, 0, 1])
         assert inertia == pytest.approx(0.5)
 
-    def test_zero_distance_seed_takes_row_floor_u_n(self):
-        # two distinct rows and k=3: once both are seeds the squared distances
-        # sum to 0, and the third seed is row floor(u * n) of its own uniform
-        points = np.array([[0.0], [0.0], [0.0], [5.0]])
-        seeds = _kmeans_pp_init(points, 3, np.random.default_rng(7))
-        twin = np.random.default_rng(7)
-        for r in range(10):
-            first, u = twin.integers(4), twin.random(2)
-            assert seeds[r, 0, 0] == points[first, 0]
-            assert seeds[r, 1, 0] == 5.0 - points[first, 0]
-            assert seeds[r, 2, 0] == points[int(u[1] * 4), 0]
-        rng = np.random.default_rng(7)
-        labels, inertia = kmeans(points, 3, rng)
-        assert rng.bit_generator.state == twin.bit_generator.state
-        again, _ = kmeans(points, 3, np.random.default_rng(7))
-        assert np.array_equal(labels, again)
-        assert np.bincount(labels, minlength=3).all()
-        assert inertia == 0.0
 
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
-    n=st.integers(2, 60),
-    d=st.integers(1, 4),
-    k=st.integers(1, 6),
-    grid=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_kmeans_matches_sequential_reference(n, d, k, grid, seed):
-    draw = np.random.default_rng(seed)
-    # integer grid points bring exact ties and duplicate rows
-    points = draw.integers(0, 3, (n, d)).astype(float) if grid else draw.standard_normal((n, d))
-    assume(len(np.unique(points, axis=0)) >= k)
-    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    labels, inertia = kmeans(points, k, rng)
-    ref_labels, ref_inertia = kmeans_by_cluster_loop(points, k, ref_rng, lloyd=lloyd_one_restart)
-    assert np.array_equal(labels, ref_labels)
-    assert inertia == pytest.approx(ref_inertia, rel=1e-9, abs=1e-12)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    if not grid:
-        # at an exact tie the difference tensor's rounding can pick the other
-        # centroid, or another restart that found the same clusters under
-        # other numbers; off ties it must find the same partition
-        loop_labels, loop_inertia = kmeans_by_cluster_loop(points, k, np.random.default_rng(seed + 1))
-        assert len(set(zip(labels, loop_labels))) == len(set(labels)) == len(set(loop_labels))
-        assert inertia == pytest.approx(loop_inertia, rel=1e-9)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    n=st.integers(2, 250),
+    n=st.integers(1, 250),
     d=st.integers(1, 12),
     k=st.integers(1, 12),
-    grid=st.booleans(),
+    kind=st.sampled_from(["grid", "normal", "frame"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_kmeans_matches_sequential_reference_at_benchmark_shapes(n, d, k, grid, seed):
-    # out to email-file's d = k = 12: from d = 8 on, np.sum adds a row's
-    # squares as a pairwise tree and the batched seeding adds them in order,
-    # and the picks must still be the reference's
+def test_kmeans_from_given_centroids_is_one_reference_run(n, d, k, kind, seed):
+    """kmeans is one Lloyd run from the given centroids, empty-cluster refill
+    included. Integer grid points bring exact ties and duplicate rows; a
+    frame is the rounding both methods run, at the benchmark's shapes out to
+    email-file's k = 12: an orthonormal n x k frame's unit rows and their
+    pivoted-QR seeds."""
     draw = np.random.default_rng(seed)
-    points = draw.integers(0, 3, (n, d)).astype(float) if grid else draw.standard_normal((n, d))
-    assume(len(np.unique(points, axis=0)) >= k)
-    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    labels, inertia = kmeans(points, k, rng)
-    ref_labels, ref_inertia = kmeans_by_cluster_loop(points, k, ref_rng, lloyd=lloyd_one_restart)
+    k = min(k, n)
+    if kind == "frame":
+        points, centroids = pivoted_qr_seeds(np.linalg.qr(draw.standard_normal((n, k)))[0], k)
+    else:
+        points = draw.integers(0, 3, (n, d)).astype(float) if kind == "grid" else draw.standard_normal((n, d))
+        centroids = draw.standard_normal((k, d)) * 2.0
+    labels, inertia = kmeans(points, centroids)
+    ref_labels, ref_inertia = lloyd_one_restart(points, centroids.copy(), max_iters=300)
     assert np.array_equal(labels, ref_labels)
-    assert inertia == pytest.approx(ref_inertia, rel=1e-9)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert inertia == pytest.approx(ref_inertia, rel=1e-9, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    n=st.integers(1, 120),
-    d=st.integers(1, 12),
-    k=st.integers(1, 12),
-    grid=st.booleans(),
+    n=st.integers(1, 80),
+    d=st.integers(1, 6),
+    k=st.integers(1, 8),
+    iters=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_kmeans_from_given_centroids_is_one_reference_run(n, d, k, grid, seed):
-    """Given centroids, kmeans is one Lloyd run from them, empty-cluster
-    refill included, and draws nothing from its rng."""
+def test_capped_lloyd_run_is_the_reference_run(n, d, k, iters, seed):
+    """A run stopped by max_iters before its labels repeat returns its last
+    labels and the inertia of the centroids they give, as the reference does."""
     draw = np.random.default_rng(seed)
-    points = draw.integers(0, 3, (n, d)).astype(float) if grid else draw.standard_normal((n, d))
-    k = min(k, n)
-    centroids = draw.standard_normal((k, d)) * 2.0
-    rng = np.random.default_rng(seed + 1)
-    state = rng.bit_generator.state
-    labels, inertia = kmeans(points, k, rng, centroids=centroids)
-    ref_labels, ref_inertia = lloyd_one_restart(points, centroids.copy(), max_iters=300)
+    points = draw.standard_normal((n, d))
+    centroids = draw.standard_normal((min(k, n), d)) * 2.0
+    labels, inertia = _lloyd(points, centroids, max_iters=iters)
+    ref_labels, ref_inertia = lloyd_one_restart(points, centroids.copy(), max_iters=iters)
     assert np.array_equal(labels, ref_labels)
     assert inertia == pytest.approx(ref_inertia, rel=1e-9, abs=1e-12)
-    assert rng.bit_generator.state == state
 
 
 class TestGivenCentroids:
     def test_wrong_shape_or_non_finite(self, rng):
         pts = rng.standard_normal((6, 2))
-        for bad in (np.zeros((3, 2)), np.zeros((2, 3)), np.array([[0.0, 0.0], [np.nan, 0.0]])):
+        for bad in (np.zeros(2), np.zeros((2, 3)), np.zeros((2, 2, 1)), np.array([[0.0, 0.0], [np.nan, 0.0]])):
             with pytest.raises(InputError, match="centroids must be 2 finite rows of 2 coordinates"):
-                kmeans(pts, 2, rng, centroids=bad)
+                kmeans(pts, bad)
 
-    def test_overflow_from_far_centroids(self, rng):
+    def test_k_is_the_number_of_centroids(self, rng):
+        pts = rng.standard_normal((6, 2))
+        for none in (np.zeros((0, 2)), np.float64(1.0)):
+            with pytest.raises(InputError, match="need n >= k >= 1, got n=6, k=0"):
+                kmeans(pts, none)
+        labels, _ = kmeans(pts, pts[:3] + 0.5)
+        assert np.array_equal(np.unique(labels), [0, 1, 2])
+
+    def test_overflow_from_far_centroids(self):
         with pytest.raises(NumericalError, match="overflow"):
-            kmeans(np.zeros((3, 1)), 1, rng, centroids=[[1e200]])
-
-
-@pytest.mark.parametrize("d", [1, 7, 8, 12, 17, 40, 128, 129, 300])
-def test_seeds_are_those_of_rng_choice_at_every_width(d):
-    # the seeding sums each distance's squares over d in order, np.sum as a
-    # pairwise tree from d = 8 on, so their last bits can differ; a pick can
-    # differ only where a uniform lies that close to a cumulative boundary.
-    # Columns from 1e-3 to 1e3 mix terms of very different sizes in each sum.
-    points = np.random.default_rng(d).standard_normal((90, d)) * np.logspace(-3, 3, d)
-    rng, ref_rng = np.random.default_rng(d + 1), np.random.default_rng(d + 1)
-    seeds = _kmeans_pp_init(points, 9, rng)
-    for r in range(10):
-        assert np.array_equal(seeds[r], kmeans_pp_by_choice(points, 9, ref_rng))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def test_lloyd_restart_bits_independent_of_slot_and_numbering():
-    """A restart's arithmetic is its own: neither its slot in the batch nor
-    the numbers of its clusters may change a bit of its result. Otherwise two
-    restarts that find the same clusters can differ in the last bit of their
-    inertia, and the later one can win the best-of-restarts."""
-    points = np.random.default_rng(0).standard_normal((27, 1))
-    seeds = _kmeans_pp_init(points, 3, np.random.default_rng(1))
-    labels, inertia = _lloyd(points, seeds, max_iters=300)
-    rev_labels, rev_inertia = _lloyd(points, seeds[::-1], max_iters=300)
-    for r in range(10):
-        (alone,), (alone_inertia,) = _lloyd(points, seeds[r : r + 1], max_iters=300)
-        assert np.array_equal(labels[r], alone) and np.array_equal(rev_labels[9 - r], alone)
-        assert inertia[r].tobytes() == alone_inertia.tobytes() == rev_inertia[9 - r].tobytes()
-    # restarts 0 and 3 end in one partition, numbered differently
-    assert not np.array_equal(labels[0], labels[3])
-    assert len(set(zip(labels[0], labels[3]))) == len(set(labels[0])) == 3
-    assert inertia[0].tobytes() == inertia[3].tobytes()
+            kmeans(np.zeros((3, 1)), [[1e200]])
 
 
 @settings(max_examples=200, deadline=None)
@@ -400,13 +312,11 @@ def test_kmeans_invariant_under_column_signs(n, d, k, grid, seed):
     # integer grid points bring exact ties and duplicate rows
     points = draw.integers(-2, 3, (n, d)).astype(float) if grid else draw.standard_normal((n, d))
     signs = draw.choice([-1.0, 1.0], d)
-    k = min(k, n)
-    rng, flipped_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    labels, inertia = kmeans(points, k, rng)
-    flipped_labels, flipped_inertia = kmeans(points * signs, k, flipped_rng)
+    seeds = points[draw.integers(0, n, min(k, n))]  # repeated rows tie
+    labels, inertia = kmeans(points, seeds)
+    flipped_labels, flipped_inertia = kmeans(points * signs, seeds * signs)
     assert np.array_equal(labels, flipped_labels)
     assert np.float64(inertia).tobytes() == np.float64(flipped_inertia).tobytes()
-    assert rng.bit_generator.state == flipped_rng.bit_generator.state
 
 
 def largest_entry_positive(p):
@@ -427,18 +337,16 @@ def test_spectral_outputs_independent_of_eigenvector_signs(name, tmp_path, monke
         g, gt = sample_graph(make_g6(40), np.random.default_rng(3))
     p = spectral_embedding(g, gt.k)
     fixed = largest_entry_positive(p)
-    for seed in range(3):
-        labels = spectral_cluster(g, gt.k, np.random.default_rng(seed)).labels
-        rounded, _ = kmeans(fixed.matrix, gt.k, np.random.default_rng(seed))
-        assert np.array_equal(labels, Partition(rounded).labels)
+    labels = spectral_cluster(g, gt.k, np.random.default_rng(0)).labels
+    assert np.array_equal(labels, round_by_pivots(fixed.matrix, gt.k))
     truth = closest_orthonormal(gt)
     assert projector_distance(p, truth) == projector_distance(fixed, truth)
 
 
 def round_by_pivots(points, k):
-    """tb's rounding: one Lloyd run on the unit rows from their pivoted-QR seeds."""
-    rows, seeds = pivoted_qr_seeds(points, k)
-    labels, _ = kmeans(rows, k, np.random.default_rng(0), centroids=seeds)
+    """The shared rounding: one Lloyd run on the unit rows from their
+    pivoted-QR seeds."""
+    labels, _ = kmeans(*pivoted_qr_seeds(points, k))
     return Partition(labels).labels
 
 

@@ -31,7 +31,8 @@ BENCH = [name for name in FILES if name.startswith("bench/")]
 SEEDERS = {"default_rng", "RandomState", "SeedSequence"}
 READERS = {"loadtxt", "genfromtxt", "read_text", "read_bytes"}
 SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
-ROUNDING = {"kmeans", "pivoted_qr_seeds", "_lloyd", "_kmeans_pp_init"}
+ROUNDING = {"kmeans", "pivoted_qr_seeds", "_lloyd"}
+RANDOM = {"rng", "Generator"}
 
 
 @functools.cache
@@ -304,8 +305,8 @@ def repo_reads() -> set[str]:
 def rounding_definitions(tree: ast.Module) -> list[tuple[int, str]]:
     """(line, "defines <name>") for each definition of a name in ROUNDING.
 
-    `tb` and the spectral baseline both round with `rounding.kmeans`, so the
-    rounding code lives in `rounding.py` alone.
+    `tb` and the spectral baseline both round with `rounding.pivoted_qr_seeds`
+    and `rounding.kmeans`, so the rounding code lives in `rounding.py` alone.
     """
     return [(node.lineno, f"defines {name}") for node in ast.walk(tree) for name in defined_names(node) if name in ROUNDING]
 
@@ -331,6 +332,34 @@ def kmeans_import(tree: ast.Module) -> list[tuple[None, str]]:
     if ("templateclust.rounding", "kmeans", "kmeans") in bindings:
         return []
     return [(None, "does not import kmeans by name from templateclust.rounding")]
+
+
+def rng_free_rounding(tree: ast.Module) -> list[tuple[int | None, str]]:
+    """In the module that defines `kmeans`, (line, code) for each binding or
+    read of a name in RANDOM or of `numpy.random`; in any other module, a
+    fault unless it imports `pivoted_qr_seeds` from `templateclust.rounding`.
+
+    Both embedding methods round the same way, by pivoted-QR seeds and one
+    Lloyd run, and neither draws a random number: the rounding module takes
+    no generator, and the spectral baseline seeds its Lloyd run as `tb` does.
+    """
+    if not any("kmeans" in defined_names(node) for node in tree.body):
+        bindings = [binding[:2] for node in ast.walk(tree) for binding in imported_names(node)]
+        if ("templateclust.rounding", "pivoted_qr_seeds") in bindings:
+            return []
+        return [(None, "does not import pivoted_qr_seeds from templateclust.rounding")]
+
+    def random(node: ast.AST) -> bool:
+        if any(
+            module.split(".")[:2] == ["numpy", "random"] or (module, name) == ("numpy", "random") or bound in RANDOM
+            for module, name, bound in imported_names(node)
+        ):
+            return True
+        name = getattr(node, "id", None) or getattr(node, "arg", None) or getattr(node, "attr", None)
+        numpy_random = isinstance(node, ast.Attribute) and ast.unparse(node) in ("np.random", "numpy.random")
+        return name in RANDOM or numpy_random
+
+    return sorted({(node.lineno, ast.unparse(node)) for node in ast.walk(tree) if random(node)})
 
 
 def private_rounding_reads(tree: ast.Module) -> list[tuple[int, str]]:
@@ -426,6 +455,7 @@ RULES = {
     "kmeans_names": (rounding_definitions, PACKAGE, {"rounding.py"}),
     "compared_methods": (template_imports, ["baselines.py"], set()),
     "traced_kmeans": (kmeans_import, ["template.py"], set()),
+    "rng_free_rounding": (rng_free_rounding, ["rounding.py", "baselines.py"], set()),
     "rounding_privates": (private_rounding_reads, PACKAGE + TESTS + BENCH, {"tests/test_rounding.py"}),
     "self_comparisons": (self_comparisons, PACKAGE, set()),
     "process_settings": (process_settings, PACKAGE, {
@@ -726,12 +756,12 @@ def layout_faults(sources: dict[str, str]) -> list[str]:
 def test_layout_detector():
     # the layout before `rounding.py`: k-means in template, imported from there
     before = {
-        "template.py": "def _kmeans_pp_init(p, k, rng, restarts): pass\ndef kmeans(p, k, rng): pass\n",
+        "template.py": "def _lloyd(p, c, max_iters): pass\ndef kmeans(p, k, rng): pass\n",
         "baselines.py": "from templateclust.template import kmeans\n",
     }
     assert layout_faults(before) == [
         "baselines.py:1: imports from templateclust.template",
-        "template.py:1: defines _kmeans_pp_init",
+        "template.py:1: defines _lloyd",
         "template.py:2: defines kmeans",
         "template.py: does not import kmeans by name from templateclust.rounding",
     ]
@@ -754,6 +784,36 @@ def test_layout_detector():
         "template.py: does not import kmeans by name from templateclust.rounding",
     ]
     assert layout_faults({"template.py": "from .rounding import kmeans\n"}) == []
+
+
+def test_rng_free_rounding_detector():
+    # the rounding module as it was when spectral seeded k-means++ restarts
+    seeded = (
+        "import numpy as np\n"
+        "from numpy.random import Generator\n"
+        "RESTARTS = 10\n"
+        "def _kmeans_pp_init(points, k, rng: np.random.Generator):\n"
+        "    return points[rng.integers(len(points), size=k)]\n"
+        "def kmeans(points, k, rng, centroids=None):\n"
+        "    seeds = _kmeans_pp_init(points, k, rng=rng) if centroids is None else centroids\n"
+        "    return np.random.default_rng(0).permutation(seeds)\n"
+    )
+    assert rng_free_rounding(ast.parse(seeded)) == [
+        (2, "from numpy.random import Generator"),
+        (4, "np.random"),
+        (4, "np.random.Generator"),
+        (4, "rng: np.random.Generator"),
+        (5, "rng"),
+        (6, "rng"),
+        (7, "rng"),
+        (7, "rng=rng"),
+        (8, "np.random"),
+    ]
+    assert rng_free_rounding(ast.parse("import numpy as np\ndef kmeans(points, centroids): pass\n")) == []
+    fault = [(None, "does not import pivoted_qr_seeds from templateclust.rounding")]
+    assert rng_free_rounding(ast.parse("from templateclust.rounding import kmeans\n")) == fault
+    assert rng_free_rounding(ast.parse("from templateclust import rounding\nrounding.pivoted_qr_seeds\n")) == fault
+    assert rng_free_rounding(ast.parse("from .rounding import kmeans, pivoted_qr_seeds\n")) == []
 
 
 def test_private_rounding_reads_detector():

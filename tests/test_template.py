@@ -17,12 +17,14 @@ from templateclust import (
     euclidean_gradient,
     expected_model,
     graphs,
+    kmeans,
     make_bp,
     make_c2,
     make_g3,
     make_g6,
     model_from_ground_truth,
     objective,
+    pivoted_qr_seeds,
     projector_distance,
     random_stiefel,
     sample_graph,
@@ -495,3 +497,29 @@ class TestEigenvectorStart:
         moved = template_cluster(relabelled, model, np.random.default_rng(0))
         assert result.trace.iterates_count == moved.trace.iterates_count == 0
         assert np.array_equal(Partition(result.partition[perm]).labels, Partition(moved.partition).labels)
+
+
+@pytest.mark.parametrize("name", ["g6-20", "g3-20", "bp-10-0.6-bipartite", "c2-10-0.60"])
+def test_certified_tb_is_the_k_minus_control(name):
+    """A certified template enters tb's partition only through k and k_-:
+    the partition is the shared rounding of V_S, the adjacency eigenvectors
+    of the k_- smallest and k - k_- largest eigenvalues, read from a fresh
+    graph without the template's eigenvalues as limits. The rounding sees
+    V_S U^T, and it is invariant under that rotation."""
+    spec = {
+        "g6-20": make_g6(20),
+        "g3-20": make_g3(20),
+        "bp-10-0.6-bipartite": make_bp(10, 0.6),
+        "c2-10-0.60": make_c2(10, 0.60),
+    }[name]
+    model = expected_model(spec)
+    k = model.k
+    k_minus = int(np.count_nonzero(np.linalg.eigvalsh(model.weights) < 0))
+    for s in range(5):
+        g, _ = sample_graph(spec, np.random.default_rng((7, s)))
+        assert eigenvector_start(g, model)[2]
+        fresh = Graph(g.adjacency)
+        v_s = fresh.end_pairs("adjacency", lambda: fresh.adjacency, k_minus, k - k_minus)[1]
+        control, _ = kmeans(*pivoted_qr_seeds(v_s, k))
+        result = template_cluster(g, model, np.random.default_rng(s))
+        assert np.array_equal(Partition(result.partition).labels, Partition(control).labels)
