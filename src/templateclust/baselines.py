@@ -43,11 +43,18 @@ def spectral_cluster(g: Graph, k: int, rng: np.random.Generator) -> Partition:
     of L = D - A, rounded as `tb` rounds its frame, by pivoted-QR seeds and
     one Lloyd run on the unit rows (`rounding.pivoted_qr_seeds`).
 
-    `rng` is unused: nothing is drawn. The parameter stays because callers,
-    the acceptance tests among them, pass one."""
-    rows, seeds = pivoted_qr_seeds(spectral_embedding(g, k).matrix, k)
-    labels, _ = kmeans(rows, seeds)
-    return Partition(labels)
+    Nothing is drawn, so the partition is computed on the first call for a
+    `Graph` and k, and read from its memo after that, as `cnm_cluster`'s is;
+    a call that raises stores nothing and raises again. `rng` is unused. The
+    parameter stays because callers, the acceptance tests among them, pass
+    one."""
+
+    def compute() -> Partition:
+        rows, seeds = pivoted_qr_seeds(spectral_embedding(g, k).matrix, k)
+        labels, _ = kmeans(rows, seeds)
+        return Partition(labels)
+
+    return g.memo(("spectral", k), compute)
 
 
 def _check_edges(g: Graph) -> float:

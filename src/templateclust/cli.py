@@ -17,10 +17,11 @@ from templateclust.metrics import adjusted_rand_index
 from templateclust.synth import FAMILIES
 
 # glibc's mallopt parameters (malloc.h) and the values `main` sets. Arrays up
-# to 4 MiB (an n x n float64 array up to n = 724) come from the heap, not
-# from a fresh mmap, and up to 64 MiB of freed memory stays in the heap.
+# to 32 MiB, glibc's largest mmap threshold on 64-bit (an n x n float64 array
+# up to n = 2048), come from the heap, not from a fresh mmap, and up to
+# 128 MiB of freed memory stays in the heap.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-MMAP_THRESHOLD_BYTES, TRIM_THRESHOLD_BYTES = 4 << 20, 64 << 20
+MMAP_THRESHOLD_BYTES, TRIM_THRESHOLD_BYTES = 32 << 20, 128 << 20
 # glibc reads these at start-up; when either is set, its settings win
 GLIBC_MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
 

@@ -198,7 +198,8 @@ class Graph:
     loaded and sampled observation graphs are zero-diagonal and {0,1}-valued.
     Values derived from the graph are memoized on it: the dense
     eigendecompositions and proved end eigenpairs that serve `end_pairs`,
-    CNM's partition and the neighbour lists of Louvain's first phase.
+    CNM's partition, spectral clustering's partition for each k, and the
+    neighbour lists of Louvain's first phase.
     """
 
     adjacency: np.ndarray

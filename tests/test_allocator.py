@@ -49,12 +49,12 @@ def run_python(script: str, *args: str) -> str:
     return proc.stdout
 
 
-# minor page faults per repetition of the second of two g6/40 grids
+# minor page faults per repetition of the second of two g6 grids of one size
 FAULTS = """
 import contextlib, io, resource, sys
 from templateclust.cli import main
-methods, out = sys.argv[1:]
-grid = ["synth", "--family", "g6", "--sizes", "40", "--reps", "3", "--methods", methods]
+methods, size, out = sys.argv[1:]
+grid = ["synth", "--family", "g6", "--sizes", size, "--reps", "3", "--methods", methods]
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(grid + ["--out", out + "/warm-up"]) == 0
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -66,10 +66,20 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
 @needs_glibc
 @pytest.mark.parametrize("methods", ["tb,spectral,cnm,louvain", "tb", "spectral"])
 def test_repetitions_reuse_the_memory_they_free(tmp_path, methods):
-    """Under glibc's default thresholds the second grid took 687 (all four
-    methods), 320 (tb) and 527 (spectral) minor faults per repetition, most
-    of them in eigh's and Cholesky's n x n arrays; under the policy 0 to 1."""
-    assert float(run_python(FAULTS, methods, str(tmp_path))) < 20
+    """Under glibc's default thresholds the second g6/40 grid (n = 240) took
+    687 (all four methods), 320 (tb) and 527 (spectral) minor faults per
+    repetition, most of them in eigh's and Cholesky's n x n arrays; under
+    the policy 0 to 1."""
+    assert float(run_python(FAULTS, methods, "40", str(tmp_path))) < 20
+
+
+@needs_glibc
+@pytest.mark.parametrize("methods", ["tb", "spectral"])
+def test_arrays_above_four_mib_reuse_the_memory_they_free(tmp_path, methods):
+    """g6/125 (n = 750): an n x n float64 array is 4.3 MiB, above a 4 MiB
+    mmap threshold, under which the second grid took 2352 (tb) and 3127
+    (spectral) minor faults per repetition; under the policy 0 to 1."""
+    assert float(run_python(FAULTS, methods, "125", str(tmp_path))) < 20
 
 
 # a grid through `main`, with the policy left on or replaced by a no-op
@@ -138,7 +148,7 @@ def libc(monkeypatch, fresh_policy):
 def test_main_sets_both_thresholds_once(libc):
     assert main(CLUSTER) == 0
     assert main(CLUSTER) == 0
-    assert libc.calls == [(-3, 4 * 2**20), (-1, 64 * 2**20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    assert libc.calls == [(-3, 32 * 2**20), (-1, 128 * 2**20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
     assert libc.argtypes == (ctypes.c_int, ctypes.c_int) and libc.restype is ctypes.c_int
 
 

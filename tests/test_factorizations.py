@@ -7,9 +7,10 @@ owns them.
 the Laplacian through it, so a spectral repetition, every repetition and
 noise level of a `real` grid, and every repetition of a `--fixed-graph`
 point reuse one factorization; `cnm_cluster` memoizes its partition the
-same way. `Graph.end_pairs` also stores the kernel's proved pairs, and once
-a graph holds a matrix's dense factors, or has tried the kernel on it, it
-slices the dense factors without a kernel try.
+same way, and `spectral_cluster` its partition for each k. `Graph.end_pairs`
+also stores the kernel's proved pairs, and once a graph holds a matrix's
+dense factors, or has tried the kernel on it, it slices the dense factors
+without a kernel try.
 `tests/test_source_rules.py` keeps eigensolver and kernel calls out of the
 rest of the package.
 """
@@ -18,6 +19,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from templateclust import (
     Graph,
@@ -98,6 +101,20 @@ def merged(monkeypatch):
     return ran
 
 
+@pytest.fixture
+def rounded(monkeypatch):
+    """Row counts of the embeddings the spectral baseline rounded, in call order."""
+    rows = []
+    seeds = baselines.pivoted_qr_seeds
+
+    def counting(points, k):
+        rows.append(points.shape[0])
+        return seeds(points, k)
+
+    monkeypatch.setattr(baselines, "pivoted_qr_seeds", counting)
+    return rows
+
+
 class TestGraphMemo:
     def test_computes_on_the_first_request_only(self, rng):
         g = random_simple_graph(5, rng)
@@ -154,6 +171,50 @@ class TestCNMMemo:
             with pytest.raises(error):
                 cnm_cluster(g)
         assert merged == [g] * 3
+
+
+@st.composite
+def small_graphs(draw) -> tuple[Graph, int]:
+    """A simple graph on 2-9 vertices and a cluster count 1 <= k <= n."""
+    n = draw(st.integers(2, 9))
+    upper = np.triu(np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)), float).reshape(n, n), 1)
+    return Graph(upper + upper.T), draw(st.integers(1, n))
+
+
+class TestSpectralMemo:
+    def test_rounds_once_per_graph_and_k(self, rng, rounded):
+        g = random_simple_graph(12, rng)
+        first = {k: spectral_cluster(g, k, rng) for k in (2, 3)}
+        for k in (2, 3):
+            assert spectral_cluster(g, k, rng) is first[k]
+            assert np.array_equal(first[k].labels, spectral_cluster(Graph(g.adjacency), k, rng).labels)
+            assert not first[k].labels.flags.writeable
+        assert rounded == [12] * 4  # two ks on g, then each on a fresh graph
+
+    @pytest.mark.parametrize(
+        "adjacency, k, error",
+        [
+            (np.full((6, 6), 1e308) - np.diag(np.full(6, 1e308)), 2, NumericalError),
+            (np.ones((4, 4)) - np.eye(4), 5, InputError),
+        ],
+        ids=["laplacian-overflow", "k-above-n"],
+    )
+    def test_a_call_that_raises_stores_nothing(self, rng, rounded, adjacency, k, error):
+        g = Graph(adjacency)
+        for _ in range(2):
+            with pytest.raises(error):
+                spectral_cluster(g, k, rng)
+        marker = object()  # stored only when the memo holds nothing under the key
+        assert rounded == [] and g.memo(("spectral", k), lambda: marker) is marker
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_graphs())
+    def test_memo_read_is_the_first_partition(self, case):
+        g, k = case
+        rng = np.random.default_rng(0)
+        first = spectral_cluster(g, k, rng)
+        assert spectral_cluster(g, k, rng) is first
+        assert np.array_equal(first.labels, spectral_cluster(Graph(g.adjacency), k, rng).labels)
 
 
 class TestMemo:
@@ -241,7 +302,7 @@ class TestFactorizationCounts:
         assert main(["cluster", "--family", "g3", "--size", "4", "--method", "spectral"]) == 0
         assert factored == [12] and len(laplacians) == 1
 
-    def test_real_grid_factors_each_graph_matrix_once(self, tmp_path, factored, laplacians, merged):
+    def test_real_grid_factors_each_graph_matrix_once(self, tmp_path, factored, laplacians, merged, rounded):
         edges, labels = tmp_path / "edges.txt", tmp_path / "labels.txt"
         blocks = [range(0, 5), range(5, 10)]
         edges.write_text("".join(f"{i} {j}\n" for b in blocks for i in b for j in b if i < j) + "0 5\n")
@@ -251,14 +312,18 @@ class TestFactorizationCounts:
         # A_O and L once each; the 2 x 2 template once per tb repetition
         assert sorted(factored) == [2] * 6 + [10, 10]
         assert len(laplacians) == 1 and len(merged) == 1
+        assert rounded == [10]  # one rounding for all 3 repetitions at both sigmas
 
     @pytest.mark.parametrize("fixed, graphs", [(True, 1), (False, 3)])
-    def test_fixed_graph_repetitions_share_one_graph(self, tmp_path, factored, laplacians, merged, fixed, graphs):
+    def test_fixed_graph_repetitions_share_one_graph(
+        self, tmp_path, factored, laplacians, merged, rounded, fixed, graphs
+    ):
         argv = ["synth", "--family", "g3", "--sizes", "4", "--methods", "tb,spectral,cnm", "--reps", "3"]
         assert main(argv + ["--fixed-graph"] * fixed + ["--out", str(tmp_path)]) == 0
         assert sorted(factored) == [3] * 3 + [12] * (2 * graphs)
         assert len({id(g) for g in laplacians}) == len(laplacians) == graphs
         assert len({id(g) for g in merged}) == len(merged) == graphs
+        assert rounded == [12] * graphs
 
 
 class TestKernelCounts:

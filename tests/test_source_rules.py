@@ -465,6 +465,7 @@ RULES = {
     "memo_keys": (memo_writes, PACKAGE, {
         ("baselines.py", "cnm_cluster", "cnm"),
         ("baselines.py", "louvain_cluster", "neighbour lists"),
+        ("baselines.py", "spectral_cluster", "spectral"),
         ("graphs.py", "Graph.end_pairs", "eigh"),
         ("graphs.py", "Graph.end_pairs", "end pairs"),
     }),
@@ -492,6 +493,9 @@ def test_rule(rule):
 def test_readme_lists_every_rule():
     section = (REPO / "README.md").read_text().split("\n## Install & test\n")[1].split("\n## ")[0]
     assert sorted(re.findall(r"^- `(\w+)`: ", section, flags=re.M)) == sorted(RULES)
+    # each memo key the rule allows is named, quoted, on the rule's line
+    memo_line = re.search(r"^- `memo_keys`: .*$", section, flags=re.M).group()
+    assert [key for _, _, key in RULES["memo_keys"][2] if f'`"{key}"`' not in memo_line] == []
 
 
 def test_walk_covers_every_file_and_owner():
