@@ -32,22 +32,22 @@ class Partition:
 def spectral_embedding(g: Graph, k: int) -> StiefelPoint:
     """Eigenvectors of the k smallest Laplacian eigenvalues, as columns: the
     graph's k bottom end pairs of L (`Graph.end_pairs`), which build L at
-    most once."""
+    most once. The validated frame is kept in the graph's memo for each k;
+    a call that raises stores nothing and raises again."""
     if g.n < k or k < 1:
         raise InputError(f"need n >= k >= 1, got n={g.n}, k={k}")
-    return StiefelPoint(g.end_pairs("laplacian", lambda: laplacian(g), k, 0)[1])
+    return g.memo(("spectral frame", k), lambda: StiefelPoint(g.end_pairs("laplacian", lambda: laplacian(g), k, 0)[1]))
 
 
-def spectral_cluster(g: Graph, k: int, rng: np.random.Generator) -> Partition:
+def spectral_cluster(g: Graph, k: int, rng: np.random.Generator | None) -> Partition:
     """Unnormalized spectral clustering: the rows of the k bottom eigenvectors
     of L = D - A, rounded as `tb` rounds its frame, by pivoted-QR seeds and
     one Lloyd run on the unit rows (`rounding.pivoted_qr_seeds`).
 
     Nothing is drawn, so the partition is computed on the first call for a
     `Graph` and k, and read from its memo after that, as `cnm_cluster`'s is;
-    a call that raises stores nothing and raises again. `rng` is unused. The
-    parameter stays because callers, the acceptance tests among them, pass
-    one."""
+    a call that raises stores nothing and raises again. `rng` is unused, and
+    may be None; the acceptance tests pass one."""
 
     def compute() -> Partition:
         rows, seeds = pivoted_qr_seeds(spectral_embedding(g, k).matrix, k)

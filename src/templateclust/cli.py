@@ -206,7 +206,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # numerical or runtime failure
         print(f"failure: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

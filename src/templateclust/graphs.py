@@ -18,12 +18,14 @@ T = TypeVar("T")
 # thread, kernel with its checks against eigh in ms, and graphs proved of 3,
 # for adjacency ends at n // 4 steps: g6/10 (10 per pair) 0.14/0.20, 0; the
 # email-file graphs (16) 0.89/2.07, 0; g6/20 (20) 0.37/0.73, 1; g6/30 (30)
-# 0.70/1.70, 3; g6/40 (40) 1.00/3.05, 3. The rule holds for every matrix; the
-# Laplacian also needs KERNEL_LONG_RUN_VERTICES.
+# 0.70/1.70, 3; g6/40 (40) 1.00/3.05, 3. The rule holds for every request; one
+# with no top end also needs KERNEL_LONG_RUN_VERTICES.
 KERNEL_MIN_VERTICES_PER_PAIR = 32
 # From this many vertices the kernel may run n // 2 Lanczos steps, below it
-# n // 4, and only from here does it try the Laplacian's bottom end: below,
-# a run long enough to prove more costs more than dense eigh. Spectral time
+# n // 4, and only from here does it try a request with no top end (L's
+# bottom; A's under a negative-definite template, where g3/40 and g6/34 proved
+# 0 of 6 graphs each): below, a run long enough to prove more costs more than
+# dense eigh. Spectral time
 # per repetition, kernel at n // 2 steps against dense eigh alone, one BLAS
 # thread, 8 graphs each: bp/40/0.6 (n=80) +52% bipartite, +77% hub; bp/80/0.6
 # hub +16%; bp/100 hub (n=200) +18% to +47%, bp/110/0.4 hub +21%, bp/120 hub
@@ -198,8 +200,8 @@ class Graph:
     loaded and sampled observation graphs are zero-diagonal and {0,1}-valued.
     Values derived from the graph are memoized on it: the dense
     eigendecompositions and proved end eigenpairs that serve `end_pairs`,
-    CNM's partition, spectral clustering's partition for each k, and the
-    neighbour lists of Louvain's first phase.
+    CNM's partition, spectral clustering's frame and partition for each k,
+    and the neighbour lists of Louvain's first phase.
     """
 
     adjacency: np.ndarray
@@ -235,9 +237,9 @@ class Graph:
         Proved pairs stored for (key, bottom, top) come first. Next, the
         graph's dense factors (`np.linalg.eigh`) are sliced when it holds them
         or has already tried the Lanczos kernel on the matrix, or when the
-        kernel is ruled out: below KERNEL_MIN_VERTICES_PER_PAIR vertices per
-        wanted pair, and for "laplacian" below KERNEL_LONG_RUN_VERTICES
-        vertices, where it rarely proves its answer in time. Otherwise
+        request rules the kernel out, where it rarely proves its answer in
+        time: below KERNEL_MIN_VERTICES_PER_PAIR vertices per wanted pair, or
+        with no top end below KERNEL_LONG_RUN_VERTICES vertices. Otherwise
         `extremal_pairs(m, bottom, top, limits)` runs; its pairs are stored
         when proved, and when it gives up, the matrix it ran on is factored.
         So a graph tries the kernel at most once per matrix: a split with a
@@ -253,7 +255,7 @@ class Graph:
             with np.errstate(over="ignore", invalid="ignore"):
                 m = matrix()
             if proved is None and self.n >= KERNEL_MIN_VERTICES_PER_PAIR * (bottom + top) and (
-                key != "laplacian" or self.n >= KERNEL_LONG_RUN_VERTICES
+                top or self.n >= KERNEL_LONG_RUN_VERTICES
             ):
                 pairs = extremal_pairs(m, bottom, top, limits)
                 if pairs is not None:

@@ -39,6 +39,7 @@ from templateclust.synth import C2_COUPLING, add_model_noise, check_sigma, expec
 from templateclust.template import TemplateModel, template_cluster
 
 METHODS = ("tb", "spectral", "cnm", "louvain")
+DRAWING = ("tb", "louvain")  # the methods that draw from a stream
 
 SUMMARY_COLUMNS = (
     "dataset",
@@ -134,14 +135,14 @@ def run_method(
     graph: Graph,
     k: int | None,
     model: TemplateModel | None,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
 ) -> tuple[Partition, StiefelPoint | None, int | None]:
     """Cluster `graph` with one of METHODS.
 
     Returns the partition, labels canonical by first appearance; the
     embedding of tb and spectral, else None; and tb's descent iteration
     count, else None.
-    tb needs `model`, spectral needs `k`.
+    tb needs `model` and `rng`, spectral needs `k`, louvain needs `rng`.
     """
     if method == "tb":
         if model is None:
@@ -159,10 +160,11 @@ def run_method(
     raise InputError(f"unknown method {method!r}")
 
 
-def method_rng(seed: int, point_idx: int, rep: int, method: str) -> np.random.Generator:
+def method_rng(seed: int, point_idx: int, rep: int, method: str) -> np.random.Generator | None:
     """The stream `method` draws from at repetition `rep` of point
-    `point_idx`, seeded by that place and the method's index in METHODS."""
-    return np.random.default_rng((seed, point_idx, rep, METHODS.index(method)))
+    `point_idx`, seeded by that place and the method's index in METHODS;
+    None for spectral and cnm, which draw nothing."""
+    return np.random.default_rng((seed, point_idx, rep, METHODS.index(method))) if method in DRAWING else None
 
 
 def instances(

@@ -620,6 +620,36 @@ class TestLouvain:
             assert_louvain_matches_reference(two_triangles(), seed)
         assert calls == {"ours": 5, "reference": 10}
 
+    def test_phase_that_barely_raises_modularity_ends_the_loop(self, monkeypatch):
+        """A ring of 8 unit triangles joined by bridges of weight 1 + 1e-9.
+        Phase 1 finds the triangles. Merging two ring neighbours gains
+        (2/2m)(x - d/8) = 0.75e-9/32 of modularity, so phase 2 merges some of
+        them in pairs, and its total gain, under 1e-10, stops the loop with
+        the pairs kept."""
+        qs = []
+        modularity_from_adj = baselines._modularity_from_adj
+
+        def recording(agg):
+            qs.append(modularity_from_adj(agg))
+            return qs[-1]
+
+        monkeypatch.setattr(baselines, "_modularity_from_adj", recording)
+        ring = [
+            edge
+            for t in range(0, 24, 3)
+            for edge in ((t, t + 1, 1.0), (t, t + 2, 1.0), (t + 1, t + 2, 1.0), (t + 2, (t + 3) % 24, 1 + 1e-9))
+        ]
+        for seed in range(5):
+            qs.clear()
+            labels = louvain_cluster(build_graph(ring, 24), np.random.default_rng(seed)).labels
+            assert len(qs) == 2 and 0 < qs[1] - qs[0] <= 1e-9
+            triangles = labels[::3]
+            assert np.array_equal(labels, np.repeat(triangles, 3))
+            sizes = np.bincount(triangles)
+            assert sizes.max() == 2  # ring neighbours merged in pairs, none in threes
+            neighbours = zip(np.roll(triangles, 1), np.roll(triangles, -1))
+            assert all(sizes[c] == 1 or c in pair for c, pair in zip(triangles, neighbours))
+
 
 def louvain_dense_reference(g, rng):
     """Reference Louvain: each visit scans the vertex's dense adjacency row

@@ -39,7 +39,7 @@ from templateclust import (
     spectral_cluster,
     template_cluster,
 )
-from templateclust import baselines, graphs
+from templateclust import baselines, graphs, harness
 from templateclust.cli import main
 from templateclust.harness import run_method
 
@@ -84,6 +84,36 @@ def laplacians(monkeypatch):
         return laplacian(g)
 
     monkeypatch.setattr(baselines, "laplacian", counting)
+    return built
+
+
+@pytest.fixture
+def frames(monkeypatch):
+    """Row counts of the frames the spectral baseline validated, in call order."""
+    built = []
+    point = baselines.StiefelPoint
+
+    def counting(matrix):
+        built.append(matrix.shape[0])
+        return point(matrix)
+
+    monkeypatch.setattr(baselines, "StiefelPoint", counting)
+    return built
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """Methods the harness built a random stream for, in call order."""
+    built = []
+    method_rng = harness.method_rng
+
+    def counting(seed, point_idx, rep, method):
+        rng = method_rng(seed, point_idx, rep, method)
+        if rng is not None:
+            built.append(method)
+        return rng
+
+    monkeypatch.setattr(harness, "method_rng", counting)
     return built
 
 
@@ -316,35 +346,59 @@ class TestFactorizationCounts:
 
     @pytest.mark.parametrize("fixed, graphs", [(True, 1), (False, 3)])
     def test_fixed_graph_repetitions_share_one_graph(
-        self, tmp_path, factored, laplacians, merged, rounded, fixed, graphs
+        self, tmp_path, factored, laplacians, merged, rounded, frames, streams, fixed, graphs
     ):
-        argv = ["synth", "--family", "g3", "--sizes", "4", "--methods", "tb,spectral,cnm", "--reps", "3"]
+        """One Laplacian, merge loop, rounding and validated spectral frame per
+        graph; only tb and Louvain, which draw, get a stream per repetition."""
+        argv = ["synth", "--family", "g3", "--sizes", "4", "--methods", "tb,spectral,cnm,louvain", "--reps", "3"]
         assert main(argv + ["--fixed-graph"] * fixed + ["--out", str(tmp_path)]) == 0
         assert sorted(factored) == [3] * 3 + [12] * (2 * graphs)
         assert len({id(g) for g in laplacians}) == len(laplacians) == graphs
         assert len({id(g) for g in merged}) == len(merged) == graphs
-        assert rounded == [12] * graphs
+        assert rounded == frames == [12] * graphs
+        assert streams == ["tb", "louvain"] * 3
+
+
+def negative_definite(spec) -> TemplateModel:
+    """-A_M - 1e-9 I for a family whose expected template A_M is positive
+    semidefinite: every template eigenvalue is negative, so tb asks for the
+    adjacency's bottom k pairs and no top end."""
+    weights = expected_model(spec).weights
+    return TemplateModel(-weights - 1e-9 * np.eye(len(weights)))
 
 
 class TestKernelCounts:
     def test_certified_repetitions_never_factor_the_adjacency(self, factored, kernel_runs):
-        """g6/40 has 40 vertices per wanted pair: tb's certified frame comes
-        from one kernel run per graph, memoized for the second repetition,
-        and the only eigh calls are the kernel's tridiagonals and the 6 x 6
-        template."""
-        spec = make_g6(40)
-        g, gt = sample_graph(spec, np.random.default_rng(0))
-        for rep in range(2):
-            _, _, iterations = run_method("tb", g, gt.k, expected_model(spec), np.random.default_rng(rep))
-            assert iterations == 0
-        assert kernel_runs == [240]
-        assert factored.count(6) == 2 and max(factored) < 240
+        """g6/40 and g6/34 have 40 and 34 vertices per wanted pair: tb's
+        certified frame, the adjacency's top 6 pairs, comes from one kernel
+        run per graph, memoized for the second repetition, and the only eigh
+        calls are the kernel's tridiagonals and the 6 x 6 template. g6/34
+        (n = 204) is below KERNEL_LONG_RUN_VERTICES, which only a request
+        with no top end needs."""
+        for spec in (make_g6(40), make_g6(34)):
+            factored.clear()
+            kernel_runs.clear()
+            g, gt = sample_graph(spec, np.random.default_rng(0))
+            for rep in range(2):
+                _, _, iterations = run_method("tb", g, gt.k, expected_model(spec), np.random.default_rng(rep))
+                assert iterations == 0
+            assert kernel_runs == [g.n]
+            assert factored.count(6) == 2 and max(factored) < g.n
 
     def test_graph_under_the_size_rule_never_reaches_the_kernel(self, factored, kernel_runs):
-        spec = make_g6(10)  # 60 vertices, 10 per wanted pair
-        g, gt = sample_graph(spec, np.random.default_rng(0))
-        run_method("tb", g, gt.k, expected_model(spec), np.random.default_rng(1))
-        assert kernel_runs == [] and sorted(factored) == [6, 60]
+        """g6/10 has 10 vertices per wanted pair. g3/40 (n = 120) and g6/34
+        (n = 204) have 40 and 34, but under a negative-definite template tb
+        asks for no top end, which needs KERNEL_LONG_RUN_VERTICES: one dense
+        factorization of the adjacency, whatever the matrix's name."""
+        for spec, template in (
+            (make_g6(10), expected_model),
+            (make_g3(40), negative_definite),
+            (make_g6(34), negative_definite),
+        ):
+            factored.clear()
+            g, gt = sample_graph(spec, np.random.default_rng(0))
+            run_method("tb", g, gt.k, template(spec), np.random.default_rng(1))
+            assert kernel_runs == [] and sorted(factored) == [gt.k, g.n]
 
     def test_spectral_never_factors_the_laplacian_on_g6_40(self, factored, kernel_runs):
         """g6/40 passes both of the Laplacian's size rules: one kernel run
@@ -356,10 +410,15 @@ class TestKernelCounts:
         assert kernel_runs == [240] and max(factored) < 240
 
     def test_spectral_below_the_vertex_floor_never_reaches_the_kernel(self, factored, kernel_runs):
-        spec = make_bp(100, 0.6, "hub")  # 100 vertices per pair, but 200 < KERNEL_LONG_RUN_VERTICES
-        g, gt = sample_graph(spec, np.random.default_rng(0))
-        run_method("spectral", g, gt.k, None, np.random.default_rng(1))
-        assert kernel_runs == [] and factored == [200]
+        """bp/100 hub (n = 200, 100 vertices per pair) and g3/40 (n = 120, 40
+        per pair): the Laplacian's bottom end is a request with no top end,
+        below KERNEL_LONG_RUN_VERTICES, as tb's on g3/40 under a
+        negative-definite template is."""
+        for spec in (make_bp(100, 0.6, "hub"), make_g3(40)):
+            factored.clear()
+            g, gt = sample_graph(spec, np.random.default_rng(0))
+            run_method("spectral", g, gt.k, None, None)
+            assert kernel_runs == [] and factored == [g.n]
 
     def test_uncertified_template_ends_the_kernel_at_its_first_test(self, factored, kernel_runs):
         """c2/40/0.42's template fails the sign test: the first Ritz test,

@@ -156,6 +156,18 @@ class TestRunExperiment:
         with pytest.raises(InputError, match=f"^{message}$"):
             small_cfg(**kw)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(repetitions=0), "repetitions must be >= 1"),
+            (dict(kind="simulated"), "kind must be 'synth' or 'real', got 'simulated'"),
+        ],
+        ids=["repetitions", "kind"],
+    )
+    def test_repetitions_below_one_or_unknown_kind_rejected(self, kw, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            small_cfg(**kw)
+
     UNREAD = [
         ("synth", "sigmas", (5.0,)),
         ("synth", "edges_path", "e.txt"),
@@ -480,7 +492,7 @@ def test_blas_free_methods_ignore_the_blas_thread_count(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         out = tmp_path / threads
         proc = subprocess.run(
-            [sys.executable, "-m", "templateclust.cli", *grid, "--out", str(out)],
+            [sys.executable, "-m", "templateclust", *grid, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -570,6 +582,10 @@ class TestCli:
     def test_input_error_exit_code(self, capsys):
         rc = main(["cluster", "--method", "tb"])
         assert rc == 1
+
+    def test_cluster_family_without_size_exit_code(self, capsys):
+        assert main(["cluster", "--family", "g3", "--method", "tb"]) == 1
+        assert capsys.readouterr().err == "error: --family needs --size\n"
 
     @pytest.mark.parametrize(
         "method, message",
@@ -882,7 +898,7 @@ class TestCli:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         args = ["cluster", "--family", "g3", "--size", "6", "--template", str(template), "--method", "tb"]
         proc = subprocess.run(
-            [sys.executable, *warning_flags, "-m", "templateclust.cli", *args],
+            [sys.executable, *warning_flags, "-m", "templateclust", *args],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 2

@@ -78,6 +78,10 @@ class TestARI:
         with pytest.raises(InputError):
             adjusted_rand_index([0, 1], [0, 1, 2])
 
+    def test_fewer_than_two_elements(self):
+        with pytest.raises(InputError, match="need at least two elements to compare partitions"):
+            adjusted_rand_index([0], [0])
+
     @given(st.lists(st.integers(0, 3), min_size=2, max_size=20))
     @settings(max_examples=50, deadline=None)
     def test_symmetric(self, labels):

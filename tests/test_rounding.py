@@ -86,6 +86,12 @@ class TestKMeans:
         with pytest.raises(InputError):
             kmeans(np.zeros((2, 2)), np.zeros((3, 2)))
 
+    def test_points_not_a_matrix(self):
+        for points in (np.zeros(4), np.zeros((4, 1, 1))):
+            for call in (lambda: kmeans(points, np.zeros((1, 1))), lambda: pivoted_qr_seeds(points, 1)):
+                with pytest.raises(InputError, match="points must be a 2-d array of row vectors"):
+                    call()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points(self, rng, bad):
         pts = rng.standard_normal((6, 2))

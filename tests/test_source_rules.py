@@ -173,6 +173,26 @@ def kernel_calls(tree: ast.Module) -> list[tuple[int, str, str]]:
     return scoped_calls(tree, lambda parts: parts[-1] == "extremal_pairs")
 
 
+def key_comparisons(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """(line, enclosing class/function path, comparison) for each comparison
+    with the name `key` inside `Graph.end_pairs`.
+
+    `key` names the matrix for the memo and for error messages only. Whether
+    the Lanczos kernel serves a request follows from n, `bottom` and `top`,
+    so every caller meets one rule: a rule that read the name once let the
+    adjacency's bottom end try the kernel where the Laplacian's could not.
+    """
+
+    def comparison(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Name) and side.id == "key" for side in (node.left, *node.comparators)
+        ):
+            return ast.unparse(node)
+        return None
+
+    return [found for found in scoped(tree, comparison) if found[1].split(".")[:2] == ["Graph", "end_pairs"]]
+
+
 def memo_key(node: ast.AST) -> str | None:
     """The string key a node writes to a graph's memo, if any: the first
     argument of a `.memo(...)` call or the subscript of a `_memo[...]` being
@@ -447,6 +467,7 @@ RULES = {
     "kernel_calls": (kernel_calls, PACKAGE, {
         ("graphs.py", "Graph.end_pairs", "extremal_pairs(m, bottom, top, limits)"),
     }),
+    "kernel_rule": (key_comparisons, PACKAGE, set()),
     # the acceptance criteria are kept as written, unused imports included
     "unused_imports": (unread_imports, PACKAGE + TESTS + BENCH, {"tests/test_acceptance.py"}),
     "private_access": (private_accesses, PACKAGE + BENCH, set()),
@@ -466,6 +487,7 @@ RULES = {
         ("baselines.py", "cnm_cluster", "cnm"),
         ("baselines.py", "louvain_cluster", "neighbour lists"),
         ("baselines.py", "spectral_cluster", "spectral"),
+        ("baselines.py", "spectral_embedding", "spectral frame"),
         ("graphs.py", "Graph.end_pairs", "eigh"),
         ("graphs.py", "Graph.end_pairs", "end pairs"),
     }),
@@ -589,6 +611,28 @@ def test_kernel_call_detector():
         (4, "eigenvector_start", "graphs.extremal_pairs(g.adjacency, 0, 2, lam)"),
         (5, "eigenvector_start", "extremal_pairs(g.adjacency, 0, 2)"),
         (8, "Graph.end_pairs", "extremal_pairs(matrix(), bottom, top, limits)"),
+    ]
+
+
+def test_key_comparison_detector():
+    # line 3 is the rule end_pairs once held; a comparison with `key` outside
+    # end_pairs, or of another name inside it, is not flagged
+    source = (
+        "class Graph:\n"
+        "    def end_pairs(self, key, matrix, bottom, top):\n"
+        "        if key != 'laplacian' or self.n >= 240:\n"
+        "            pass\n"
+        "        ok = 'adjacency' == key or key in KEYS\n"
+        "        return bottom == 0\n"
+        "    def memo(self, key, compute):\n"
+        "        return key == 'cnm'\n"
+        "def f(key):\n"
+        "    return key != 'laplacian'\n"
+    )
+    assert key_comparisons(ast.parse(source)) == [
+        (3, "Graph.end_pairs", "key != 'laplacian'"),
+        (5, "Graph.end_pairs", "'adjacency' == key"),
+        (5, "Graph.end_pairs", "key in KEYS"),
     ]
 
 

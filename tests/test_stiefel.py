@@ -48,6 +48,20 @@ def test_stiefel_point_rejects_non_finite(bad):
         StiefelPoint(np.full((3, 2), bad))
 
 
+@pytest.mark.parametrize(
+    "matrix, error, message",
+    [
+        (np.ones(3), InputError, "expected a 2-d matrix, got ndim=1"),
+        (np.eye(2, 3), InputError, "need n >= k, got 2 x 3"),
+        (np.ones((3, 2)), NumericalError, r"columns not orthonormal: \|\|P\^T P - I\|\| = "),
+    ],
+    ids=["1-d", "wide", "not-orthonormal"],
+)
+def test_stiefel_point_rejects_what_is_not_a_frame(matrix, error, message):
+    with pytest.raises(error, match=message):
+        StiefelPoint(matrix)
+
+
 def test_random_stiefel_bad_shape(rng):
     with pytest.raises(InputError):
         random_stiefel(2, 3, rng)
@@ -100,6 +114,17 @@ def test_retract_hand_example():
     p = StiefelPoint(np.array([[1.0], [0.0]]))
     q = retract_qr(p, np.array([[0.0], [1.0]]))
     assert np.allclose(q.matrix, [[1 / np.sqrt(2)], [1 / np.sqrt(2)]], atol=1e-14)
+
+
+def test_retract_shape_mismatch(rng):
+    with pytest.raises(InputError, match=r"shape mismatch: point \(5, 2\), displacement \(5, 3\)"):
+        retract_qr(random_stiefel(5, 2, rng), np.zeros((5, 3)))
+
+
+def test_retract_rank_deficient_step(rng):
+    p = random_stiefel(5, 2, rng)
+    with pytest.raises(NumericalError, match="P \\+ v is numerically rank deficient"):
+        retract_qr(p, -p.matrix)
 
 
 def test_retract_orthonormality_many(rng):

@@ -128,6 +128,20 @@ class TestCommunitySpec:
         with pytest.raises(InputError, match="non-finite"):
             CommunitySpec((3, 3), np.array([[0.5, bad], [bad, 0.5]]))
 
+    @pytest.mark.parametrize(
+        "sizes, rates, message",
+        [
+            ((3, 0), np.eye(2), "every community needs size >= 1"),
+            ((3, 3), np.eye(3), r"rates must be 2 x 2, got \(3, 3\)"),
+            ((3, 3), np.full((2, 2), 1.5), r"rates must lie in \[0, 1\]"),
+            ((3, 3), -np.eye(2), r"rates must lie in \[0, 1\]"),
+        ],
+        ids=["empty-community", "rates-shape", "rate-above-one", "negative-rate"],
+    )
+    def test_bad_sizes_or_rates_named(self, sizes, rates, message):
+        with pytest.raises(InputError, match=message):
+            CommunitySpec(sizes, rates)
+
 
 class TestExpectedModel:
     def test_zero_rates(self):

@@ -95,6 +95,11 @@ class TestObjective:
         with pytest.raises(InputError):
             objective(np.zeros((5, 5)), TemplateModel(np.zeros((2, 2))), p)
 
+    def test_template_of_another_k(self):
+        p = StiefelPoint(np.eye(4)[:, :2])
+        with pytest.raises(InputError, match="template has k=3 but embedding has k=2"):
+            objective(np.zeros((4, 4)), TemplateModel(np.zeros((3, 3))), p)
+
     def test_nonnegative_and_relabel_invariant(self, rng):
         g = random_simple_graph(7, rng)
         m = rng.random((3, 3))
