@@ -142,7 +142,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     else:
         raise InputError("provide either --family/--size or --edges")
     if cfg is not None:
-        *_, graph, gt, model = next(instances(cfg))
+        *_, graph, gt, _, model = next(instances(cfg))
 
     if args.template:
         model = load_template(args.template)

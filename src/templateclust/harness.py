@@ -169,32 +169,39 @@ def method_rng(seed: int, point_idx: int, rep: int, method: str) -> np.random.Ge
 
 def instances(
     cfg: ExperimentConfig,
-) -> Iterator[tuple[int | None, float | None, int, int, Graph, GroundTruth, TemplateModel]]:
-    """Yield (size, param, point_idx, rep, graph, truth, template) for every
-    repetition of the grid: synth samples each graph from its family (once per
-    point under `fixed_graph`) and uses the expected-value template; real
-    loads the files once and adds template noise per repetition."""
+) -> Iterator[tuple[int | None, float | None, int, int, Graph, GroundTruth, StiefelPoint, TemplateModel]]:
+    """Yield (size, param, point_idx, rep, graph, truth, frame, template) for
+    every repetition of the grid, with `frame` the truth's closest orthonormal
+    frame: synth samples each graph from its family (once per point under
+    `fixed_graph`) and uses the expected-value template; real loads the files
+    once and adds template noise per repetition.
+
+    A point's truth, frame and template are built before its first graph is
+    sampled, and a repetition's graph is let go before the next is sampled
+    (the caller must let go of it too), so a repetition's arrays can reuse
+    the memory the last one freed."""
     if cfg.kind == "synth":
         points = [(size, prob) for size in cfg.sizes for prob in cfg.probs]
         specs = [make_family(cfg.dataset, size, prob, cfg.intra_mode) for size, prob in points]  # all checked first
         for point_idx, ((size, prob), spec) in enumerate(zip(points, specs)):
-            model = expected_model(spec)
+            model, frame = expected_model(spec), closest_orthonormal(spec.truth)
             # a fixed graph is sampled once, so its repetitions share its factors
             fixed = sample_graph(spec, np.random.default_rng((cfg.base_seed, point_idx))) if cfg.fixed_graph else None
             for rep in range(cfg.repetitions):
                 graph, gt = fixed or sample_graph(spec, np.random.default_rng((cfg.base_seed, point_idx, rep)))
-                yield size, prob, point_idx, rep, graph, gt, model
+                yield size, prob, point_idx, rep, graph, gt, frame, model
+                del graph
     else:
         for sigma in cfg.sigmas:  # all checked first
             check_sigma(sigma)
         graph, id_map = load_edge_list(cfg.edges_path)
         gt = load_labels(cfg.labels_path, graph.n, id_map)
-        base_model = model_from_ground_truth(graph, gt)
+        base_model, frame = model_from_ground_truth(graph, gt), closest_orthonormal(gt)
         for point_idx, sigma in enumerate(cfg.sigmas):
             for rep in range(cfg.repetitions):
                 noise_rng = np.random.default_rng((cfg.base_seed, point_idx, rep, 997))
                 model = add_model_noise(base_model, sigma, noise_rng)
-                yield None, sigma, point_idx, rep, graph, gt, model
+                yield None, sigma, point_idx, rep, graph, gt, frame, model
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
@@ -203,7 +210,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     any other exception is a fault in the program and propagates. Each
     method draws from `method_rng`, so its rows do not depend on the others."""
     records: list[ExperimentRecord] = []
-    for size, param, point_idx, rep, graph, gt, model in instances(cfg):
+    for size, param, point_idx, rep, graph, gt, frame, model in instances(cfg):
         for method in cfg.methods:
             rec = ExperimentRecord(cfg.dataset, method, size, param, rep, cfg.base_seed + rep)
             rng = method_rng(cfg.base_seed, point_idx, rep, method)
@@ -211,13 +218,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
             try:
                 partition, embedding, iters = run_method(method, graph, gt.k, model, rng)
                 ari = adjusted_rand_index(partition.labels, gt.labels)
-                pd = None if embedding is None else projector_distance(embedding, closest_orthonormal(gt))
+                pd = None if embedding is None else projector_distance(embedding, frame)
                 rec.ari, rec.projector_distance, rec.iterations = ari, pd, iters
                 rec.k_found = partition.k_found
             except (InputError, NumericalError):
                 rec.status = "failed"
             rec.runtime_ms = (time.perf_counter() - start) * 1000.0
             records.append(rec)
+        del graph  # see `instances`
     records.sort(key=_order)
     return records
 

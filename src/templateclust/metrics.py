@@ -36,6 +36,19 @@ class GroundTruth:
         return b
 
 
+def _dense_ids(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """x's values renumbered 0..m-1 in ascending order, as np.unique's
+    inverse, and m. Values in [0, x.size), as every labeling the package
+    makes, are counted; any other values go through np.unique."""
+    if x.min() >= 0 and x.max() < x.size:
+        values = np.flatnonzero(np.bincount(x))
+        ids = np.empty(values[-1] + 1, dtype=int)
+        ids[values] = np.arange(values.size)
+        return ids[x], values.size
+    _, inverse = np.unique(x, return_inverse=True)
+    return inverse, int(inverse.max()) + 1
+
+
 def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     """Chance-corrected pair-counting agreement between two labelings.
 
@@ -51,9 +64,8 @@ def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     if n < 2:
         raise InputError("need at least two elements to compare partitions")
 
-    _, a_idx = np.unique(a, return_inverse=True)
-    _, b_idx = np.unique(b, return_inverse=True)
-    ka, kb = a_idx.max() + 1, b_idx.max() + 1
+    a_idx, ka = _dense_ids(a)
+    b_idx, kb = _dense_ids(b)
     contingency = np.bincount(a_idx * kb + b_idx, minlength=ka * kb).reshape(ka, kb)
 
     def comb2(x: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ import numpy as np
 
 from templateclust.errors import InputError, NumericalError
 
+EPS = np.finfo(float).eps
+
 
 def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int) -> tuple[np.ndarray, float]:
     """At most max_iters >= 1 Lloyd iterations from centroids (k, d); returns
@@ -47,13 +49,14 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int) -> tuple[n
         counts = np.bincount(new_labels, minlength=k)
         # an empty cluster takes the point farthest from its centroid among
         # clusters of two or more, so no cluster is emptied
-        for c in np.flatnonzero(counts == 0):
-            worst = int(np.argmax(np.where(counts[new_labels] > 1, nearest, -np.inf)))
-            counts[new_labels[worst]] -= 1
-            new_labels[worst] = c
-            nearest[worst] = dists[c, worst]
-            counts[c] = 1
-        if np.array_equal(new_labels, labels):
+        if not counts.all():
+            for c in np.flatnonzero(counts == 0):
+                worst = int(np.argmax(np.where(counts[new_labels] > 1, nearest, -np.inf)))
+                counts[new_labels[worst]] -= 1
+                new_labels[worst] = c
+                nearest[worst] = dists[c, worst]
+                counts[c] = 1
+        if (new_labels == labels).all():
             return labels, float(nearest.sum())
         centroids = (one_hot.take(new_labels, axis=0).T @ points) / counts[:, None]
         labels = new_labels
@@ -93,7 +96,7 @@ def pivoted_qr_seeds(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     n, d = points.shape
     points = np.ldexp(points, -np.frexp(np.abs(points).max())[1])  # largest |entry| in [1/2, 1)
     norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-    tol = max(n, d) * np.finfo(float).eps * norms.max()
+    tol = max(n, d) * EPS * norms.max()
     residual = points.copy()
     pivots = []
     for rank in range(k):
@@ -103,13 +106,14 @@ def pivoted_qr_seeds(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
             raise NumericalError(f"pivoted-QR seeding needs k={k} independent rows, but the points have rank {rank}")
         pivots.append(pivot)
         q = residual[pivot] / np.sqrt(sq[pivot])
-        residual -= np.outer(residual @ q, q)
+        residual -= (residual @ q)[:, None] * q  # np.outer's products
     rows = points / np.where(norms > 0, norms, 1.0)[:, None]
-    u, _, vt = np.linalg.svd(rows[pivots].T, full_matrices=False)
+    seeds = rows[pivots]
+    u, _, vt = np.linalg.svd(seeds.T, full_matrices=False)
     labels = np.argmax(np.abs(rows @ (u @ vt)), axis=1)
     counts = np.bincount(labels, minlength=k)[:, None]
     sums = np.eye(k)[labels].T @ rows
-    return rows, np.where(counts > 0, sums / np.maximum(counts, 1), rows[pivots])
+    return rows, np.where(counts > 0, sums / np.maximum(counts, 1), seeds)
 
 
 def kmeans(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float]:

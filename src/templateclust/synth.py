@@ -8,7 +8,7 @@ shapes (bp).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,10 +33,12 @@ G6_TEMPLATE_EDGES: tuple[tuple[int, int], ...] = (
 @dataclass(frozen=True, eq=False)
 class CommunitySpec:
     """Planted-community description: per-community sizes and a symmetric
-    matrix of pairwise connection probabilities."""
+    matrix of pairwise connection probabilities. `truth` labels the vertices
+    community by community; every graph sampled from the spec shares it."""
 
     sizes: tuple[int, ...]
     rates: np.ndarray
+    truth: GroundTruth = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sizes = integer_vector(self.sizes, "community sizes")
@@ -49,6 +51,7 @@ class CommunitySpec:
             raise InputError("rates must lie in [0, 1]")
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "sizes", tuple(sizes.tolist()))
+        object.__setattr__(self, "truth", GroundTruth(np.repeat(np.arange(sizes.size), sizes)))
 
     @property
     def k(self) -> int:
@@ -60,21 +63,22 @@ class CommunitySpec:
 
 
 def sample_graph(spec: CommunitySpec, rng: np.random.Generator) -> tuple[Graph, GroundTruth]:
-    """Draw an unweighted graph: each cross/intra pair is an independent
-    Bernoulli edge with the rate of its community pair. No self-loops.
+    """Draw an unweighted graph, returned with the spec's `truth`: each
+    cross/intra pair is an independent Bernoulli edge with the rate of its
+    community pair. No self-loops.
 
     Each ordered pair gets one uniform, in row-major order, as from one
     `rng.random((n, n))` call, and the pairs above the diagonal decide the
     edges. Each community's rows are drawn as one block and compared with
     its row of rates, so no n x n float array is built."""
-    labels = np.repeat(np.arange(spec.k), spec.sizes)
+    labels = spec.truth.labels
     n, start = spec.n, 0
     edges = np.empty((n, n), dtype=bool)
     for c, size in enumerate(spec.sizes):
         np.less(rng.random((size, n)), spec.rates[c][labels], out=edges[start : start + size])
         start += size
     upper = np.triu(edges, k=1)
-    return Graph(upper | upper.T), GroundTruth(labels)  # Graph casts the booleans to float once
+    return Graph(upper | upper.T), spec.truth  # Graph casts the booleans to float once
 
 
 def expected_model(spec: CommunitySpec) -> TemplateModel:
@@ -165,8 +169,11 @@ def add_model_noise(
 
     Upper-triangle entries (diagonal included) get i.i.d. N(0, sigma^2)
     draws mirrored below the diagonal; weights are not clamped at zero.
+    At sigma 0 the model itself comes back, and nothing is drawn.
     """
     check_sigma(sigma)
+    if sigma == 0:
+        return model
     k = model.k
     noise = np.zeros((k, k))
     iu = np.triu_indices(k)

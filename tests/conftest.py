@@ -57,3 +57,29 @@ def email_graph(monkeypatch: pytest.MonkeyPatch, tmp_path: Path, seed: int, inde
     load_bench_workloads(monkeypatch).write_email_graph(seed, index, tmp_path)
     g, ids = load_edge_list(tmp_path / f"edges-{index}.txt")
     return g, load_labels(tmp_path / f"labels-{index}.txt", g.n, ids)
+
+
+# Ways to write one labeling. `adjusted_rand_index` and `Partition` count
+# labels that lie in [0, n), n the number of labels, and send any other
+# labels through np.unique. "sparse" and "int64" always leave that range,
+# "negative" whenever a label is below 3.
+LABEL_FORMS = {
+    "counted": lambda x: np.asarray(x),
+    "negative": lambda x: np.asarray(x) - 3,
+    "sparse": lambda x: 1000 * np.asarray(x) + 1000,
+    "int64": lambda x: np.asarray(x) + (2**63 - 1000),
+}
+
+
+@pytest.fixture
+def unique_calls(monkeypatch: pytest.MonkeyPatch) -> list:
+    """The arrays np.unique is called on while the test runs."""
+    calls = []
+    unique = np.unique
+
+    def counted(ar, *args, **kwargs):
+        calls.append(ar)
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    return calls

@@ -10,6 +10,7 @@ import ctypes
 import importlib.util
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -38,12 +39,13 @@ needs_glibc = pytest.mark.skipif(
 )
 
 
-def run_python(script: str, *args: str) -> str:
-    """Run `script` in a fresh interpreter on this checkout, with one BLAS
-    thread and neither of glibc's threshold variables set; its stdout."""
+def run_python(script: str, *args: str, src: Path = SRC) -> str:
+    """Run `script` in a fresh interpreter on the package under `src` (this
+    checkout's by default), with one BLAS thread and neither of glibc's
+    threshold variables set; its stdout."""
     env = {k: v for k, v in os.environ.items() if k not in cli.GLIBC_MALLOC_VARS}
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -80,6 +82,23 @@ def test_arrays_above_four_mib_reuse_the_memory_they_free(tmp_path, methods):
     mmap threshold, under which the second grid took 2352 (tb) and 3127
     (spectral) minor faults per repetition; under the policy 0 to 1."""
     assert float(run_python(FAULTS, methods, "125", str(tmp_path))) < 20
+
+
+@needs_glibc
+@pytest.mark.parametrize("methods", ["tb", "spectral"])
+@pytest.mark.parametrize("depth", [7, 33])
+def test_arrays_above_four_mib_reuse_the_memory_they_free_from_other_paths(tmp_path, methods, depth):
+    """The heap's layout follows the lengths of the paths the interpreter
+    reads, so the test above once passed or failed by where the checkout lay:
+    while a repetition's graph was still alive when the next was sampled, 16
+    of 40 path lengths read 30-31 faults per repetition (tb), and so did both
+    depths here under pytest's temporary directory (glibc 2.36, CPython
+    3.11.7). The package copied `depth` characters deeper must pass as well."""
+    src = tmp_path / ("d" * depth) / "src"
+    shutil.copytree(SRC / "templateclust", src / "templateclust", ignore=shutil.ignore_patterns("__pycache__"))
+    where = run_python("import templateclust; print(templateclust.__file__)", src=src)
+    assert where == f"{src / 'templateclust' / '__init__.py'}\n"
+    assert float(run_python(FAULTS, methods, "125", str(tmp_path), src=src)) < 20
 
 
 # a grid through `main`, with the policy left on or replaced by a no-op

@@ -31,7 +31,7 @@ from templateclust import baselines, graphs
 from templateclust.baselines import _cnm_merges, spectral_embedding
 from templateclust.cli import main
 
-from conftest import edge_weight, email_graph, random_simple_graph, traced_peak, two_triangles
+from conftest import LABEL_FORMS, edge_weight, email_graph, random_simple_graph, traced_peak, two_triangles
 
 
 def best_partition_exhaustive(g):
@@ -873,9 +873,17 @@ def canonical_by_loop(raw):
     return out, len(mapping)
 
 
-@given(st.lists(st.integers(-5, 40), min_size=1, max_size=60))
-def test_partition_matches_loop_oracle(raw):
+@given(st.lists(st.integers(-5, 40), min_size=1, max_size=60), st.sampled_from(sorted(LABEL_FORMS)))
+def test_partition_matches_loop_oracle(raw, form):
     labels, k_found = canonical_by_loop(raw)
-    part = Partition(np.array(raw))
+    part = Partition(LABEL_FORMS[form](raw))
     assert part.labels.tolist() == labels
     assert part.k_found == k_found
+
+
+@pytest.mark.parametrize("form, calls", [("counted", 0), ("negative", 1), ("sparse", 1), ("int64", 1)])
+def test_partition_counts_labels_in_range(unique_calls, form, calls):
+    raw = [6, 6, 2, 0, 2, 6, 5]  # sparse within [0, 7): counted all the same
+    part = Partition(LABEL_FORMS[form](raw))
+    assert part.labels.tolist() == [0, 0, 1, 2, 1, 0, 3] and part.k_found == 4
+    assert len(unique_calls) == calls

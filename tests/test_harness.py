@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,89 @@ class TestRunExperiment:
             small_cfg(kind=kind, **{**real, field: value})
 
 
+def logged(monkeypatch, names):
+    """Replace each of the harness's callees `names` with one that appends its
+    name to the returned list before it runs."""
+    log = []
+    for name in names:
+        def call(*args, _name=name, _real=getattr(harness, name), **kwargs):
+            log.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, call)
+    return log
+
+
+def two_cliques_files(tmp_path):
+    """Edge and label files of two 4-cliques joined by one edge."""
+    edges, labels = tmp_path / "edges.txt", tmp_path / "labels.txt"
+    lines = [f"{i} {j}\n" for lo in (0, 4) for i in range(lo, lo + 4) for j in range(i + 1, lo + 4)]
+    edges.write_text("".join(lines) + "0 4\n")
+    labels.write_text("".join(f"{i} {0 if i < 4 else 1}\n" for i in range(8)))
+    return str(edges), str(labels)
+
+
+class TestPerPointValues:
+    """A point's truth, its closest orthonormal frame and its template are
+    built once, before the point's first graph is sampled, and a repetition's
+    graph is let go before the next is sampled: values allocated in the
+    middle of a repetition, or a graph alive across the next sample, change
+    the heap's layout, and with it whether a repetition's arrays reuse the
+    memory the last one freed (`tests/test_allocator.py`)."""
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["sampled", "fixed-graph"])
+    def test_synth_point_values_come_before_its_samples(self, monkeypatch, fixed):
+        log = logged(monkeypatch, ("expected_model", "closest_orthonormal", "sample_graph"))
+        records = run_experiment(small_cfg(sizes=(5, 8), repetitions=3, fixed_graph=fixed))
+        samples = ["sample_graph"] * (1 if fixed else 3)
+        assert log == (["expected_model", "closest_orthonormal"] + samples) * 2
+        assert all(r.status == "ok" for r in records)
+
+    def test_real_frame_comes_once_before_the_noise(self, monkeypatch, tmp_path):
+        log = logged(monkeypatch, ("model_from_ground_truth", "closest_orthonormal", "add_model_noise"))
+        edges, labels = two_cliques_files(tmp_path)
+        cfg = ExperimentConfig("real", "toy", methods=("tb", "spectral"), sigmas=(0.0, 0.5), repetitions=2,
+                               edges_path=edges, labels_path=labels)
+        run_experiment(cfg)
+        assert log == ["model_from_ground_truth", "closest_orthonormal"] + ["add_model_noise"] * 4
+
+    def test_sigma_zero_repetitions_cluster_with_the_files_template(self, monkeypatch, tmp_path):
+        models = []  # the template read from the labels, then each one tb clusters with
+        build, cluster = harness.model_from_ground_truth, harness.template_cluster
+
+        def read_template(graph, truth):
+            models.append(build(graph, truth))
+            return models[-1]
+
+        def template_cluster(graph, model, rng):
+            models.append(model)
+            return cluster(graph, model, rng=rng)
+
+        monkeypatch.setattr(harness, "model_from_ground_truth", read_template)
+        monkeypatch.setattr(harness, "template_cluster", template_cluster)
+        edges, labels = two_cliques_files(tmp_path)
+        cfg = ExperimentConfig("real", "toy", methods=("tb",), sigmas=(0.0, 0.5), repetitions=2,
+                               edges_path=edges, labels_path=labels)
+        run_experiment(cfg)
+        base, *used = models
+        assert [m is base for m in used] == [True, True, False, False]
+
+    @pytest.mark.parametrize("methods", [METHODS, ("tb",), ("spectral",)])
+    def test_a_repetition_graph_is_let_go_before_the_next_sample(self, monkeypatch, methods):
+        sampled = []
+        real = harness.sample_graph
+
+        def sample(spec, rng):
+            assert [ref() for ref in sampled if ref() is not None] == [], "a past repetition's graph is alive"
+            graph, truth = real(spec, rng)
+            sampled.append(weakref.ref(graph))
+            return graph, truth
+
+        monkeypatch.setattr(harness, "sample_graph", sample)
+        run_experiment(small_cfg(sizes=(5, 8), repetitions=3, methods=methods))
+        assert len(sampled) == 6
+
+
 class TestRunMethod:
     def test_unknown_method(self):
         graph, _ = sample_graph(make_g3(4), np.random.default_rng(0))
@@ -205,19 +289,8 @@ class TestRunMethod:
 
 class TestRealExperiment:
     def test_synthetic_files(self, tmp_path):
-        # write a tiny two-community graph and labels, run the real pipeline
-        edges = tmp_path / "edges.txt"
-        labels = tmp_path / "labels.txt"
-        lines = []
-        for i in range(4):
-            for j in range(i + 1, 4):
-                lines.append(f"{i} {j}\n")
-        for i in range(4, 8):
-            for j in range(i + 1, 8):
-                lines.append(f"{i} {j}\n")
-        lines.append("0 4\n")
-        edges.write_text("".join(lines))
-        labels.write_text("".join(f"{i} {0 if i < 4 else 1}\n" for i in range(8)))
+        # a tiny two-community graph and labels through the real pipeline
+        edges, labels = two_cliques_files(tmp_path)
         cfg = ExperimentConfig(
             kind="real",
             dataset="toy",
@@ -225,8 +298,8 @@ class TestRealExperiment:
             sigmas=(0.0, 0.5),
             repetitions=2,
             base_seed=1,
-            edges_path=str(edges),
-            labels_path=str(labels),
+            edges_path=edges,
+            labels_path=labels,
         )
         records = run_experiment(cfg)
         assert len(records) == 2 * 2 * 2

@@ -15,7 +15,7 @@ from templateclust import (
     random_stiefel,
 )
 
-from conftest import traced_peak
+from conftest import LABEL_FORMS, traced_peak
 
 
 def ari_pair_counting(a, b):
@@ -67,6 +67,32 @@ class TestARI:
             assert adjusted_rand_index(a, b) == pytest.approx(
                 ari_pair_counting(a, b), abs=1e-12
             )
+
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=2, max_size=30),
+        form_a=st.sampled_from(sorted(LABEL_FORMS)),
+        form_b=st.sampled_from(sorted(LABEL_FORMS)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_pair_counting_oracle(self, pairs, form_a, form_b):
+        """Bit for bit, whether the labels are counted or go through np.unique:
+        both build the same contingency table, and the oracle's pair counts
+        are the integers its sums give."""
+        a, b = (np.array(labels) for labels in zip(*pairs))
+        assert adjusted_rand_index(LABEL_FORMS[form_a](a), LABEL_FORMS[form_b](b)) == ari_pair_counting(a, b)
+
+    @pytest.mark.parametrize("form, calls", [("counted", 0), ("negative", 2), ("sparse", 2), ("int64", 2)])
+    def test_labels_in_range_are_counted(self, unique_calls, form, calls):
+        a = np.array([0, 0, 1, 7, 7, 7, 4, 4])  # sparse within [0, 8): counted all the same
+        b = np.array([1, 1, 0, 0, 2, 2, 3, 3])
+        ari = adjusted_rand_index(LABEL_FORMS[form](a), LABEL_FORMS[form](b))
+        assert ari == ari_pair_counting(a, b)
+        assert len(unique_calls) == calls
+
+    def test_one_labeling_counted_and_one_not(self, unique_calls):
+        a, b = np.array([2, 2, 0, 0, 1]), np.array([-1, -1, 5, 5, 5])
+        assert adjusted_rand_index(a, b) == ari_pair_counting(a, b)
+        assert [list(x) for x in unique_calls] == [[-1, -1, 5, 5, 5]]
 
     def test_degenerate_conventions(self):
         assert adjusted_rand_index([0, 1, 2], [5, 6, 7]) == 1.0  # both all-singletons

@@ -172,6 +172,127 @@ def lloyd_one_restart(points, centroids, max_iters):
     return new_labels, float(sq_dists(centroids)[rows, new_labels].sum())
 
 
+def lloyd_per_call(points, centroids, max_iters):
+    """`_lloyd` as it ran before it skipped the empty-cluster scan when no
+    count is 0 and compared labels without np.array_equal: the same
+    arithmetic in the same order."""
+    k = centroids.shape[0]
+    rows = np.arange(points.shape[0])
+    point_sq = np.einsum("ij,ij->i", points, points)
+    one_hot = np.eye(k)
+
+    def sq_dists(c):
+        dots = points @ c.T
+        dots *= -2.0
+        dists = np.add(dots.T, point_sq, order="C")
+        dists += np.einsum("ij,ij->i", c, c)[:, None]
+        return dists
+
+    labels = np.full(rows.size, k)
+    for _ in range(max_iters):
+        dists = sq_dists(centroids)
+        new_labels = dists.argmin(axis=0)
+        nearest = dists[new_labels, rows]
+        counts = np.bincount(new_labels, minlength=k)
+        for c in np.flatnonzero(counts == 0):
+            worst = int(np.argmax(np.where(counts[new_labels] > 1, nearest, -np.inf)))
+            counts[new_labels[worst]] -= 1
+            new_labels[worst] = c
+            nearest[worst] = dists[c, worst]
+            counts[c] = 1
+        if np.array_equal(new_labels, labels):
+            return labels, float(nearest.sum())
+        centroids = (one_hot.take(new_labels, axis=0).T @ points) / counts[:, None]
+        labels = new_labels
+    return labels, float(sq_dists(centroids)[labels, rows].sum())
+
+
+def pivoted_qr_seeds_per_call(points, k):
+    """`pivoted_qr_seeds` on valid points as it ran before it kept machine
+    epsilon as a constant, took the pivots' rows once and projected with a
+    broadcast product instead of np.outer."""
+    n, d = points.shape
+    points = np.ldexp(points, -np.frexp(np.abs(points).max())[1])
+    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+    tol = max(n, d) * np.finfo(float).eps * norms.max()
+    residual = points.copy()
+    pivots = []
+    for rank in range(k):
+        sq = np.einsum("ij,ij->i", residual, residual)
+        pivot = int(np.argmax(sq))
+        if not sq[pivot] > tol * tol:
+            raise NumericalError(f"rank {rank}")
+        pivots.append(pivot)
+        q = residual[pivot] / np.sqrt(sq[pivot])
+        residual -= np.outer(residual @ q, q)
+    rows = points / np.where(norms > 0, norms, 1.0)[:, None]
+    u, _, vt = np.linalg.svd(rows[pivots].T, full_matrices=False)
+    labels = np.argmax(np.abs(rows @ (u @ vt)), axis=1)
+    counts = np.bincount(labels, minlength=k)[:, None]
+    sums = np.eye(k)[labels].T @ rows
+    return rows, np.where(counts > 0, sums / np.maximum(counts, 1), rows[pivots])
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 120),
+    k=st.integers(1, 12),
+    extra=st.integers(0, 3),
+    scale=st.integers(-30, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rounding_is_the_per_call_rounding_bit_for_bit(n, k, extra, scale, seed):
+    """Seeds, labels and inertia of random frames (k = 1 included), with
+    `extra` columns beyond k and scaled by a power of 10, carry the bits of
+    the rounding that recomputed its constants on every call."""
+    draw = np.random.default_rng(seed)
+    k = min(k, n)
+    d = min(k + extra, n)
+    frame = np.linalg.qr(draw.standard_normal((n, d)))[0] * 10.0**scale
+    rows, seeds = pivoted_qr_seeds(frame, k)
+    ref_rows, ref_seeds = pivoted_qr_seeds_per_call(frame, k)
+    assert same_bits(rows, ref_rows) and same_bits(seeds, ref_seeds)
+    labels, inertia = _lloyd(rows, seeds, max_iters=300)
+    ref_labels, ref_inertia = lloyd_per_call(rows, seeds, max_iters=300)
+    assert same_bits(labels, ref_labels) and same_bits(inertia, ref_inertia)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    d=st.integers(1, 4),
+    k=st.integers(2, 8),
+    iters=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lloyd_repairs_empty_clusters_as_the_per_call_lloyd(n, d, k, iters, seed):
+    """Centroids far out leave clusters empty, so the refill runs; duplicate
+    integer points bring ties. Labels and inertia keep the per-call run's
+    bits."""
+    draw = np.random.default_rng(seed)
+    points = draw.integers(0, 3, (n, d)).astype(float)
+    centroids = draw.standard_normal((min(k, n), d)) * 10.0 ** draw.integers(0, 4, (min(k, n), 1))
+    labels, inertia = _lloyd(points, centroids, max_iters=iters)
+    ref_labels, ref_inertia = lloyd_per_call(points, centroids.copy(), max_iters=iters)
+    assert same_bits(labels, ref_labels) and same_bits(inertia, ref_inertia)
+
+
+def test_forced_refill_keeps_the_per_call_bits():
+    # the third centroid takes no point in the first iteration
+    points = np.array([[0.0], [1.0], [2.0], [50.0]])
+    centroids = np.array([[1.0], [60.0], [1000.0]])
+    for iters in (1, 300):
+        labels, inertia = _lloyd(points, centroids, max_iters=iters)
+        ref_labels, ref_inertia = lloyd_per_call(points, centroids, max_iters=iters)
+        assert same_bits(labels, ref_labels) and same_bits(inertia, ref_inertia)
+    assert np.array_equal(_lloyd(points, centroids, max_iters=1)[0], [2, 0, 0, 1])
+
+
 class TestLloydMatchesClusterLoop:
     def assert_matches_reference(self, points, centroids):
         labels, inertia = kmeans(points, centroids)

@@ -28,6 +28,12 @@ class TestSampleGraph:
         assert g.adjacency.sum() == 0
         assert np.array_equal(gt.labels, [0, 0, 0, 1, 1, 1])
 
+    def test_samples_share_the_spec_truth(self, rng):
+        spec = CommunitySpec((2, 3), np.full((2, 2), 0.5))
+        assert np.array_equal(spec.truth.labels, [0, 0, 1, 1, 1])
+        assert sample_graph(spec, rng)[1] is spec.truth
+        assert sample_graph(spec, rng)[1] is spec.truth
+
     def test_unit_rates_complete_graph(self, rng):
         spec = CommunitySpec((3, 3), np.ones((2, 2)))
         g, _ = sample_graph(spec, rng)
@@ -269,8 +275,11 @@ class TestMakeFamily:
 class TestModelNoise:
     def test_sigma_zero_identity(self, rng):
         model = expected_model(make_g3(5))
+        state = rng.bit_generator.state
         noisy = add_model_noise(model, 0.0, rng)
         assert np.array_equal(noisy.weights, model.weights)
+        assert noisy is model  # no new template, and nothing drawn
+        assert rng.bit_generator.state == state
 
     def test_output_symmetric(self, rng):
         model = expected_model(make_g6(5))
