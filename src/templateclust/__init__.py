@@ -27,7 +27,6 @@ from templateclust.template import (
     template_cluster,
 )
 from templateclust.baselines import (
-    Partition,
     cnm_cluster,
     louvain_cluster,
     modularity,
@@ -35,6 +34,7 @@ from templateclust.baselines import (
 )
 from templateclust.metrics import (
     GroundTruth,
+    Partition,
     adjusted_rand_index,
     closest_orthonormal,
     projector_distance,

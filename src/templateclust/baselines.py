@@ -2,43 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from templateclust.errors import InputError, NumericalError
-from templateclust.graphs import Graph, block_sums, degree_matrix, integer_vector, laplacian
+from templateclust.graphs import Graph, block_sums, degree_matrix, laplacian
+from templateclust.metrics import Partition
 from templateclust.rounding import kmeans, pivoted_qr_seeds
 from templateclust.stiefel import StiefelPoint
-
-
-@dataclass(frozen=True, eq=False)
-class Partition:
-    """Cluster labels canonicalized to 0..k_found-1 by first appearance.
-
-    Labels in [0, n), as every method here gives, find their first
-    appearances by counting; any other labels go through np.unique."""
-
-    labels: np.ndarray
-    k_found: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        raw = integer_vector(self.labels, "labels")
-        n = raw.size
-        if raw.min() >= 0 and raw.max() < n:
-            first = np.full(n, n)  # each label's first position; n where absent
-            np.minimum.at(first, raw, np.arange(n))
-            order = np.sort(first[first < n])  # the first appearances, in order
-            ids = np.empty(n, dtype=int)
-            ids[raw[order]] = np.arange(order.size)
-            canonical, k_found = ids[raw], order.size
-        else:
-            _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-            # rank each distinct label by the position of its first appearance
-            canonical, k_found = np.argsort(np.argsort(first))[inverse], first.size
-        canonical.setflags(write=False)
-        object.__setattr__(self, "labels", canonical)
-        object.__setattr__(self, "k_found", k_found)
 
 
 def spectral_embedding(g: Graph, k: int) -> StiefelPoint:

@@ -314,11 +314,14 @@ def block_sums(adj: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
     Entry (c, d) sums A over rows in group c and columns in group d, so an
     edge inside a group counts twice and a self-loop once. Groups are
-    ordered by label value.
+    ordered by label value. The two products can round (c, d) and (d, c)
+    differently for weights that are not whole numbers, so the upper
+    triangle is kept and mirrored: the result is exactly symmetric.
     """
     if len(labels) != adj.shape[0]:
         raise InputError(f"labels cover {len(labels)} vertices but graph has {adj.shape[0]}")
     comms, idx = np.unique(labels, return_inverse=True)
     z = np.zeros((adj.shape[0], comms.size))
     z[np.arange(adj.shape[0]), idx] = 1.0
-    return z.T @ adj @ z
+    sums = z.T @ adj @ z
+    return np.triu(sums) + np.triu(sums, 1).T

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from templateclust.baselines import (
-    Partition,
     cnm_cluster,
     louvain_cluster,
     spectral_cluster,
@@ -30,6 +29,7 @@ from templateclust.errors import InputError, NumericalError
 from templateclust.graphs import Graph
 from templateclust.metrics import (
     GroundTruth,
+    Partition,
     adjusted_rand_index,
     closest_orthonormal,
     projector_distance,
@@ -73,6 +73,10 @@ class ExperimentConfig:
     labels_path: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("repetitions", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.repetitions < 1:
             raise InputError("repetitions must be >= 1")
         if self.base_seed < 0:

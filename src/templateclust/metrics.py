@@ -1,4 +1,5 @@
-"""Clustering evaluation: adjusted Rand index and projector distance."""
+"""Clustering evaluation: partitions and ground truth, adjusted Rand index
+and projector distance."""
 
 from __future__ import annotations
 
@@ -36,17 +37,34 @@ class GroundTruth:
         return b
 
 
-def _dense_ids(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """x's values renumbered 0..m-1 in ascending order, as np.unique's
-    inverse, and m. Values in [0, x.size), as every labeling the package
-    makes, are counted; any other values go through np.unique."""
-    if x.min() >= 0 and x.max() < x.size:
-        values = np.flatnonzero(np.bincount(x))
-        ids = np.empty(values[-1] + 1, dtype=int)
-        ids[values] = np.arange(values.size)
-        return ids[x], values.size
-    _, inverse = np.unique(x, return_inverse=True)
-    return inverse, int(inverse.max()) + 1
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """Cluster labels canonicalized to 0..k_found-1 by first appearance.
+
+    The package's one rule for renumbering a labeling: labels in [0, n), as
+    every method here gives, find their first appearances by counting; any
+    other labels go through np.unique."""
+
+    labels: np.ndarray
+    k_found: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        raw = integer_vector(self.labels, "labels")
+        n = raw.size
+        if raw.min() >= 0 and raw.max() < n:
+            first = np.full(n, n)  # each label's first position; n where absent
+            np.minimum.at(first, raw, np.arange(n))
+            order = np.sort(first[first < n])  # the first appearances, in order
+            ids = np.empty(n, dtype=int)
+            ids[raw[order]] = np.arange(order.size)
+            canonical, k_found = ids[raw], order.size
+        else:
+            _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+            # rank each distinct label by the position of its first appearance
+            canonical, k_found = np.argsort(np.argsort(first))[inverse], first.size
+        canonical.setflags(write=False)
+        object.__setattr__(self, "labels", canonical)
+        object.__setattr__(self, "k_found", k_found)
 
 
 def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
@@ -55,18 +73,17 @@ def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     1 means identical up to relabeling; 0 is the chance level.  When both
     partitions are degenerate (all singletons or a single cluster each) the
     chance correction is undefined; returns 1 if they agree, else 0.
+    The contingency table is indexed by the two labelings' `Partition`s.
     """
-    a = integer_vector(a, "labels")
-    b = integer_vector(b, "labels")
-    if a.shape != b.shape:
-        raise InputError(f"label arrays must share a 1-d shape, got {a.shape} vs {b.shape}")
-    n = a.size
+    pa, pb = Partition(a), Partition(b)
+    if pa.labels.shape != pb.labels.shape:
+        raise InputError(f"label arrays must share a 1-d shape, got {pa.labels.shape} vs {pb.labels.shape}")
+    n = pa.labels.size
     if n < 2:
         raise InputError("need at least two elements to compare partitions")
 
-    a_idx, ka = _dense_ids(a)
-    b_idx, kb = _dense_ids(b)
-    contingency = np.bincount(a_idx * kb + b_idx, minlength=ka * kb).reshape(ka, kb)
+    ka, kb = pa.k_found, pb.k_found
+    contingency = np.bincount(pa.labels * kb + pb.labels, minlength=ka * kb).reshape(ka, kb)
 
     def comb2(x: np.ndarray) -> np.ndarray:
         return x * (x - 1) // 2

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from templateclust import (
+    Graph,
     GroundTruth,
     InputError,
+    Partition,
+    block_sums,
     build_graph,
     load_edge_list,
     load_labels,
@@ -413,6 +416,36 @@ class TestModelFromGroundTruth:
         b = gt.indicator()
         model = model_from_ground_truth(g, gt)
         assert np.array_equal(model.weights, b.T @ g.adjacency @ b)
+
+    def test_weighted_graph_whose_products_round_asymmetrically(self):
+        # Z^T A Z rounds (1, 0) to 3.6999999999999997 and (0, 1) to 3.7
+        edges = [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 0.7), (0, 4, 0.7), (1, 2, 0.1),
+                 (1, 3, 0.7), (1, 4, 0.5), (2, 3, 0.9), (2, 4, 0.4), (3, 4, 0.4)]
+        g, gt = build_graph(edges, 5), GroundTruth(np.array([0, 0, 1, 1, 1]))
+        product = gt.indicator().T @ g.adjacency @ gt.indicator()
+        assert product[1, 0] != product[0, 1]
+        model = model_from_ground_truth(g, gt)
+        assert model.weights.tolist() == [[2.0, 3.7], [3.7, 3.4000000000000004]]
+
+    @given(
+        weights=st.lists(st.integers(0, 100).map(lambda w: w / 10), min_size=1, max_size=66),
+        labels=st.lists(st.integers(-3, 5), min_size=12, max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_weighted_block_sums_are_exactly_symmetric(self, weights, labels):
+        """For any symmetric weighted A and labels, the block sums are exactly
+        symmetric, keep the product's upper triangle, and make a template."""
+        n = int((1 + np.sqrt(1 + 8 * len(weights))) // 2)  # the most vertices whose pairs fit
+        adj = np.zeros((n, n))
+        adj[np.triu_indices(n, 1)] = weights[: n * (n - 1) // 2]
+        adj += adj.T
+        labels = np.array(labels[:n])
+        sums = block_sums(adj, labels)
+        assert np.array_equal(sums, sums.T)
+        z = (labels[:, None] == np.unique(labels)).astype(float)
+        assert np.array_equal(np.triu(sums), np.triu(z.T @ adj @ z))
+        model = model_from_ground_truth(Graph(adj), GroundTruth(Partition(labels).labels))
+        assert model.k == len(set(labels.tolist()))
 
 
 

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -168,6 +169,20 @@ class TestRunExperiment:
     def test_repetitions_below_one_or_unknown_kind_rejected(self, kw, message):
         with pytest.raises(InputError, match=f"^{message}$"):
             small_cfg(**kw)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("repetitions", 2.5), ("repetitions", True), ("repetitions", "2"), ("base_seed", 1.5), ("base_seed", "3"),
+         ("base_seed", False)],
+    )
+    def test_non_integer_count_or_seed_rejected(self, field, value):
+        # a fraction or string once ended in a TypeError, and True ran one repetition
+        with pytest.raises(InputError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            small_cfg(**{field: value})
+
+    def test_numpy_integer_count_and_seed_accepted(self):
+        cfg = small_cfg(repetitions=np.int64(2), base_seed=np.int32(3))
+        assert (cfg.repetitions, cfg.base_seed) == (2, 3)
 
     UNREAD = [
         ("synth", "sigmas", (5.0,)),

@@ -429,6 +429,31 @@ def self_comparisons(tree: ast.Module) -> list[tuple[int, str]]:
 
 
 
+def renumberings(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """(line, enclosing class/function path, call) for each call that
+    renumbers values densely: `unique(..., return_inverse=...)`,
+    `unique_inverse`, `unique_all` and `minimum.at`.
+
+    A labeling is renumbered by `Partition`, which counts labels in [0, n)
+    and sends any others through np.unique, and `adjusted_rand_index` scores
+    two Partitions. A second copy of that rule once ranked labels by value
+    inside the ARI while Partition ranked them by first appearance; each
+    other renumbering, of vertex ids, community ids or groups, has one owner.
+    """
+
+    def renumbers(parts: list[str]) -> bool:
+        return parts[-1] in ("unique_inverse", "unique_all") or parts[-2:] == ["minimum", "at"]
+
+    def finding(node: ast.AST) -> str | None:
+        if not isinstance(node, ast.Call):
+            return None
+        parts = ast.unparse(node.func).split(".")
+        inverse = parts[-1] == "unique" and any(k.arg == "return_inverse" for k in node.keywords)
+        return ast.unparse(node) if inverse or renumbers(parts) else None
+
+    return scoped(tree, finding)
+
+
 def process_settings(tree: ast.Module) -> list[tuple[int, str, str]]:
     """(line, enclosing class/function path, code) for each import or read
     of `ctypes` and each call of the CLI's allocator policy
@@ -482,6 +507,15 @@ RULES = {
     "process_settings": (process_settings, PACKAGE, {
         ("cli.py", "_keep_freed_memory", "from ctypes import CDLL, c_int"),
         ("cli.py", "main", "_keep_freed_memory()"),
+    }),
+    "label_renumbering": (renumberings, PACKAGE, {
+        ("metrics.py", "Partition.__post_init__", "np.minimum.at(first, raw, np.arange(n))"),
+        ("metrics.py", "Partition.__post_init__", "np.unique(raw, return_index=True, return_inverse=True)"),
+        ("graphs.py", "block_sums", "np.unique(labels, return_inverse=True)"),
+        ("baselines.py", "louvain_cluster", "np.unique(labels, return_inverse=True)"),
+        ("dataio.py", "load_edge_list", "np.unique(np.concatenate([rows['u'], rows['v']]), return_inverse=True)"),
+        ("dataio.py", "load_labels", "np.unique(vertex, return_index=True, return_inverse=True)"),
+        ("dataio.py", "load_labels", "np.unique(comm[first], return_inverse=True)"),
     }),
     "memo_keys": (memo_writes, PACKAGE, {
         ("baselines.py", "cnm_cluster", "cnm"),
@@ -727,6 +761,39 @@ def test_process_settings_detector():
         (7, "main", "_keep_freed_memory()"),
         (9, "run", "cli._keep_freed_memory()"),
         (10, "run", "a.ctypes"),
+    ]
+
+
+def test_renumbering_detector():
+    # lines 2-3 are the second copy of Partition's rule that the ARI once held
+    source = (
+        "def _dense_ids(x):\n"
+        "    values = np.flatnonzero(np.bincount(x))\n"
+        "    _, inverse = np.unique(x, return_inverse=True)\n"
+        "def f(x, first):\n"
+        "    values = np.unique(x)\n"
+        "    np.minimum.at(first, x, np.arange(x.size))\n"
+        "    np.add.at(first, x, 1)\n"
+        "    return unique(x, return_index=True, return_inverse=flag), np.unique_inverse(x)\n"
+    )
+    assert renumberings(ast.parse(source)) == [
+        (3, "_dense_ids", "np.unique(x, return_inverse=True)"),
+        (6, "f", "np.minimum.at(first, x, np.arange(x.size))"),
+        (8, "f", "unique(x, return_index=True, return_inverse=flag)"),
+        (8, "f", "np.unique_inverse(x)"),
+    ]
+
+
+def test_third_copy_of_the_counting_rule_is_flagged():
+    planted = FILES["metrics.py"].read_text() + (
+        "def dense(x):\n"
+        "    first = np.full(x.size, x.size)\n"
+        "    np.minimum.at(first, x, np.arange(x.size))\n"
+    )
+    trees = {"metrics.py": ast.parse(planted)}
+    line = len(planted.splitlines())
+    assert offenders("label_renumbering", trees.get) == [
+        f"metrics.py:{line}: dense: np.minimum.at(first, x, np.arange(x.size))"
     ]
 
 

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from templateclust import (
     CommunitySpec,
+    Graph,
     InputError,
     add_model_noise,
+    closest_orthonormal,
     expected_model,
     make_bp,
     make_c2,
     make_g3,
     make_g6,
+    model_from_ground_truth,
     sample_graph,
 )
 from templateclust.synth import FAMILIES, G6_TEMPLATE_EDGES, make_family
@@ -161,6 +164,45 @@ class TestExpectedModel:
     def test_single_community(self):
         spec = CommunitySpec((10,), np.array([[0.5]]))
         assert expected_model(spec).weights[0, 0] == pytest.approx(10.0)
+
+
+SCALE_SPECS = {
+    "c2-10-0.60": make_c2(10, 0.60),
+    "unequal-3-5-9": CommunitySpec((3, 5, 9), np.array([[0.7, 0.1, 0.3], [0.1, 0.6, 0.2], [0.3, 0.2, 0.5]])),
+}
+
+
+@pytest.mark.parametrize("name", SCALE_SPECS)
+class TestTemplateScales:
+    """Each template builder's scale against the compression C = P^T E[A] P,
+    where E[A] is the spec's expected adjacency (zero diagonal) and P the
+    truth's closest orthonormal frame, at which the planted frame has zero
+    expected misfit. S is the diagonal matrix of community sizes."""
+
+    @staticmethod
+    def compression(spec: CommunitySpec) -> tuple[np.ndarray, np.ndarray]:
+        labels = spec.truth.labels
+        expected = spec.rates[labels][:, labels]
+        np.fill_diagonal(expected, 0.0)
+        p = closest_orthonormal(spec.truth).matrix
+        return expected, p.T @ expected @ p
+
+    def test_block_sums_are_the_size_weighted_compression(self, name):
+        spec = SCALE_SPECS[name]
+        expected, c = self.compression(spec)
+        half = np.sqrt(spec.sizes)
+        weights = model_from_ground_truth(Graph(expected), spec.truth).weights
+        np.testing.assert_allclose(weights, half[:, None] * c * half, rtol=0, atol=1e-12)
+
+    def test_expected_value_template_ratios(self, name):
+        # off the diagonal (s_a + s_b) / sqrt(s_a s_b), on it 2 s_a / (s_a - 1):
+        # 2x the compression only off the diagonal and only at equal sizes
+        spec = SCALE_SPECS[name]
+        _, c = self.compression(spec)
+        s = np.asarray(spec.sizes, dtype=float)
+        ratio = (s[:, None] + s) / np.sqrt(np.outer(s, s))
+        np.fill_diagonal(ratio, 2.0 * s / (s - 1.0))
+        np.testing.assert_allclose(expected_model(spec).weights, ratio * c, rtol=0, atol=1e-12)
 
 
 class TestFamilies:
