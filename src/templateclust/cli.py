@@ -14,7 +14,7 @@ from templateclust.dataio import load_edge_list, load_template
 from templateclust.errors import InputError
 from templateclust.harness import METHODS, ExperimentConfig, instances, method_rng, run_and_write, run_method
 from templateclust.metrics import adjusted_rand_index
-from templateclust.synth import FAMILIES
+from templateclust.synth import FAMILIES, INTRA_MODES
 
 # glibc's mallopt parameters (malloc.h) and the values `main` sets. Arrays up
 # to 32 MiB, glibc's largest mmap threshold on 64-bit (an n x n float64 array
@@ -34,16 +34,9 @@ def _comma_list(text: str, convert: type, what: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from None
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return _comma_list(text, int, "integers")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return _comma_list(text, float, "numbers")
-
-
-def _methods(text: str) -> tuple[str, ...]:
-    return tuple(x for x in text.split(",") if x)
+_int_list = functools.partial(_comma_list, convert=int, what="integers")
+_float_list = functools.partial(_comma_list, convert=float, what="numbers")
+_methods = functools.partial(_comma_list, convert=str, what="names")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--sizes", type=_int_list, required=True, help="comma-separated community sizes")
     synth.add_argument("--probs", type=_float_list, default=(None,),
                        help="comma-separated coupling probabilities (c2 central / bp inter)")
-    synth.add_argument("--intra-mode", choices=["bipartite", "hub"], default="bipartite")
+    synth.add_argument("--intra-mode", choices=INTRA_MODES, default="bipartite")
     synth.add_argument("--methods", type=_methods, default=METHODS)
     synth.add_argument("--reps", dest="repetitions", type=int, default=100)
     synth.add_argument("--seed", dest="base_seed", type=int, default=0)
@@ -96,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     single.add_argument("--family", choices=FAMILIES)
     single.add_argument("--size", type=int, help="community size for --family")
     single.add_argument("--prob", type=float)
-    single.add_argument("--intra-mode", choices=["bipartite", "hub"], default="bipartite")
+    single.add_argument("--intra-mode", choices=INTRA_MODES, default="bipartite")
     single.add_argument("--template", help="whitespace-separated k x k template weight matrix file")
     single.add_argument("--k", type=int, help="cluster count (defaults to the template or label count)")
     single.add_argument("--method", choices=METHODS, default="tb")

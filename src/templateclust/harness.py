@@ -77,6 +77,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise InputError(f"{name} must be an integer, got {value!r}")
+        for axis in ("methods", "sizes", "probs", "sigmas"):
+            if not isinstance(values := getattr(self, axis), (tuple, list)):
+                raise InputError(f"{axis} must be a tuple or list, got {values!r}")
+            object.__setattr__(self, axis, tuple(values))
         if self.repetitions < 1:
             raise InputError("repetitions must be >= 1")
         if self.base_seed < 0:
@@ -123,10 +127,6 @@ class ExperimentRecord:
 
 
 RECORD_COLUMNS = tuple(f.name for f in fields(ExperimentRecord) if f.name != "runtime_ms")
-
-
-def _fmt(x: object) -> str:
-    return "" if x is None else str(x)
 
 
 def _order(r: ExperimentRecord) -> tuple:
@@ -261,7 +261,7 @@ def _write_csv(path: str | Path, columns: tuple[str, ...], rows: Iterable[dict])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+        writer.writerows([row[c] for c in columns] for row in rows)  # None as "", the rest by str
 
 
 def write_records_csv(records: list[ExperimentRecord], path: str | Path) -> None:
@@ -279,18 +279,14 @@ def write_timings_csv(records: list[ExperimentRecord], path: str | Path) -> None
 
 
 def run_and_write(cfg: ExperimentConfig, out_dir: str | Path) -> list[ExperimentRecord]:
+    """Run the grid, then make `out_dir` and write its three CSVs there, so
+    a grid that fails makes no directory."""
+    records = run_experiment(cfg)
     out = Path(out_dir)
-    made = [d for d in (out, *out.parents) if not d.exists() and d.name != ".."]  # deepest first
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"{out}: cannot make the output directory: {exc.strerror}") from None
-    try:
-        records = run_experiment(cfg)
-    except BaseException:  # a grid that writes no CSV leaves no directory behind
-        for d in made:
-            d.rmdir()
-        raise
     write_records_csv(records, out / "records.csv")
     write_summary_csv(aggregate(records), out / "summary.csv")
     write_timings_csv(records, out / "timings.csv")

@@ -9,6 +9,7 @@ shapes (bp).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -114,6 +115,7 @@ def make_g6(size: int) -> CommunitySpec:
 def make_c2(size: int, central_inter: float) -> CommunitySpec:
     """Four equal communities in a line; the central pair is coupled at
     central_inter, outer links at 0.1, intra rates are the complements."""
+    _check_real(central_inter, "central_inter")
     if not (0 <= central_inter <= 0.9):
         raise InputError("central_inter must lie in [0, 0.9] to keep rates valid")
     return _line_spec((size,) * 4, {(0, 1): 0.1, (1, 2): central_inter, (2, 3): 0.1})
@@ -122,7 +124,8 @@ def make_c2(size: int, central_inter: float) -> CommunitySpec:
 def make_bp(size: int, inter: float, intra_mode: str = "bipartite") -> CommunitySpec:
     """Two equal communities; 'bipartite' has zero intra everywhere, 'hub'
     gives the second community intra rate 0.5."""
-    if intra_mode not in ("bipartite", "hub"):
+    _check_real(inter, "inter")
+    if intra_mode not in INTRA_MODES:
         raise InputError(f"intra_mode must be 'bipartite' or 'hub', got {intra_mode!r}")
     second = 0.0 if intra_mode == "bipartite" else 0.5
     rates = np.array([[0.0, inter], [inter, second]])
@@ -130,6 +133,7 @@ def make_bp(size: int, inter: float, intra_mode: str = "bipartite") -> Community
 
 
 FAMILIES = ("g3", "g6", "c2", "bp")
+INTRA_MODES = ("bipartite", "hub")  # bp's shapes
 C2_COUPLING = 0.42  # c2's central coupling when none is given
 
 
@@ -156,8 +160,15 @@ def make_family(name: str, size: int, prob: float | None, intra_mode: str) -> Co
     raise InputError(f"unknown synthetic family {name!r}")
 
 
+def _check_real(value: object, what: str) -> None:
+    """InputError naming `what` unless `value` is a real number."""
+    if not isinstance(value, Real):
+        raise InputError(f"{what} must be a real number, got {value!r}")
+
+
 def check_sigma(sigma: float) -> None:
-    """InputError unless `sigma` is a noise level: finite and >= 0."""
+    """InputError unless `sigma` is a noise level: a real number, finite and >= 0."""
+    _check_real(sigma, "sigma")
     if not 0 <= sigma < np.inf:
         raise InputError(f"sigma must be {'finite' if sigma == np.inf else '>= 0'}, got {sigma}")
 

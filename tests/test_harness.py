@@ -23,7 +23,7 @@ from templateclust.harness import (
     run_experiment,
     run_method,
 )
-from templateclust.synth import C2_COUPLING, make_g3, sample_graph
+from templateclust.synth import C2_COUPLING, check_sigma, make_bp, make_c2, make_g3, sample_graph
 
 from conftest import load_bench_workloads
 
@@ -39,6 +39,26 @@ def small_cfg(**kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+REAL = dict(kind="real", sizes=(), edges_path="missing.txt", labels_path="missing.txt")
+WRONG_TYPE = {
+    "sizes-int": (lambda: ExperimentConfig(kind="synth", dataset="g3", sizes=4, repetitions=1),
+                  "sizes must be a tuple or list, got 4"),
+    "probs-float": (lambda: small_cfg(dataset="c2", probs=0.3), "probs must be a tuple or list, got 0.3"),
+    "methods-str": (lambda: small_cfg(methods="tb"), "methods must be a tuple or list, got 'tb'"),
+    "sigmas-float": (lambda: small_cfg(**REAL, sigmas=0.5), "sigmas must be a tuple or list, got 0.5"),
+    "c2-str": (lambda: run_experiment(small_cfg(dataset="c2", probs=("0.3",))),
+               "central_inter must be a real number, got '0.3'"),
+    "bp-str": (lambda: run_experiment(small_cfg(dataset="bp", probs=("0.3",))),
+               "inter must be a real number, got '0.3'"),
+    "sigma-str": (lambda: run_experiment(small_cfg(**REAL, sigmas=("a",))), "sigma must be a real number, got 'a'"),
+    "sigma-none": (lambda: run_experiment(small_cfg(**REAL, sigmas=(None,))),
+                   "sigma must be a real number, got None"),
+    "make_c2": (lambda: make_c2(4, "0.3"), "central_inter must be a real number, got '0.3'"),
+    "make_bp": (lambda: make_bp(4, "0.3"), "inter must be a real number, got '0.3'"),
+    "check_sigma": (lambda: check_sigma("1"), "sigma must be a real number, got '1'"),
+}
 
 
 class TestRunExperiment:
@@ -183,6 +203,21 @@ class TestRunExperiment:
     def test_numpy_integer_count_and_seed_accepted(self):
         cfg = small_cfg(repetitions=np.int64(2), base_seed=np.int32(3))
         assert (cfg.repetitions, cfg.base_seed) == (2, 3)
+
+    @pytest.mark.parametrize("case", WRONG_TYPE)
+    def test_grid_value_of_the_wrong_type_rejected(self, case):
+        # each once ended in a TypeError, or an InputError about the dtype of
+        # `rates` that named no coupling; the real grids fail before their files are read
+        build, message = WRONG_TYPE[case]
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_list_axes_stored_as_tuples(self):
+        # a list once differed from its field's default, so sigmas=[0.0] was
+        # rejected on a synth grid as a field its kind never reads
+        cfg = small_cfg(sizes=[5, 8], sigmas=[0.0], methods=["cnm"])
+        assert (cfg.sizes, cfg.probs, cfg.sigmas, cfg.methods) == ((5, 8), (None,), (0.0,), ("cnm",))
+        assert small_cfg(**{**REAL, "sizes": []}, sigmas=[0.0, 1.0]).sigmas == (0.0, 1.0)
 
     UNREAD = [
         ("synth", "sigmas", (5.0,)),
@@ -868,6 +903,35 @@ class TestCli:
         assert sorted(tmp_path.iterdir()) == [tmp_path / "edges.txt", tmp_path / "kept", tmp_path / "labels.txt"]
         assert list(Path("kept").iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, fault, code, err",
+        [
+            # at seed 0 the second sigma's first noise draw overflows, after the first sigma's repetitions
+            (["real", "--edges", "edges.txt", "--labels", "labels.txt", "--sigma-list", "0,1.5e308", "--reps", "2"],
+             None, 1, "error: sigma 1.5e+308 makes the template weights non-finite\n"),
+            (["synth", "--family", "g3", "--sizes", "4", "--reps", "3"], 2, 2, "failure: a fault in the program\n"),
+        ],
+        ids=["real-overflow", "synth-fault"],
+    )
+    def test_grid_failing_partway_leaves_no_output_directory(self, tmp_path, monkeypatch, capsys, argv, fault, code,
+                                                             err):
+        calls = []
+
+        def run(*args):
+            calls.append(args[0])
+            if len(calls) == fault:  # repetition 1 of the one method
+                raise RuntimeError("a fault in the program")
+            return run_method(*args)
+
+        monkeypatch.setattr(harness, "run_method", run)
+        monkeypatch.chdir(tmp_path)
+        Path("edges.txt").write_text("0 1\n1 2\n2 0\n")
+        Path("labels.txt").write_text("0 0\n1 0\n2 1\n")
+        assert main(argv + ["--methods", "cnm", "--out", "out/a"]) == code
+        assert capsys.readouterr().err == err
+        assert calls == ["cnm", "cnm"]  # the failure came after two repetitions had run
+        assert not Path("out").exists()
+
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_cluster_k_below_one_exit_code(self, capsys, k):
         rc = main(["cluster", "--family", "g3", "--size", "4", "--method", "spectral", "--k", k])
@@ -1185,6 +1249,21 @@ def test_out_through_a_file_is_an_input_error(tmp_path, capsys, under, reason):
     err = capsys.readouterr().err
     assert err == f"error: {out}: cannot make the output directory: {reason}\n"
     assert afile.read_text() == "kept\n"
+
+
+def test_out_is_made_after_the_grid_has_run(tmp_path, monkeypatch):
+    out = tmp_path / "out" / "a"
+    seen = []
+
+    def grid(cfg):
+        seen.append(out.parent.exists())
+        return run_experiment(cfg)
+
+    monkeypatch.setattr(harness, "run_experiment", grid)
+    records = run_and_write(small_cfg(methods=("cnm",)), out)
+    assert seen == [False]
+    assert sorted(p.name for p in out.iterdir()) == ["records.csv", "summary.csv", "timings.csv"]
+    assert len(records) == 2
 
 
 class TestSharedParser:

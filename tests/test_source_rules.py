@@ -30,6 +30,8 @@ BENCH = [name for name in FILES if name.startswith("bench/")]
 
 SEEDERS = {"default_rng", "RandomState", "SeedSequence"}
 READERS = {"loadtxt", "genfromtxt", "read_text", "read_bytes"}
+CHANGERS = {"mkdir", "makedirs", "rmdir", "unlink", "rmtree", "remove", "rename", "replace", "touch", "write_text",
+            "write_bytes"}
 SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
 ROUNDING = {"kmeans", "pivoted_qr_seeds", "_lloyd"}
 RANDOM = {"rng", "Generator"}
@@ -88,6 +90,17 @@ def random_uses(tree: ast.Module) -> tuple[list[tuple[int, str]], list[tuple[int
     return sorted(seeds), sorted(draws)
 
 
+def open_modes(node: ast.AST) -> set[str]:
+    """The mode letters of an `open` call: those of its literal mode, "r"
+    when it gives none, and every letter when its mode is not a string
+    literal, which may read or write; empty for any other node."""
+    if not isinstance(node, ast.Call) or ast.unparse(node.func).split(".")[-1] != "open":
+        return set()
+    given = [k.value for k in node.keywords if k.arg == "mode"]
+    mode = node.args[1] if len(node.args) > 1 else given[0] if given else ast.Constant("r")
+    return set(mode.value) if isinstance(mode, ast.Constant) and isinstance(mode.value, str) else set("rwax+")
+
+
 def file_reads(tree: ast.Module) -> list[tuple[int, str]]:
     """(line, call) for each call of a text parser or file reader, and each
     `open` whose mode is not a literal write, append or create mode.
@@ -100,18 +113,35 @@ def file_reads(tree: ast.Module) -> list[tuple[int, str]]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        name = ast.unparse(node.func).split(".")[-1]
-        if name == "open":
-            mode = node.args[1] if len(node.args) > 1 else next(
-                (k.value for k in node.keywords if k.arg == "mode"), None
-            )
-            # a mode that is not a string literal may read
-            mode = mode.value if isinstance(mode, ast.Constant) and isinstance(mode.value, str) else "r"
-            if not set(mode) & set("wax") or "+" in mode:
-                found.append((node.lineno, ast.unparse(node)))
-        elif name in READERS:
+        modes = open_modes(node)
+        if modes and (not modes & set("wax") or "+" in modes):
+            found.append((node.lineno, ast.unparse(node)))
+        elif ast.unparse(node.func).split(".")[-1] in READERS:
             found.append((node.lineno, ast.unparse(node)))
     return sorted(found)
+
+
+def file_changes(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """(line, enclosing class/function path, call) for each call that makes,
+    writes or removes a file or directory: a call named in CHANGERS, through
+    any object, and each `open` whose mode may write, append or create.
+
+    The package writes one directory, a grid's `--out`, and only after the
+    grid has run, so a failing grid leaves nothing to undo. `run_and_write`
+    makes it and `_write_csv` writes its files; a second writer, or code that
+    removes what a failed run made, fails until it is added as an owner. The
+    rule goes by the call's name, so `str.replace` and `list.remove` count
+    too: the package calls neither.
+    """
+
+    def finding(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Call) and (
+            open_modes(node) & set("wax+") or ast.unparse(node.func).split(".")[-1] in CHANGERS
+        ):
+            return ast.unparse(node)
+        return None
+
+    return scoped(tree, finding)
 
 
 def bulk_parses(tree: ast.Module) -> list[tuple[int, str]]:
@@ -483,6 +513,10 @@ RULES = {
     "seeders": (lambda t: random_uses(t)[0], PACKAGE, {"harness.py"}),
     "unseeded_draws": (lambda t: random_uses(t)[1], PACKAGE, set()),
     "file_reads": (file_reads, PACKAGE, {"dataio.py"}),
+    "file_changes": (file_changes, PACKAGE, {
+        ("harness.py", "run_and_write", "out.mkdir(parents=True, exist_ok=True)"),
+        ("harness.py", "_write_csv", "open(path, 'w', encoding='utf-8', newline='')"),
+    }),
     "bulk_parse": (bulk_parses, PACKAGE, {("dataio.py", "loadtxt")}),
     "eigensolvers": (eigensolver_calls, PACKAGE, {
         ("graphs.py", "Graph.end_pairs", "np.linalg.eigh(m)"),
@@ -609,6 +643,58 @@ def test_file_read_detector():
         (7, "open(path, mode)"),
         (8, "np.genfromtxt(p)"),
     ]
+
+
+def test_file_change_detector():
+    # lines 3-12 are `run_and_write` as it was when it removed the directories
+    # it made for a grid that failed
+    source = (
+        "import shutil\n"
+        "from pathlib import Path\n"
+        "def run_and_write(cfg, out_dir):\n"
+        "    out = Path(out_dir)\n"
+        "    made = [d for d in (out, *out.parents) if not d.exists() and d.name != '..']\n"
+        "    out.mkdir(parents=True, exist_ok=True)\n"
+        "    try:\n"
+        "        records = run_experiment(cfg)\n"
+        "    except BaseException:\n"
+        "        for d in made:\n"
+        "            d.rmdir()\n"
+        "        raise\n"
+        "class Store:\n"
+        "    def save(self, path, mode):\n"
+        "        os.makedirs(path); Path(path).touch(); Path(path).write_text('x')\n"
+        "        shutil.rmtree(path); os.remove(path); os.replace(path, path + '~')\n"
+        "        with open(path) as fh, open(path, 'rb') as raw, gzip.open(path, mode='at') as gz: pass\n"
+        "        with open(path, 'r+') as fh, open(path, mode) as fh2, open(path, mode='xb') as fh3: pass\n"
+        "        return Path(path).read_text(), path.exists()\n"
+    )
+    assert [(line, call) for line, _, call in file_changes(ast.parse(source))] == [
+        (6, "out.mkdir(parents=True, exist_ok=True)"),
+        (11, "d.rmdir()"),
+        (15, "os.makedirs(path)"),
+        (15, "Path(path).touch()"),
+        (15, "Path(path).write_text('x')"),
+        (16, "shutil.rmtree(path)"),
+        (16, "os.remove(path)"),
+        (16, "os.replace(path, path + '~')"),
+        (17, "gzip.open(path, mode='at')"),
+        (18, "open(path, 'r+')"),
+        (18, "open(path, mode)"),
+        (18, "open(path, mode='xb')"),
+    ]
+    assert {scope for _, scope, _ in file_changes(ast.parse(source))} == {"run_and_write", "Store.save"}
+
+
+def test_rollback_of_a_failed_grid_is_flagged():
+    planted = FILES["harness.py"].read_text() + (
+        "def undo(made):\n"
+        "    for d in made:\n"
+        "        d.rmdir()\n"
+    )
+    trees = {"harness.py": ast.parse(planted)}
+    line = len(planted.splitlines())
+    assert offenders("file_changes", trees.get) == [f"harness.py:{line}: undo: d.rmdir()"]
 
 
 def test_eigensolver_detector():
