@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TypeVar
 
 import numpy as np
@@ -35,6 +37,13 @@ KERNEL_LONG_RUN_VERTICES = 240
 # explicit residual bound of a returned pair, relative to ||m||_inf
 KERNEL_RESIDUAL_TOL = 1e-12
 KERNEL_TEST_EVERY = 8  # Lanczos steps between tests of the Ritz residuals
+# From this many vertices per wanted pair a one-ended request the kernel's
+# rules turn away goes to LAPACK's subset driver rather than dense eigh. One
+# BLAS thread, best of 9 calls, dense eigh/subset in ms for A's top 6 and
+# L's bottom 6 of g6 graphs: g6/6 (6 per pair) 0.103/0.118, 0.111/0.154;
+# g6/7 (7) 0.133/0.139, 0.142/0.135; g6/8 (8) 0.196/0.178, 0.194/0.160;
+# g6/12 (12) 0.401/0.292, 0.400/0.274; g6/32 (32) 3.21/1.41, 3.15/1.37.
+SUBSET_MIN_VERTICES_PER_PAIR = 8
 
 
 def _nothing_above(
@@ -149,6 +158,63 @@ def extremal_pairs(
     return theta, y
 
 
+@functools.cache
+def _subset_driver() -> Callable[..., int] | None:
+    """LAPACKE's dsyevr, with 64-bit indices, from the OpenBLAS that numpy's
+    wheel bundles (`numpy.libs/` beside the package on Linux, `numpy/.dylibs/`
+    on macOS), or None when there is no such library or symbol: numpy built on
+    MKL, Accelerate or a system LAPACK. numpy has already loaded the library,
+    so binding it loads nothing and changes no setting of the process."""
+    from ctypes import CDLL, c_char, c_double, c_int, c_int64
+
+    package = Path(np.__file__).parent
+    name = "libscipy_openblas64_*"
+    for library in [*package.parent.glob(f"numpy.libs/{name}"), *package.glob(f".dylibs/{name}")]:
+        try:
+            driver = CDLL(str(library)).scipy_LAPACKE_dsyevr64_
+        except (OSError, AttributeError):
+            continue
+        matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("F_CONTIGUOUS", "WRITEABLE"))
+        floats = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="WRITEABLE")
+        ints = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="WRITEABLE")
+        driver.restype = c_int64
+        # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
+        driver.argtypes = [c_int, c_char, c_char, c_char, c_int64, matrix, c_int64, c_double, c_double, c_int64,
+                           c_int64, c_double, ints, floats, matrix, c_int64, ints]
+        return driver
+    return None
+
+
+def subset_pairs(m: np.ndarray, bottom: int, top: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The `bottom` smallest or the `top` largest eigenpairs of the symmetric
+    matrix `m` of finite entries, the other count 0, as (values ascending,
+    read-only unit eigenvectors as columns) from LAPACK's subset driver
+    dsyevr, asked for that index range. None when numpy's OpenBLAS has no
+    driver to bind (`_subset_driver`), or when the driver reports a failure
+    or returns fewer pairs than were asked for.
+
+    dsyevr reduces `m` to tridiagonal form as dense eigh does, but finds only
+    the wanted eigenvalues (bisection) and their vectors (inverse iteration)
+    and transforms back only those, where eigh finds and transforms all n.
+    """
+    driver = _subset_driver()
+    if driver is None:
+        return None
+    n, want = m.shape[0], bottom + top
+    first = 1 if top == 0 else n - top + 1  # LAPACK counts eigenvalues from 1, ascending
+    work = np.array(m, order="F")  # LAPACK overwrites its input, and `m` may be read-only
+    found = np.zeros(1, dtype=np.int64)
+    values, vectors = np.empty(n), np.empty((n, want), order="F")
+    info = driver(102, b"V", b"I", b"U", n, work, n, 0.0, 0.0, first, first + want - 1, 0.0, found, values, vectors,
+                  n, np.empty(2 * want, dtype=np.int64))  # 102: column-major
+    if info != 0 or found[0] < want:
+        return None
+    values = values[:want]
+    for a in (values, vectors):
+        a.setflags(write=False)
+    return values, vectors
+
+
 def symmetric_matrix(m: object, what: str) -> np.ndarray:
     """A read-only float copy of `m`, which must be a nonempty square matrix
     of finite real numbers that is exactly symmetric; InputError names `what`
@@ -166,6 +232,18 @@ def symmetric_matrix(m: object, what: str) -> np.ndarray:
     m = m.astype(float)
     m.setflags(write=False)
     return m
+
+
+def real_number(value: object) -> bool:
+    """Whether `value` is one real number: what numpy reads as a 0-d array of
+    bools, integers or floats, such as a Python or numpy scalar of one of
+    those kinds or a 0-d array. Strings, None, complex numbers, fractions,
+    sequences and ragged nested sequences are not."""
+    try:
+        value = np.asarray(value)
+    except ValueError:  # a ragged nested sequence has no shape
+        return False
+    return value.ndim == 0 and value.dtype.kind in "biuf"
 
 
 def _integers(x: np.ndarray) -> bool:
@@ -199,7 +277,8 @@ class Graph:
     Diagonal entries hold self-loop weights. Only `build_graph` makes them;
     loaded and sampled observation graphs are zero-diagonal and {0,1}-valued.
     Values derived from the graph are memoized on it: the dense
-    eigendecompositions and proved end eigenpairs that serve `end_pairs`,
+    eigendecompositions and the kernel's or subset driver's end eigenpairs
+    that serve `end_pairs`,
     CNM's partition, spectral clustering's frame and partition for each k,
     and the neighbour lists of Louvain's first phase.
     """
@@ -217,7 +296,8 @@ class Graph:
         that; nothing is stored when `compute` raises. The graph is immutable,
         so a value derived from it never goes stale. Each caller namespaces
         its keys: `end_pairs` stores dense factors under ("eigh", matrix
-        name) and proved split and pairs under ("end pairs", matrix name)."""
+        name) and its partial try's split and pairs under ("end pairs",
+        matrix name)."""
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
@@ -234,30 +314,38 @@ class Graph:
         `key` names, as read-only (values ascending, unit eigenvectors as
         columns). `matrix()` builds it, with overflow warnings off, at most once.
 
-        Proved pairs stored for (key, bottom, top) come first. Next, the
-        graph's dense factors (`np.linalg.eigh`) are sliced when it holds them
-        or has already tried the Lanczos kernel on the matrix, or when the
-        request rules the kernel out, where it rarely proves its answer in
-        time: below KERNEL_MIN_VERTICES_PER_PAIR vertices per wanted pair, or
-        with no top end below KERNEL_LONG_RUN_VERTICES vertices. Otherwise
-        `extremal_pairs(m, bottom, top, limits)` runs; its pairs are stored
-        when proved, and when it gives up, the matrix it ran on is factored.
-        So a graph tries the kernel at most once per matrix: a split with a
-        bottom end can cost the kernel more than the dense factors that serve
-        every split, as when a sigma sweep changes k_-. NumericalError naming
-        `key`, on every request, when an entry of the matrix is not finite.
+        Pairs stored for (key, bottom, top) come first, then the graph's
+        dense factors (`np.linalg.eigh`) when it holds them. Otherwise the
+        graph makes its one partial try on the matrix. The Lanczos kernel
+        `extremal_pairs(m, bottom, top, limits)` runs unless the request
+        rules it out, where it rarely proves its answer in time: below
+        KERNEL_MIN_VERTICES_PER_PAIR vertices per wanted pair, or with no top
+        end below KERNEL_LONG_RUN_VERTICES vertices. A one-ended request it
+        rules out goes to LAPACK's subset driver, `subset_pairs(m, bottom,
+        top)`, from SUBSET_MIN_VERTICES_PER_PAIR vertices per wanted pair when
+        the matrix's entries are finite. Pairs the try gives are stored; in
+        every other case the matrix built for it is factored. So a graph makes
+        at most one partial try per matrix: a split with a bottom end can cost
+        the kernel more than the dense factors that serve every split, as
+        when a sigma sweep changes k_-. NumericalError naming `key`, on every
+        request, when an entry of the matrix is not finite.
         """
-        proved = self._memo.get(("end pairs", key))  # (split, pairs) of the one kernel try that proved
+        proved = self._memo.get(("end pairs", key))  # (split, pairs) of the one partial try that gave them
         if proved is not None and proved[0] == (bottom, top):
             return proved[1]
         factors = self._memo.get(("eigh", key))
         if factors is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 m = matrix()
-            if proved is None and self.n >= KERNEL_MIN_VERTICES_PER_PAIR * (bottom + top) and (
-                top or self.n >= KERNEL_LONG_RUN_VERTICES
-            ):
-                pairs = extremal_pairs(m, bottom, top, limits)
+            want = bottom + top
+            if proved is None:  # the graph's one partial try on this matrix
+                pairs = None
+                if self.n >= KERNEL_MIN_VERTICES_PER_PAIR * want and (top or self.n >= KERNEL_LONG_RUN_VERTICES):
+                    pairs = extremal_pairs(m, bottom, top, limits)
+                elif (bottom == 0) != (top == 0) and self.n >= SUBSET_MIN_VERTICES_PER_PAIR * want and (
+                    np.isfinite(m).all()
+                ):
+                    pairs = subset_pairs(m, bottom, top)
                 if pairs is not None:
                     self._memo["end pairs", key] = (bottom, top), pairs
                     return pairs
@@ -278,8 +366,9 @@ def build_graph(edges: list[tuple[int, int, float]], n: int) -> Graph:
 
     (i, j) and (j, i) denote the same undirected edge. A triple (i, i, w)
     adds a self-loop of weight w. Vertex ids and n must be integers, by
-    `integer_vector`'s rule, and each weight a real number: an int, bool or
-    float, never a string, None or a complex number.
+    `integer_vector`'s rule, and each weight a real number, by
+    `real_number`'s rule: never a string, None, a complex number, a fraction
+    or a sequence.
     """
     if np.ndim(n) or not _integers(np.asarray(n)) or n < 1:
         raise InputError(f"vertex count must be an integer >= 1, got {n!r}")
@@ -291,7 +380,7 @@ def build_graph(edges: list[tuple[int, int, float]], n: int) -> Graph:
         i, j = int(i), int(j)
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"edge ({i}, {j}) out of range for n={n}")
-        if np.ndim(w) or np.asarray(w).dtype.kind not in "biuf":
+        if not real_number(w):
             raise InputError(f"edge ({i}, {j}) has weight {w!r}, which is not a real number")
         adj[i, j] += w
         if i != j:

@@ -11,6 +11,8 @@ records and mean/std summaries are written as CSV.  `instances` and
 from __future__ import annotations
 
 import csv
+import errno
+import os
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
@@ -280,9 +282,18 @@ def write_timings_csv(records: list[ExperimentRecord], path: str | Path) -> None
 
 def run_and_write(cfg: ExperimentConfig, out_dir: str | Path) -> list[ExperimentRecord]:
     """Run the grid, then make `out_dir` and write its three CSVs there, so
-    a grid that fails makes no directory."""
-    records = run_experiment(cfg)
+    a grid that fails makes no directory. An `out_dir` that is a file, or
+    lies under one (its nearest existing ancestor is not a directory), is
+    rejected before the first repetition, with mkdir's message, by a check
+    that makes nothing."""
     out = Path(out_dir)
+    for path in (out, *out.parents):
+        if os.path.exists(path):
+            if not os.path.isdir(path):
+                reason = os.strerror(errno.EEXIST if path == out else errno.ENOTDIR)
+                raise InputError(f"{out}: cannot make the output directory: {reason}")
+            break
+    records = run_experiment(cfg)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

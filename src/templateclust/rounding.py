@@ -88,9 +88,11 @@ def pivoted_qr_seeds(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     the orthogonal polar factor of the pivots' unit rows transposed, and each
     centroid is its label's mean unit row, or its pivot's when no row takes
     the label. The points are first scaled by an exact power of 2, so no
-    square overflows. A residual norm at most max(n, d) eps times the largest
-    row norm counts as zero, so fewer than k independent rows raise
-    NumericalError naming the rank.
+    square overflows. A residual or row norm at most max(n, d) eps times the
+    largest row norm counts as zero: fewer than k independent rows raise
+    NumericalError naming the rank, and a row that is zero but for rounding
+    (a vertex off the components the frame spans) stays zero rather than
+    take its rounding's direction.
     """
     points = _checked_points(points, k)
     n, d = points.shape
@@ -107,7 +109,8 @@ def pivoted_qr_seeds(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
         pivots.append(pivot)
         q = residual[pivot] / np.sqrt(sq[pivot])
         residual -= (residual @ q)[:, None] * q  # np.outer's products
-    rows = points / np.where(norms > 0, norms, 1.0)[:, None]
+    kept = norms > tol
+    rows = np.where(kept[:, None], points, 0.0) / np.where(kept, norms, 1.0)[:, None]
     seeds = rows[pivots]
     u, _, vt = np.linalg.svd(seeds.T, full_matrices=False)
     labels = np.argmax(np.abs(rows @ (u @ vt)), axis=1)

@@ -9,12 +9,11 @@ shapes (bp).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
 from templateclust.errors import InputError
-from templateclust.graphs import Graph, integer_vector, symmetric_matrix
+from templateclust.graphs import Graph, integer_vector, real_number, symmetric_matrix
 from templateclust.metrics import GroundTruth
 from templateclust.template import TemplateModel
 
@@ -161,8 +160,9 @@ def make_family(name: str, size: int, prob: float | None, intra_mode: str) -> Co
 
 
 def _check_real(value: object, what: str) -> None:
-    """InputError naming `what` unless `value` is a real number."""
-    if not isinstance(value, Real):
+    """InputError naming `what` unless `value` is a real number, by
+    `graphs.real_number`'s rule."""
+    if not real_number(value):
         raise InputError(f"{what} must be a real number, got {value!r}")
 
 

@@ -45,6 +45,10 @@ from templateclust.harness import run_method
 
 from conftest import random_simple_graph
 
+# numpy built without its bundled OpenBLAS has no subset driver to bind, and
+# every request the driver would serve is factored densely
+NO_DRIVER = graphs._subset_driver() is None
+
 
 @pytest.fixture
 def factored(monkeypatch):
@@ -71,6 +75,20 @@ def kernel_runs(monkeypatch):
         return kernel(m, bottom, top, limits)
 
     monkeypatch.setattr(graphs, "extremal_pairs", counting)
+    return orders
+
+
+@pytest.fixture
+def subset_runs(monkeypatch):
+    """Orders of the matrices LAPACK's subset driver ran on, in call order."""
+    orders = []
+    subset = graphs.subset_pairs
+
+    def counting(m, bottom, top):
+        orders.append(m.shape[0])
+        return subset(m, bottom, top)
+
+    monkeypatch.setattr(graphs, "subset_pairs", counting)
     return orders
 
 
@@ -385,20 +403,51 @@ class TestKernelCounts:
             assert kernel_runs == [g.n]
             assert factored.count(6) == 2 and max(factored) < g.n
 
-    def test_graph_under_the_size_rule_never_reaches_the_kernel(self, factored, kernel_runs):
+    def test_graph_under_the_size_rule_never_reaches_the_kernel(self, factored, kernel_runs, subset_runs):
         """g6/10 has 10 vertices per wanted pair. g3/40 (n = 120) and g6/34
         (n = 204) have 40 and 34, but under a negative-definite template tb
-        asks for no top end, which needs KERNEL_LONG_RUN_VERTICES: one dense
-        factorization of the adjacency, whatever the matrix's name."""
+        asks for no top end, which needs KERNEL_LONG_RUN_VERTICES. Each
+        request has one end and at least SUBSET_MIN_VERTICES_PER_PAIR
+        vertices per pair: one subset solve of the adjacency and no dense
+        factorization, whatever the matrix's name."""
         for spec, template in (
             (make_g6(10), expected_model),
             (make_g3(40), negative_definite),
             (make_g6(34), negative_definite),
         ):
             factored.clear()
+            subset_runs.clear()
             g, gt = sample_graph(spec, np.random.default_rng(0))
             run_method("tb", g, gt.k, template(spec), np.random.default_rng(1))
-            assert kernel_runs == [] and sorted(factored) == [gt.k, g.n]
+            assert kernel_runs == [] and subset_runs == [g.n] and factored == [gt.k] + [g.n] * NO_DRIVER
+
+    def test_subset_pairs_serve_every_repetition(self, factored, kernel_runs, subset_runs):
+        """g6/10's certified frame, the adjacency's top 6 pairs, comes from one
+        subset solve stored on the graph: the second repetition reads it."""
+        g, gt = sample_graph(make_g6(10), np.random.default_rng(0))
+        for rep in range(2):
+            _, _, iterations = run_method("tb", g, gt.k, expected_model(make_g6(10)), np.random.default_rng(rep))
+            assert iterations == 0
+        assert kernel_runs == [] and subset_runs == [g.n] and factored == [6, 6] + [g.n] * NO_DRIVER
+
+    def test_uncertified_one_ended_request_pays_a_subset_solve_and_dense_factors(self, factored, subset_runs):
+        """c2/10/0.42 (n = 40, 10 vertices per pair) asks for the adjacency's
+        top 4 pairs, which fail the sign test; LB's intervals need both ends,
+        which the dense factors give, as after a failed kernel try."""
+        spec = make_c2(10, 0.42)
+        g, gt = sample_graph(spec, np.random.default_rng(0))
+        _, _, iterations = run_method("tb", g, gt.k, expected_model(spec), np.random.default_rng(1))
+        assert iterations > 0
+        assert subset_runs == [g.n] and factored == [4, g.n]
+
+    def test_without_a_driver_the_dense_factors_serve(self, monkeypatch, factored, subset_runs):
+        """numpy on another LAPACK has no driver to bind: the request the
+        driver would serve is factored densely, on the first try."""
+        monkeypatch.setattr(graphs, "_subset_driver", lambda: None)
+        g, gt = sample_graph(make_g6(10), np.random.default_rng(0))
+        run_method("tb", g, gt.k, expected_model(make_g6(10)), np.random.default_rng(1))
+        run_method("spectral", g, gt.k, None, None)
+        assert subset_runs == [g.n, g.n] and factored == [6, g.n, g.n]
 
     def test_spectral_never_factors_the_laplacian_on_g6_40(self, factored, kernel_runs):
         """g6/40 passes both of the Laplacian's size rules: one kernel run
@@ -409,16 +458,18 @@ class TestKernelCounts:
             run_method("spectral", g, gt.k, None, np.random.default_rng(rep))
         assert kernel_runs == [240] and max(factored) < 240
 
-    def test_spectral_below_the_vertex_floor_never_reaches_the_kernel(self, factored, kernel_runs):
+    def test_spectral_below_the_vertex_floor_never_reaches_the_kernel(self, factored, kernel_runs, subset_runs):
         """bp/100 hub (n = 200, 100 vertices per pair) and g3/40 (n = 120, 40
         per pair): the Laplacian's bottom end is a request with no top end,
         below KERNEL_LONG_RUN_VERTICES, as tb's on g3/40 under a
-        negative-definite template is."""
+        negative-definite template is. One subset solve serves it and no
+        dense factorization runs."""
         for spec in (make_bp(100, 0.6, "hub"), make_g3(40)):
             factored.clear()
+            subset_runs.clear()
             g, gt = sample_graph(spec, np.random.default_rng(0))
             run_method("spectral", g, gt.k, None, None)
-            assert kernel_runs == [] and factored == [g.n]
+            assert kernel_runs == [] and subset_runs == [g.n] and factored == [g.n] * NO_DRIVER
 
     def test_uncertified_template_ends_the_kernel_at_its_first_test(self, factored, kernel_runs):
         """c2/40/0.42's template fails the sign test: the first Ritz test,

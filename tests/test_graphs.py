@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,8 @@ from templateclust import (
     sample_graph,
 )
 from templateclust import graphs
-from templateclust.graphs import KERNEL_RESIDUAL_TOL, extremal_pairs
+from templateclust.synth import check_sigma
+from templateclust.graphs import KERNEL_RESIDUAL_TOL, extremal_pairs, subset_pairs
 
 from conftest import random_simple_graph, traced_peak
 
@@ -81,6 +83,26 @@ def test_non_real_weight_rejected(weight, shown):
     # a complex weight must not keep only its real part
     with pytest.raises(InputError, match=rf"^edge \(0, 1\) has weight {shown}, which is not a real number$"):
         build_graph([(0, 1, weight)], 2)
+
+
+@pytest.mark.parametrize("caller", ["build_graph", "check_sigma"])
+@pytest.mark.parametrize(
+    "value, real",
+    [([[1], [1, 2]], False), (np.array(0.5), True), (np.True_, True), (Fraction(1, 2), False)],
+    ids=["ragged", "0-d-array", "numpy-bool", "fraction"],
+)
+def test_one_real_number_rule(caller, value, real):
+    """An edge weight and a noise level follow `graphs.real_number`: what
+    numpy reads as one bool, integer or float."""
+    if caller == "build_graph":
+        call, message = lambda: build_graph([(0, 1, value)], 2), r"^edge \(0, 1\) has weight .*, which is not a real number$"
+    else:
+        call, message = lambda: check_sigma(value), "^sigma must be a real number, got "
+    if real:
+        call()
+    else:
+        with pytest.raises(InputError, match=message):
+            call()
 
 
 def test_whole_number_vertex_ids_and_count_accepted():
@@ -286,6 +308,52 @@ def test_extremal_pairs_are_the_ends_whenever_they_return(kind, n, blocks, densi
         assert_extremal_pairs(m, bottom, top, pairs)
 
 
+@pytest.mark.skipif(graphs._subset_driver() is None, reason="numpy's LAPACK exports no dsyevr to bind")
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "doubled", "complete", "empty"]),
+    n=st.integers(8, 240),
+    blocks=st.integers(1, 6),
+    density=st.floats(0.05, 0.9),
+    count=st.integers(1, 8),
+    top_end=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_subset_pairs_are_the_ends(kind, n, blocks, density, count, top_end, seed):
+    """LAPACK's subset driver always returns one end's pairs, also where
+    every eigenvalue is repeated, and leaves its read-only input as it was;
+    where the end stands apart, its projector is dense eigh's."""
+    assume(count < n - n % 2)  # fewer pairs than vertices, a doubled graph's n being even
+    m = kernel_input(kind, n, blocks, density, np.random.default_rng(seed))
+    m.setflags(write=False)
+    before = m.copy()
+    bottom, top = (0, count) if top_end else (count, 0)
+    pairs = subset_pairs(m, bottom, top)
+    assert np.array_equal(m, before)
+    assert_extremal_pairs(m, bottom, top, pairs)
+    mu, v = np.linalg.eigh(m)
+    inner = m.shape[0] - count if top_end else count  # the first index past the end, in mu's order
+    if abs(mu[inner] - mu[inner - 1]) > 1e-6 * max(1.0, np.abs(mu).max()):
+        v = v[:, inner:] if top_end else v[:, :inner]
+        assert np.linalg.norm(pairs[1] @ pairs[1].T - v @ v.T) <= 1e-8
+
+
+@pytest.mark.parametrize("info, found", [(1, 3), (-6, 0), (0, 2)])
+def test_subset_pairs_give_up_on_a_driver_failure(monkeypatch, info, found):
+    """A nonzero `info`, or fewer pairs than asked for, gives None; so does
+    numpy without a driver to bind."""
+
+    def driver(*args):
+        args[12][0] = found  # m, the count of pairs found
+        return info
+
+    m = np.eye(12)
+    monkeypatch.setattr(graphs, "_subset_driver", lambda: driver)
+    assert subset_pairs(m, 0, 3) is None
+    monkeypatch.setattr(graphs, "_subset_driver", lambda: None)
+    assert subset_pairs(m, 0, 3) is None
+
+
 PLANTED = {
     "g6-40": make_g6(40),
     # 12 email-like communities of 32: more wanted pairs than steps between tests
@@ -478,29 +546,36 @@ END_GRAPHS = {
     key=st.sampled_from(["adjacency", "laplacian"]),
     bottom=st.integers(0, 3),
     top=st.integers(0, 6),
-    kernel=st.booleans(),
+    route=st.sampled_from(["kernel", "subset", "dense"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_end_pairs_are_the_ends_of_dense_eigh(name, key, bottom, top, kernel, seed):
-    """With the size rules at 0 the graph tries the Lanczos kernel, past n
-    it never does. Either way the values lie within the kernel's tolerance
-    of eigvalsh's ends (plus eigvalsh's rounding), and each end's projector
-    is dense eigh's where that end stands apart from the rest of the
-    spectrum. Ruled out, the pairs are slices of dense `np.linalg.eigh`, bit
-    for bit. The pairs are read-only either way. Once the graph has tried
-    the kernel or holds its dense factors, no split tries the kernel."""
+def test_end_pairs_are_the_ends_of_dense_eigh(name, key, bottom, top, route, seed):
+    """With the kernel's size rules at 0 the graph tries the Lanczos kernel;
+    with them past n and the subset rule at 0, a one-ended request goes to
+    LAPACK's subset driver; with every rule past n, neither runs. On every
+    route the values lie within the kernel's tolerance of eigvalsh's ends
+    (plus eigvalsh's rounding), and each end's projector is dense eigh's
+    where that end stands apart from the rest of the spectrum. On the dense
+    route the pairs are slices of dense `np.linalg.eigh`, bit for bit. The
+    pairs are read-only either way. Once the graph has made its partial try
+    or holds its dense factors, no split tries the kernel or the driver."""
     assume(bottom + top > 0)
     g, _ = sample_graph(END_GRAPHS[name], np.random.default_rng(seed))
     matrix = (lambda: g.adjacency) if key == "adjacency" else (lambda: laplacian(g))
     m, n, want = matrix(), g.n, bottom + top
-    runs = []
-    kernel_fn = graphs.extremal_pairs
+    runs = {"kernel": [], "subset": []}
+    kernel_fn, subset_fn = graphs.extremal_pairs, graphs.subset_pairs
 
-    def end_pairs(rule, low, high):
-        """`g.end_pairs` with both size rules at `rule`, counting kernel runs."""
-        counting = lambda *args: runs.append(1) or kernel_fn(*args)
+    def end_pairs(kernel_rule, subset_rule, low, high):
+        """`g.end_pairs` with the kernel's size rules at `kernel_rule` and
+        the subset rule at `subset_rule`, counting kernel and driver runs."""
         with mock.patch.multiple(
-            graphs, KERNEL_MIN_VERTICES_PER_PAIR=rule, KERNEL_LONG_RUN_VERTICES=rule, extremal_pairs=counting
+            graphs,
+            KERNEL_MIN_VERTICES_PER_PAIR=kernel_rule,
+            KERNEL_LONG_RUN_VERTICES=kernel_rule,
+            SUBSET_MIN_VERTICES_PER_PAIR=subset_rule,
+            extremal_pairs=lambda *args: runs["kernel"].append(1) or kernel_fn(*args),
+            subset_pairs=lambda *args: runs["subset"].append(1) or subset_fn(*args),
         ):
             return g.end_pairs(key, matrix, low, high)
 
@@ -508,9 +583,11 @@ def test_end_pairs_are_the_ends_of_dense_eigh(name, key, bottom, top, kernel, se
         mu, v = np.linalg.eigh(m)
         return np.r_[mu[:low], mu[n - high :]], np.hstack([v[:, :low], v[:, n - high :]])
 
-    values, vectors = end_pairs(0 if kernel else n + 1, bottom, top)
-    assert len(runs) == kernel
-    if not kernel:
+    rules = {"kernel": (0, n + 1), "subset": (n + 1, 0), "dense": (n + 1, n + 1)}[route]
+    values, vectors = end_pairs(*rules, bottom, top)
+    expected = {"kernel": [1] * (route == "kernel"), "subset": [1] * (route == "subset" and 0 in (bottom, top))}
+    assert runs == expected
+    if route == "dense":
         assert all(np.array_equal(a, b) for a, b in zip((values, vectors), dense_ends(bottom, top)))
     assert values.shape == (want,) and vectors.shape == (n, want) and np.all(np.diff(values) >= 0)
     assert not values.flags.writeable and not vectors.flags.writeable
@@ -527,5 +604,5 @@ def test_end_pairs_are_the_ends_of_dense_eigh(name, key, bottom, top, kernel, se
         if apart:
             assert np.linalg.norm(found @ found.T - dense @ dense.T) <= 1e-7
     for split in [(bottom + 1, top), (bottom, top + 1)]:
-        assert all(np.array_equal(a, b) for a, b in zip(end_pairs(0, *split), dense_ends(*split)))
-    assert len(runs) == kernel
+        assert all(np.array_equal(a, b) for a, b in zip(end_pairs(0, 0, *split), dense_ends(*split)))
+    assert runs == expected

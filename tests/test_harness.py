@@ -1251,6 +1251,21 @@ def test_out_through_a_file_is_an_input_error(tmp_path, capsys, under, reason):
     assert afile.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("under, reason", [("", "File exists"), ("sub", "Not a directory"), ("a/b", "Not a directory")])
+def test_unmakeable_out_is_rejected_before_the_first_repetition(tmp_path, monkeypatch, capsys, under, reason):
+    """The check makes nothing and runs no repetition: it reports what
+    mkdir would, before the grid."""
+    runs = []
+    monkeypatch.setattr(harness, "run_method", lambda *args: runs.append(args[0]) or run_method(*args))
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / under if under else afile
+    argv = ["synth", "--family", "g6", "--sizes", "40", "--reps", "30", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {out}: cannot make the output directory: {reason}\n"
+    assert runs == [] and afile.read_text() == "kept\n" and sorted(tmp_path.iterdir()) == [afile]
+
+
 def test_out_is_made_after_the_grid_has_run(tmp_path, monkeypatch):
     out = tmp_path / "out" / "a"
     seen = []

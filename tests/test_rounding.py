@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from templateclust import (
+    Graph,
     InputError,
     NumericalError,
     Partition,
@@ -32,6 +33,7 @@ from templateclust import (
     spectral_cluster,
     template_cluster,
 )
+from templateclust import graphs
 from templateclust.baselines import spectral_embedding
 from templateclust.rounding import _lloyd
 
@@ -510,6 +512,32 @@ def test_pivoted_seeds_keep_zero_rows():
     r = 1 / np.sqrt(2)
     assert np.array_equal(rows, [[1.0, 0.0], [0.0, 0.0], [0.0, -1.0], [r, r]])
     assert seeds.shape == (2, 2) and np.isfinite(seeds).all()
+
+
+@pytest.mark.parametrize("noise", [1e-17, -3e-16, 5e-16])
+def test_pivoted_seeds_zero_a_row_that_is_zero_but_for_rounding(noise):
+    """A row of norm at most max(n, d) eps times the largest is the pivots'
+    zero: it is set to zero, and seeds and labels are those of exact zeros."""
+    points = np.array([[2.0, 0.0], [0.0, 0.0], [0.0, -3.0], [1.0, 1.0]])
+    exact = pivoted_qr_seeds(points, 2)
+    points[1] = [noise, -noise / 2]
+    rows, seeds = pivoted_qr_seeds(points, 2)
+    assert np.array_equal(rows, exact[0]) and np.array_equal(seeds, exact[1])
+    assert np.array_equal(kmeans(rows, seeds)[0], kmeans(*exact)[0])
+
+
+def test_certified_tb_labels_do_not_follow_the_route_of_its_pairs(monkeypatch, tmp_path):
+    """Email-file graph (11, 0) holds an isolated edge, whose rows in the
+    adjacency's top 12 eigenvectors are exact zeros from dense eigh and near
+    1e-16 from LAPACK's subset driver. Rounded, both frames give one
+    partition (once ARI 0.9646 against 0.9407)."""
+    g, gt = email_graph(monkeypatch, tmp_path, 11, 0)
+    model = model_from_ground_truth(g, gt)
+    subset = template_cluster(g, model, np.random.default_rng(0))
+    monkeypatch.setattr(graphs, "SUBSET_MIN_VERTICES_PER_PAIR", g.n + 1)
+    dense = template_cluster(Graph(g.adjacency), model, np.random.default_rng(0))
+    assert subset.trace.iterates_count == dense.trace.iterates_count == 0
+    assert np.array_equal(subset.partition, dense.partition)
 
 
 @settings(max_examples=100, deadline=None)

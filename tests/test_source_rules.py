@@ -203,6 +203,17 @@ def kernel_calls(tree: ast.Module) -> list[tuple[int, str, str]]:
     return scoped_calls(tree, lambda parts: parts[-1] == "extremal_pairs")
 
 
+def subset_calls(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """(line, enclosing class/function path, call) for each call of LAPACK's
+    subset driver `subset_pairs`, bare or through its module.
+
+    As with the kernel, only `Graph.end_pairs` chooses the driver, after its
+    size and finiteness rules, and stores what it returns: a module that
+    called the driver itself would skip the memoized pairs and solve again.
+    """
+    return scoped_calls(tree, lambda parts: parts[-1] == "subset_pairs")
+
+
 def key_comparisons(tree: ast.Module) -> list[tuple[int, str, str]]:
     """(line, enclosing class/function path, comparison) for each comparison
     with the name `key` inside `Graph.end_pairs`.
@@ -493,7 +504,9 @@ def process_settings(tree: ast.Module) -> list[tuple[int, str, str]]:
     thresholds, belongs to the command line's entry point: importing the
     package, calling the library and the benchmark's set-up leave the process
     as they found it. So `ctypes` is reached only inside the policy helper,
-    and only `main` calls that.
+    and only `main` calls that, and inside `graphs._subset_driver`, which
+    binds a LAPACK routine of the OpenBLAS numpy has already loaded: it
+    calls a library the process holds and changes no setting of the process.
     """
 
     def finding(node: ast.AST) -> str | None:
@@ -526,6 +539,9 @@ RULES = {
     "kernel_calls": (kernel_calls, PACKAGE, {
         ("graphs.py", "Graph.end_pairs", "extremal_pairs(m, bottom, top, limits)"),
     }),
+    "subset_calls": (subset_calls, PACKAGE, {
+        ("graphs.py", "Graph.end_pairs", "subset_pairs(m, bottom, top)"),
+    }),
     "kernel_rule": (key_comparisons, PACKAGE, set()),
     # the acceptance criteria are kept as written, unused imports included
     "unused_imports": (unread_imports, PACKAGE + TESTS + BENCH, {"tests/test_acceptance.py"}),
@@ -541,6 +557,7 @@ RULES = {
     "process_settings": (process_settings, PACKAGE, {
         ("cli.py", "_keep_freed_memory", "from ctypes import CDLL, c_int"),
         ("cli.py", "main", "_keep_freed_memory()"),
+        ("graphs.py", "_subset_driver", "from ctypes import CDLL, c_char, c_double, c_int, c_int64"),
     }),
     "label_renumbering": (renumberings, PACKAGE, {
         ("metrics.py", "Partition.__post_init__", "np.minimum.at(first, raw, np.arange(n))"),
@@ -731,6 +748,22 @@ def test_kernel_call_detector():
         (4, "eigenvector_start", "graphs.extremal_pairs(g.adjacency, 0, 2, lam)"),
         (5, "eigenvector_start", "extremal_pairs(g.adjacency, 0, 2)"),
         (8, "Graph.end_pairs", "extremal_pairs(matrix(), bottom, top, limits)"),
+    ]
+
+
+def test_subset_call_detector():
+    # bare and through the module; the kernel's calls are not this rule's
+    source = (
+        "from templateclust import graphs\n"
+        "def spectral_embedding(g, k):\n"
+        "    return graphs.subset_pairs(laplacian(g), k, 0) or extremal_pairs(g.adjacency, k, 0)\n"
+        "class Graph:\n"
+        "    def end_pairs(self, key, matrix, bottom, top, limits=None):\n"
+        "        return subset_pairs(matrix(), bottom, top)\n"
+    )
+    assert subset_calls(ast.parse(source)) == [
+        (3, "spectral_embedding", "graphs.subset_pairs(laplacian(g), k, 0)"),
+        (6, "Graph.end_pairs", "subset_pairs(matrix(), bottom, top)"),
     ]
 
 
