@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--sizes", type=_int_list, required=True, help="comma-separated community sizes")
     synth.add_argument("--probs", type=_float_list, default=(None,),
                        help="comma-separated coupling probabilities (c2 central / bp inter)")
-    synth.add_argument("--intra-mode", choices=INTRA_MODES, default="bipartite")
+    synth.add_argument("--intra-mode", choices=INTRA_MODES)
     synth.add_argument("--methods", type=_methods, default=METHODS)
     synth.add_argument("--reps", dest="repetitions", type=int, default=100)
     synth.add_argument("--seed", dest="base_seed", type=int, default=0)
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     single.add_argument("--family", choices=FAMILIES)
     single.add_argument("--size", type=int, help="community size for --family")
     single.add_argument("--prob", type=float)
-    single.add_argument("--intra-mode", choices=INTRA_MODES, default="bipartite")
+    single.add_argument("--intra-mode", choices=INTRA_MODES)
     single.add_argument("--template", help="whitespace-separated k x k template weight matrix file")
     single.add_argument("--k", type=int, help="cluster count (defaults to the template or label count)")
     single.add_argument("--method", choices=METHODS, default="tb")
@@ -112,7 +112,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         raise InputError("give either --family or --edges, not both")
     if args.labels and not args.edges:
         raise InputError("--labels needs --edges")
-    if not args.family and (args.size is not None or args.prob is not None or args.intra_mode != "bipartite"):
+    if not args.family and (args.size is not None or args.prob is not None or args.intra_mode is not None):
         raise InputError("--size, --prob and --intra-mode need --family")
     if args.method in ("cnm", "louvain"):
         for flag, value in (("--k", args.k), ("--template", args.template)):

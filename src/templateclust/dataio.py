@@ -4,6 +4,7 @@ input file the package reads is parsed here."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from itertools import repeat
 from operator import contains
@@ -28,9 +29,9 @@ _LABEL_KINDS = {2: np.dtype([("vertex", np.int64), ("community", np.int64)])}
 
 def _read_records(
     path: str | Path, kind: Callable[[int], np.dtype | None], what: str
-) -> tuple[list[str], np.ndarray | None]:
-    """The file's lines, and its data lines parsed in one bulk call as
-    records of dtype `kind(t)`, where t is the first data line's token count.
+) -> tuple[list[str], np.dtype | None, np.ndarray | None]:
+    """The file's lines, `kind(t)` for the token count t of its first data
+    line, and its data lines parsed in one bulk call as records of that dtype.
 
     The records are None when `kind(t)` is None, or a data line has another
     token count or a token that is not a number, or an integer does not fit
@@ -58,31 +59,39 @@ def _read_records(
     # no number holds a '#', so a line with one is a comment or malformed
     hashed = np.flatnonzero(np.fromiter(map(contains, lines, repeat("#")), bool, len(lines))).tolist()
     if dtype is None or not all(lines[i].lstrip().startswith("#") for i in hashed):
-        return lines, None
+        return lines, dtype, None
     try:
-        return lines, np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+        return lines, dtype, np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
     except ValueError:
-        return lines, None
+        return lines, dtype, None
 
 
-def _number(token: str, kind: type) -> int | float:
-    """`kind(token)` for the forms `_read_records` reads; ValueError for others."""
-    if not token.isascii() or "_" in token:
-        raise ValueError(f"not a plain ASCII number: {token!r}")
-    return kind(token)
-
-
-def _numbered_rows(lines: list[str]) -> Iterator[tuple[int, list[str]]]:
+def _data_lines(
+    path: str | Path, lines: list[str], kinds: dict[int, np.dtype], expected: str, noun: str
+) -> Iterator[tuple[int, list[str], list[int | float]]]:
+    """(number, tokens, values) of each data line by `_read_records`' rules,
+    t tokens read as `int`s and `float`s where the dtype `kinds[t]` holds
+    integers and floats. InputError for the first line that breaks a rule:
+    `expected` (formatted with the line as `got`) when t is not in `kinds`,
+    then `malformed <noun> line`, then an integer outside int64."""
+    numbers = {t: [int if d[f].base.kind == "i" else float for f in d.names for _ in range(math.prod(d[f].shape))]
+               for t, d in kinds.items()}
     for lineno, line in enumerate(lines, start=1):
-        parts = line.split()
-        if parts and not parts[0].startswith("#"):
-            yield lineno, parts
-
-
-def _check_int64(path: str | Path, lineno: int, tokens: list[str], values: tuple[int, ...]) -> None:
-    for token, value in zip(tokens, values):
-        if not _INT64.min <= value <= _INT64.max:
-            raise InputError(f"{path}:{lineno}: id {token} does not fit in a 64-bit integer")
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if (types := numbers.get(len(tokens))) is None:
+            raise InputError(f"{path}:{lineno}: " + expected.format(got=" ".join(tokens)))
+        try:
+            if not "".join(tokens).isascii() or "_" in line:
+                raise ValueError(f"not plain ASCII numbers: {line!r}")
+            values = [number(token) for token, number in zip(tokens, types)]
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: malformed {noun} line") from exc
+        for token, value in zip(tokens, values):
+            if type(value) is int and not _INT64.min <= value <= _INT64.max:
+                raise InputError(f"{path}:{lineno}: id {token} does not fit in a 64-bit integer")
+        yield lineno, tokens, values
 
 
 def _edge_rows(path: str | Path, lines: list[str]) -> np.ndarray:
@@ -90,17 +99,10 @@ def _edge_rows(path: str | Path, lines: list[str]) -> np.ndarray:
     time; raises the error of the first data line that breaks a rule of
     `load_edge_list`."""
     rows = []
-    for lineno, parts in _numbered_rows(lines):
-        if len(parts) not in (2, 3):
-            raise InputError(f"{path}:{lineno}: expected 'u v' or 'u v w', got {' '.join(parts)!r}")
-        try:
-            u, v = _number(parts[0], int), _number(parts[1], int)
-            w = _number(parts[2], float) if len(parts) == 3 else 1.0
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: malformed edge line") from exc
-        _check_int64(path, lineno, parts, (u, v))
-        if not 0 < w < np.inf:  # also false for NaN
-            raise InputError(f"{path}:{lineno}: edge weight must be positive and finite, got {parts[2]}")
+    expected = "expected 'u v' or 'u v w', got {got!r}"
+    for lineno, tokens, (u, v, *w) in _data_lines(path, lines, _EDGE_KINDS, expected, "edge"):
+        if w and not 0 < w[0] < np.inf:  # also false for NaN
+            raise InputError(f"{path}:{lineno}: edge weight must be positive and finite, got {tokens[2]}")
         rows.append((u, v))
     return np.array(rows, _EDGE_KINDS[2])
 
@@ -119,7 +121,7 @@ def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
     one bulk call; other files are read line by line, and an error names
     the first offending line.
     """
-    lines, rows = _read_records(path, _EDGE_KINDS.get, "edges")
+    lines, _, rows = _read_records(path, _EDGE_KINDS.get, "edges")
     if rows is None or "w" in rows.dtype.names and not ((0 < rows["w"]) & (rows["w"] < np.inf)).all():
         rows = _edge_rows(path, lines)
     ids, ends = np.unique(np.concatenate([rows["u"], rows["v"]]), return_inverse=True)
@@ -136,20 +138,13 @@ def _raise_label_error(path: str | Path, lines: list[str], id_map: dict[int, int
     """Raise the error of the first data line that breaks a rule of
     `load_labels`."""
     raw: dict[int, tuple[int, int]] = {}  # vertex -> (community, line of its first label)
-    for lineno, parts in _numbered_rows(lines):
-        if len(parts) != 2:
-            raise InputError(f"{path}:{lineno}: expected 'vertex community'")
-        try:
-            u, c = _number(parts[0], int), _number(parts[1], int)
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: malformed label line") from exc
-        _check_int64(path, lineno, parts, (u, c))
+    for lineno, tokens, (u, c) in _data_lines(path, lines, _LABEL_KINDS, "expected 'vertex community'", "label"):
         if u not in id_map:
             raise InputError(f"{path}:{lineno}: vertex {u} does not appear in the edge list")
         first, first_line = raw.setdefault(id_map[u], (c, lineno))
         if first != c:
             raise InputError(
-                f"vertex {parts[0]} is labelled {first} at {path}:{first_line} and {c} at {path}:{lineno}"
+                f"vertex {tokens[0]} is labelled {first} at {path}:{first_line} and {c} at {path}:{lineno}"
             )
     raise AssertionError(f"{path}: the bulk checks rejected a file whose every line is valid")
 
@@ -171,7 +166,7 @@ def load_labels(path: str | Path, n: int, id_map: dict[int, int]) -> GroundTruth
     through id_map, as `load_edge_list` returns it. A vertex may be repeated
     only with the same community.
     """
-    lines, records = _read_records(path, _LABEL_KINDS.get, "labels")
+    lines, _, records = _read_records(path, _LABEL_KINDS.get, "labels")
     vertex = None if records is None else _translate(records["vertex"], id_map)
     if vertex is None:
         _raise_label_error(path, lines, id_map)
@@ -193,12 +188,14 @@ def load_labels(path: str | Path, n: int, id_map: dict[int, int]) -> GroundTruth
 
 def load_template(path: str | Path) -> TemplateModel:
     """Read a k x k template weight matrix, one row of k numbers per data
-    line, converted in one bulk call. Encoding, comments, blank lines and
-    number forms follow `load_edge_list`'s rules; rows of unequal width are
-    malformed."""
-    _, records = _read_records(path, lambda k: np.dtype([("w", np.float64, (k,))]), "template weights")
+    line, where k is the first row's width. Encoding, comments, blank lines,
+    number forms and errors that name their line follow `load_edge_list`'s
+    rules. A file whose rows all hold k numbers is converted in one bulk call."""
+    lines, row, records = _read_records(path, lambda k: np.dtype([("w", np.float64, (k,))]), "template weights")
     if records is None:
-        raise InputError(f"{path}: malformed template file")
+        k = row["w"].shape[0]
+        rows = _data_lines(path, lines, {k: row}, f"expected {k} weights, got {{got!r}}", "template")
+        return TemplateModel(np.array([values for *_, values in rows]))
     return TemplateModel(records["w"])
 
 

@@ -20,19 +20,21 @@ T = TypeVar("T")
 # thread, kernel with its checks against eigh in ms, and graphs proved of 3,
 # for adjacency ends at n // 4 steps: g6/10 (10 per pair) 0.14/0.20, 0; the
 # email-file graphs (16) 0.89/2.07, 0; g6/20 (20) 0.37/0.73, 1; g6/30 (30)
-# 0.70/1.70, 3; g6/40 (40) 1.00/3.05, 3. The rule holds for every request; one
-# with no top end also needs KERNEL_LONG_RUN_VERTICES.
+# 0.70/1.70, 3; g6/40 (40) 1.00/3.05, 3. A one-ended request it turns away
+# goes to the subset driver: A's top 6, kernel/subset in ms, median of 10
+# graphs, g6/20 0.91-1.02/0.86-0.95 (kernel proved 5), g6/30 1.50-1.68/
+# 1.82-1.84 (10). The rule holds for every request; one with no top end
+# also needs KERNEL_LONG_RUN_VERTICES.
 KERNEL_MIN_VERTICES_PER_PAIR = 32
 # From this many vertices the kernel may run n // 2 Lanczos steps, below it
 # n // 4, and only from here does it try a request with no top end (L's
 # bottom; A's under a negative-definite template, where g3/40 and g6/34 proved
-# 0 of 6 graphs each): below, a run long enough to prove more costs more than
-# dense eigh. Spectral time
-# per repetition, kernel at n // 2 steps against dense eigh alone, one BLAS
-# thread, 8 graphs each: bp/40/0.6 (n=80) +52% bipartite, +77% hub; bp/80/0.6
-# hub +16%; bp/100 hub (n=200) +18% to +47%, bp/110/0.4 hub +21%, bp/120 hub
-# -8% to +4%; other families gained from n=200 (c2/50 17-22%, g6/34 37%).
-# tb's eigenvector_start on bp/40 took 12-15% longer at n // 2 than n // 4.
+# 0 of 6 graphs each). Below, a one-ended such request (L's bottom) goes to
+# the subset driver. One BLAS thread, kernel at n // 2 steps/subset in ms,
+# median of 10 graphs: c2/40/0.42 2.56-2.69/1.27-1.31, bp/100/0.6 hub
+# 4.64-4.66/1.67-1.70, g6/34 2.21-2.22/2.11-2.16, g3/60 1.13-1.20/1.45-1.49.
+# tb's eigenvector_start at n // 2 against n // 4 steps read -1% to +14% on
+# bp/40/0.6 bipartite, -35% to +12% hub, -20% to +8% g3/40 and c2/40/0.42.
 KERNEL_LONG_RUN_VERTICES = 240
 # explicit residual bound of a returned pair, relative to ||m||_inf
 KERNEL_RESIDUAL_TOL = 1e-12

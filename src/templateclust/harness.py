@@ -67,7 +67,7 @@ class ExperimentConfig:
     sizes: tuple[int, ...] = ()
     probs: tuple[float | None, ...] = (None,)  # None: no coupling given, which c2 reads as C2_COUPLING
     sigmas: tuple[float, ...] = (0.0,)
-    intra_mode: str = "bipartite"
+    intra_mode: str | None = None  # None: no shape given, which bp reads as its default
     repetitions: int = 100
     base_seed: int = 0
     fixed_graph: bool = False

@@ -120,13 +120,13 @@ def make_c2(size: int, central_inter: float) -> CommunitySpec:
     return _line_spec((size,) * 4, {(0, 1): 0.1, (1, 2): central_inter, (2, 3): 0.1})
 
 
-def make_bp(size: int, inter: float, intra_mode: str = "bipartite") -> CommunitySpec:
-    """Two equal communities; 'bipartite' has zero intra everywhere, 'hub'
-    gives the second community intra rate 0.5."""
+def make_bp(size: int, inter: float, intra_mode: str | None = None) -> CommunitySpec:
+    """Two equal communities; 'bipartite' (also None, no shape given) has zero
+    intra everywhere, 'hub' gives the second community intra rate 0.5."""
     _check_real(inter, "inter")
-    if intra_mode not in INTRA_MODES:
+    if intra_mode not in (None, *INTRA_MODES):
         raise InputError(f"intra_mode must be 'bipartite' or 'hub', got {intra_mode!r}")
-    second = 0.0 if intra_mode == "bipartite" else 0.5
+    second = 0.5 if intra_mode == "hub" else 0.0
     rates = np.array([[0.0, inter], [inter, second]])
     return CommunitySpec((size, size), rates)
 
@@ -136,14 +136,14 @@ INTRA_MODES = ("bipartite", "hub")  # bp's shapes
 C2_COUPLING = 0.42  # c2's central coupling when none is given
 
 
-def make_family(name: str, size: int, prob: float | None, intra_mode: str) -> CommunitySpec:
+def make_family(name: str, size: int, prob: float | None, intra_mode: str | None) -> CommunitySpec:
     """The named family at one size. `prob` is the c2 central coupling or
     the bp inter rate, required for both; g3 and g6 take none, so it must be
-    None for them. `intra_mode` other than 'bipartite' applies to bp only. A
-    flag the family does not use raises InputError."""
+    None for them. `intra_mode` is bp's shape, None (none given) for the
+    others. A flag the family does not use raises InputError."""
     if name in ("g3", "g6") and prob is not None:
         raise InputError(f"family {name} takes no coupling probability, got {prob}")
-    if name in ("g3", "g6", "c2") and intra_mode != "bipartite":
+    if name in ("g3", "g6", "c2") and intra_mode is not None:
         raise InputError(f"intra_mode {intra_mode!r} applies only to family bp, not {name}")
     if name == "g3":
         return make_g3(size)

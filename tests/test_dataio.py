@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -263,13 +264,21 @@ class TestLoadTemplate:
         assert np.array_equal(load_template(write(tmp_path / "t.txt", "5\n")).weights, [[5]])
 
     @pytest.mark.parametrize(
-        "text",
-        ["6 0 # intra\n0 6\n", "6 0\n0 6#\n", "6 0\n0\n", "6 0\n0 6 1\n", "6 x\nx 6\n", "6 1_0\n1_0 6\n"],
-        ids=["hash-first-line", "hash-later-line", "short-row", "long-row", "word", "separator"],
+        "text, line, reason",
+        [
+            ("6 0 # intra\n0 6\n", 1, "malformed template line"),
+            ("6 0\n0 6#\n", 2, "malformed template line"),
+            ("6 0\n0\n", 2, "expected 2 weights, got '0'"),
+            ("6 0\n0 6 1\n", 2, "expected 2 weights, got '0 6 1'"),
+            ("6 x\nx 6\n", 1, "malformed template line"),
+            ("6 1_0\n1_0 6\n", 1, "malformed template line"),
+            ("1 2 3\n4 5\n", 2, "expected 3 weights, got '4 5'"),
+        ],
+        ids=["hash-first-line", "hash-later-line", "short-row", "long-row", "word", "separator", "ragged"],
     )
-    def test_malformed(self, tmp_path, text):
+    def test_malformed(self, tmp_path, text, line, reason):
         f = write(tmp_path / "t.txt", text)
-        with pytest.raises(InputError, match=r"t\.txt: malformed template file$"):
+        with pytest.raises(InputError, match=rf"t\.txt:{line}: {re.escape(reason)}$"):
             load_template(f)
 
     @pytest.mark.parametrize("text", ["", "# k x k weights\n\n  \n"])

@@ -226,10 +226,14 @@ class TestRunExperiment:
         ("real", "sizes", (5,)),
         ("real", "probs", (0.3,)),
         ("real", "intra_mode", "hub"),
+        ("real", "intra_mode", "bipartite"),
         ("real", "fixed_graph", True),
     ]
 
-    @pytest.mark.parametrize("kind, field, value", UNREAD, ids=[f"{kind}-{field}" for kind, field, _ in UNREAD])
+    # bp's default shape, the one field listed twice, is told apart by its value
+    @pytest.mark.parametrize("kind, field, value", UNREAD, ids=[
+        f"{kind}-{field}" + ("-bipartite" if value == "bipartite" else "") for kind, field, value in UNREAD
+    ])
     def test_field_its_kind_never_reads_rejected(self, kind, field, value):
         # a grid of that kind would run as if the field were not given
         real = dict(sizes=(), edges_path="e.txt", labels_path="l.txt") if kind == "real" else {}
@@ -852,9 +856,16 @@ class TestCli:
              "error: central_inter must lie in [0, 0.9] to keep rates valid"),
             (["cluster", "--edges", "/nonexistent.txt", "--prob", "nan"],
              "error: --size, --prob and --intra-mode need --family"),
+            # bp's default shape, given to another family or to no family, would be dropped
+            (["synth", "--family", "g6", "--sizes", "10", "--intra-mode", "bipartite"],
+             "error: intra_mode 'bipartite' applies only to family bp, not g6"),
+            (["cluster", "--family", "c2", "--size", "5", "--prob", "0.3", "--method", "cnm", "--intra-mode", "bipartite"],
+             "error: intra_mode 'bipartite' applies only to family bp, not c2"),
+            (["cluster", "--edges", "e.txt", "--method", "cnm", "--intra-mode", "bipartite"],
+             "error: --size, --prob and --intra-mode need --family"),
         ],
         ids=["c2-probs", "sizes", "real-sigma", "g3-nan", "c2-nan", "c2-nan-given", "bp-nan", "cluster-nan",
-             "cluster-edges-nan"],
+             "cluster-edges-nan", "g6-bipartite", "cluster-c2-bipartite", "cluster-edges-bipartite"],
     )
     def test_bad_grid_point_fails_before_any_repetition(self, tmp_path, monkeypatch, capsys, argv, message):
         calls = []
@@ -1090,7 +1101,7 @@ class TestCli:
         template.write_text("6 x\nx 6\n")
         rc = main(["cluster", "--edges", str(edges), "--template", str(template)])
         assert rc == 1
-        assert "template.txt: malformed template file" in capsys.readouterr().err
+        assert "template.txt:1: malformed template line" in capsys.readouterr().err
 
     def test_cluster_template_hash_after_data_exit_code(self, tmp_path, capsys):
         # a '#' after a row's numbers is malformed, as in edge and label files
@@ -1099,7 +1110,7 @@ class TestCli:
         template = tmp_path / "template.txt"
         template.write_text("6 0 # intra\n0 6\n")
         assert main(["cluster", "--edges", str(edges), "--template", str(template)]) == 1
-        assert capsys.readouterr().err == f"error: {template}: malformed template file\n"
+        assert capsys.readouterr().err == f"error: {template}:1: malformed template line\n"
 
     def test_cluster_template_file_with_byte_order_mark(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"

@@ -35,6 +35,7 @@ CHANGERS = {"mkdir", "makedirs", "rmdir", "unlink", "rmtree", "remove", "rename"
 SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
 ROUNDING = {"kmeans", "pivoted_qr_seeds", "_lloyd"}
 RANDOM = {"rng", "Generator"}
+SHAPES = {"bipartite", "hub"}  # bp's shapes
 
 
 @functools.cache
@@ -469,6 +470,23 @@ def self_comparisons(tree: ast.Module) -> list[tuple[int, str]]:
     )
 
 
+def family_shapes(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, literal) for each string literal that names a bp shape,
+    "bipartite" or "hub".
+
+    bp's shapes, and the one it takes when none is given, are spelled only
+    in `synth`. While the command line and `ExperimentConfig` took
+    "bipartite" as the default of `--intra-mode` and `intra_mode`, bp's
+    default doubled as their "not given" marker, so a shape given to g3, g6,
+    c2, `cluster --edges` or a real grid was accepted and dropped. A shape
+    not given is None.
+    """
+    return sorted(
+        (node.lineno, repr(node.value))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in SHAPES
+    )
+
 
 def renumberings(tree: ast.Module) -> list[tuple[int, str, str]]:
     """(line, enclosing class/function path, call) for each call that
@@ -554,6 +572,7 @@ RULES = {
     "rng_free_rounding": (rng_free_rounding, ["rounding.py", "baselines.py"], set()),
     "rounding_privates": (private_rounding_reads, PACKAGE + TESTS + BENCH, {"tests/test_rounding.py"}),
     "self_comparisons": (self_comparisons, PACKAGE, set()),
+    "family_shapes": (family_shapes, PACKAGE, {"synth.py"}),
     "process_settings": (process_settings, PACKAGE, {
         ("cli.py", "_keep_freed_memory", "from ctypes import CDLL, c_int"),
         ("cli.py", "main", "_keep_freed_memory()"),
@@ -855,6 +874,18 @@ def test_self_comparison_detector():
         (3, "prob != prob"),
     ]
 
+
+def test_family_shape_detector():
+    # lines 1 and 2 are how the command line once gave and tested bp's
+    # default; a shape named inside a longer string is not a literal of it
+    source = (
+        "synth.add_argument('--intra-mode', choices=INTRA_MODES, default='bipartite')\n"
+        "if args.intra_mode != 'bipartite': pass\n"
+        "def make_bp(size, inter, intra_mode: str = 'hub'): pass\n"
+        "message = f'intra_mode {mode!r} is not hub'\n"
+        "ok = mode in ('hubs', 'bipartite graph') or mode is None\n"
+    )
+    assert family_shapes(ast.parse(source)) == [(1, "'bipartite'"), (2, "'bipartite'"), (3, "'hub'")]
 
 
 def test_process_settings_detector():

@@ -92,7 +92,7 @@ class TestSampleGraph:
         # oracle: the same draw and comparison, with the upper triangle cast
         # to float and added to its transpose
         prob = coupling if family in ("c2", "bp") else None
-        spec = make_family(family, size, prob, "hub" if hub and family == "bp" else "bipartite")
+        spec = make_family(family, size, prob, "hub" if hub and family == "bp" else None)
         g, gt = sample_graph(spec, np.random.default_rng(seed))
         labels = np.repeat(np.arange(spec.k), spec.sizes)
         rng = np.random.default_rng(seed)
@@ -271,11 +271,11 @@ class TestMakeFamily:
     @pytest.mark.parametrize(
         "name, prob, intra_mode, direct",
         [
-            ("g3", None, "bipartite", make_g3(7)),
-            ("g6", None, "bipartite", make_g6(7)),
-            ("c2", 0.3, "bipartite", make_c2(7, 0.3)),
+            ("g3", None, None, make_g3(7)),
+            ("g6", None, None, make_g6(7)),
+            ("c2", 0.3, None, make_c2(7, 0.3)),
             # c2's default coupling is ExperimentConfig's, so make_family has none
-            ("c2", None, "bipartite", pytest.raises(InputError, match="c2 experiments need a central coupling")),
+            ("c2", None, None, pytest.raises(InputError, match="c2 experiments need a central coupling")),
             ("bp", 0.6, "bipartite", make_bp(7, 0.6, "bipartite")),
             ("bp", 0.6, "hub", make_bp(7, 0.6, "hub")),
         ],
@@ -292,18 +292,23 @@ class TestMakeFamily:
     def test_every_family_builds(self):
         for name in FAMILIES:
             prob = None if name in ("g3", "g6") else 0.5
-            assert make_family(name, 3, prob, "bipartite").sizes[0] == 3
+            assert make_family(name, 3, prob, None).sizes[0] == 3
 
     @pytest.mark.parametrize("name", ["g3", "g6"])
     def test_probability_rejected_where_unused(self, name):
         with pytest.raises(InputError, match=f"family {name} takes no coupling probability"):
-            make_family(name, 5, 0.1, "bipartite")
+            make_family(name, 5, 0.1, None)
 
-    @pytest.mark.parametrize("name", ["g3", "g6", "c2"])
-    def test_hub_mode_rejected_outside_bp(self, name):
+    @pytest.mark.parametrize(
+        "name, mode",
+        [("g3", "hub"), ("g6", "hub"), ("c2", "hub"), ("g3", "bipartite"), ("g6", "bipartite"), ("c2", "bipartite")],
+        ids=["g3", "g6", "c2", "g3-bipartite", "g6-bipartite", "c2-bipartite"],
+    )
+    def test_hub_mode_rejected_outside_bp(self, name, mode):
+        # a shape given to another family, bp's default included, would be dropped
         prob = 0.3 if name == "c2" else None
-        with pytest.raises(InputError, match=f"intra_mode 'hub' applies only to family bp, not {name}"):
-            make_family(name, 5, prob, "hub")
+        with pytest.raises(InputError, match=f"intra_mode '{mode}' applies only to family bp, not {name}"):
+            make_family(name, 5, prob, mode)
 
     def test_bp_needs_probability(self):
         with pytest.raises(InputError, match="inter-connection probability"):
