@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from templateclust.errors import InputError, NumericalError
-from templateclust.graphs import Graph, block_sums, degree_matrix, laplacian
+from templateclust.graphs import Graph, block_sums, count, degree_matrix, laplacian
 from templateclust.metrics import Partition
 from templateclust.rounding import kmeans, pivoted_qr_seeds
 from templateclust.stiefel import StiefelPoint
@@ -16,8 +16,7 @@ def spectral_embedding(g: Graph, k: int) -> StiefelPoint:
     graph's k bottom end pairs of L (`Graph.end_pairs`), which build L at
     most once. The validated frame is kept in the graph's memo for each k;
     a call that raises stores nothing and raises again."""
-    if g.n < k or k < 1:
-        raise InputError(f"need n >= k >= 1, got n={g.n}, k={k}")
+    k = count(k, "k", 1, g.n)
     return g.memo(("spectral frame", k), lambda: StiefelPoint(g.end_pairs("laplacian", lambda: laplacian(g), k, 0)[1]))
 
 
@@ -30,6 +29,7 @@ def spectral_cluster(g: Graph, k: int, rng: np.random.Generator | None) -> Parti
     `Graph` and k, and read from its memo after that, as `cnm_cluster`'s is;
     a call that raises stores nothing and raises again. `rng` is unused, and
     may be None; the acceptance tests pass one."""
+    k = count(k, "k", 1, g.n)
 
     def compute() -> Partition:
         rows, seeds = pivoted_qr_seeds(spectral_embedding(g, k).matrix, k)

@@ -12,6 +12,7 @@ from typing import NoReturn
 
 from templateclust.dataio import load_edge_list, load_template
 from templateclust.errors import InputError
+from templateclust.graphs import count
 from templateclust.harness import METHODS, ExperimentConfig, instances, method_rng, run_and_write, run_method
 from templateclust.metrics import adjusted_rand_index
 from templateclust.synth import FAMILIES, INTRA_MODES
@@ -106,8 +107,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise InputError(f"--seed must be >= 0, got {args.seed}")
+    count(args.seed, "--seed", 0)
     if args.family and args.edges:
         raise InputError("give either --family or --edges, not both")
     if args.labels and not args.edges:
@@ -118,8 +118,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         for flag, value in (("--k", args.k), ("--template", args.template)):
             if value is not None:
                 raise InputError(f"{flag} does not apply to {args.method}: it chooses the number of communities itself")
-    if args.k is not None and args.k < 1:
-        raise InputError(f"--k must be >= 1, got {args.k}")
+    if args.k is not None:
+        count(args.k, "--k", 1)
     # a family, or edges with labels, name a one-point grid: run its first repetition
     if args.family:
         if args.size is None:

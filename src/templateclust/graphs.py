@@ -272,6 +272,17 @@ def integer_vector(x: object, what: str) -> np.ndarray:
     return x
 
 
+def count(value: object, what: str, least: int, most: int | None = None) -> int:
+    """`value` as an int from `least` to `most` (None: no upper end), given as a
+    Python or numpy integer or a float that is a whole number within int64. A
+    bool, fraction, NaN, string, None or sequence raises InputError naming `what`."""
+    whole = type(value) is int or real_number(value) and (x := np.asarray(value)).dtype.kind in "iuf" and _integers(x)
+    if not whole or value < least or most is not None and value > most:
+        span = f">= {least}" if most is None else f"from {least} to {most}"
+        raise InputError(f"{what} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected weighted graph stored as a dense symmetric adjacency matrix.
@@ -367,14 +378,12 @@ def build_graph(edges: list[tuple[int, int, float]], n: int) -> Graph:
     """Assemble a graph from (i, j, w) triples; duplicate pairs accumulate.
 
     (i, j) and (j, i) denote the same undirected edge. A triple (i, i, w)
-    adds a self-loop of weight w. Vertex ids and n must be integers, by
-    `integer_vector`'s rule, and each weight a real number, by
-    `real_number`'s rule: never a string, None, a complex number, a fraction
-    or a sequence.
+    adds a self-loop of weight w. Vertex ids must be integers, by
+    `integer_vector`'s rule, n a count, by `count`'s, and each weight a real
+    number, by `real_number`'s rule: never a string, None, a complex number,
+    a fraction or a sequence.
     """
-    if np.ndim(n) or not _integers(np.asarray(n)) or n < 1:
-        raise InputError(f"vertex count must be an integer >= 1, got {n!r}")
-    n = int(n)
+    n = count(n, "vertex count", 1)
     adj = np.zeros((n, n))
     for i, j, w in edges:
         if np.ndim(i) or np.ndim(j) or not _integers(np.asarray([i, j])):

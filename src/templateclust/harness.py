@@ -28,7 +28,7 @@ from templateclust.baselines import (
 )
 from templateclust.dataio import load_edge_list, load_labels, model_from_ground_truth
 from templateclust.errors import InputError, NumericalError
-from templateclust.graphs import Graph
+from templateclust.graphs import Graph, count
 from templateclust.metrics import (
     GroundTruth,
     Partition,
@@ -75,18 +75,13 @@ class ExperimentConfig:
     labels_path: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("repetitions", "base_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InputError(f"{name} must be an integer, got {value!r}")
+        for name, least in (("repetitions", 1), ("base_seed", 0)):
+            object.__setattr__(self, name, count(getattr(self, name), name, least))
         for axis in ("methods", "sizes", "probs", "sigmas"):
             if not isinstance(values := getattr(self, axis), (tuple, list)):
                 raise InputError(f"{axis} must be a tuple or list, got {values!r}")
             object.__setattr__(self, axis, tuple(values))
-        if self.repetitions < 1:
-            raise InputError("repetitions must be >= 1")
-        if self.base_seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.base_seed}")
+        object.__setattr__(self, "sizes", tuple(count(size, "sizes", 1) for size in self.sizes))
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise InputError(f"unknown methods: {sorted(unknown)}")

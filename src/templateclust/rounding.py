@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from templateclust.errors import InputError, NumericalError
+from templateclust.graphs import count
 
 EPS = np.finfo(float).eps
 
@@ -63,16 +64,14 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int) -> tuple[n
     return labels, float(sq_dists(centroids)[labels, rows].sum())
 
 
-def _checked_points(points: np.ndarray, k: int) -> np.ndarray:
-    """points as a float array of n >= k >= 1 finite rows, or InputError."""
+def _checked_points(points: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """points as a float array of n finite rows and k as a count up to n, or InputError."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise InputError("points must be a 2-d array of row vectors")
     if not np.isfinite(points).all():
         raise InputError("points contain non-finite values (NaN or inf)")
-    if not 1 <= k <= len(points):
-        raise InputError(f"need n >= k >= 1, got n={len(points)}, k={k}")
-    return points
+    return points, count(k, "k", 1, len(points))
 
 
 def pivoted_qr_seeds(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +93,7 @@ def pivoted_qr_seeds(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     (a vertex off the components the frame spans) stays zero rather than
     take its rounding's direction.
     """
-    points = _checked_points(points, k)
+    points, k = _checked_points(points, k)
     n, d = points.shape
     points = np.ldexp(points, -np.frexp(np.abs(points).max())[1])  # largest |entry| in [1/2, 1)
     norms = np.sqrt(np.einsum("ij,ij->i", points, points))
@@ -123,8 +122,7 @@ def kmeans(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float
     """One Lloyd run from k = len(centroids) finite centroids (k, d); returns
     labels and inertia. Lloyd is deterministic, so nothing is drawn."""
     centroids = np.asarray(centroids, dtype=float)
-    k = len(centroids) if centroids.ndim else 0
-    points = _checked_points(points, k)
+    points, k = _checked_points(points, len(centroids) if centroids.ndim else 0)
     if centroids.shape != (k, points.shape[1]) or not np.isfinite(centroids).all():
         raise InputError(f"centroids must be {k} finite rows of {points.shape[1]} coordinates")
     # after the first iteration centroids are means of rows, so every squared

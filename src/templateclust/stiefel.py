@@ -15,6 +15,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from templateclust.errors import InputError, NumericalError
+from templateclust.graphs import count
 
 ORTHO_TOL = 1e-10
 
@@ -76,9 +77,8 @@ class DescentTrace:
 
 def random_stiefel(n: int, k: int, rng: np.random.Generator) -> StiefelPoint:
     """Uniform random orthonormal k-frame (QR of a standard normal matrix)."""
-    if n < k or k < 1:
-        raise InputError(f"need n >= k >= 1, got n={n}, k={k}")
-    x = rng.standard_normal((n, k))
+    n = count(n, "n", 1)
+    x = rng.standard_normal((n, count(k, "k", 1, n)))
     q, r = np.linalg.qr(x)
     # fix signs so R's diagonal is nonnegative -> Haar-distributed Q
     q = q * np.where(np.diag(r) < 0, -1.0, 1.0)

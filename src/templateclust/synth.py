@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from templateclust.errors import InputError
-from templateclust.graphs import Graph, integer_vector, real_number, symmetric_matrix
+from templateclust.graphs import Graph, count, integer_vector, real_number, symmetric_matrix
 from templateclust.metrics import GroundTruth
 from templateclust.template import TemplateModel
 
@@ -41,17 +41,15 @@ class CommunitySpec:
     truth: GroundTruth = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        sizes = integer_vector(self.sizes, "community sizes")
-        if sizes.min() < 1:
-            raise InputError("every community needs size >= 1")
+        integer_vector(self.sizes, "community sizes")  # the 1-d shape; each size is then a count as given
+        object.__setattr__(self, "sizes", tuple(count(size, "community size", 1) for size in self.sizes))
         rates = symmetric_matrix(self.rates, "rates")
-        if rates.shape != (sizes.size, sizes.size):
-            raise InputError(f"rates must be {sizes.size} x {sizes.size}, got {rates.shape}")
+        if rates.shape != (self.k, self.k):
+            raise InputError(f"rates must be {self.k} x {self.k}, got {rates.shape}")
         if rates.min() < 0 or rates.max() > 1:
             raise InputError("rates must lie in [0, 1]")
         object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "sizes", tuple(sizes.tolist()))
-        object.__setattr__(self, "truth", GroundTruth(np.repeat(np.arange(sizes.size), sizes)))
+        object.__setattr__(self, "truth", GroundTruth(np.repeat(np.arange(self.k), self.sizes)))
 
     @property
     def k(self) -> int:

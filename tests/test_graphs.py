@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -20,12 +21,18 @@ from templateclust import (
     laplacian,
     make_bp,
     make_c2,
+    make_g3,
     make_g6,
+    pivoted_qr_seeds,
+    random_stiefel,
     sample_graph,
+    spectral_cluster,
 )
 from templateclust import graphs
+from templateclust.baselines import spectral_embedding
+from templateclust.harness import ExperimentConfig
 from templateclust.synth import check_sigma
-from templateclust.graphs import KERNEL_RESIDUAL_TOL, extremal_pairs, subset_pairs
+from templateclust.graphs import KERNEL_RESIDUAL_TOL, count, extremal_pairs, subset_pairs
 
 from conftest import random_simple_graph, traced_peak
 
@@ -108,6 +115,112 @@ def test_one_real_number_rule(caller, value, real):
 def test_whole_number_vertex_ids_and_count_accepted():
     g = build_graph([(0.0, np.int64(1), 1.0), (True, 2, 1.0)], 3.0)
     assert np.array_equal(g.adjacency, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+
+COUNT_FORMS = {"int": int, "int64": np.int64, "int32": np.int32, "float": float, "float64": np.float64}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-1000, 1000),
+    st.sampled_from(sorted(COUNT_FORMS)),
+    st.integers(-10, 10),
+    st.none() | st.integers(0, 20),
+)
+def test_count_reads_integers_in_range(number, form, least, span):
+    # an integer, or a whole-number float, comes back as that int when it
+    # lies in range, and raises the one message otherwise
+    most = None if span is None else least + span
+    value = COUNT_FORMS[form](number)
+    if least <= number and (most is None or number <= most):
+        got = count(value, "size", least, most)
+        assert type(got) is int and got == number
+    else:
+        rule = f">= {least}" if most is None else f"from {least} to {most}"
+        with pytest.raises(InputError, match=f"^size must be an integer {rule}, got {re.escape(repr(value))}$"):
+            count(value, "size", least, most)
+
+
+def test_count_reads_whole_floats_within_int64():
+    assert count(2.0**62, "n", 1) == 2**62
+    assert count(np.float64(-(2.0**62)), "n", -(2**63)) == -(2**62)
+    with pytest.raises(InputError, match="^n must be an integer >= 1, got 9.223372036854776e\\+18$"):
+        count(2.0**63, "n", 1)
+
+
+NOT_COUNTS = st.one_of(
+    st.booleans(),
+    st.sampled_from([np.True_, np.False_, np.array(True)]),
+    st.floats().filter(lambda x: not x.is_integer()),  # fractions, NaN and inf
+    st.floats(min_value=2.0**63) | st.floats(max_value=-(2.0**63)),
+    st.fractions(),
+    st.text(),
+    st.none(),
+    st.complex_numbers(),
+    st.lists(st.integers(0, 5), max_size=3),
+    st.builds(np.array, st.lists(st.integers(0, 5), min_size=1, max_size=3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(NOT_COUNTS)
+def test_count_rejects_what_is_not_a_count(value):
+    with pytest.raises(InputError, match=f"^size must be an integer >= -5, got {re.escape(repr(value))}$"):
+        count(value, "size", -5)
+
+
+def _count_caller_graph():
+    return sample_graph(make_g3(3), np.random.default_rng(0))[0]
+
+
+def _stream():
+    return np.random.default_rng(0)
+
+
+# each library entry point that reads a count, called with one that it
+# took, or failed on with a TypeError, before every count went through
+# `graphs.count`, and the message it raises now
+COUNT_CALLERS = {
+    "random_stiefel-n-fraction": (lambda: random_stiefel(5.5, 2, _stream()), "n must be an integer >= 1, got 5.5"),
+    "random_stiefel-n-bool": (lambda: random_stiefel(True, 1, _stream()), "n must be an integer >= 1, got True"),
+    "random_stiefel-k-bool": (lambda: random_stiefel(5, True, _stream()), "k must be an integer from 1 to 5, got True"),
+    "spectral_cluster-fraction": (
+        lambda: spectral_cluster(_count_caller_graph(), 2.5, _stream()), "k must be an integer from 1 to 9, got 2.5"
+    ),
+    "spectral_cluster-bool": (
+        lambda: spectral_cluster(_count_caller_graph(), True, _stream()), "k must be an integer from 1 to 9, got True"
+    ),
+    "spectral_embedding-fraction": (
+        lambda: spectral_embedding(_count_caller_graph(), 1.5), "k must be an integer from 1 to 9, got 1.5"
+    ),
+    "pivoted_qr_seeds-bool": (
+        lambda: pivoted_qr_seeds(np.eye(4, 2), True), "k must be an integer from 1 to 4, got True"
+    ),
+    "build_graph-bool": (lambda: build_graph([], True), "vertex count must be an integer >= 1, got True"),
+    "CommunitySpec-bool": (
+        lambda: CommunitySpec((True, 2), np.eye(2)), "community size must be an integer >= 1, got True"
+    ),
+    "make_g3-bool": (lambda: make_g3(True), "community size must be an integer >= 1, got True"),
+    "ExperimentConfig-sizes-bool": (
+        lambda: ExperimentConfig("synth", "g3", sizes=(True,)), "sizes must be an integer >= 1, got True"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", COUNT_CALLERS)
+def test_count_callers_name_the_argument(case):
+    call, message = COUNT_CALLERS[case]
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_count_callers_read_whole_numbers_as_ints():
+    # each of these raised a TypeError before
+    rows, seeds = pivoted_qr_seeds(np.eye(4, 2), 2.0)
+    assert [a.tolist() for a in pivoted_qr_seeds(np.eye(4, 2), 2)] == [rows.tolist(), seeds.tolist()]
+    assert random_stiefel(np.int64(4), 2.0, _stream()).shape == (4, 2)
+    g = _count_caller_graph()
+    assert spectral_cluster(g, 3.0, None) is spectral_cluster(g, np.int64(3), None) is spectral_cluster(g, 3, None)
 
 
 def test_asymmetric_adjacency_rejected():

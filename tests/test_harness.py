@@ -181,7 +181,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "kw, message",
         [
-            (dict(repetitions=0), "repetitions must be >= 1"),
+            (dict(repetitions=0), "repetitions must be an integer >= 1, got 0"),
             (dict(kind="simulated"), "kind must be 'synth' or 'real', got 'simulated'"),
         ],
         ids=["repetitions", "kind"],
@@ -193,16 +193,26 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "field, value",
         [("repetitions", 2.5), ("repetitions", True), ("repetitions", "2"), ("base_seed", 1.5), ("base_seed", "3"),
-         ("base_seed", False)],
+         ("base_seed", False), ("sizes", 2.5), ("sizes", True), ("sizes", np.True_), ("sizes", "5")],
     )
     def test_non_integer_count_or_seed_rejected(self, field, value):
-        # a fraction or string once ended in a TypeError, and True ran one repetition
-        with pytest.raises(InputError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
-            small_cfg(**{field: value})
+        # a fraction or string once ended in a TypeError, and True ran one
+        # repetition; a size of True once wrote a row whose size was True
+        least = {"repetitions": 1, "base_seed": 0, "sizes": 1}[field]
+        with pytest.raises(InputError, match=f"^{field} must be an integer >= {least}, got {re.escape(repr(value))}$"):
+            small_cfg(**{field: (value,) if field == "sizes" else value})
 
     def test_numpy_integer_count_and_seed_accepted(self):
         cfg = small_cfg(repetitions=np.int64(2), base_seed=np.int32(3))
         assert (cfg.repetitions, cfg.base_seed) == (2, 3)
+
+    def test_whole_number_counts_stored_as_ints(self, tmp_path):
+        cfg = small_cfg(methods=("cnm",), sizes=(5.0, np.int64(6)), repetitions=1.0, base_seed=np.float32(3))
+        counts = (*cfg.sizes, cfg.repetitions, cfg.base_seed)
+        assert [(v, type(v)) for v in counts] == [(5, int), (6, int), (1, int), (3, int)]
+        run_and_write(cfg, tmp_path)
+        rows = (tmp_path / "records.csv").read_text().splitlines()
+        assert [row.split(",")[:4] for row in rows[1:]] == [["g3", "cnm", "5", ""], ["g3", "cnm", "6", ""]]
 
     @pytest.mark.parametrize("case", WRONG_TYPE)
     def test_grid_value_of_the_wrong_type_rejected(self, case):
@@ -810,8 +820,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["synth", "--family", "g3", "--sizes", "4", "--seed", "-1"], "error: seed must be >= 0, got -1"),
-            (["cluster", "--family", "g3", "--size", "4", "--seed", "-1"], "error: --seed must be >= 0, got -1"),
+            (["synth", "--family", "g3", "--sizes", "4", "--seed", "-1"],
+             "error: base_seed must be an integer >= 0, got -1"),
+            (["cluster", "--family", "g3", "--size", "4", "--seed", "-1"],
+             "error: --seed must be an integer >= 0, got -1"),
             (["real", "--sigma-list", "nan", "--methods", "cnm"], "error: sigma must be >= 0, got nan"),
             (["real", "--sigma-list", "inf", "--methods", "cnm"], "error: sigma must be finite, got inf"),
             # at seed 0 the first noise draw of the second sigma overflows to -inf
@@ -841,7 +853,8 @@ class TestCli:
                 ["synth", "--family", "c2", "--sizes", "40", "--probs", "0.3,0.95", "--reps", "30"],
                 "error: central_inter must lie in [0, 0.9] to keep rates valid",
             ),
-            (["synth", "--family", "c2", "--sizes", "10,0", "--reps", "2"], "error: every community needs size >= 1"),
+            (["synth", "--family", "c2", "--sizes", "10,0", "--reps", "2"],
+             "error: sizes must be an integer >= 1, got 0"),
             (["real", "--sigma-list", "0,nan", "--reps", "2"], "error: sigma must be >= 0, got nan"),
             # a NaN coupling is a value, not "none given", and meets the family's own check
             (["synth", "--family", "g3", "--sizes", "4", "--probs", "nan"],
@@ -947,7 +960,7 @@ class TestCli:
     def test_cluster_k_below_one_exit_code(self, capsys, k):
         rc = main(["cluster", "--family", "g3", "--size", "4", "--method", "spectral", "--k", k])
         assert rc == 1
-        assert f"--k must be >= 1, got {k}" in capsys.readouterr().err
+        assert f"--k must be an integer >= 1, got {k}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -1073,7 +1086,7 @@ class TestCli:
         edges.write_text("0 1\n1 2\n2 0\n")
         rc = main(["cluster", "--edges", str(edges), "--method", "spectral", "--k", "4"])
         assert rc == 1
-        assert "need n >= k" in capsys.readouterr().err
+        assert "k must be an integer from 1 to 3, got 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_cluster_tb_template_not_below_n_exit_code(self, tmp_path, capsys, k):

@@ -488,6 +488,25 @@ def family_shapes(tree: ast.Module) -> list[tuple[int, str]]:
     )
 
 
+def count_messages(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, literal) for each string literal, or literal part of an
+    f-string, that contains "must be an integer".
+
+    `graphs.count` is the package's one rule for a count: a vertex or
+    community count, k, a grid's sizes and repetitions, and a seed. Four
+    rules once read them in six modules: `ExperimentConfig` rejected True
+    and 2.0, `build_graph` took 3.0 and read True as one vertex,
+    `CommunitySpec` read True as a community of one, and `random_stiefel`,
+    `spectral_cluster` and `pivoted_qr_seeds` checked nothing, so 2.5 ended
+    in a TypeError. Only `count` says what a count must be.
+    """
+    return sorted(
+        (node.lineno, repr(node.value))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be an integer" in node.value
+    )
+
+
 def renumberings(tree: ast.Module) -> list[tuple[int, str, str]]:
     """(line, enclosing class/function path, call) for each call that
     renumbers values densely: `unique(..., return_inverse=...)`,
@@ -573,6 +592,7 @@ RULES = {
     "rounding_privates": (private_rounding_reads, PACKAGE + TESTS + BENCH, {"tests/test_rounding.py"}),
     "self_comparisons": (self_comparisons, PACKAGE, set()),
     "family_shapes": (family_shapes, PACKAGE, {"synth.py"}),
+    "count_rule": (count_messages, PACKAGE, {("graphs.py", "' must be an integer '")}),
     "process_settings": (process_settings, PACKAGE, {
         ("cli.py", "_keep_freed_memory", "from ctypes import CDLL, c_int"),
         ("cli.py", "main", "_keep_freed_memory()"),
@@ -886,6 +906,24 @@ def test_family_shape_detector():
         "ok = mode in ('hubs', 'bipartite graph') or mode is None\n"
     )
     assert family_shapes(ast.parse(source)) == [(1, "'bipartite'"), (2, "'bipartite'"), (3, "'hub'")]
+
+
+def test_count_message_detector():
+    # lines 1-3 are the checks `ExperimentConfig`, `build_graph` and the
+    # command line once made of their own; a rule about integer arrays, or
+    # one that says "integers", is not a count's
+    source = (
+        "raise InputError(f'{name} must be an integer, got {value!r}')\n"
+        "raise InputError(f'vertex count must be an integer >= 1, got {n!r}')\n"
+        "msg = '--k must be an integer >= 1'\n"
+        "rule = f'{what} must be a nonempty 1-d integer array'\n"
+        "doc = 'Vertex ids must be integers'\n"
+    )
+    assert count_messages(ast.parse(source)) == [
+        (1, "' must be an integer, got '"),
+        (2, "'vertex count must be an integer >= 1, got '"),
+        (3, "'--k must be an integer >= 1'"),
+    ]
 
 
 def test_process_settings_detector():

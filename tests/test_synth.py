@@ -140,7 +140,7 @@ class TestCommunitySpec:
     @pytest.mark.parametrize(
         "sizes, rates, message",
         [
-            ((3, 0), np.eye(2), "every community needs size >= 1"),
+            ((3, 0), np.eye(2), "community size must be an integer >= 1, got 0"),
             ((3, 3), np.eye(3), r"rates must be 2 x 2, got \(3, 3\)"),
             ((3, 3), np.full((2, 2), 1.5), r"rates must lie in \[0, 1\]"),
             ((3, 3), -np.eye(2), r"rates must lie in \[0, 1\]"),
