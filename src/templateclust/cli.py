@@ -13,7 +13,7 @@ from typing import NoReturn
 from templateclust.dataio import load_edge_list, load_template
 from templateclust.errors import InputError
 from templateclust.graphs import count
-from templateclust.harness import METHODS, ExperimentConfig, instances, method_rng, run_and_write, run_method
+from templateclust.harness import METHODS, REGISTRY, ExperimentConfig, instances, method_rng, run_and_write, run_method
 from templateclust.metrics import adjusted_rand_index
 from templateclust.synth import FAMILIES, INTRA_MODES
 
@@ -40,6 +40,21 @@ _float_list = functools.partial(_comma_list, convert=float, what="numbers")
 _methods = functools.partial(_comma_list, convert=str, what="names")
 
 
+class _Count(argparse.Action):
+    """Store a count, or a tuple of counts, that `graphs.count` takes from
+    `least` on. Its InputError names the flag as typed and reaches `main` as
+    raised: argparse rewrites the errors of a `type` converter, not these."""
+
+    def __init__(self, *args, least: int, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.least = least
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        for value in values if isinstance(values, tuple) else (values,):
+            count(value, option_string, self.least)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors, its subcommands' included, raise
     InputError, so `main` reports them with exit code 1."""
@@ -62,13 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
     # synth and real name each dest after the ExperimentConfig field it sets
     synth = sub.add_parser("synth", help="run a synthetic-family experiment grid")
     synth.add_argument("--family", dest="dataset", required=True, choices=FAMILIES)
-    synth.add_argument("--sizes", type=_int_list, required=True, help="comma-separated community sizes")
+    synth.add_argument("--sizes", type=_int_list, action=_Count, least=1, required=True,
+                       help="comma-separated community sizes")
     synth.add_argument("--probs", type=_float_list, default=(None,),
                        help="comma-separated coupling probabilities (c2 central / bp inter)")
     synth.add_argument("--intra-mode", choices=INTRA_MODES)
     synth.add_argument("--methods", type=_methods, default=METHODS)
-    synth.add_argument("--reps", dest="repetitions", type=int, default=100)
-    synth.add_argument("--seed", dest="base_seed", type=int, default=0)
+    synth.add_argument("--reps", dest="repetitions", type=int, action=_Count, least=1, default=100)
+    synth.add_argument("--seed", dest="base_seed", type=int, action=_Count, least=0, default=0)
     synth.add_argument("--fixed-graph", action="store_true",
                        help="sample one graph per point; repetitions redraw only each method's stream "
                             "(Louvain's visit order, tb's random start when its frame is not certified)")
@@ -80,21 +96,21 @@ def build_parser() -> argparse.ArgumentParser:
     real.add_argument("--name", dest="dataset", default="real")
     real.add_argument("--sigma-list", dest="sigmas", type=_float_list, default=(0.0,))
     real.add_argument("--methods", type=_methods, default=METHODS)
-    real.add_argument("--reps", dest="repetitions", type=int, default=40)
-    real.add_argument("--seed", dest="base_seed", type=int, default=0)
+    real.add_argument("--reps", dest="repetitions", type=int, action=_Count, least=1, default=40)
+    real.add_argument("--seed", dest="base_seed", type=int, action=_Count, least=0, default=0)
     real.add_argument("--out", required=True)
 
     single = sub.add_parser("cluster", help="cluster one graph and print labels + metrics")
     single.add_argument("--edges", help="edge-list file (with --labels for the template)")
     single.add_argument("--labels", help="ground-truth label file")
     single.add_argument("--family", choices=FAMILIES)
-    single.add_argument("--size", type=int, help="community size for --family")
+    single.add_argument("--size", type=int, action=_Count, least=1, help="community size for --family")
     single.add_argument("--prob", type=float)
     single.add_argument("--intra-mode", choices=INTRA_MODES)
     single.add_argument("--template", help="whitespace-separated k x k template weight matrix file")
     single.add_argument("--k", type=int, help="cluster count (defaults to the template or label count)")
     single.add_argument("--method", choices=METHODS, default="tb")
-    single.add_argument("--seed", type=int, default=0)
+    single.add_argument("--seed", type=int, action=_Count, least=0, default=0)
     return parser
 
 
@@ -107,14 +123,14 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    count(args.seed, "--seed", 0)
     if args.family and args.edges:
         raise InputError("give either --family or --edges, not both")
     if args.labels and not args.edges:
         raise InputError("--labels needs --edges")
     if not args.family and (args.size is not None or args.prob is not None or args.intra_mode is not None):
         raise InputError("--size, --prob and --intra-mode need --family")
-    if args.method in ("cnm", "louvain"):
+    _, needs, _ = REGISTRY[args.method]
+    if needs is None:
         for flag, value in (("--k", args.k), ("--template", args.template)):
             if value is not None:
                 raise InputError(f"{flag} does not apply to {args.method}: it chooses the number of communities itself")
@@ -140,8 +156,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.template:
         model = load_template(args.template)
 
-    # tb always takes k from its template; spectral only from an explicit --template
-    if (args.method == "tb" or args.template) and model is not None and args.k not in (None, model.k):
+    # tb takes k from its template, the one it needs; spectral only from an explicit --template
+    if (needs == "template" or args.template) and model is not None and args.k not in (None, model.k):
         raise InputError(f"--k {args.k} differs from the template's k={model.k}; {args.method} takes k from the template")
     k = args.k or (model.k if model is not None else None) or (gt.k if gt else None)
     partition, _, _ = run_method(args.method, graph, k, model, method_rng(args.seed, 0, 0, args.method))

@@ -14,18 +14,13 @@ import csv
 import errno
 import os
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from templateclust.baselines import (
-    cnm_cluster,
-    louvain_cluster,
-    spectral_cluster,
-    spectral_embedding,
-)
+from templateclust.baselines import cnm_cluster, louvain_cluster, spectral_cluster, spectral_embedding
 from templateclust.dataio import load_edge_list, load_labels, model_from_ground_truth
 from templateclust.errors import InputError, NumericalError
 from templateclust.graphs import Graph, count
@@ -40,8 +35,26 @@ from templateclust.stiefel import StiefelPoint
 from templateclust.synth import C2_COUPLING, add_model_noise, check_sigma, expected_model, make_family, sample_graph
 from templateclust.template import TemplateModel, template_cluster
 
-METHODS = ("tb", "spectral", "cnm", "louvain")
-DRAWING = ("tb", "louvain")  # the methods that draw from a stream
+
+def _tb(g: Graph, k: int | None, model: TemplateModel, rng: np.random.Generator) -> tuple:
+    result = template_cluster(g, model, rng=rng)
+    return Partition(result.partition), result.embedding, result.trace.iterates_count
+
+
+# Every method, defined once: its runner, the input it cannot run without
+# (none: it chooses k itself) and whether it draws from `method_rng`. A runner
+# takes (graph, k, template, rng), returns (partition, embedding or None,
+# iterations or None) and looks its functions up in this module when called,
+# where the traced benchmark wraps them. A method's place is its stream key,
+# so a new one is appended.
+REGISTRY: dict[str, tuple[Callable, str | None, bool]] = {
+    "tb": (_tb, "template", True),
+    "spectral": (lambda g, k, t, rng: (spectral_cluster(g, k, rng), spectral_embedding(g, k), None), "k", False),
+    "cnm": (lambda g, k, t, rng: (cnm_cluster(g), None, None), None, False),
+    "louvain": (lambda g, k, t, rng: (louvain_cluster(g, rng), None, None), None, True),
+}
+METHODS = tuple(REGISTRY)
+_GIVEN_BY = {"template": "--template, --labels, or --family", "k": "--k, --template, or --labels"}
 
 SUMMARY_COLUMNS = (
     "dataset",
@@ -82,8 +95,7 @@ class ExperimentConfig:
                 raise InputError(f"{axis} must be a tuple or list, got {values!r}")
             object.__setattr__(self, axis, tuple(values))
         object.__setattr__(self, "sizes", tuple(count(size, "sizes", 1) for size in self.sizes))
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
+        if unknown := set(self.methods) - set(REGISTRY):
             raise InputError(f"unknown methods: {sorted(unknown)}")
         if self.kind not in ("synth", "real"):
             raise InputError(f"kind must be 'synth' or 'real', got {self.kind!r}")
@@ -132,40 +144,26 @@ def _order(r: ExperimentRecord) -> tuple:
 
 
 def run_method(
-    method: str,
-    graph: Graph,
-    k: int | None,
-    model: TemplateModel | None,
-    rng: np.random.Generator | None,
+    method: str, graph: Graph, k: int | None, model: TemplateModel | None, rng: np.random.Generator | None
 ) -> tuple[Partition, StiefelPoint | None, int | None]:
-    """Cluster `graph` with one of METHODS.
-
-    Returns the partition, labels canonical by first appearance; the
-    embedding of tb and spectral, else None; and tb's descent iteration
-    count, else None.
-    tb needs `model` and `rng`, spectral needs `k`, louvain needs `rng`.
-    """
-    if method == "tb":
-        if model is None:
-            raise InputError("method tb needs --template, --labels, or --family")
-        result = template_cluster(graph, model, rng=rng)
-        return Partition(result.partition), result.embedding, result.trace.iterates_count
-    if method == "spectral":
-        if k is None:
-            raise InputError("method spectral needs --k, --template, or --labels")
-        return spectral_cluster(graph, k, rng), spectral_embedding(graph, k), None
-    if method == "cnm":
-        return cnm_cluster(graph), None, None
-    if method == "louvain":
-        return louvain_cluster(graph, rng), None, None
-    raise InputError(f"unknown method {method!r}")
+    """Cluster `graph` with one of METHODS, or raise InputError without the
+    input it needs. Returns the partition, labels canonical by first
+    appearance; the embedding of tb and spectral, else None; and tb's descent
+    iteration count, else None."""
+    if method not in REGISTRY:
+        raise InputError(f"unknown method {method!r}")
+    run, needs, _ = REGISTRY[method]
+    if needs is not None and {"template": model, "k": k}[needs] is None:
+        raise InputError(f"method {method} needs {_GIVEN_BY[needs]}")
+    return run(graph, k, model, rng)
 
 
 def method_rng(seed: int, point_idx: int, rep: int, method: str) -> np.random.Generator | None:
     """The stream `method` draws from at repetition `rep` of point
     `point_idx`, seeded by that place and the method's index in METHODS;
-    None for spectral and cnm, which draw nothing."""
-    return np.random.default_rng((seed, point_idx, rep, METHODS.index(method))) if method in DRAWING else None
+    None for a method that draws nothing."""
+    *_, draws = REGISTRY[method]
+    return np.random.default_rng((seed, point_idx, rep, METHODS.index(method))) if draws else None
 
 
 def instances(

@@ -65,10 +65,12 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, max_iters: int) -> tuple[n
 
 
 def _checked_points(points: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """points as a float array of n finite rows and k as a count up to n, or InputError."""
+    """points as a float array of n >= 1 finite rows and k as a count up to n, or InputError."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise InputError("points must be a 2-d array of row vectors")
+    if not len(points):
+        raise InputError("points must hold at least one row")
     if not np.isfinite(points).all():
         raise InputError("points contain non-finite values (NaN or inf)")
     return points, count(k, "k", 1, len(points))

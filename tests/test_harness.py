@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from templateclust import TemplateModel, build_graph
 from templateclust.cli import main
@@ -16,10 +18,12 @@ from templateclust.errors import InputError
 from templateclust import cli, harness
 from templateclust.harness import (
     METHODS,
+    REGISTRY,
     ExperimentConfig,
     ExperimentRecord,
     aggregate,
     run_and_write,
+    method_rng,
     run_experiment,
     run_method,
 )
@@ -349,6 +353,31 @@ class TestRunMethod:
         assert labels.shape == (7,)
         assert labels.min() == 0 and labels.max() < 7
         assert labels[0] == labels[1] == labels[2] and labels[3] == labels[4] == labels[5]
+
+
+# each method's index in METHODS keys its stream, so these may not move; a new
+# method is appended, and spectral and CNM draw nothing
+STREAM_KEYS = {"tb": 0, "spectral": 1, "cnm": 2, "louvain": 3}
+
+
+class TestMethodStreams:
+    def test_todays_keys_are_kept(self):
+        assert METHODS[: len(STREAM_KEYS)] == tuple(STREAM_KEYS)
+        draws = {method: REGISTRY[method][2] for method in STREAM_KEYS}
+        assert draws == {"tb": True, "spectral": False, "cnm": False, "louvain": True}
+
+    @pytest.mark.parametrize("method", METHODS)
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**63), point_idx=st.integers(0, 1000), rep=st.integers(0, 10**6))
+    def test_stream_is_keyed_by_place_and_index(self, method, seed, point_idx, rep):
+        rng = method_rng(seed, point_idx, rep, method)
+        _, _, draws = REGISTRY[method]
+        if not draws:
+            assert rng is None
+        else:
+            key = STREAM_KEYS.get(method, METHODS.index(method))
+            expected = np.random.default_rng((seed, point_idx, rep, key))
+            assert rng.bit_generator.state == expected.bit_generator.state
 
 
 class TestRealExperiment:
@@ -821,7 +850,7 @@ class TestCli:
         "argv, message",
         [
             (["synth", "--family", "g3", "--sizes", "4", "--seed", "-1"],
-             "error: base_seed must be an integer >= 0, got -1"),
+             "error: --seed must be an integer >= 0, got -1"),
             (["cluster", "--family", "g3", "--size", "4", "--seed", "-1"],
              "error: --seed must be an integer >= 0, got -1"),
             (["real", "--sigma-list", "nan", "--methods", "cnm"], "error: sigma must be >= 0, got nan"),
@@ -849,12 +878,36 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, message",
         [
+            (["synth", "--family", "g3", "--sizes", "4", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+            (["real", "--seed", "-2"], "--seed must be an integer >= 0, got -2"),
+            (["cluster", "--family", "g3", "--size", "4", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+            (["synth", "--family", "g3", "--sizes", "4,0"], "--sizes must be an integer >= 1, got 0"),
+            (["cluster", "--family", "g3", "--size", "0"], "--size must be an integer >= 1, got 0"),
+            (["synth", "--family", "g3", "--sizes", "4", "--reps", "0"], "--reps must be an integer >= 1, got 0"),
+            (["real", "--reps", "-3"], "--reps must be an integer >= 1, got -3"),
+        ],
+        ids=["synth-seed", "real-seed", "cluster-seed", "synth-sizes", "cluster-size", "synth-reps", "real-reps"],
+    )
+    def test_count_flag_error_names_the_flag(self, tmp_path, capsys, argv, message):
+        """A count is checked as its flag is parsed, before any file is
+        read, and the error names the flag the user typed."""
+        if argv[0] == "real":
+            argv = argv + ["--edges", str(tmp_path / "missing.txt"), "--labels", str(tmp_path / "missing.txt")]
+        if argv[0] != "cluster":
+            argv = argv + ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
             (
                 ["synth", "--family", "c2", "--sizes", "40", "--probs", "0.3,0.95", "--reps", "30"],
                 "error: central_inter must lie in [0, 0.9] to keep rates valid",
             ),
             (["synth", "--family", "c2", "--sizes", "10,0", "--reps", "2"],
-             "error: sizes must be an integer >= 1, got 0"),
+             "error: --sizes must be an integer >= 1, got 0"),
             (["real", "--sigma-list", "0,nan", "--reps", "2"], "error: sigma must be >= 0, got nan"),
             # a NaN coupling is a value, not "none given", and meets the family's own check
             (["synth", "--family", "g3", "--sizes", "4", "--probs", "nan"],

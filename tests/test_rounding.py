@@ -94,6 +94,15 @@ class TestKMeans:
                 with pytest.raises(InputError, match="points must be a 2-d array of row vectors"):
                     call()
 
+    def test_no_points(self):
+        # not "k must be an integer from 1 to 0", a range no k meets
+        with pytest.raises(InputError, match="^points must hold at least one row$"):
+            kmeans(np.zeros((0, 2)), np.zeros((0, 2)))
+
+    def test_no_points_to_seed(self):
+        with pytest.raises(InputError, match="^points must hold at least one row$"):
+            pivoted_qr_seeds(np.zeros((0, 2)), 1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points(self, rng, bad):
         pts = rng.standard_normal((6, 2))

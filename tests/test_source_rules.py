@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import templateclust
+from templateclust.harness import METHODS
 
 REPO = Path(__file__).resolve().parent.parent
 SOURCE = REPO / "src" / "templateclust"
@@ -507,6 +508,39 @@ def count_messages(tree: ast.Module) -> list[tuple[int, str]]:
     )
 
 
+def method_dispatch(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """(line, enclosing class/function path, code) for each comparison,
+    `case` pattern or subscript with a literal in METHODS, a tuple, list or
+    set display of them included, and each dict display keyed by one.
+
+    A method is defined once, by its row in `harness.REGISTRY`: its runner,
+    the input it cannot run without and whether it draws a stream, with its
+    place as its stream key. While `run_method` chose a method by an if-chain
+    on its name, and `cli.py` tested names to learn what a method needs, each
+    method was spread over five places that a new one had to find. A literal
+    that only names a method, such as the CLI's default or a memo key, is
+    neither compared nor dispatched on, and passes.
+    """
+
+    def names(node: ast.AST | None) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(names(element) for element in node.elts)
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in METHODS
+
+    def finding(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Compare) and any(names(side) for side in (node.left, *node.comparators)):
+            return ast.unparse(node)
+        if isinstance(node, ast.MatchValue) and names(node.value):
+            return f"case {ast.unparse(node.value)}"
+        if isinstance(node, ast.Subscript) and names(node.slice):
+            return ast.unparse(node)
+        if isinstance(node, ast.Dict) and any(names(key) for key in node.keys):
+            return "dict keyed by method names"
+        return None
+
+    return scoped(tree, finding)
+
+
 def renumberings(tree: ast.Module) -> list[tuple[int, str, str]]:
     """(line, enclosing class/function path, call) for each call that
     renumbers values densely: `unique(..., return_inverse=...)`,
@@ -593,6 +627,7 @@ RULES = {
     "self_comparisons": (self_comparisons, PACKAGE, set()),
     "family_shapes": (family_shapes, PACKAGE, {"synth.py"}),
     "count_rule": (count_messages, PACKAGE, {("graphs.py", "' must be an integer '")}),
+    "method_names": (method_dispatch, PACKAGE, {("harness.py", "", "dict keyed by method names")}),
     "process_settings": (process_settings, PACKAGE, {
         ("cli.py", "_keep_freed_memory", "from ctypes import CDLL, c_int"),
         ("cli.py", "main", "_keep_freed_memory()"),
@@ -906,6 +941,39 @@ def test_family_shape_detector():
         "ok = mode in ('hubs', 'bipartite graph') or mode is None\n"
     )
     assert family_shapes(ast.parse(source)) == [(1, "'bipartite'"), (2, "'bipartite'"), (3, "'hub'")]
+
+
+def test_method_name_detector():
+    source = (
+        "if method == 'tb':\n"
+        "    ok = args.method in ('cnm', 'louvain')\n"
+        "runners = {'spectral': run, **more}\n"
+        "match method:\n"
+        "    case 'louvain':\n"
+        "        entry = REGISTRY['tb']\n"
+        "def run(g, m):\n"
+        "    return g.memo(('spectral', 3), f), m != 'cnm', add_argument('--method', default='tb')\n"
+        "other = kind == 'synth', {'hub': 1}, x['k'], 'tb'\n"
+    )
+    assert method_dispatch(ast.parse(source)) == [
+        (1, "", "method == 'tb'"),
+        (2, "", "args.method in ('cnm', 'louvain')"),
+        (3, "", "dict keyed by method names"),
+        (5, "", "case 'louvain'"),
+        (6, "", "REGISTRY['tb']"),
+        (8, "run", "m != 'cnm'"),
+    ]
+
+
+def test_method_name_tests_outside_the_table_are_flagged():
+    # the table stays allowed; a second dispatch in harness and a name test in the CLI do not
+    harness = FILES["harness.py"].read_text(encoding="utf-8") + "\n\ndef pick(method):\n    return method == 'cnm'\n"
+    cli = "def _cmd_cluster(args):\n    return args.method in ('cnm', 'louvain')\n"
+    trees = {"harness.py": ast.parse(harness), "cli.py": ast.parse(cli)}
+    assert [re.sub(r":\d+:", ":", found) for found in offenders("method_names", trees.get)] == [
+        "cli.py: _cmd_cluster: args.method in ('cnm', 'louvain')",
+        "harness.py: pick: method == 'cnm'",
+    ]
 
 
 def test_count_message_detector():
