@@ -13,7 +13,9 @@ from typing import NoReturn
 from templateclust.dataio import load_edge_list, load_template
 from templateclust.errors import InputError
 from templateclust.graphs import count
-from templateclust.harness import METHODS, REGISTRY, ExperimentConfig, instances, method_rng, run_and_write, run_method
+from templateclust.harness import (
+    METHODS, REGISTRY, ExperimentConfig, check_axis, instances, method_rng, run_and_write, run_method,
+)
 from templateclust.metrics import adjusted_rand_index
 from templateclust.synth import FAMILIES, INTRA_MODES
 
@@ -40,18 +42,22 @@ _float_list = functools.partial(_comma_list, convert=float, what="numbers")
 _methods = functools.partial(_comma_list, convert=str, what="names")
 
 
-class _Count(argparse.Action):
-    """Store a count, or a tuple of counts, that `graphs.count` takes from
-    `least` on. Its InputError names the flag as typed and reaches `main` as
-    raised: argparse rewrites the errors of a `type` converter, not these."""
+class _Checked(argparse.Action):
+    """Store a flag's value, or tuple of values, once `graphs.count` takes each
+    from `least` on (None: no count) and `harness.check_axis` takes a tuple.
+    Its InputError names the flag as typed and reaches `main` as raised:
+    argparse rewrites the errors of a `type` converter, not these."""
 
-    def __init__(self, *args, least: int, **kwargs) -> None:
+    def __init__(self, *args, least: int | None = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.least = least
 
     def __call__(self, parser, namespace, values, option_string=None) -> None:
-        for value in values if isinstance(values, tuple) else (values,):
-            count(value, option_string, self.least)
+        if self.least is not None:
+            for value in values if isinstance(values, tuple) else (values,):
+                count(value, option_string, self.least)
+        if isinstance(values, tuple):
+            check_axis(values, option_string)
         setattr(namespace, self.dest, values)
 
 
@@ -77,14 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
     # synth and real name each dest after the ExperimentConfig field it sets
     synth = sub.add_parser("synth", help="run a synthetic-family experiment grid")
     synth.add_argument("--family", dest="dataset", required=True, choices=FAMILIES)
-    synth.add_argument("--sizes", type=_int_list, action=_Count, least=1, required=True,
+    synth.add_argument("--sizes", type=_int_list, action=_Checked, least=1, required=True,
                        help="comma-separated community sizes")
-    synth.add_argument("--probs", type=_float_list, default=(None,),
+    synth.add_argument("--probs", type=_float_list, action=_Checked, default=(None,),
                        help="comma-separated coupling probabilities (c2 central / bp inter)")
     synth.add_argument("--intra-mode", choices=INTRA_MODES)
-    synth.add_argument("--methods", type=_methods, default=METHODS)
-    synth.add_argument("--reps", dest="repetitions", type=int, action=_Count, least=1, default=100)
-    synth.add_argument("--seed", dest="base_seed", type=int, action=_Count, least=0, default=0)
+    synth.add_argument("--methods", type=_methods, action=_Checked, default=METHODS)
+    synth.add_argument("--reps", dest="repetitions", type=int, action=_Checked, least=1, default=100)
+    synth.add_argument("--seed", dest="base_seed", type=int, action=_Checked, least=0, default=0)
     synth.add_argument("--fixed-graph", action="store_true",
                        help="sample one graph per point; repetitions redraw only each method's stream "
                             "(Louvain's visit order, tb's random start when its frame is not certified)")
@@ -94,23 +100,23 @@ def build_parser() -> argparse.ArgumentParser:
     real.add_argument("--edges", dest="edges_path", required=True)
     real.add_argument("--labels", dest="labels_path", required=True)
     real.add_argument("--name", dest="dataset", default="real")
-    real.add_argument("--sigma-list", dest="sigmas", type=_float_list, default=(0.0,))
-    real.add_argument("--methods", type=_methods, default=METHODS)
-    real.add_argument("--reps", dest="repetitions", type=int, action=_Count, least=1, default=40)
-    real.add_argument("--seed", dest="base_seed", type=int, action=_Count, least=0, default=0)
+    real.add_argument("--sigma-list", dest="sigmas", type=_float_list, action=_Checked, default=(0.0,))
+    real.add_argument("--methods", type=_methods, action=_Checked, default=METHODS)
+    real.add_argument("--reps", dest="repetitions", type=int, action=_Checked, least=1, default=40)
+    real.add_argument("--seed", dest="base_seed", type=int, action=_Checked, least=0, default=0)
     real.add_argument("--out", required=True)
 
     single = sub.add_parser("cluster", help="cluster one graph and print labels + metrics")
     single.add_argument("--edges", help="edge-list file (with --labels for the template)")
     single.add_argument("--labels", help="ground-truth label file")
     single.add_argument("--family", choices=FAMILIES)
-    single.add_argument("--size", type=int, action=_Count, least=1, help="community size for --family")
+    single.add_argument("--size", type=int, action=_Checked, least=1, help="community size for --family")
     single.add_argument("--prob", type=float)
     single.add_argument("--intra-mode", choices=INTRA_MODES)
     single.add_argument("--template", help="whitespace-separated k x k template weight matrix file")
     single.add_argument("--k", type=int, help="cluster count (defaults to the template or label count)")
     single.add_argument("--method", choices=METHODS, default="tb")
-    single.add_argument("--seed", type=int, action=_Count, least=0, default=0)
+    single.add_argument("--seed", type=int, action=_Checked, least=0, default=0)
     return parser
 
 

@@ -4,8 +4,7 @@ input file the package reads is parsed here."""
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from itertools import repeat
 from operator import contains
 from pathlib import Path
@@ -28,12 +27,12 @@ _LABEL_KINDS = {2: np.dtype([("vertex", np.int64), ("community", np.int64)])}
 
 
 def _read_records(
-    path: str | Path, kind: Callable[[int], np.dtype | None], what: str
-) -> tuple[list[str], np.dtype | None, np.ndarray | None]:
-    """The file's lines, `kind(t)` for the token count t of its first data
-    line, and its data lines parsed in one bulk call as records of that dtype.
+    path: str | Path, kinds: dict[int, np.dtype], what: str
+) -> tuple[list[str], int, np.ndarray | None]:
+    """The file's lines, the token count t of its first data line, and its
+    data lines parsed in one bulk call as records of the dtype `kinds[t]`.
 
-    The records are None when `kind(t)` is None, or a data line has another
+    The records are None when t is not in `kinds`, or a data line has another
     token count or a token that is not a number, or an integer does not fit
     in int64. Numbers are read in the ASCII forms of `int()` and `float()`
     without '_' separators. The file is UTF-8, optionally with a byte-order
@@ -55,15 +54,15 @@ def _read_records(
     first = next((len(p) for p in map(str.split, lines) if p and not p[0].startswith("#")), 0)
     if not first:
         raise InputError(f"{path}: no {what} found")
-    dtype = kind(first)
+    dtype = kinds.get(first)
     # no number holds a '#', so a line with one is a comment or malformed
     hashed = np.flatnonzero(np.fromiter(map(contains, lines, repeat("#")), bool, len(lines))).tolist()
     if dtype is None or not all(lines[i].lstrip().startswith("#") for i in hashed):
-        return lines, dtype, None
+        return lines, first, None
     try:
-        return lines, dtype, np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+        return lines, first, np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
     except ValueError:
-        return lines, dtype, None
+        return lines, first, None
 
 
 def _data_lines(
@@ -74,8 +73,7 @@ def _data_lines(
     integers and floats. InputError for the first line that breaks a rule:
     `expected` (formatted with the line as `got`) when t is not in `kinds`,
     then `malformed <noun> line`, then an integer outside int64."""
-    numbers = {t: [int if d[f].base.kind == "i" else float for f in d.names for _ in range(math.prod(d[f].shape))]
-               for t, d in kinds.items()}
+    numbers = {t: [int if d[f].kind == "i" else float for f in d.names] for t, d in kinds.items()}
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
@@ -121,7 +119,7 @@ def load_edge_list(path: str | Path) -> tuple[Graph, dict[int, int]]:
     one bulk call; other files are read line by line, and an error names
     the first offending line.
     """
-    lines, _, rows = _read_records(path, _EDGE_KINDS.get, "edges")
+    lines, _, rows = _read_records(path, _EDGE_KINDS, "edges")
     if rows is None or "w" in rows.dtype.names and not ((0 < rows["w"]) & (rows["w"] < np.inf)).all():
         rows = _edge_rows(path, lines)
     ids, ends = np.unique(np.concatenate([rows["u"], rows["v"]]), return_inverse=True)
@@ -166,7 +164,7 @@ def load_labels(path: str | Path, n: int, id_map: dict[int, int]) -> GroundTruth
     through id_map, as `load_edge_list` returns it. A vertex may be repeated
     only with the same community.
     """
-    lines, _, records = _read_records(path, _LABEL_KINDS.get, "labels")
+    lines, _, records = _read_records(path, _LABEL_KINDS, "labels")
     vertex = None if records is None else _translate(records["vertex"], id_map)
     if vertex is None:
         _raise_label_error(path, lines, id_map)
@@ -190,13 +188,11 @@ def load_template(path: str | Path) -> TemplateModel:
     """Read a k x k template weight matrix, one row of k numbers per data
     line, where k is the first row's width. Encoding, comments, blank lines,
     number forms and errors that name their line follow `load_edge_list`'s
-    rules. A file whose rows all hold k numbers is converted in one bulk call."""
-    lines, row, records = _read_records(path, lambda k: np.dtype([("w", np.float64, (k,))]), "template weights")
-    if records is None:
-        k = row["w"].shape[0]
-        rows = _data_lines(path, lines, {k: row}, f"expected {k} weights, got {{got!r}}", "template")
-        return TemplateModel(np.array([values for *_, values in rows]))
-    return TemplateModel(records["w"])
+    rules. A template is only k lines, so it is read line by line."""
+    lines, k, _ = _read_records(path, {}, "template weights")
+    row = np.dtype([(f"w{j}", np.float64) for j in range(k)])
+    rows = _data_lines(path, lines, {k: row}, f"expected {k} weights, got {{got!r}}", "template")
+    return TemplateModel(np.array([values for *_, values in rows]))
 
 
 def model_from_ground_truth(g: Graph, gt: GroundTruth) -> TemplateModel:

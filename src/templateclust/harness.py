@@ -32,7 +32,7 @@ from templateclust.metrics import (
     projector_distance,
 )
 from templateclust.stiefel import StiefelPoint
-from templateclust.synth import C2_COUPLING, add_model_noise, check_sigma, expected_model, make_family, sample_graph
+from templateclust.synth import FAMILY_TABLE, add_model_noise, check_sigma, expected_model, make_family, sample_graph
 from templateclust.template import TemplateModel, template_cluster
 
 
@@ -72,15 +72,27 @@ SUMMARY_COLUMNS = (
 TIMING_COLUMNS = ("dataset", "method", "size", "param", "repetition", "runtime_ms")
 
 
+def check_axis(values: tuple, name: str) -> None:
+    """InputError naming `name`, a grid axis or the flag that gives it, unless
+    `values` holds at least one value and none of them twice."""
+    if not values:
+        raise InputError(f"{name} must name at least one value")
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise InputError(f"{name} repeats the value {value!r}")
+        seen.add(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str  # synth | real
-    dataset: str  # family name (g3|g6|c2|bp) or dataset label
+    dataset: str  # a family in synth.FAMILY_TABLE, or a dataset label
     methods: tuple[str, ...] = METHODS
     sizes: tuple[int, ...] = ()
-    probs: tuple[float | None, ...] = (None,)  # None: no coupling given, which c2 reads as C2_COUPLING
+    probs: tuple[float | None, ...] = (None,)  # None: no coupling given, read as the family's default
     sigmas: tuple[float, ...] = (0.0,)
-    intra_mode: str | None = None  # None: no shape given, which bp reads as its default
+    intra_mode: str | None = None  # None: no shape given, which a family with shapes reads as its default
     repetitions: int = 100
     base_seed: int = 0
     fixed_graph: bool = False
@@ -99,19 +111,13 @@ class ExperimentConfig:
             raise InputError(f"unknown methods: {sorted(unknown)}")
         if self.kind not in ("synth", "real"):
             raise InputError(f"kind must be 'synth' or 'real', got {self.kind!r}")
+        if self.kind == "synth" and isinstance(self.dataset, str) and self.dataset in FAMILY_TABLE:
+            _, _, default, _ = FAMILY_TABLE[self.dataset]
+            object.__setattr__(self, "probs", tuple(default if p is None else p for p in self.probs))
         for axis in ("methods", "sizes", "probs") if self.kind == "synth" else ("methods", "sigmas"):
-            if not getattr(self, axis):
-                raise InputError(f"{axis} must name at least one value")
+            check_axis(getattr(self, axis), axis)
         if self.kind == "real" and (self.edges_path is None or self.labels_path is None):
             raise InputError("real experiments need edge and label file paths")
-        if self.kind == "synth" and self.dataset == "c2":
-            object.__setattr__(self, "probs", tuple(C2_COUPLING if p is None else p for p in self.probs))
-        for axis in ("sizes", "probs", "sigmas", "methods"):
-            seen = set()
-            for value in getattr(self, axis):
-                if value in seen:
-                    raise InputError(f"{axis} repeats the value {value!r}")
-                seen.add(value)
         unread = {"synth": ("sigmas", "edges_path", "labels_path"),
                   "real": ("sizes", "probs", "intra_mode", "fixed_graph")}[self.kind]
         for f in fields(self):

@@ -1,13 +1,9 @@
-"""Synthetic benchmark graph families and expected-value template models.
-
-Four families are provided: a three-community line (g3), a six-community
-asymmetric topology (g6), a four-community line with tunable central
-coupling (c2), and a two-community family covering bipartite and hub
-shapes (bp).
-"""
+"""Synthetic benchmark graph families, each one row of FAMILY_TABLE, and
+expected-value template models."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,32 +125,35 @@ def make_bp(size: int, inter: float, intra_mode: str | None = None) -> Community
     return CommunitySpec((size, size), rates)
 
 
-FAMILIES = ("g3", "g6", "c2", "bp")
 INTRA_MODES = ("bipartite", "hub")  # bp's shapes
 C2_COUPLING = 0.42  # c2's central coupling when none is given
+# Every family, defined once: its builder; the coupling it takes after the
+# size, as its message names it (None: it takes none); the coupling a grid
+# reads when none is given; and its shapes. A new family is appended.
+FAMILY_TABLE: dict[str, tuple[Callable, str | None, float | None, tuple[str, ...]]] = {
+    "g3": (make_g3, None, None, ()),
+    "g6": (make_g6, None, None, ()),
+    "c2": (make_c2, "a central coupling", C2_COUPLING, ()),
+    "bp": (make_bp, "an inter-connection", None, INTRA_MODES),
+}
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 def make_family(name: str, size: int, prob: float | None, intra_mode: str | None) -> CommunitySpec:
-    """The named family at one size. `prob` is the c2 central coupling or
-    the bp inter rate, required for both; g3 and g6 take none, so it must be
-    None for them. `intra_mode` is bp's shape, None (none given) for the
-    others. A flag the family does not use raises InputError."""
-    if name in ("g3", "g6") and prob is not None:
+    """The named family at one size. `prob` is the coupling its row names,
+    required where it takes one and None where it takes none; `intra_mode`
+    is a shape of a family that has them, else None (none given). A flag the
+    family does not use raises InputError."""
+    if not isinstance(name, str) or name not in FAMILY_TABLE:  # a list, unhashable, would raise TypeError
+        raise InputError(f"unknown synthetic family {name!r}")
+    build, coupling, _, shapes = FAMILY_TABLE[name]
+    if coupling is None and prob is not None:
         raise InputError(f"family {name} takes no coupling probability, got {prob}")
-    if name in ("g3", "g6", "c2") and intra_mode is not None:
+    if intra_mode is not None and not shapes:
         raise InputError(f"intra_mode {intra_mode!r} applies only to family bp, not {name}")
-    if name == "g3":
-        return make_g3(size)
-    if name == "g6":
-        return make_g6(size)
-    if name in ("c2", "bp") and prob is None:
-        coupling = "a central coupling" if name == "c2" else "an inter-connection"
+    if coupling is not None and prob is None:
         raise InputError(f"{name} experiments need {coupling} probability")
-    if name == "c2":
-        return make_c2(size, prob)
-    if name == "bp":
-        return make_bp(size, prob, intra_mode)
-    raise InputError(f"unknown synthetic family {name!r}")
+    return build(size, *[arg for arg in (prob, intra_mode) if arg is not None])  # given is taken, as checked above
 
 
 def _check_real(value: object, what: str) -> None:

@@ -467,6 +467,16 @@ def test_subset_pairs_give_up_on_a_driver_failure(monkeypatch, info, found):
     assert subset_pairs(m, 0, 3) is None
 
 
+def test_no_library_to_bind_gives_no_driver(tmp_path, monkeypatch):
+    """numpy built on MKL, Accelerate or a system LAPACK has no OpenBLAS
+    beside it: a file of that name that does not load is passed over, and
+    there is no driver."""
+    (tmp_path / "numpy.libs").mkdir()
+    (tmp_path / "numpy.libs" / "libscipy_openblas64_fake.so").write_bytes(b"not a shared library")
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert graphs._subset_driver.__wrapped__() is None
+
+
 PLANTED = {
     "g6-40": make_g6(40),
     # 12 email-like communities of 32: more wanted pairs than steps between tests

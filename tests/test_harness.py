@@ -819,12 +819,13 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, field",
         [
-            (["synth", "--family", "c2", "--sizes", "5", "--probs", ","], "probs"),
-            (["synth", "--family", "g3", "--sizes", ","], "sizes"),
-            (["synth", "--family", "g3", "--sizes", "5", "--methods", ","], "methods"),
-            (["real", "--edges", "e.txt", "--labels", "l.txt", "--sigma-list", ","], "sigmas"),
-            (["real", "--edges", "e.txt", "--labels", "l.txt", "--methods", ","], "methods"),
+            (["synth", "--family", "c2", "--sizes", "5", "--probs", ","], "--probs"),
+            (["synth", "--family", "g3", "--sizes", ","], "--sizes"),
+            (["synth", "--family", "g3", "--sizes", "5", "--methods", ","], "--methods"),
+            (["real", "--edges", "e.txt", "--labels", "l.txt", "--sigma-list", ","], "--sigma-list"),
+            (["real", "--edges", "e.txt", "--labels", "l.txt", "--methods", ","], "--methods"),
         ],
+        ids=["argv0-probs", "argv1-sizes", "argv2-methods", "argv3-sigmas", "argv4-methods"],  # the axis each flag sets
     )
     def test_empty_grid_axis_exit_code(self, tmp_path, capsys, argv, field):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
@@ -834,10 +835,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["synth", "--family", "g3", "--sizes", "4,4"], "sizes repeats the value 4"),
-            (["synth", "--family", "c2", "--sizes", "4", "--probs", "0.42,0.42"], "probs repeats the value 0.42"),
-            (["synth", "--family", "g3", "--sizes", "4", "--methods", "louvain,louvain"], "methods repeats"),
-            (["real", "--edges", "e.txt", "--labels", "l.txt", "--sigma-list", "0,0"], "sigmas repeats"),
+            (["synth", "--family", "g3", "--sizes", "4,4"], "--sizes repeats the value 4"),
+            (["synth", "--family", "c2", "--sizes", "4", "--probs", "0.42,0.42"], "--probs repeats the value 0.42"),
+            (["synth", "--family", "g3", "--sizes", "4", "--methods", "louvain,louvain"], "--methods repeats"),
+            (["real", "--edges", "e.txt", "--labels", "l.txt", "--sigma-list", "0,0"], "--sigma-list repeats"),
         ],
         ids=["sizes", "c2-probs", "methods", "sigmas"],
     )
@@ -1341,6 +1342,17 @@ def test_unmakeable_out_is_rejected_before_the_first_repetition(tmp_path, monkey
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {out}: cannot make the output directory: {reason}\n"
     assert runs == [] and afile.read_text() == "kept\n" and sorted(tmp_path.iterdir()) == [afile]
+
+
+def test_out_mkdir_cannot_make_is_an_input_error(tmp_path, capsys):
+    """A name too long to make passes the check before the grid, which
+    cannot see it; mkdir's failure after the grid exits 1 with the same
+    message, and nothing is made."""
+    out = tmp_path / ("o" * 300)
+    argv = ["synth", "--family", "g3", "--sizes", "4", "--reps", "1", "--methods", "cnm", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {out}: cannot make the output directory: File name too long\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_is_made_after_the_grid_has_run(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ import pytest
 
 import templateclust
 from templateclust.harness import METHODS
+from templateclust.synth import FAMILIES
 
 REPO = Path(__file__).resolve().parent.parent
 SOURCE = REPO / "src" / "templateclust"
@@ -508,24 +509,30 @@ def count_messages(tree: ast.Module) -> list[tuple[int, str]]:
     )
 
 
-def method_dispatch(tree: ast.Module) -> list[tuple[int, str, str]]:
+def name_dispatch(tree: ast.Module, table: tuple[str, ...], noun: str) -> list[tuple[int, str, str]]:
     """(line, enclosing class/function path, code) for each comparison,
-    `case` pattern or subscript with a literal in METHODS, a tuple, list or
-    set display of them included, and each dict display keyed by one.
+    `case` pattern or subscript with a literal in `table`, a tuple, list or
+    set display of them included, and each dict display keyed by one, found
+    as "dict keyed by <noun> names".
 
     A method is defined once, by its row in `harness.REGISTRY`: its runner,
     the input it cannot run without and whether it draws a stream, with its
     place as its stream key. While `run_method` chose a method by an if-chain
     on its name, and `cli.py` tested names to learn what a method needs, each
-    method was spread over five places that a new one had to find. A literal
-    that only names a method, such as the CLI's default or a memo key, is
-    neither compared nor dispatched on, and passes.
+    method was spread over five places that a new one had to find. A
+    synthetic family is defined once, by its row in `synth.FAMILY_TABLE`: its
+    builder, the coupling it takes, the coupling a grid reads when none is
+    given and its shapes. While `make_family` chose a family by an if-chain
+    on its name, and `ExperimentConfig` tested for c2 to fill in its
+    coupling, a new family had to extend three places. A literal that only
+    names a method or a family, such as the CLI's default, a memo key or a
+    message, is neither compared nor dispatched on, and passes.
     """
 
     def names(node: ast.AST | None) -> bool:
         if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
             return any(names(element) for element in node.elts)
-        return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in METHODS
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in table
 
     def finding(node: ast.AST) -> str | None:
         if isinstance(node, ast.Compare) and any(names(side) for side in (node.left, *node.comparators)):
@@ -535,7 +542,7 @@ def method_dispatch(tree: ast.Module) -> list[tuple[int, str, str]]:
         if isinstance(node, ast.Subscript) and names(node.slice):
             return ast.unparse(node)
         if isinstance(node, ast.Dict) and any(names(key) for key in node.keys):
-            return "dict keyed by method names"
+            return f"dict keyed by {noun} names"
         return None
 
     return scoped(tree, finding)
@@ -627,7 +634,12 @@ RULES = {
     "self_comparisons": (self_comparisons, PACKAGE, set()),
     "family_shapes": (family_shapes, PACKAGE, {"synth.py"}),
     "count_rule": (count_messages, PACKAGE, {("graphs.py", "' must be an integer '")}),
-    "method_names": (method_dispatch, PACKAGE, {("harness.py", "", "dict keyed by method names")}),
+    "method_names": (lambda t: name_dispatch(t, METHODS, "method"), PACKAGE, {
+        ("harness.py", "", "dict keyed by method names"),
+    }),
+    "family_names": (lambda t: name_dispatch(t, FAMILIES, "family"), PACKAGE, {
+        ("synth.py", "", "dict keyed by family names"),
+    }),
     "process_settings": (process_settings, PACKAGE, {
         ("cli.py", "_keep_freed_memory", "from ctypes import CDLL, c_int"),
         ("cli.py", "main", "_keep_freed_memory()"),
@@ -955,7 +967,7 @@ def test_method_name_detector():
         "    return g.memo(('spectral', 3), f), m != 'cnm', add_argument('--method', default='tb')\n"
         "other = kind == 'synth', {'hub': 1}, x['k'], 'tb'\n"
     )
-    assert method_dispatch(ast.parse(source)) == [
+    assert name_dispatch(ast.parse(source), METHODS, "method") == [
         (1, "", "method == 'tb'"),
         (2, "", "args.method in ('cnm', 'louvain')"),
         (3, "", "dict keyed by method names"),
@@ -973,6 +985,72 @@ def test_method_name_tests_outside_the_table_are_flagged():
     assert [re.sub(r":\d+:", ":", found) for found in offenders("method_names", trees.get)] == [
         "cli.py: _cmd_cluster: args.method in ('cnm', 'louvain')",
         "harness.py: pick: method == 'cnm'",
+    ]
+
+
+def test_family_name_detector():
+    # a message or an argument default that names a family is not a test of it
+    source = (
+        "if name in ('g3', 'g6') and prob is not None:\n"
+        "    builders = {'c2': make_c2}\n"
+        "match name:\n"
+        "    case 'bp':\n"
+        "        row = FAMILY_TABLE['g6']\n"
+        "def fill(cfg):\n"
+        "    return cfg.dataset == 'c2', f'applies only to family bp, not {name}', add_argument(default='g3')\n"
+        "other = method == 'tb', {'hub': 1}\n"
+    )
+    assert name_dispatch(ast.parse(source), FAMILIES, "family") == [
+        (1, "", "name in ('g3', 'g6')"),
+        (2, "", "dict keyed by family names"),
+        (4, "", "case 'bp'"),
+        (5, "", "FAMILY_TABLE['g6']"),
+        (7, "fill", "cfg.dataset == 'c2'"),
+    ]
+
+
+# the name tests that chose a family before `synth.FAMILY_TABLE`
+NAME_CHAIN = """
+def make_family(name, size, prob, intra_mode):
+    if name in ("g3", "g6") and prob is not None:
+        raise InputError(f"family {name} takes no coupling probability, got {prob}")
+    if name in ("g3", "g6", "c2") and intra_mode is not None:
+        raise InputError(f"intra_mode {intra_mode!r} applies only to family bp, not {name}")
+    if name == "g3":
+        return make_g3(size)
+    if name == "g6":
+        return make_g6(size)
+    if name in ("c2", "bp") and prob is None:
+        coupling = "a central coupling" if name == "c2" else "an inter-connection"
+        raise InputError(f"{name} experiments need {coupling} probability")
+    if name == "c2":
+        return make_c2(size, prob)
+    if name == "bp":
+        return make_bp(size, prob, intra_mode)
+    raise InputError(f"unknown synthetic family {name!r}")
+"""
+C2_TEST = """
+class ExperimentConfig:
+    def __post_init__(self):
+        if self.kind == "synth" and self.dataset == "c2":
+            object.__setattr__(self, "probs", tuple(C2_COUPLING if p is None else p for p in self.probs))
+"""
+
+
+def test_family_name_tests_outside_the_table_are_flagged():
+    # the table stays allowed; an if-chain on family names beside it and a test for c2 in harness do not
+    synth = FILES["synth.py"].read_text(encoding="utf-8") + NAME_CHAIN
+    trees = {"synth.py": ast.parse(synth), "harness.py": ast.parse(C2_TEST)}
+    assert [re.sub(r":\d+:", ":", found) for found in offenders("family_names", trees.get)] == [
+        "harness.py: ExperimentConfig.__post_init__: self.dataset == 'c2'",
+        "synth.py: make_family: name in ('g3', 'g6')",
+        "synth.py: make_family: name in ('g3', 'g6', 'c2')",
+        "synth.py: make_family: name == 'g3'",
+        "synth.py: make_family: name == 'g6'",
+        "synth.py: make_family: name in ('c2', 'bp')",
+        "synth.py: make_family: name == 'c2'",
+        "synth.py: make_family: name == 'c2'",
+        "synth.py: make_family: name == 'bp'",
     ]
 
 
