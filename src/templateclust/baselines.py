@@ -7,7 +7,7 @@ import numpy as np
 from templateclust.errors import InputError, NumericalError
 from templateclust.graphs import Graph, block_sums, count, degree_matrix, laplacian
 from templateclust.metrics import Partition
-from templateclust.rounding import kmeans, pivoted_qr_seeds
+from templateclust.rounding import kmeans
 from templateclust.stiefel import StiefelPoint
 
 
@@ -22,21 +22,15 @@ def spectral_embedding(g: Graph, k: int) -> StiefelPoint:
 
 def spectral_cluster(g: Graph, k: int, rng: np.random.Generator | None) -> Partition:
     """Unnormalized spectral clustering: the rows of the k bottom eigenvectors
-    of L = D - A, rounded as `tb` rounds its frame, by pivoted-QR seeds and
-    one Lloyd run on the unit rows (`rounding.pivoted_qr_seeds`).
+    of L = D - A, rounded as `tb` rounds its frame, by `rounding.kmeans`:
+    pivoted-QR seeds and one Lloyd run on the unit rows.
 
     Nothing is drawn, so the partition is computed on the first call for a
     `Graph` and k, and read from its memo after that, as `cnm_cluster`'s is;
     a call that raises stores nothing and raises again. `rng` is unused, and
     may be None; the acceptance tests pass one."""
     k = count(k, "k", 1, g.n)
-
-    def compute() -> Partition:
-        rows, seeds = pivoted_qr_seeds(spectral_embedding(g, k).matrix, k)
-        labels, _ = kmeans(rows, seeds)
-        return Partition(labels)
-
-    return g.memo(("spectral", k), compute)
+    return g.memo(("spectral", k), lambda: Partition(kmeans(spectral_embedding(g, k).matrix, k)))
 
 
 def _check_edges(g: Graph) -> float:

@@ -74,12 +74,16 @@ TIMING_COLUMNS = ("dataset", "method", "size", "param", "repetition", "runtime_m
 
 def check_axis(values: tuple, name: str) -> None:
     """InputError naming `name`, a grid axis or the flag that gives it, unless
-    `values` holds at least one value and none of them twice."""
+    `values` holds at least one value, none of them twice and each hashable."""
     if not values:
         raise InputError(f"{name} must name at least one value")
     seen = set()
     for value in values:
-        if value in seen:
+        try:
+            repeated = value in seen
+        except TypeError:
+            raise InputError(f"{name} holds the unhashable value {value!r}") from None
+        if repeated:
             raise InputError(f"{name} repeats the value {value!r}")
         seen.add(value)
 
@@ -107,8 +111,6 @@ class ExperimentConfig:
                 raise InputError(f"{axis} must be a tuple or list, got {values!r}")
             object.__setattr__(self, axis, tuple(values))
         object.__setattr__(self, "sizes", tuple(count(size, "sizes", 1) for size in self.sizes))
-        if unknown := set(self.methods) - set(REGISTRY):
-            raise InputError(f"unknown methods: {sorted(unknown)}")
         if self.kind not in ("synth", "real"):
             raise InputError(f"kind must be 'synth' or 'real', got {self.kind!r}")
         if self.kind == "synth" and isinstance(self.dataset, str) and self.dataset in FAMILY_TABLE:
@@ -116,6 +118,8 @@ class ExperimentConfig:
             object.__setattr__(self, "probs", tuple(default if p is None else p for p in self.probs))
         for axis in ("methods", "sizes", "probs") if self.kind == "synth" else ("methods", "sigmas"):
             check_axis(getattr(self, axis), axis)
+        if unknown := set(self.methods) - set(REGISTRY):
+            raise InputError(f"unknown methods: {sorted(unknown)}")
         if self.kind == "real" and (self.edges_path is None or self.labels_path is None):
             raise InputError("real experiments need edge and label file paths")
         unread = {"synth": ("sigmas", "edges_path", "labels_path"),

@@ -3,8 +3,8 @@
 The observation adjacency A_O is contracted through an orthonormal n x k
 embedding P and compared against the template weights A_M.  Minimizing
 ||A_M - P^T A_O P||_F^2 over orthonormal frames yields an embedding whose
-rows are rounded into the final partition: pivoted-QR seeds and one Lloyd
-run on the row-normalized embedding (`rounding.pivoted_qr_seeds`).
+rows are rounded into the final partition by `rounding.kmeans(frame, k)`:
+pivoted-QR seeds and one Lloyd run on the row-normalized embedding.
 
 With A_M = U diag(lambda) U^T and mu the eigenvalues of A_O, both ascending,
 the eigenvalues of P^T A_O P interlace mu, so by Hoffman-Wielandt no frame
@@ -30,7 +30,7 @@ import numpy as np
 
 from templateclust.errors import InputError
 from templateclust.graphs import Graph, symmetric_matrix
-from templateclust.rounding import kmeans, pivoted_qr_seeds
+from templateclust.rounding import kmeans
 from templateclust.stiefel import DescentTrace, StiefelPoint, random_stiefel, steepest_descent
 
 
@@ -115,8 +115,8 @@ def eigenvector_start(g_o: Graph, model: TemplateModel) -> tuple[StiefelPoint, f
 
 
 def template_cluster(g_o: Graph, model: TemplateModel, rng: np.random.Generator) -> ClusteringResult:
-    """Optimize the embedding, then round its rows by pivoted-QR seeds and one
-    Lloyd run on the unit rows, which draw nothing from `rng`.
+    """Optimize the embedding, then round its rows by `kmeans(frame, k)`,
+    which draws nothing from `rng`.
 
     The descent starts at the eigenvector frame P* when the sign test
     certifies it (each negative template eigenvalue at or below its interval
@@ -134,7 +134,6 @@ def template_cluster(g_o: Graph, model: TemplateModel, rng: np.random.Generator)
         lambda p: euclidean_gradient(a_o, model, p),
         p0,
     )
-    rows, seeds = pivoted_qr_seeds(p_opt.matrix, model.k)
-    labels, _ = kmeans(rows, seeds)
+    labels = kmeans(p_opt.matrix, model.k)
     labels.setflags(write=False)
     return ClusteringResult(partition=labels, embedding=p_opt, trace=trace, lower_bound=lower_bound)

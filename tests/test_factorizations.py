@@ -153,13 +153,13 @@ def merged(monkeypatch):
 def rounded(monkeypatch):
     """Row counts of the embeddings the spectral baseline rounded, in call order."""
     rows = []
-    seeds = baselines.pivoted_qr_seeds
+    rounding = baselines.kmeans
 
     def counting(points, k):
         rows.append(points.shape[0])
-        return seeds(points, k)
+        return rounding(points, k)
 
-    monkeypatch.setattr(baselines, "pivoted_qr_seeds", counting)
+    monkeypatch.setattr(baselines, "kmeans", counting)
     return rows
 
 

@@ -18,6 +18,7 @@ from templateclust import (
     block_sums,
     build_graph,
     degree_matrix,
+    kmeans,
     laplacian,
     make_bp,
     make_c2,
@@ -196,6 +197,7 @@ COUNT_CALLERS = {
     "pivoted_qr_seeds-bool": (
         lambda: pivoted_qr_seeds(np.eye(4, 2), True), "k must be an integer from 1 to 4, got True"
     ),
+    "kmeans-zero": (lambda: kmeans(np.eye(4, 2), 0), "k must be an integer from 1 to 4, got 0"),
     "build_graph-bool": (lambda: build_graph([], True), "vertex count must be an integer >= 1, got True"),
     "CommunitySpec-bool": (
         lambda: CommunitySpec((True, 2), np.eye(2)), "community size must be an integer >= 1, got True"

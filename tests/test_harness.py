@@ -185,6 +185,23 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "kw, message",
         [
+            (dict(methods=(["tb"],)), "methods holds the unhashable value ['tb']"),
+            (dict(dataset="c2", probs=([0.4],)), "probs holds the unhashable value [0.4]"),
+            (
+                dict(kind="real", sigmas=([0.0],), edges_path="e.txt", labels_path="l.txt"),
+                "sigmas holds the unhashable value [0.0]",
+            ),
+        ],
+        ids=["methods", "probs", "sigmas"],
+    )
+    def test_unhashable_grid_value_rejected(self, kw, message):
+        # once a TypeError from the repeat check's set
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            small_cfg(**kw)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
             (dict(repetitions=0), "repetitions must be an integer >= 1, got 0"),
             (dict(kind="simulated"), "kind must be 'synth' or 'real', got 'simulated'"),
         ],

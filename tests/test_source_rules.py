@@ -369,10 +369,20 @@ def repo_reads() -> set[str]:
 def rounding_definitions(tree: ast.Module) -> list[tuple[int, str]]:
     """(line, "defines <name>") for each definition of a name in ROUNDING.
 
-    `tb` and the spectral baseline both round with `rounding.pivoted_qr_seeds`
-    and `rounding.kmeans`, so the rounding code lives in `rounding.py` alone.
+    `tb` and the spectral baseline both round with `rounding.kmeans`, so the
+    rounding code lives in `rounding.py` alone.
     """
     return [(node.lineno, f"defines {name}") for node in ast.walk(tree) for name in defined_names(node) if name in ROUNDING]
+
+
+def rounding_step_calls(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """(line, enclosing class/function path, call) for each call of
+    `pivoted_qr_seeds` or `_lloyd`, bare or through a module.
+
+    `kmeans(frame, k)` is the one rounding call: it seeds and runs Lloyd, so
+    no method spells the two steps itself.
+    """
+    return scoped_calls(tree, lambda parts: parts[-1] in ROUNDING - {"kmeans"})
 
 
 def template_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -401,7 +411,7 @@ def kmeans_import(tree: ast.Module) -> list[tuple[None, str]]:
 def rng_free_rounding(tree: ast.Module) -> list[tuple[int | None, str]]:
     """In the module that defines `kmeans`, (line, code) for each binding or
     read of a name in RANDOM or of `numpy.random`; in any other module, a
-    fault unless it imports `pivoted_qr_seeds` from `templateclust.rounding`.
+    fault unless it imports `kmeans` from `templateclust.rounding`.
 
     Both embedding methods round the same way, by pivoted-QR seeds and one
     Lloyd run, and neither draws a random number: the rounding module takes
@@ -409,9 +419,9 @@ def rng_free_rounding(tree: ast.Module) -> list[tuple[int | None, str]]:
     """
     if not any("kmeans" in defined_names(node) for node in tree.body):
         bindings = [binding[:2] for node in ast.walk(tree) for binding in imported_names(node)]
-        if ("templateclust.rounding", "pivoted_qr_seeds") in bindings:
+        if ("templateclust.rounding", "kmeans") in bindings:
             return []
-        return [(None, "does not import pivoted_qr_seeds from templateclust.rounding")]
+        return [(None, "does not import kmeans from templateclust.rounding")]
 
     def random(node: ast.AST) -> bool:
         if any(
@@ -630,6 +640,7 @@ RULES = {
     "compared_methods": (template_imports, ["baselines.py"], set()),
     "traced_kmeans": (kmeans_import, ["template.py"], set()),
     "rng_free_rounding": (rng_free_rounding, ["rounding.py", "baselines.py"], set()),
+    "rounding_calls": (rounding_step_calls, PACKAGE, {"rounding.py"}),
     "rounding_privates": (private_rounding_reads, PACKAGE + TESTS + BENCH, {"tests/test_rounding.py"}),
     "self_comparisons": (self_comparisons, PACKAGE, set()),
     "family_shapes": (family_shapes, PACKAGE, {"synth.py"}),
@@ -1258,11 +1269,40 @@ def test_rng_free_rounding_detector():
         (7, "rng=rng"),
         (8, "np.random"),
     ]
-    assert rng_free_rounding(ast.parse("import numpy as np\ndef kmeans(points, centroids): pass\n")) == []
-    fault = [(None, "does not import pivoted_qr_seeds from templateclust.rounding")]
-    assert rng_free_rounding(ast.parse("from templateclust.rounding import kmeans\n")) == fault
-    assert rng_free_rounding(ast.parse("from templateclust import rounding\nrounding.pivoted_qr_seeds\n")) == fault
-    assert rng_free_rounding(ast.parse("from .rounding import kmeans, pivoted_qr_seeds\n")) == []
+    assert rng_free_rounding(ast.parse("import numpy as np\ndef kmeans(points, k): pass\n")) == []
+    fault = [(None, "does not import kmeans from templateclust.rounding")]
+    assert rng_free_rounding(ast.parse("from templateclust.rounding import pivoted_qr_seeds\n")) == fault
+    assert rng_free_rounding(ast.parse("from templateclust import rounding\nrounding.kmeans\n")) == fault
+    assert rng_free_rounding(ast.parse("from templateclust.template import kmeans\n")) == fault
+    assert rng_free_rounding(ast.parse("from .rounding import kmeans\n")) == []
+
+
+def test_rounding_calls_detector():
+    # tb and spectral as they were when each spelled the seeding and the Lloyd run
+    two_step = {
+        "template.py": (
+            "from templateclust.rounding import kmeans, pivoted_qr_seeds\n"
+            "def template_cluster(g_o, model, rng):\n"
+            "    rows, seeds = pivoted_qr_seeds(p_opt.matrix, model.k)\n"
+            "    labels, _ = kmeans(rows, seeds)\n"
+        ),
+        "baselines.py": (
+            "from templateclust import rounding\n"
+            "def spectral_cluster(g, k, rng):\n"
+            "    def compute():\n"
+            "        rows, seeds = rounding.pivoted_qr_seeds(spectral_embedding(g, k).matrix, k)\n"
+            "        return Partition(rounding._lloyd(rows, seeds, 300))\n"
+        ),
+        "rounding.py": "def kmeans(points, k):\n    return _lloyd(*pivoted_qr_seeds(points, k), max_iters=300)\n",
+    }
+    trees = {name: ast.parse(source) for name, source in two_step.items()}
+    assert offenders("rounding_calls", trees.get) == [
+        "baselines.py:4: spectral_cluster.compute: rounding.pivoted_qr_seeds(spectral_embedding(g, k).matrix, k)",
+        "baselines.py:5: spectral_cluster.compute: rounding._lloyd(rows, seeds, 300)",
+        "template.py:3: template_cluster: pivoted_qr_seeds(p_opt.matrix, model.k)",
+    ]
+    one_call = {"template.py": "labels = kmeans(p_opt.matrix, model.k)\n", "baselines.py": "kmeans(frame, k)\n"}
+    assert offenders("rounding_calls", {name: ast.parse(s) for name, s in one_call.items()}.get) == []
 
 
 def test_private_rounding_reads_detector():
